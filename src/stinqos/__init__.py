@@ -50,7 +50,7 @@ from .fbc import (
     q_function,
 )
 from .experiments import SweepSpec, cu_to_seconds, default_scenario, run_sweep
-from .reports import QoSExponent, QoSReport
+from .reports import QoSReport
 from .snc import (
     constant_rate_arrival,
     delay_bound,

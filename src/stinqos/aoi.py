@@ -158,12 +158,14 @@ def departure_times(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
     """
     arrivals = np.asarray(arrivals, dtype=float)
     services = np.asarray(services, dtype=float)
-    dep = np.empty_like(arrivals)
+    dep = []
     prev = -math.inf
-    for i in range(len(arrivals)):
-        prev = max(prev, arrivals[i]) + services[i]
-        dep[i] = prev
-    return dep
+    # Python floats, since numpy scalar indexing costs more than the
+    # recursion; the conditional is max(prev, a), without the call overhead
+    for a, s in zip(arrivals.tolist(), services.tolist()):
+        prev = (a if a > prev else prev) + s
+        dep.append(prev)
+    return np.array(dep, dtype=float)
 
 
 def departure_times_maxplus(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln, hyp1f1, logsumexp
 
 from .errors import DomainError, NumericError
 
@@ -27,8 +27,6 @@ SPEED_OF_LIGHT = 3.0e8  # m/s, free-space value used throughout
 STREAM_PLACEMENT = 0
 STREAM_CHANNEL = 1
 STREAM_TRACE = 2
-
-_SERIES_TERM_BUDGET = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -40,8 +38,8 @@ def hyp1f1_integer(m: float, z):
 
     Integer m collapses to the finite Kummer sum
     ``exp(z) * sum_k C(m-1, k) z^k / k!``, which is exact and stable.
-    Non-integer m falls back to the raw power series with a term-ratio
-    convergence test.
+    Non-integer m uses scipy's 1F1 through Kummer's transform
+    ``exp(z) * 1F1(1-m; 1; -z)``.
 
     Args:
         m: first parameter, >= 1 for the integer fast path.
@@ -60,7 +58,12 @@ def hyp1f1_integer(m: float, z):
 
 
 def log_hyp1f1_integer(m: float, z):
-    """log of 1F1(m; 1; z), overflow-safe for large z (z >= 0)."""
+    """log of 1F1(m; 1; z), overflow-safe for large z (z >= 0).
+
+    Raises:
+        NumericError: if non-integer m overflows scipy's 1F1 (roughly
+            m >= 50 with z > 1e4).
+    """
     z = np.asarray(z, dtype=float)
     if float(m).is_integer() and m >= 1:
         mi = int(m)
@@ -74,43 +77,13 @@ def log_hyp1f1_integer(m: float, z):
         log_terms = np.where(k == 0, 0.0, log_terms)
         log_terms = np.where((z[..., None] == 0) & (k > 0), -np.inf, log_terms)
         return z + logsumexp(log_terms, axis=-1)
-    return _log_hyp1f1_series(m, z)
-
-
-def _log_hyp1f1_series(m: float, z):
-    """Raw power series sum_k (m)_k z^k / (k!)^2 in log domain.
-
-    Guarded fallback for non-integer m. Terms are positive for m > 0 and
-    z >= 0; summation stops once the term ratio certifies a negligible tail.
-    """
-    shape = np.shape(z)
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    out = np.empty(z.shape)
-    for i, zi in np.ndenumerate(z):
-        if zi == 0.0:
-            out[i] = 0.0
-            continue
-        log_term = 0.0  # k = 0
-        acc = [0.0]
-        peak = 0.0
-        converged = False
-        for k in range(_SERIES_TERM_BUDGET):
-            # t_{k+1} / t_k = (m + k) z / (k + 1)^2
-            ratio = (m + k) * zi / (k + 1.0) ** 2
-            log_term += math.log(ratio)
-            acc.append(log_term)
-            peak = max(peak, log_term)
-            if ratio < 1.0 and log_term < peak + math.log(1e-18):
-                converged = True
-                break
-        if not converged:
-            raise NumericError(
-                f"1F1 series did not converge within {_SERIES_TERM_BUDGET} terms "
-                f"(m={m}, z={zi})",
-                achieved=math.exp(log_term - peak),
-            )
-        out[i] = logsumexp(np.asarray(acc))
-    return out.reshape(shape)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = z + np.log(hyp1f1(1.0 - m, 1.0, -z))
+    if not np.all(np.isfinite(out)):
+        raise NumericError(
+            f"1F1(m={m}; 1; z) overflows for z up to {np.max(z):g}"
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +115,13 @@ class ShadowedRicianParams:
 
     @property
     def alpha(self) -> float:
+        return math.exp(self.log_alpha)
+
+    @property
+    def log_alpha(self) -> float:
+        """log alpha, finite where alpha itself underflows (small b, large m)."""
         two_bm = 2.0 * self.b * self.m
-        return (two_bm / (two_bm + self.omega)) ** self.m / (2.0 * self.b)
+        return self.m * math.log(two_bm / (two_bm + self.omega)) - math.log(2.0 * self.b)
 
     @property
     def beta(self) -> float:
@@ -175,7 +153,7 @@ def shadowed_rician_pdf(x, p: ShadowedRicianParams):
     if np.any(x < 0):
         raise DomainError("channel power gain must be >= 0")
     log_pdf = (
-        math.log(p.alpha) - p.beta * x + log_hyp1f1_integer(p.m, p.delta * x)
+        p.log_alpha - p.beta * x + log_hyp1f1_integer(p.m, p.delta * x)
     )
     out = np.exp(log_pdf)
     return float(out) if out.ndim == 0 else out

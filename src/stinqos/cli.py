@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from . import csvio
+from . import channel, csvio
 from .aoi import simulate_trace, trace_rows, TRACE_FIELDS
 from .config import (
     RunConfig,
@@ -79,7 +79,7 @@ def _run_aoi_sim(rc: RunConfig, workers: int):
     am = build_arrival(rc.params.get("arrival"), rc.defaults_used)
     sm = build_service(rc.params.get("service"), rc.defaults_used, rc)
     n_updates = rc.params.get("n_updates", 10_000)
-    trace = simulate_trace(am, sm, n_updates, rc.scenario.rng(2))
+    trace = simulate_trace(am, sm, n_updates, rc.scenario.rng(channel.STREAM_TRACE))
     return TRACE_FIELDS, list(trace_rows(trace))
 
 
@@ -117,8 +117,12 @@ def _run_delay_bound(rc: RunConfig, workers: int):
 
 
 def _run_sweep(rc: RunConfig, workers: int):
-    params = dict(rc.params)
-    params.setdefault("seed", rc.seed)
+    if rc.params.get("seed", rc.seed) != rc.seed:
+        raise ConfigError(
+            f"params.seed={rc.params['seed']} conflicts with seed={rc.seed}; "
+            f"omit params.seed or give both the same value"
+        )
+    params = dict(rc.params, seed=rc.seed)
     for key in ("k_grid", "snr_points_db", "theta_grid", "n_grid"):
         if key in params and isinstance(params[key], list):
             params[key] = tuple(params[key])

@@ -42,12 +42,6 @@ def render_csv(fieldnames, rows, comments=()) -> str:
     return buf.getvalue()
 
 
-def write_csv(path, fieldnames, rows, comments=()) -> None:
-    text = render_csv(fieldnames, rows, comments)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
 def comment_lines(params: dict) -> list[str]:
     """One sorted key=value comment line per parameter, plus the build id."""
     lines = [f"build: {build_identifier()}"]

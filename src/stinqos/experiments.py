@@ -16,7 +16,7 @@ no matter how the points are scheduled across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -26,6 +26,7 @@ from .aoi import (
     ArrivalModel,
     ServiceModel,
     build_trace,
+    departure_times,
     empirical_violation,
     geometric_attempts,
     simulate_trace,
@@ -88,12 +89,7 @@ def default_scenario(
         distance_m=_DEFAULT_SAT_DISTANCE_M,
         gain_tx_dbi=_DEFAULT_SAT_GAIN_DBI,
     )
-    sat = LinkBudget(
-        carrier_hz=sat.carrier_hz,
-        distance_m=sat.distance_m,
-        gain_tx_dbi=sat.gain_tx_dbi,
-        tx_snr_db=tx_snr_db_for_avg_rx_snr(sat, fading, avg_snr_db),
-    )
+    sat = replace(sat, tx_snr_db=tx_snr_db_for_avg_rx_snr(sat, fading, avg_snr_db))
     d_rms = math.sqrt(0.5 * (_DEFAULT_R_IN_M ** 2 + _DEFAULT_R_OUT_M ** 2))
     template = InterfererField(
         count=max(k, 1),
@@ -438,6 +434,18 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> Table:
 # Slotted bit-queue simulation for the delay bound cross-check
 # ---------------------------------------------------------------------------
 
+def _backlog(alpha_bits: float, served: np.ndarray) -> np.ndarray:
+    """Bits left after blocks 0..T of the slotted queue, starting empty.
+
+    The Lindley recursion q_t = max(0, q_{t-1} + alpha - s_t) is the
+    departure recursion q_t = max(q_{t-1}, s_t - alpha) + (alpha - s_t) fed
+    from a zero-length virtual block 0; it is exact whenever alpha and the
+    served bits are integers.
+    """
+    excess = np.concatenate([[0.0], served - alpha_bits])
+    return departure_times(excess, -excess)
+
+
 def simulate_delay_violation(
     alpha_bits: float,
     bits_per_block: float,
@@ -461,12 +469,7 @@ def simulate_delay_violation(
     total = n_blocks + extra
     served = bits_per_block * (rng.random(total) >= eps)
     cpot = np.concatenate([[0.0], np.cumsum(served)])  # cpot[t] = service through block t
-    backlog = np.empty(n_blocks + 1)  # backlog[t] = bits left after block t
-    backlog[0] = 0.0
-    q = 0.0
-    for t in range(1, n_blocks + 1):
-        q = max(0.0, q + alpha_bits - served[t - 1])
-        backlog[t] = q
+    backlog = _backlog(alpha_bits, served[:n_blocks])  # bits left after block t
     # work ahead of and including block t's arrivals, to be cleared by service
     # starting at block t
     targets = cpot[: n_blocks] + backlog[: n_blocks] + alpha_bits
@@ -492,11 +495,7 @@ def queue_growth_ratio(
     Near 1 for a stable queue; about 3 when the backlog grows linearly.
     """
     served = bits_per_block * (rng.random(n_blocks) >= eps)
-    q = 0.0
-    backlog = np.empty(n_blocks)
-    for t in range(n_blocks):
-        q = max(0.0, q + alpha_bits - served[t])
-        backlog[t] = q
+    backlog = _backlog(alpha_bits, served)[1:]
     half = n_blocks // 2
     first = float(np.mean(backlog[:half]))
     second = float(np.mean(backlog[half:]))

@@ -1,24 +1,7 @@
 """Report types shared by the bound and exponent computations."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-
-from .errors import DomainError
-
-
-@dataclass(frozen=True)
-class QoSExponent:
-    """A strictly positive exponential decay rate for one QoS dimension."""
-
-    kind: str  # "aoi" | "delay" | "error"
-    value: float
-
-    def __post_init__(self):
-        if self.kind not in ("aoi", "delay", "error"):
-            raise DomainError(f"unknown QoS exponent kind {self.kind!r}")
-        if not (self.value > 0 and math.isfinite(self.value)):
-            raise DomainError(f"QoS exponent must be positive and finite, got {self.value}")
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,6 @@ from .fbc import CodingSpec, ErrorModel, average_error
 from .optimize import grid_then_golden
 from .reports import QoSReport
 
-_KERNEL_REL_TAIL = 1e-12
-_KERNEL_MAX_TERMS = 200_000
 _POLE_WARN_LEVEL = 1e6
 
 
@@ -80,11 +78,6 @@ def mellin_cumulative_service(theta: float, sm: ServiceModel, count: int) -> flo
     return _safe_exp(count * _log_mellin_service(theta, sm))
 
 
-def mellin_service(theta: float, sm: ServiceModel) -> float:
-    """Transform of a single update's service time."""
-    return _safe_exp(_log_mellin_service(theta, sm))
-
-
 def _log_geometric_sum(log_r: float, terms: int) -> float:
     """log of sum_{j=0}^{terms-1} r^j, overflow-safe for any log ratio."""
     if terms < 1:
@@ -109,8 +102,8 @@ def log_paoi_kernel(
     The sum runs over v = 1..u with u - v + 1 service terms and u - v gap
     terms; under i.i.d. gaps and services each lag contributes
     M_S(1+theta)^(lag+1) * M_I(1-theta)^lag. u = None evaluates the
-    steady-state kernel, truncating once the tail term drops below 1e-12 of
-    the partial sum; a nondecaying lag ratio means the sum diverges.
+    steady-state kernel, the full geometric series 1 / (1 - ratio); a
+    nondecaying lag ratio means the sum diverges.
     """
     if theta <= 0:
         raise DomainError(f"theta must be > 0, got {theta}")
@@ -126,19 +119,7 @@ def log_paoi_kernel(
             f"kernel sum diverges: term ratio {_safe_exp(log_ratio):g} >= 1",
             margin=_safe_exp(log_ratio),
         )
-    ratio = math.exp(log_ratio)
-    total = 0.0
-    term = 1.0  # lag 0, relative to the leading service factor
-    for _ in range(_KERNEL_MAX_TERMS):
-        total += term
-        term *= ratio
-        if term <= _KERNEL_REL_TAIL * total:
-            break
-    else:
-        # slow geometric decay near the theta -> 0 pole: fold in the exact
-        # remainder, which is below the truncation tolerance by construction
-        total += term / (1.0 - ratio)
-    return log_lead + log_ms + math.log(total)
+    return log_lead + log_ms - math.log(-math.expm1(log_ratio))
 
 
 def paoi_kernel(theta: float, u: int | None, am: ArrivalModel, sm: ServiceModel) -> float:

@@ -1,6 +1,7 @@
 """Channel model tests: density, special function, sampling, geometry."""
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -13,6 +14,7 @@ from stinqos.channel import (
     SPEED_OF_LIGHT,
     aggregate_interference,
     hyp1f1_integer,
+    log_hyp1f1_integer,
     pathloss_factor,
     place_interferers,
     sample_channel_gain,
@@ -21,7 +23,7 @@ from stinqos.channel import (
     srician_cdf_grid,
     srician_quad_nodes,
 )
-from stinqos.errors import DomainError
+from stinqos.errors import DomainError, NumericError
 
 
 def hyp1f1_series_oracle(m: float, z: float, terms: int = 200) -> float:
@@ -58,6 +60,19 @@ class TestHyp1f1:
         assert hyp1f1_integer(2.5, 1.3) == pytest.approx(
             hyp1f1_series_oracle(2.5, 1.3), rel=1e-12
         )
+
+    # m of the acceptance fading grid, then non-integer m (Kummer transform)
+    @pytest.mark.parametrize("m", [1, 2, 5, 10, 20, 0.5, 2.5, 10.5, 19.4])
+    def test_log_against_mpmath(self, m):
+        z = np.concatenate([[0.0], np.geomspace(1e-3, 1e4, 41)])
+        got = log_hyp1f1_integer(m, z)
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.log(mpmath.hyp1f1(m, 1, zi))) for zi in z])
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+
+    def test_non_integer_overflow_raises(self):
+        with pytest.raises(NumericError):
+            log_hyp1f1_integer(250.5, 1e5)
 
     def test_vectorized(self):
         z = np.array([0.0, 1.0, 2.0])

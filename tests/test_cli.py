@@ -141,6 +141,28 @@ class TestDispatch:
         assert not out.exists()
         assert "category=stability" in capsys.readouterr().err
 
+    def test_underflowing_fading_alpha_numeric_exit_code(self, tmp_path, capsys):
+        # alpha = (2bm / (2bm + omega))^m / 2b underflows to 0 here; the
+        # density stays in log domain and the 1F1 overflow is reported
+        out = tmp_path / "e.csv"
+        scenario = json.loads(json.dumps(THEOREM_CONFIG["scenario"]))
+        scenario["fading"] = {"b": 1e-5, "m": 100.5, "omega": 10.0}
+        cfg = {"command": "error", "seed": 1, "output": str(out),
+               "scenario": scenario}
+        assert main([write_config(tmp_path, cfg)]) == 4
+        assert not out.exists()
+        assert "category=numeric" in capsys.readouterr().err
+
+    def test_sweep_seed_conflict_config_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        cfg = {"command": "sweep", "seed": 11, "output": str(out),
+               "params": {"figure": "fig5", "n_grid": [100], "seed": 12}}
+        assert main([write_config(tmp_path, cfg)]) == 2
+        assert not out.exists()
+        assert "params.seed" in capsys.readouterr().err
+        cfg["params"]["seed"] = 11  # equal seeds are accepted
+        assert main([write_config(tmp_path, cfg)]) == 0
+
     def test_missing_config_io_exit_code(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope.json")]) == 5
         assert "category=io" in capsys.readouterr().err

@@ -8,6 +8,7 @@ from stinqos.csvio import comment_lines, render_csv
 from stinqos.errors import ConfigError, DomainError
 from stinqos.experiments import (
     SweepSpec,
+    _backlog,
     default_scenario,
     queue_growth_ratio,
     run_fig3,
@@ -168,6 +169,15 @@ class TestDelaySimulation:
     def test_eps_validation(self):
         with pytest.raises(DomainError):
             simulate_delay_violation(1.0, 8.0, 1.0, 100, [0], np.random.default_rng(0))
+
+    def test_backlog_equals_lindley_loop_for_integer_bits(self):
+        served = 32.0 * (np.random.default_rng(3).random(20_000) >= 0.15)
+        for alpha in (20.0, 28.0, 40.0):
+            q, expected = 0.0, [0.0]
+            for s in served:
+                q = max(0.0, q + alpha - s)
+                expected.append(q)
+            assert np.array_equal(_backlog(alpha, served), np.array(expected))
 
     def test_growth_ratio_separates_regimes(self):
         stable = queue_growth_ratio(20.0, 32.0, 0.05, 100_000,

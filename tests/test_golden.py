@@ -1,0 +1,69 @@
+"""Golden outputs: the CSV data rows of a fixed set of cheap CLI runs.
+
+Each config's data rows (the lines that do not start with '#') must hash to
+the committed SHA-256. The '#' header is left out because it carries the
+build identifier, which depends on whether the package is installed. A
+change that moves any of these numbers must say by how much and re-record
+the hash.
+"""
+import hashlib
+import json
+
+import pytest
+
+from stinqos.cli import main
+
+
+def _scenario(k, m):
+    return {
+        "satellite": {"carrier_hz": 2.0e9, "distance_m": 1.0e6,
+                      "gain_tx_dbi": 20.0, "tx_snr_db": 153.1},
+        "fading": {"b": 0.126, "m": m, "omega": 0.835},
+        "interferers": {"count": k, "r_inner_m": 2000.0, "r_outer_m": 10000.0,
+                        "carrier_hz": 2.0e9, "tx_snr_db": 112.6},
+        "rx_antennas": 2,
+    }
+
+
+GOLDEN = {
+    "error_k1_m10": (
+        {"command": "error", "seed": 1, "scenario": _scenario(1, 10)},
+        "9bde01c07bd3e201f05198febf109d16e3f186cf4fedf934a777818b18224c83",
+    ),
+    "error_k1_m10.5": (
+        {"command": "error", "seed": 1, "scenario": _scenario(1, 10.5)},
+        "0693d098317abe98596f6643b25be9d9d002d5ee76db2d7684a059dcc7f68abb",
+    ),
+    "exponent_k0": (
+        {"command": "exponent", "seed": 1, "scenario": _scenario(0, 10)},
+        "7e737a88ed8996a1405efd9c56022ad52f2022154f9d89fe6595858546e26e23",
+    ),
+    "aoi_sim": (
+        {"command": "aoi-sim", "seed": 1, "params": {"n_updates": 2000}},
+        "55d02516d542891e102360b01934acb14849dcf3d72b39753b06ee5d3296a947",
+    ),
+    "paoi_bound": (
+        {"command": "paoi-bound", "seed": 1},
+        "8fce221bf73f4dad3c1f252078356af7711696e74f82d662adf3e7dd320dd7ef",
+    ),
+    "delay_bound": (
+        {"command": "delay-bound", "seed": 1},
+        "53768652303a73afc260bdcbb819315ebd467bbe7f9ef014fa8bf54e0299f1e3",
+    ),
+}
+
+
+def data_rows_sha256(path) -> str:
+    text = path.read_text(encoding="utf-8")
+    rows = [l for l in text.splitlines(keepends=True) if not l.startswith("#")]
+    return hashlib.sha256("".join(rows).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_data_rows_match_golden_hash(name, tmp_path):
+    config, expected = GOLDEN[name]
+    out = tmp_path / "out.csv"
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(dict(config, output=str(out))), encoding="utf-8")
+    assert main([str(path)]) == 0
+    assert data_rows_sha256(out) == expected

@@ -1,23 +1,5 @@
-"""Report type validation and CSV row serialization."""
-import pytest
-
-from stinqos.errors import DomainError
-from stinqos.reports import QoSExponent, QoSReport, REPORT_FIELDS, report_row
-
-
-class TestQoSExponent:
-    def test_valid(self):
-        e = QoSExponent(kind="aoi", value=0.003)
-        assert e.kind == "aoi" and e.value == 0.003
-
-    def test_rejects_nonpositive_or_nonfinite(self):
-        for bad in (0.0, -1.0, float("inf"), float("nan")):
-            with pytest.raises(DomainError):
-                QoSExponent(kind="delay", value=bad)
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(DomainError):
-            QoSExponent(kind="jitter", value=0.1)
+"""CSV row serialization of reports."""
+from stinqos.reports import QoSReport, REPORT_FIELDS, report_row
 
 
 class TestReportRow:

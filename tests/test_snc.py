@@ -18,6 +18,7 @@ from stinqos.snc import (
     constant_rate_arrival,
     delay_bound,
     delay_kernel,
+    log_paoi_kernel,
     mellin_cumulative_service,
     mellin_interarrival,
     mellin_service_process,
@@ -115,6 +116,16 @@ class TestPaoiKernel:
         k_inf = paoi_kernel(0.003, None, am, sm)
         k_1000 = paoi_kernel(0.003, 1000, am, sm)
         assert abs(k_inf - k_1000) < 1e-9 * k_inf
+
+    @pytest.mark.parametrize("am", [ArrivalModel.poisson(1 / 256),
+                                    ArrivalModel.deterministic(256.0)])
+    @pytest.mark.parametrize("frac", [1e-6, 1e-3, 0.5])
+    def test_steady_state_equals_long_finite_sum(self, am, frac):
+        # the finite-u value comes from the separate _log_geometric_sum path
+        sm = ServiceModel.arq(64, 0.1)
+        theta = frac * paoi_theta_interval(am, sm)[1]
+        assert log_paoi_kernel(theta, None, am, sm) == log_paoi_kernel(
+            theta, 10 ** 12, am, sm)
 
     def test_truncation_horizon_doubling(self):
         am, sm = ArrivalModel.poisson(1 / 256), ServiceModel.arq(64, 0.1)
