@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import difflib
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from .aoi import ArrivalModel, ServiceModel
 from .channel import InterfererField, LinkBudget, Scenario, ShadowedRicianParams
@@ -29,18 +29,35 @@ _INTERFERER_KEYS = {
 }
 _CODING_KEYS = {"blocklength", "code_size", "rate"}
 _ERROR_MODEL_KEYS = {"method", "sample_budget", "quad_tolerance"}
-_ARRIVAL_KEYS = {"kind", "period", "rate"}
-_SERVICE_KEYS = {"kind", "n", "epsilon"}
 
-_PARAM_KEYS = {
-    "error": set(),
-    "exponent": set(),
-    "aoi-sim": {"n_updates", "arrival", "service"},
-    "paoi-bound": {"a_th_cu", "u", "theta", "arrival", "service"},
-    "delay-bound": {"d_th_blocks", "arrival_kind", "alpha_bits",
-                    "rate_per_block", "batch_bits"},
-    "sweep": {f.name for f in SweepSpec.__dataclass_fields__.values()},
+
+def _sweep_kind(default):
+    """Value kind of a SweepSpec field, read off its default."""
+    if default is MISSING:  # figure
+        return str
+    if isinstance(default, tuple):
+        return [type(default[0])]
+    return type(default)
+
+
+# Allowed value kinds of each params key: a type (float admits any JSON
+# number, no type admits a boolean unless it is bool), a literal value, a
+# one-item list for a JSON array of that kind, a dict for a nested object
+# (which may also be null), or a tuple of alternatives.
+_ARRIVAL_KINDS = {"kind": str, "period": float, "rate": float}
+_SERVICE_KINDS = {"kind": str, "n": int, "epsilon": (float, None)}
+_PARAM_KINDS = {
+    "error": {},
+    "exponent": {},
+    "aoi-sim": {"n_updates": int, "arrival": _ARRIVAL_KINDS,
+                "service": _SERVICE_KINDS},
+    "paoi-bound": {"a_th_cu": float, "u": (int, "inf"), "theta": (float, "optimize"),
+                   "arrival": _ARRIVAL_KINDS, "service": _SERVICE_KINDS},
+    "delay-bound": {"d_th_blocks": float, "arrival_kind": str, "alpha_bits": float,
+                    "rate_per_block": float, "batch_bits": float},
+    "sweep": {f.name: _sweep_kind(f.default) for f in fields(SweepSpec)},
 }
+_KIND_NAMES = {float: "number", int: "integer", str: "string", bool: "boolean"}
 
 
 @dataclass
@@ -64,6 +81,40 @@ def _check_keys(block: dict, allowed: set, context: str) -> None:
             hint = difflib.get_close_matches(key, sorted(allowed), n=1, cutoff=0.4)
             suffix = f"; nearest known key: {hint[0]!r}" if hint else ""
             raise ConfigError(f"unknown key {key!r} in {context}{suffix}")
+
+
+def _is_kind(value, kind) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, (list, tuple)) and all(
+            _is_kind(v, kind[0]) for v in value)
+    if not isinstance(kind, type):
+        return value == kind
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _kind_name(kind) -> str:
+    if isinstance(kind, list):
+        return f"list of {_KIND_NAMES[kind[0]]}s"
+    return _KIND_NAMES[kind] if isinstance(kind, type) else json.dumps(kind)
+
+
+def _check_params(block, kinds: dict, path: str) -> None:
+    """Check the keys and value kinds of a params block and its sub-objects."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{path} must be a JSON object")
+    _check_keys(block, kinds, path)
+    for key, value in block.items():
+        kind = kinds[key]
+        if isinstance(kind, dict):
+            if value is not None:
+                _check_params(value, kind, f"{path}.{key}")
+            continue
+        alternatives = kind if isinstance(kind, tuple) else (kind,)
+        if not any(_is_kind(value, k) for k in alternatives):
+            expected = " or ".join(_kind_name(k) for k in alternatives)
+            raise ConfigError(f"{path}.{key} must be {expected}, got {value!r}")
 
 
 def _require(block: dict, key: str, context: str):
@@ -115,9 +166,7 @@ def build_config(raw: dict) -> RunConfig:
         raise ConfigError(str(exc)) from None
 
     params = raw.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("params must be a JSON object")
-    _check_keys(params, _PARAM_KEYS[command], f"params of command {command!r}")
+    _check_params(params, _PARAM_KINDS[command], "params")
     if command == "sweep" and "figure" not in params:
         raise ConfigError("sweep command requires params.figure")
 
@@ -201,7 +250,6 @@ def build_arrival(block, defaults_used: list, default_gap_cu: float = 4096.0) ->
     if block is None:
         defaults_used.append(f"arrival=poisson(rate=1/{default_gap_cu:g} per cu)")
         return ArrivalModel.poisson(1.0 / default_gap_cu)
-    _check_keys(block, _ARRIVAL_KEYS, "arrival")
     kind = _require(block, "kind", "arrival")
     if kind == "deterministic":
         return ArrivalModel.deterministic(_require(block, "period", "arrival"))
@@ -219,7 +267,6 @@ def build_service(
     if block is None:
         block = {}
         defaults_used.append("service=arq(n=coding.blocklength, epsilon=from scenario)")
-    _check_keys(block, _SERVICE_KEYS, "service")
     kind = block.get("kind", "arq")
     n = block.get("n", rc.coding.blocklength)
     if kind == "fixed":

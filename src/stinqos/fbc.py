@@ -1,9 +1,9 @@
 """Finite-blocklength error probability and error-rate QoS exponents.
 
 Normal-approximation decoding error for short packets, its average over the
-fading/interference law (Monte Carlo or deterministic quadrature, both
-cross-checkable), the Gallager-style exponent of the averaged channel, and
-the closed-form exponent approximation in terms of the link SNRs.
+fading/interference law (Monte Carlo, or fading panels times a 32-node Gauss
+rule of the interference at any K), the Gallager-style exponent of the
+averaged channel, and the closed-form exponent approximation in the link SNRs.
 
 Rates are natural-log units (nats per channel use) throughout; bit-domain
 quantities are converted at module boundaries.
@@ -23,9 +23,8 @@ from .errors import DomainError, NumericError
 from .optimize import grid_then_golden
 from .reports import QoSReport
 
-# Gauss-Laguerre nodes per interferer dimension; the tensor grid integrates
-# the i.i.d. unit-mean exponential gains exactly enough for smooth integrands.
-_GL_NODES_BY_K = {0: 1, 1: 32, 2: 16, 3: 10, 4: 8, 5: 7, 6: 6}
+# Nodes of the Gauss rule for the aggregate interference, at every K.
+_INTERFERENCE_NODES = 32
 _QUAD_PANELS = (96, 144, 216, 324)
 
 
@@ -155,25 +154,38 @@ def sinr_samples(s: Scenario, n_draws: int, stream_index: int = 0) -> np.ndarray
     return channel.sinr(s, h, i_a)
 
 
+def _gauss_rule(x: np.ndarray, w: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-node Gauss rule of the discrete measure sum_i w_i delta(x_i).
+
+    Stieltjes recurrence on nodes scaled to [0, 1], then Golub-Welsch on the
+    Jacobi matrix, of which eigh reads only the lower triangle.
+    """
+    t = x / x.max()
+    a, sqrt_b = np.zeros(n), np.zeros(n)
+    q_prev, q = np.zeros_like(t), np.full_like(t, 1.0 / math.sqrt(w.sum()))
+    for j in range(n):
+        a[j] = np.sum(w * t * q * q)
+        r = (t - a[j]) * q - sqrt_b[j - 1] * q_prev  # q_prev = 0 at j = 0
+        sqrt_b[j] = math.sqrt(np.sum(w * r * r))
+        q_prev, q = q, r / sqrt_b[j]
+    nodes, vecs = np.linalg.eigh(np.diag(a) + np.diag(sqrt_b[:-1], -1))
+    return x.max() * nodes, w.sum() * vecs[0] ** 2
+
+
 def _interference_nodes(field: channel.InterfererField) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor Gauss-Laguerre discretization of the aggregate interference."""
-    k = field.count
-    if k == 0:
-        return np.zeros(1), np.ones(1)
-    if k not in _GL_NODES_BY_K:
-        raise NumericError(
-            f"quadrature interference grid supports K <= {max(_GL_NODES_BY_K)}; "
-            f"got K={k}; use the monte_carlo error model instead"
-        )
-    nodes, wts = laggauss(_GL_NODES_BY_K[k])
-    coeff = field.coefficients()
-    grids = np.meshgrid(*([nodes] * k), indexing="ij")
-    i_a = sum(coeff[j] * grids[j] for j in range(k)).ravel()
-    wgrids = np.meshgrid(*([wts] * k), indexing="ij")
-    w = np.ones_like(i_a)
-    for j in range(k):
-        w *= wgrids[j].ravel()
-    return i_a, w
+    """Gauss rule of the aggregate interference sum_j c_j E_j, E_j ~ Exp(1).
+
+    Interferers are added one at a time: the rule so far times a
+    Gauss-Laguerre rule in the new gain, reduced back to the same node count.
+    """
+    x, w = laggauss(_INTERFERENCE_NODES)
+    i_a, iw = np.zeros(1), np.ones(1)
+    for c in field.coefficients():
+        i_a = (i_a[:, None] + c * x[None, :]).ravel()
+        iw = (iw[:, None] * w[None, :]).ravel()
+        if i_a.size > _INTERFERENCE_NODES:
+            i_a, iw = _gauss_rule(i_a, iw, _INTERFERENCE_NODES)
+    return i_a, iw
 
 
 def sinr_quadrature(
@@ -188,17 +200,16 @@ def sinr_quadrature(
     return gam, wts
 
 
-def _expectation_quadrature(s: Scenario, fn, tol: float) -> tuple[float, float]:
-    """E[fn(SINR)] by panel-refined quadrature; returns (value, achieved)."""
+def _refined(s: Scenario, value_of, tol: float, what: str) -> tuple[float, float]:
+    """value_of(SINR nodes, weights) over refined panels; (value, achieved)."""
     prev = None
     for panels in _QUAD_PANELS:
-        gam, wts = sinr_quadrature(s, n_panels=panels)
-        val = float(np.sum(wts * fn(gam)))
+        val = value_of(*sinr_quadrature(s, n_panels=panels))
         if prev is not None and abs(val - prev) <= tol:
             return val, abs(val - prev)
         prev = val
     raise NumericError(
-        f"SINR quadrature did not reach tolerance {tol:g}",
+        f"{what} quadrature did not reach tolerance {tol:g}",
         achieved=abs(val - prev),
     )
 
@@ -216,8 +227,9 @@ def average_error(s: Scenario, spec: CodingSpec, em: ErrorModel) -> ErrorResult:
         se = float(np.std(errs, ddof=1) / math.sqrt(em.sample_budget))
         return ErrorResult(value=value, std_error=se, achieved_tol=None,
                            method="monte_carlo")
-    value, achieved = _expectation_quadrature(
-        s, lambda g: conditional_error(g, spec), em.quad_tolerance
+    value, achieved = _refined(
+        s, lambda g, w: float(np.sum(w * conditional_error(g, spec))),
+        em.quad_tolerance, "SINR",
     )
     return ErrorResult(value=min(max(value, 0.0), 1.0), std_error=None,
                        achieved_tol=achieved, method="quadrature")
@@ -267,12 +279,6 @@ def error_exponent_samples(
     return theta, rho_star
 
 
-def _gamma_law(s: Scenario, em: ErrorModel, n_panels: int = 96):
-    if em.method == "monte_carlo":
-        return sinr_samples(s, em.sample_budget), None
-    return sinr_quadrature(s, n_panels=n_panels)
-
-
 def gallager_e0(rho: float, s: Scenario, n: int, em: ErrorModel) -> float:
     """E0(rho) for the scenario's SINR law, dual-mode like average_error."""
     if not 0.0 <= rho <= 1.0:
@@ -282,22 +288,16 @@ def gallager_e0(rho: float, s: Scenario, n: int, em: ErrorModel) -> float:
     if em.method == "monte_carlo":
         gam = sinr_samples(s, em.sample_budget)
         return gallager_e0_samples(rho, gam, n)
-    prev = None
-    for panels in _QUAD_PANELS:
-        gam, wts = sinr_quadrature(s, n_panels=panels)
-        val = gallager_e0_samples(rho, gam, n, wts)
-        if prev is not None and abs(val - prev) <= em.quad_tolerance:
-            return val
-        prev = val
-    raise NumericError(
-        f"E0 quadrature did not reach tolerance {em.quad_tolerance:g}",
-        achieved=abs(val - prev),
-    )
+    return _refined(s, lambda g, w: gallager_e0_samples(rho, g, n, w),
+                    em.quad_tolerance, "E0")[0]
 
 
 def error_exponent(s: Scenario, spec: CodingSpec, em: ErrorModel) -> QoSReport:
     """Error-rate QoS exponent sup_rho {E0(rho) - rho R*} for the scenario."""
-    gam, wts = _gamma_law(s, em)
+    if em.method == "monte_carlo":
+        gam, wts = sinr_samples(s, em.sample_budget), None
+    else:
+        gam, wts = sinr_quadrature(s)
     theta, rho_star = error_exponent_samples(gam, spec.rate, spec.blocklength, wts)
     if em.method == "quadrature":
         gam2, wts2 = sinr_quadrature(s, n_panels=192)

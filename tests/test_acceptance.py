@@ -87,7 +87,8 @@ def test_criterion_1_channel_fidelity():
                  f"({elapsed:.1f} s)")
 
 
-CROSS_SCENARIOS = [(0, 5.0), (0, 25.0), (1, 15.0), (4, 5.0), (4, 25.0)]
+CROSS_SCENARIOS = [(0, 5.0), (0, 25.0), (1, 15.0), (4, 5.0), (4, 25.0),
+                   (7, 15.0), (10, 25.0)]
 
 
 def test_criterion_2_fbc_cross_validation():

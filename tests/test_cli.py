@@ -163,6 +163,39 @@ class TestDispatch:
         cfg["params"]["seed"] = 11  # equal seeds are accepted
         assert main([write_config(tmp_path, cfg)]) == 0
 
+    @pytest.mark.parametrize("command,params,key", [
+        ("aoi-sim", {"n_updates": "10"}, "params.n_updates"),
+        ("aoi-sim", {"n_updates": 1.5}, "params.n_updates"),
+        ("paoi-bound", {"a_th_cu": "x"}, "params.a_th_cu"),
+        ("paoi-bound", {"u": "x"}, "params.u"),
+        ("paoi-bound", {"theta": "abc"}, "params.theta"),
+        ("delay-bound", {"d_th_blocks": None}, "params.d_th_blocks"),
+        ("delay-bound", {"alpha_bits": "28"}, "params.alpha_bits"),
+        ("aoi-sim", {"arrival": {"kind": "poisson", "rate": "x"}},
+         "params.arrival.rate"),
+        ("aoi-sim", {"service": {"epsilon": "0.1"}}, "params.service.epsilon"),
+        ("sweep", {"figure": "fig5", "n_grid": "x"}, "params.n_grid"),
+        ("sweep", {"figure": "fig3", "replications": "2"}, "params.replications"),
+    ])
+    def test_params_value_type_config_exit_code(self, tmp_path, capsys,
+                                                 command, params, key):
+        out = tmp_path / "p.csv"
+        cfg = {"command": command, "seed": 1, "output": str(out), "params": params}
+        assert main([write_config(tmp_path, cfg)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "category=config" in err and key in err
+
+    def test_quadrature_error_beyond_six_interferers(self, tmp_path):
+        out = tmp_path / "e.csv"
+        cfg = {"command": "error", "seed": 1, "output": str(out),
+               "scenario": {"k": 7}}
+        assert main([write_config(tmp_path, cfg)]) == 0
+        rows = [l for l in out.read_text().strip().split("\n")
+                if not l.startswith("#")]
+        assert rows[0] == "avg_error,std_error,achieved_tol,method"
+        assert len(rows) == 2 and rows[1].endswith(",quadrature")
+
     def test_missing_config_io_exit_code(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope.json")]) == 5
         assert "category=io" in capsys.readouterr().err

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.laguerre import laggauss
 
 from stinqos.channel import (
     InterfererField,
@@ -13,6 +14,7 @@ from stinqos.channel import (
 from stinqos.errors import DomainError
 from stinqos.experiments import default_scenario
 from stinqos.fbc import (
+    _interference_nodes,
     CodingSpec,
     ErrorModel,
     average_error,
@@ -241,6 +243,46 @@ class TestErrorExponent:
             eps = conditional_error(gamma, spec)
             bound = math.exp(-n * theta)
             assert eps <= bound <= 10.0 * eps
+
+
+def interference_moments(c, r_max):
+    """Raw moments of sum_j c_j E_j, E_j ~ Exp(1), from its cumulants.
+
+    kappa_r = (r-1)! sum_j c_j^r and m_r = sum_i C(r-1, i-1) kappa_i m_{r-i}.
+    """
+    kappa = [0.0] + [math.factorial(r - 1) * float(np.sum(c ** r))
+                     for r in range(1, r_max + 1)]
+    m = [1.0]
+    for r in range(1, r_max + 1):
+        m.append(sum(math.comb(r - 1, i - 1) * kappa[i] * m[r - i]
+                     for i in range(1, r + 1)))
+    return m
+
+
+class TestInterferenceRule:
+    @pytest.mark.parametrize("k", [2, 5, 7, 10])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 101, 12345])
+    def test_against_closed_form_law(self, k, seed):
+        field = default_scenario(k, seed=seed).placed().interferers
+        c = field.coefficients()
+        i_a, iw = _interference_nodes(field)
+        assert np.all(i_a >= 0) and np.all(iw > 0)
+        assert abs(iw.sum() - 1.0) <= 1e-13
+        for r, moment in enumerate(interference_moments(c, 12)):
+            assert np.sum(iw * i_a ** r) == pytest.approx(moment, rel=1e-11)
+        for s_mean in (0.1, 1.0):
+            s = s_mean / c.sum()
+            laplace = float(np.prod(1.0 / (1.0 + s * c)))
+            assert np.sum(iw * np.exp(-s * i_a)) == pytest.approx(laplace, rel=1e-12)
+
+    def test_k0_and_k1_are_the_plain_rules(self):
+        i_a, iw = _interference_nodes(default_scenario(0, seed=1).placed().interferers)
+        assert np.array_equal(i_a, np.zeros(1)) and np.array_equal(iw, np.ones(1))
+        field = default_scenario(1, seed=1).placed().interferers
+        x, w = laggauss(32)
+        i_a, iw = _interference_nodes(field)
+        assert np.array_equal(i_a, field.coefficients()[0] * x)
+        assert np.array_equal(iw, w)
 
 
 def theorem_example_scenario() -> Scenario:

@@ -34,6 +34,18 @@ GOLDEN = {
         {"command": "error", "seed": 1, "scenario": _scenario(1, 10.5)},
         "0693d098317abe98596f6643b25be9d9d002d5ee76db2d7684a059dcc7f68abb",
     ),
+    "error_k3_m10": (
+        {"command": "error", "seed": 1, "scenario": _scenario(3, 10)},
+        "c0be7d5dbf5d8fb44eb78a91124de193bcabd975548dbf5c7ec1a69a52ff8c73",
+    ),
+    "error_k8_m10": (
+        {"command": "error", "seed": 1, "scenario": _scenario(8, 10)},
+        "884bc3f6dd07769788182926d3eb8bd0f8f2b8f70d7f0cdc315b0e6b47b52a98",
+    ),
+    "exponent_k3_m10": (
+        {"command": "exponent", "seed": 1, "scenario": _scenario(3, 10)},
+        "306031c004978767ae7a7f6f713bb5499942ceff50f340eae72b6933a1c883a5",
+    ),
     "exponent_k0": (
         {"command": "exponent", "seed": 1, "scenario": _scenario(0, 10)},
         "7e737a88ed8996a1405efd9c56022ad52f2022154f9d89fe6595858546e26e23",
