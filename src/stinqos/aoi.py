@@ -240,14 +240,7 @@ def empirical_violation(trace: UpdateTrace, a_th: float) -> float:
 TRACE_FIELDS = ["u", "arrival", "service", "departure", "sojourn", "peak_aoi"]
 
 
-def trace_rows(trace: UpdateTrace):
-    """Rows for the CSV export, one per update, times in channel uses."""
-    for i in range(len(trace)):
-        yield {
-            "u": i + 1,
-            "arrival": trace.arrivals[i],
-            "service": trace.services[i],
-            "departure": trace.departures[i],
-            "sojourn": trace.sojourns[i],
-            "peak_aoi": trace.peak_aoi[i],
-        }
+def trace_columns(trace: UpdateTrace) -> list:
+    """Columns for the CSV export in TRACE_FIELDS order, times in channel uses."""
+    return [np.arange(1, len(trace) + 1), trace.arrivals, trace.services,
+            trace.departures, trace.sojourns, trace.peak_aoi]

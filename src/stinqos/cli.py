@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import channel, csvio
-from .aoi import simulate_trace, trace_rows, TRACE_FIELDS
+from .aoi import simulate_trace, trace_columns, TRACE_FIELDS
 from .config import (
     RunConfig,
     apply_overrides,
@@ -44,18 +44,21 @@ EXIT_NUMERIC = 4
 EXIT_IO = 5
 
 
+def _columns(fields, rows) -> list:
+    """The row dicts as one list per field, in ``fields`` order."""
+    return [[row[k] for row in rows] for k in fields]
+
+
 def _run_error(rc: RunConfig, workers: int):
     res = average_error(rc.scenario, rc.coding, rc.error_model)
     fields = ["avg_error", "std_error", "achieved_tol", "method"]
-    rows = [
-        {
-            "avg_error": res.value,
-            "std_error": "" if res.std_error is None else res.std_error,
-            "achieved_tol": "" if res.achieved_tol is None else res.achieved_tol,
-            "method": res.method,
-        }
-    ]
-    return fields, rows
+    row = {
+        "avg_error": res.value,
+        "std_error": "" if res.std_error is None else res.std_error,
+        "achieved_tol": "" if res.achieved_tol is None else res.achieved_tol,
+        "method": res.method,
+    }
+    return fields, _columns(fields, [row])
 
 
 def _run_exponent(rc: RunConfig, workers: int):
@@ -63,16 +66,14 @@ def _run_exponent(rc: RunConfig, workers: int):
     closed = error_exponent_closed_form(rc.scenario, rc.coding)
     fields = ["blocklength", "rate_nats", "theta_numeric", "rho_star",
               "theta_closed_form"]
-    rows = [
-        {
-            "blocklength": rc.coding.blocklength,
-            "rate_nats": rc.coding.rate,
-            "theta_numeric": numeric.theta,
-            "rho_star": numeric.params["rho_star"],
-            "theta_closed_form": closed.theta,
-        }
-    ]
-    return fields, rows
+    row = {
+        "blocklength": rc.coding.blocklength,
+        "rate_nats": rc.coding.rate,
+        "theta_numeric": numeric.theta,
+        "rho_star": numeric.params["rho_star"],
+        "theta_closed_form": closed.theta,
+    }
+    return fields, _columns(fields, [row])
 
 
 def _run_aoi_sim(rc: RunConfig, workers: int):
@@ -80,7 +81,7 @@ def _run_aoi_sim(rc: RunConfig, workers: int):
     sm = build_service(rc.params.get("service"), rc.defaults_used, rc)
     n_updates = rc.params.get("n_updates", 10_000)
     trace = simulate_trace(am, sm, n_updates, rc.scenario.rng(channel.STREAM_TRACE))
-    return TRACE_FIELDS, list(trace_rows(trace))
+    return TRACE_FIELDS, trace_columns(trace)
 
 
 def _run_paoi_bound(rc: RunConfig, workers: int):
@@ -95,7 +96,8 @@ def _run_paoi_bound(rc: RunConfig, workers: int):
         report = optimize_paoi_bound(a_th, n, u, am, sm)
     else:
         report = paoi_bound(float(theta), a_th, n, u, am, sm)
-    return REPORT_FIELDS, [report_row(report, seed=rc.seed)]
+    row = report_row(report, seed=rc.seed)
+    return REPORT_FIELDS, _columns(REPORT_FIELDS, [row])
 
 
 def _run_delay_bound(rc: RunConfig, workers: int):
@@ -113,7 +115,8 @@ def _run_delay_bound(rc: RunConfig, workers: int):
         )
     d_th = rc.params.get("d_th_blocks", 5.0)
     report = delay_bound(d_th, arrival, rc.coding, rc.scenario, rc.error_model)
-    return REPORT_FIELDS, [report_row(report, seed=rc.seed)]
+    row = report_row(report, seed=rc.seed)
+    return REPORT_FIELDS, _columns(REPORT_FIELDS, [row])
 
 
 def _run_sweep(rc: RunConfig, workers: int):
@@ -128,7 +131,7 @@ def _run_sweep(rc: RunConfig, workers: int):
             params[key] = tuple(params[key])
     spec = SweepSpec(**params)
     table = run_sweep(spec, workers=workers)
-    return table.fieldnames, table.rows
+    return table.fieldnames, _columns(table.fieldnames, table.rows)
 
 
 _RUNNERS = {
@@ -144,14 +147,13 @@ _RUNNERS = {
 def dispatch(rc: RunConfig, workers: int = 1) -> str:
     """Run the configured command and write its CSV; returns the path.
 
-    The CSV is rendered in full before the file is opened, so a failing run
-    leaves no partial output behind.
+    The command runs to completion before any file is opened, and the CSV is
+    streamed to a temp file that replaces ``rc.output`` only when complete,
+    so a failing run leaves no partial output behind.
     """
-    fields, rows = _RUNNERS[rc.command](rc, workers)
-    comments = csvio.comment_lines(echo_params(rc))
-    text = csvio.render_csv(fields, rows, comments)
-    with open(rc.output, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    fields, columns = _RUNNERS[rc.command](rc, workers)
+    csvio.write_csv(rc.output, fields, columns,
+                    csvio.comment_lines(echo_params(rc)))
     return rc.output
 
 

@@ -3,12 +3,20 @@
 Comment lines are '#'-prefixed and carry the full parameter echo plus the
 build identifier, so a written file is a reproducible record of its run.
 No timestamps: identical inputs must produce identical bytes.
+
+The body is formatted column by column and written in chunks of rows to a
+temp file next to the target, which is moved into place only once every
+row is written: a failing run leaves no partial CSV and an earlier file at
+the target untouched.
 """
 from __future__ import annotations
 
-import csv
-import io
+import os
 from importlib import metadata
+
+import numpy as np
+
+_CHUNK_ROWS = 1 << 14
 
 
 def build_identifier() -> str:
@@ -30,16 +38,46 @@ def format_value(v) -> str:
     return str(v)
 
 
-def render_csv(fieldnames, rows, comments=()) -> str:
-    """Render rows to a CSV string with '#' comment header lines."""
-    buf = io.StringIO()
-    for line in comments:
-        buf.write(f"# {line}\n")
-    writer = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
-    writer.writerow(fieldnames)
-    for row in rows:
-        writer.writerow([format_value(row[k]) for k in fieldnames])
-    return buf.getvalue()
+def _quote(cell: str) -> str:
+    """Minimal quoting, as csv.writer(lineterminator="\\n") does it."""
+    if "," in cell or '"' in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _cells(col):
+    """CSV cells of one column; numeric arrays skip the per-cell dispatch."""
+    if isinstance(col, np.ndarray):
+        if col.dtype.kind == "f":
+            return map(repr, col.tolist())
+        if col.dtype.kind in "iu":
+            return map(str, col.tolist())
+    return [_quote(format_value(v)) for v in col]
+
+
+def write_csv(path, fieldnames, columns, comments=()) -> None:
+    """Write '#' comment lines, a header and one row per index of ``columns``.
+
+    ``columns`` holds one sequence per field, all of one length. The file
+    appears at ``path`` only when complete; on any error the temp file is
+    removed and the error re-raised.
+    """
+    n_rows = len(columns[0]) if columns else 0
+    if len(columns) != len(fieldnames) or any(len(c) != n_rows for c in columns):
+        raise ValueError("need one column per field, all of equal length")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.writelines(f"# {line}\n" for line in comments)
+            fh.write(",".join(map(_quote, fieldnames)) + "\n")
+            for start in range(0, n_rows, _CHUNK_ROWS):
+                cells = [_cells(c[start:start + _CHUNK_ROWS]) for c in columns]
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def comment_lines(params: dict) -> list[str]:

@@ -152,6 +152,10 @@ class SweepSpec:
             )
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
+        if self.n_updates < 1:
+            raise ConfigError("n_updates must be >= 1")
+        if self.error_draws < 1:
+            raise ConfigError("error_draws must be >= 1")
         if self.figure in ("fig3", "stin_psn") and not self.k_grid:
             raise ConfigError("k_grid must be nonempty")
         if self.figure == "fig4" and not self.theta_grid:

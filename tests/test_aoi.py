@@ -13,9 +13,10 @@ from stinqos.aoi import (
     empirical_violation,
     geometric_attempts,
     simulate_trace,
-    trace_rows,
+    trace_columns,
+    TRACE_FIELDS,
 )
-from stinqos.csvio import render_csv
+from stinqos.csvio import write_csv
 from stinqos.errors import DomainError
 
 
@@ -202,12 +203,11 @@ class TestEmpiricalViolation:
 
 
 class TestTraceCsv:
-    def test_export_columns(self):
+    def test_export_columns(self, tmp_path):
         tr = example_trace()
-        text = render_csv(
-            ["u", "arrival", "service", "departure", "sojourn", "peak_aoi"],
-            list(trace_rows(tr)),
-        )
+        out = tmp_path / "trace.csv"
+        write_csv(out, TRACE_FIELDS, trace_columns(tr))
+        text = out.read_text(encoding="utf-8")
         lines = text.strip().split("\n")
         assert lines[0] == "u,arrival,service,departure,sojourn,peak_aoi"
         assert lines[1] == "1,0.0,4.0,4.0,4.0,4.0"

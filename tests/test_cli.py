@@ -1,8 +1,11 @@
 """CLI and configuration tests: parsing, dispatch, exit codes, determinism."""
 import json
+import os
 
 import pytest
 
+from stinqos import csvio
+from stinqos.aoi import TRACE_FIELDS
 from stinqos.cli import main
 from stinqos.config import apply_overrides, build_config, parse_config
 from stinqos.errors import ConfigError
@@ -186,6 +189,16 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert "category=config" in err and key in err
 
+    @pytest.mark.parametrize("key", ["n_updates", "error_draws"])
+    def test_empty_sweep_config_exit_code(self, tmp_path, capsys, key):
+        out = tmp_path / "s.csv"
+        cfg = {"command": "sweep", "seed": 1, "output": str(out),
+               "params": {"figure": "fig3", "snr_points_db": [5.0], key: 0}}
+        assert main([write_config(tmp_path, cfg)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "category=config" in err and key in err
+
     def test_quadrature_error_beyond_six_interferers(self, tmp_path):
         out = tmp_path / "e.csv"
         cfg = {"command": "error", "seed": 1, "output": str(out),
@@ -225,3 +238,54 @@ class TestDispatch:
         body2 = [l for l in (tmp_path / "s2.csv").read_text().split("\n")
                  if not l.startswith("# output")]
         assert body1 == body2
+
+
+AOI_SIM_DET = {"command": "aoi-sim", "seed": 1,
+               "params": {"arrival": {"kind": "deterministic", "period": 80.0},
+                          "service": {"kind": "fixed", "n": 64}}}
+
+
+class TestAtomicWrite:
+    def test_failure_after_first_chunk_keeps_existing_target(
+            self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "t.csv"
+        out.write_bytes(b"earlier run\r\n")
+        cfg = json.loads(json.dumps(AOI_SIM_DET))
+        cfg["output"] = str(out)
+        cfg["params"]["n_updates"] = csvio._CHUNK_ROWS + 5
+        cells, calls = csvio._cells, []
+
+        def failing_cells(col):
+            calls.append(len(col))
+            if len(calls) > len(TRACE_FIELDS):  # second chunk
+                assert list(tmp_path.glob("*.tmp"))  # first chunk is streaming
+                raise OSError(28, "No space left on device")
+            return cells(col)
+
+        monkeypatch.setattr(csvio, "_cells", failing_cells)
+        assert main([write_config(tmp_path, cfg)]) == 5
+        assert calls == [csvio._CHUNK_ROWS] * len(TRACE_FIELDS) + [5]
+        assert "category=io" in capsys.readouterr().err
+        assert out.read_bytes() == b"earlier run\r\n"
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_missing_output_directory_io_exit_code(self, tmp_path, capsys):
+        cfg = dict(AOI_SIM_DET, output=str(tmp_path / "missing" / "t.csv"))
+        config = write_config(tmp_path, cfg)
+        assert main([config]) == 5
+        assert "category=io" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    def test_file_mode_follows_umask(self, tmp_path):
+        cfg = dict(AOI_SIM_DET, output=str(tmp_path / "t.csv"))
+        config = write_config(tmp_path, cfg)
+        old = os.umask(0o027)
+        try:
+            assert main([config]) == 0
+            with open(tmp_path / "plain.csv", "w"):
+                pass
+        finally:
+            os.umask(old)
+        assert (os.stat(tmp_path / "t.csv").st_mode
+                == os.stat(tmp_path / "plain.csv").st_mode)
+        assert not list(tmp_path.glob("*.tmp"))

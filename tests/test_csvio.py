@@ -1,0 +1,100 @@
+"""CSV writer tests: byte identity with csv.writer plus format_value per cell."""
+import csv
+import io
+
+import numpy as np
+import pytest
+
+from stinqos import csvio
+from stinqos.aoi import (
+    ArrivalModel, ServiceModel, TRACE_FIELDS, simulate_trace, trace_columns,
+)
+from stinqos.csvio import format_value, write_csv
+
+
+def reference_csv(fieldnames, columns, comments=()):
+    """Row-wise rendering with the csv module: the writer's reference."""
+    buf = io.StringIO()
+    for line in comments:
+        buf.write(f"# {line}\n")
+    writer = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
+    writer.writerow(fieldnames)
+    for row in zip(*columns):
+        writer.writerow([format_value(v) for v in row])
+    return buf.getvalue()
+
+
+def written(tmp_path, fieldnames, columns, comments=()):
+    out = tmp_path / "out.csv"
+    write_csv(out, fieldnames, columns, comments)
+    return out.read_bytes().decode("utf-8")  # keeps a lone "\r" as written
+
+
+def test_trace_across_chunk_edges(tmp_path):
+    n = 2 * csvio._CHUNK_ROWS + 3
+    trace = simulate_trace(ArrivalModel.poisson(1 / 300.0), ServiceModel.arq(64, 0.3),
+                           n, np.random.default_rng(7))
+    columns = trace_columns(trace)
+    comments = ["build: test", "n_updates=" + str(n)]
+    got = written(tmp_path, TRACE_FIELDS, columns, comments).split("\n")
+    want = reference_csv(TRACE_FIELDS, columns, comments).split("\n")
+    # the first differing line, not a diff of two megabyte strings
+    diff = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
+    assert diff is None, (diff, got[diff], want[diff])
+    assert len(got) == len(want) == len(comments) + n + 2
+
+
+MIXED = {
+    "float": [0.1, 1e-300, float("inf"), float("nan"), -0.0, 2.0 / 3.0, 1e16],
+    "empty": ["", 1.5, "", "", 2.0, "", ""],
+    "bool": [True, False, np.bool_(True), np.bool_(False), True, False, True],
+    "int": [0, -1, 2 ** 70, np.int64(7), np.int32(-3), np.uint8(255), 12],
+    "npscalar": [np.float64(0.1), np.float32(0.1), np.int16(4), np.float64(1e-7),
+                 np.bool_(True), np.str_("x,y"), np.float64(-2.5)],
+    "none": [None, "a,b", 'q"uote', "line\nbreak", "cr\rhere", " lead", "#hash"],
+}
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3, 7, 16384])
+def test_mixed_type_columns(tmp_path, monkeypatch, chunk_rows):
+    monkeypatch.setattr(csvio, "_CHUNK_ROWS", chunk_rows)
+    fields = list(MIXED) + ["f_arr", "f32_arr", "i_arr", "u_arr", "b_arr", "o_arr"]
+    columns = list(MIXED.values()) + [
+        np.linspace(-1.0, 1.0, 7) / 3.0,
+        np.linspace(0.0, 1.0, 7, dtype=np.float32),
+        np.arange(-3, 4, dtype=np.int32),
+        np.arange(7, dtype=np.uint64) * 2 ** 60,
+        np.arange(7) % 2 == 0,
+        np.array([1.0, "", None, True, 2, "a,b", 0.5], dtype=object),
+    ]
+    assert written(tmp_path, fields, columns) == reference_csv(fields, columns)
+
+
+def test_float_list_with_empty_cell_takes_per_cell_path(tmp_path):
+    fields = ["a", "b"]
+    columns = [[1.0, "", 2.5, np.float64(0.1)], [1, 2, 3, 4]]
+    text = written(tmp_path, fields, columns)
+    assert text == reference_csv(fields, columns)
+    assert text.split("\n")[2] == ",2"
+
+
+def test_header_only_when_no_rows(tmp_path):
+    fields = ["x", "a,b"]
+    text = written(tmp_path, fields, [[], np.zeros(0)])
+    assert text == reference_csv(fields, [[], []]) == 'x,"a,b"\n'
+
+
+def test_columns_must_match_fields(tmp_path):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "out.csv", ["a", "b"], [[1, 2], [3]])
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "out.csv", ["a", "b"], [[1, 2]])
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("cell",
+                         ["a,b", 'a"b', "a\nb", "a\rb", "", '""', " a", "#a"])
+def test_quote_matches_csv_writer(cell):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_MINIMAL).writerow([cell, "x"])
+    assert csvio._quote(cell) + ",x\n" == buf.getvalue()

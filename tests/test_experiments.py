@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from stinqos.csvio import comment_lines, render_csv
+from stinqos.csvio import comment_lines, write_csv
 from stinqos.errors import ConfigError, DomainError
 from stinqos.experiments import (
     SweepSpec,
@@ -114,20 +114,28 @@ class TestFig5:
         assert all(v >= 0.0 for v in numeric + closed)
 
 
+def csv_text(path, table, comments=()):
+    """The table written with write_csv and read back."""
+    columns = [[row[k] for row in table.rows] for k in table.fieldnames]
+    write_csv(path, table.fieldnames, columns, comments)
+    return path.read_text(encoding="utf-8")
+
+
 class TestReproducibility:
-    def test_byte_identical_rerun(self):
+    def test_byte_identical_rerun(self, tmp_path):
         spec = small_fig3_spec()
         t1 = run_sweep(spec)
         t2 = run_sweep(spec)
-        c1 = render_csv(t1.fieldnames, t1.rows, comment_lines(t1.meta))
-        c2 = render_csv(t2.fieldnames, t2.rows, comment_lines(t2.meta))
+        c1 = csv_text(tmp_path / "1.csv", t1, comment_lines(t1.meta))
+        c2 = csv_text(tmp_path / "2.csv", t2, comment_lines(t2.meta))
         assert c1 == c2
 
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, tmp_path):
         spec = small_fig3_spec(k_grid=(0, 2), n_updates=2000)
         t1 = run_sweep(spec, workers=1)
         t2 = run_sweep(spec, workers=2)
-        assert render_csv(t1.fieldnames, t1.rows) == render_csv(t2.fieldnames, t2.rows)
+        c1 = csv_text(tmp_path / "1.csv", t1)
+        assert c1 == csv_text(tmp_path / "2.csv", t2)
 
 
 class TestSweepSpecValidation:

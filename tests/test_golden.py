@@ -54,6 +54,13 @@ GOLDEN = {
         {"command": "aoi-sim", "seed": 1, "params": {"n_updates": 2000}},
         "55d02516d542891e102360b01934acb14849dcf3d72b39753b06ee5d3296a947",
     ),
+    "aoi_sim_det_fixed": (
+        {"command": "aoi-sim", "seed": 1,
+         "params": {"n_updates": 40000,
+                    "arrival": {"kind": "deterministic", "period": 80.0},
+                    "service": {"kind": "fixed", "n": 64}}},
+        "87fbe998d2e62b6578ca078926fd747239f450b19f3dbc3a5a061aab152587c4",
+    ),
     "paoi_bound": (
         {"command": "paoi-bound", "seed": 1},
         "8fce221bf73f4dad3c1f252078356af7711696e74f82d662adf3e7dd320dd7ef",
