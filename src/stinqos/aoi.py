@@ -110,6 +110,10 @@ def geometric_attempts(u, epsilon: float) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if epsilon <= 0.0:
         return np.ones_like(u)
+    if not epsilon < 1.0:
+        raise DomainError(
+            f"epsilon must be < 1 for ARQ to ever succeed, got {epsilon}"
+        )
     return np.floor(np.log(u) / math.log(epsilon)) + 1.0
 
 
@@ -168,6 +172,28 @@ def departure_times(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
     return np.array(dep, dtype=float)
 
 
+def departure_rows(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
+    """departure_times for every row of a (rows, N) service matrix at once.
+
+    All rows share one arrival column. The float64 matrix is overwritten
+    with the departures and returned, so a caller can reuse one buffer.
+    Each element gets the same max-then-add as departure_times, so every
+    row equals departure_times(arrivals, row) bit for bit.
+    """
+    arrivals = np.asarray(arrivals, dtype=float)
+    if not (isinstance(services, np.ndarray) and services.ndim == 2
+            and services.dtype == np.float64):
+        raise ValueError("services must be a 2-D float64 array")
+    _check_times(arrivals, services)
+    prev = np.full(len(services), -math.inf)
+    buf = np.empty_like(prev)
+    for a, col in zip(arrivals.tolist(), services.T):
+        np.maximum(prev, a, out=buf)
+        np.add(buf, col, out=col)
+        prev = col
+    return services
+
+
 def departure_times_maxplus(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
     """Direct O(N^2) max-plus evaluation, the oracle for departure_times."""
     n = len(arrivals)
@@ -198,16 +224,22 @@ def peak_aoi(arrivals: np.ndarray, sojourns: np.ndarray) -> np.ndarray:
     return gaps + np.asarray(sojourns, dtype=float)
 
 
+def _check_times(arrivals: np.ndarray, rows: np.ndarray) -> None:
+    """Input checks of the queue: one arrival column against a (rows, N)
+    service matrix."""
+    if rows.shape[1:] != arrivals.shape:
+        raise ValueError("arrivals and services must have equal length")
+    if np.any(np.diff(arrivals) < 0) or (len(arrivals) and arrivals[0] < 0):
+        raise ValueError("arrival times must be nonnegative and nondecreasing")
+    if np.any(rows < 0):
+        raise ValueError("service times must be nonnegative")
+
+
 def build_trace(arrivals: np.ndarray, services: np.ndarray) -> UpdateTrace:
     """Fill every derived column from raw arrival and service times."""
     arrivals = np.asarray(arrivals, dtype=float)
     services = np.asarray(services, dtype=float)
-    if arrivals.shape != services.shape:
-        raise ValueError("arrivals and services must have equal length")
-    if np.any(np.diff(arrivals) < 0) or (len(arrivals) and arrivals[0] < 0):
-        raise ValueError("arrival times must be nonnegative and nondecreasing")
-    if np.any(services < 0):
-        raise ValueError("service times must be nonnegative")
+    _check_times(arrivals, services[np.newaxis])
     dep = departure_times(arrivals, services)
     soj = sojourn_times(arrivals, dep)
     return UpdateTrace(

@@ -11,7 +11,10 @@ hold elementwise per update, not just on noisy averages:
     reduces the interference any Monte Carlo draw sees.
 
 Per-point streams derive from (seed, grid index), so results are identical
-no matter how the points are scheduled across workers.
+no matter how the points are scheduled across workers. Worker processes
+serve only the fig4 and fig5 grid points. fig3 and stin_psn run in one
+process as one batched departure pass per replication, over a buffer of
+2 * len(k_grid) * len(snr_points_db) x n_updates float64 values.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from . import channel
 from .aoi import (
     ArrivalModel,
     ServiceModel,
-    build_trace,
+    departure_rows,
     departure_times,
     empirical_violation,
     geometric_attempts,
@@ -156,8 +159,13 @@ class SweepSpec:
             raise ConfigError("n_updates must be >= 1")
         if self.error_draws < 1:
             raise ConfigError("error_draws must be >= 1")
-        if self.figure in ("fig3", "stin_psn") and not self.k_grid:
-            raise ConfigError("k_grid must be nonempty")
+        if self.figure in ("fig3", "stin_psn"):
+            if not self.k_grid:
+                raise ConfigError("k_grid must be nonempty")
+            if min(self.k_grid) < 0:
+                raise ConfigError(f"k_grid values must be >= 0, got {min(self.k_grid)}")
+            if not self.snr_points_db:
+                raise ConfigError("snr_points_db must be nonempty")
         if self.figure == "fig4" and not self.theta_grid:
             raise ConfigError("theta_grid must be nonempty")
         if self.figure == "fig5" and not self.n_grid:
@@ -223,7 +231,6 @@ def _coupled_error_table(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
     return eps_sat, eps_ter
 
 
-@lru_cache(maxsize=32)
 def _rep_draws(spec: SweepSpec, rep: int):
     """Arrival times and the two per-update uniform streams for one
     replication; shared by every grid point so comparisons stay paired."""
@@ -237,24 +244,58 @@ def _rep_draws(spec: SweepSpec, rep: int):
     return np.cumsum(gaps), u_att, v_route
 
 
+@lru_cache(maxsize=8)
+def _sweep_means(spec: SweepSpec) -> dict:
+    """Per-replication mean peak AoI of every (K, SNR) point and system.
+
+    Returns {(ki, si): {"psn": [...], "stin": [...]}}. Each replication is
+    one pass of departure_rows over a (2 * points, n_updates) buffer that
+    holds the satellite-only and hybrid service rows of every grid point;
+    the buffer is allocated once and reused by every replication. The
+    results equal build_trace row by row, bit for bit.
+    """
+    eps_sat, eps_ter = _coupled_error_table(spec)
+    points = [(ki, si) for ki in range(len(spec.k_grid))
+              for si in range(len(spec.snr_points_db))]
+    for ki, si in points:  # refuse before allocating
+        relay = spec.k_grid[ki] >= 1 and spec.relay_prob > 0
+        for link, eps in (("satellite", eps_sat[ki, si]),
+                          ("relay", eps_ter[ki, si] if relay else 0.0)):
+            if not eps < 1.0:
+                raise DomainError(
+                    f"{link} decoding error probability is {eps} at "
+                    f"K={spec.k_grid[ki]}, SNR={spec.snr_points_db[si]} dB; "
+                    f"ARQ never delivers an update"
+                )
+    means = {point: {"psn": [], "stin": []} for point in points}
+    buf = np.empty((2 * len(points), spec.n_updates))
+    for rep in range(spec.replications):
+        arrivals, u_att, v_route = _rep_draws(spec, rep)
+        for p, (ki, si) in enumerate(points):
+            k = spec.k_grid[ki]
+            slot_cu = float(spec.blocklength * (max(k, 1) if spec.slot_scaling else 1))
+            att_psn = geometric_attempts(u_att, eps_sat[ki, si])
+            use_relay = (v_route < spec.relay_prob) & (k >= 1)
+            att_stin = (
+                np.where(use_relay, geometric_attempts(u_att, eps_ter[ki, si]), att_psn)
+                if use_relay.any() else att_psn
+            )
+            np.multiply(slot_cu, att_psn, out=buf[2 * p])
+            np.multiply(slot_cu, att_stin, out=buf[2 * p + 1])
+        departure_rows(arrivals, buf)
+        buf -= arrivals  # sojourns
+        buf += np.diff(arrivals, prepend=0.0)  # peak AoI: gap plus sojourn
+        for p, point in enumerate(points):
+            means[point]["psn"].append(float(np.mean(buf[2 * p])))
+            means[point]["stin"].append(float(np.mean(buf[2 * p + 1])))
+    return means
+
+
 def _point_means(spec: SweepSpec, ki: int, si: int) -> dict:
     """Mean peak AoI for one (K, SNR) grid point, both systems, all reps."""
     eps_sat, eps_ter = _coupled_error_table(spec)
-    k = spec.k_grid[ki]
-    slots = max(k, 1) if spec.slot_scaling else 1
-    n = spec.blocklength
-    means = {"stin": [], "psn": []}
-    for rep in range(spec.replications):
-        arrivals, u_att, v_route = _rep_draws(spec, rep)
-        att_sat = geometric_attempts(u_att, eps_sat[ki, si])
-        att_ter = geometric_attempts(u_att, eps_ter[ki, si])
-        use_relay = (v_route < spec.relay_prob) & (k >= 1)
-        att_stin = np.where(use_relay, att_ter, att_sat)
-        for system, att in (("psn", att_sat), ("stin", att_stin)):
-            trace = build_trace(arrivals, float(n * slots) * att)
-            means[system].append(float(np.mean(trace.peak_aoi)))
     out = {"eps_sat": float(eps_sat[ki, si]), "eps_ter": float(eps_ter[ki, si])}
-    for system, vals in means.items():
+    for system, vals in _sweep_means(spec)[ki, si].items():
         arr = np.asarray(vals)
         half = (
             1.96 * float(np.std(arr, ddof=1)) / math.sqrt(spec.replications)
@@ -311,10 +352,12 @@ def _grid_tasks(spec: SweepSpec):
 
 
 def _pmap(fn, tasks, workers: int) -> list:
-    """Map tasks to results, optionally across processes.
+    """Map fig4 or fig5 grid points to results, optionally across processes.
 
     Every task recomputes its inputs from (seed, grid index), so scheduling
-    cannot change any output; results come back in task order.
+    cannot change any output; results come back in task order. fig3 and
+    stin_psn do not come here: their grid points are rows of one batched
+    pass (_sweep_means).
     """
     if workers <= 1:
         return [fn(t) for t in tasks]
@@ -326,16 +369,18 @@ def _pmap(fn, tasks, workers: int) -> list:
 
 def run_fig3(spec: SweepSpec, workers: int = 1) -> Table:
     """Mean peak AoI (cu) vs interferer count for the hybrid and
-    satellite-only systems at each SNR point."""
-    rows = [r for chunk in _pmap(_fig3_point, _grid_tasks(spec), workers) for r in chunk]
+    satellite-only systems at each SNR point. ``workers`` is accepted and
+    unused: the grid runs as one batched pass."""
+    rows = [r for task in _grid_tasks(spec) for r in _fig3_point(task)]
     fields = ["k", "snr_db", "system", "mean_paoi_cu", "ci_half_width_cu",
               "eps_sat", "eps_ter", "replications"]
     return Table(fieldnames=fields, rows=rows, meta=spec.echo())
 
 
 def compare_stin_psn(spec: SweepSpec, workers: int = 1) -> Table:
-    """Paired-seed mean peak AoI comparison, hybrid vs satellite-only."""
-    rows = [r for chunk in _pmap(_stin_psn_point, _grid_tasks(spec), workers) for r in chunk]
+    """Paired-seed mean peak AoI comparison, hybrid vs satellite-only;
+    ``workers`` is unused, as in run_fig3."""
+    rows = [r for task in _grid_tasks(spec) for r in _stin_psn_point(task)]
     fields = ["k", "snr_db", "mean_paoi_stin_cu", "mean_paoi_psn_cu", "advantage_cu"]
     return Table(fieldnames=fields, rows=rows, meta=spec.echo())
 

@@ -127,11 +127,13 @@ def conditional_error(gamma, spec: CodingSpec):
     v = 1.0 - (1.0 + g) ** -2
     with np.errstate(divide="ignore", invalid="ignore"):
         arg = (c - spec.rate) / np.sqrt(v / spec.blocklength)
-    arg = np.where(
-        v > 0,
-        arg,
-        np.where(c > spec.rate, np.inf, np.where(c < spec.rate, -np.inf, 0.0)),
-    )
+    pos = v > 0
+    if not pos.all():
+        arg = np.where(
+            pos,
+            arg,
+            np.where(c > spec.rate, np.inf, np.where(c < spec.rate, -np.inf, 0.0)),
+        )
     out = np.clip(0.5 * erfc(arg / math.sqrt(2.0)), 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
 

@@ -1,6 +1,7 @@
 """Queue recursion and peak-AoI tests."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stinqos.aoi import (
     ArrivalModel,
@@ -8,6 +9,7 @@ from stinqos.aoi import (
     build_trace,
     cumulative_interarrival,
     cumulative_service,
+    departure_rows,
     departure_times,
     departure_times_maxplus,
     empirical_violation,
@@ -87,6 +89,64 @@ class TestDepartures:
         assert np.sum(tr.services) <= (
             tr.departures[-1] - tr.arrivals[0] + tr.services[0] + 1e-9
         )
+
+
+# Small integer values make ties A[u] == D[u-1] and zero services common.
+_TIME = st.one_of(st.integers(0, 6).map(float),
+                  st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def queue_rows(draw):
+    """One arrival column and a (rows, N) service matrix."""
+    n = draw(st.integers(1, 40))
+    rows = draw(st.integers(1, 5))
+    gaps = draw(st.lists(_TIME, min_size=n, max_size=n))
+    services = draw(st.lists(st.lists(_TIME, min_size=n, max_size=n),
+                             min_size=rows, max_size=rows))
+    return np.cumsum(gaps), np.array(services, dtype=float)
+
+
+class TestDepartureRows:
+    @settings(max_examples=300, deadline=None)
+    @given(queue_rows())
+    # A[1] == D[0] and A[2] == D[1]: both ties; then zero services
+    @example((np.array([0.0, 4.0, 8.0]), np.array([[4.0, 4.0, 0.0], [0.0, 0.0, 0.0]])))
+    @example((np.array([2.5]), np.array([[1.5]])))
+    def test_rows_equal_departure_times(self, case):
+        arrivals, services = case
+        expected = [departure_times(arrivals, row) for row in services]
+        out = departure_rows(arrivals, services.copy())
+        for row, exp in zip(out, expected):
+            assert np.array_equal(row, exp)
+
+    def test_overwrites_buffer(self):
+        buf = np.array([[4.0, 4.0, 4.0]])
+        assert departure_rows(np.array([0.0, 3.0, 5.0]), buf) is buf
+        np.testing.assert_array_equal(buf, [[4.0, 8.0, 12.0]])
+
+    @pytest.mark.parametrize("arrivals, services", [
+        ([0.0, 2.0, 1.0], [1.0, 1.0, 1.0]),  # decreasing arrivals
+        ([-1.0, 2.0, 3.0], [1.0, 1.0, 1.0]),  # negative arrival
+        ([0.0, 2.0, 3.0], [1.0, -1.0, 1.0]),  # negative service
+        ([0.0, 2.0, 3.0], [1.0, 1.0]),  # length mismatch
+        ([[0.0, 2.0, 3.0]], [1.0, 1.0, 1.0]),  # arrivals not one column
+    ])
+    def test_input_checks_match_build_trace(self, arrivals, services):
+        with pytest.raises(ValueError):
+            build_trace(np.array(arrivals), np.array(services))
+        with pytest.raises(ValueError):
+            departure_rows(np.array(arrivals), np.array([services, services]))
+
+    def test_build_trace_refuses_service_matrix(self):
+        with pytest.raises(ValueError):
+            build_trace(np.array([0.0, 1.0]), np.ones((2, 2)))
+
+    def test_requires_float64_matrix(self):
+        with pytest.raises(ValueError):
+            departure_rows(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+        with pytest.raises(ValueError):
+            departure_rows(np.array([0.0, 1.0]), np.array([[1, 1]]))
 
 
 class TestSojournAndPeak:
@@ -172,6 +232,11 @@ class TestSimulateTrace:
         high = geometric_attempts(u, 0.3)
         assert np.all(low <= high)
         assert np.mean(high) == pytest.approx(1 / 0.7, rel=0.01)
+
+    @pytest.mark.parametrize("eps", [1.0, 1.5, float("nan")])
+    def test_geometric_attempts_refuses_certain_failure(self, eps):
+        with pytest.raises(DomainError):
+            geometric_attempts(np.array([0.5]), eps)
 
     def test_model_validation(self):
         with pytest.raises(DomainError):

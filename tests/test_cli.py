@@ -199,6 +199,30 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert "category=config" in err and key in err
 
+    @pytest.mark.parametrize("params", [{"k_grid": [-1, 2]}, {"snr_points_db": []}])
+    def test_bad_sweep_grid_config_exit_code(self, tmp_path, capsys, params):
+        out = tmp_path / "s.csv"
+        cfg = {"command": "sweep", "seed": 1, "output": str(out),
+               "params": dict({"figure": "fig3", "n_updates": 200,
+                               "error_draws": 1000}, **params)}
+        assert main([write_config(tmp_path, cfg)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "category=config" in err and next(iter(params)) in err
+
+    @pytest.mark.parametrize("params", [{"snr_points_db": [-400]},
+                                        {"relay_boost_db": -400}])
+    def test_certain_decoding_failure_domain_exit_code(self, tmp_path, capsys,
+                                                       params):
+        out = tmp_path / "s.csv"
+        cfg = {"command": "sweep", "seed": 3, "output": str(out),
+               "params": dict({"figure": "fig3", "n_updates": 200,
+                               "error_draws": 1000}, **params)}
+        assert main([write_config(tmp_path, cfg)]) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "category=domain" in err and "ARQ never delivers" in err
+
     def test_quadrature_error_beyond_six_interferers(self, tmp_path):
         out = tmp_path / "e.csv"
         cfg = {"command": "error", "seed": 1, "output": str(out),

@@ -6,9 +6,13 @@ import pytest
 
 from stinqos.csvio import comment_lines, write_csv
 from stinqos.errors import ConfigError, DomainError
+from stinqos.aoi import build_trace, geometric_attempts
 from stinqos.experiments import (
     SweepSpec,
     _backlog,
+    _coupled_error_table,
+    _rep_draws,
+    _sweep_means,
     default_scenario,
     queue_growth_ratio,
     run_fig3,
@@ -81,6 +85,61 @@ class TestFig3:
         assert w_hi / w_lo == pytest.approx(0.5, rel=0.2)
 
 
+class TestBatchedSweep:
+    @pytest.mark.parametrize("slot_scaling", [True, False])
+    def test_means_equal_one_trace_per_row(self, slot_scaling):
+        # the per-row path the batched pass replaces, kept as its oracle
+        spec = small_fig3_spec(k_grid=(0, 2, 5), n_updates=1500, relay_prob=0.3,
+                               slot_scaling=slot_scaling)
+        eps_sat, eps_ter = _coupled_error_table(spec)
+        batched = _sweep_means(spec)
+        for ki, k in enumerate(spec.k_grid):
+            for si in range(len(spec.snr_points_db)):
+                for rep in range(spec.replications):
+                    arrivals, u_att, v_route = _rep_draws(spec, rep)
+                    att_sat = geometric_attempts(u_att, eps_sat[ki, si])
+                    att_ter = geometric_attempts(u_att, eps_ter[ki, si])
+                    use_relay = (v_route < spec.relay_prob) & (k >= 1)
+                    att_stin = np.where(use_relay, att_ter, att_sat)
+                    slots = max(k, 1) if slot_scaling else 1
+                    for system, att in (("psn", att_sat), ("stin", att_stin)):
+                        trace = build_trace(arrivals,
+                                            float(spec.blocklength * slots) * att)
+                        assert batched[ki, si][system][rep] == \
+                            float(np.mean(trace.peak_aoi))
+
+    @pytest.mark.parametrize("figure", ["fig3", "stin_psn"])
+    def test_workers_start_no_process_pool(self, monkeypatch, figure):
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("process pool started")
+
+        spec = small_fig3_spec(figure=figure, k_grid=(0, 2), n_updates=500)
+        expected = run_sweep(spec, workers=1).rows
+        _sweep_means.cache_clear()
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        assert run_sweep(spec, workers=2).rows == expected
+
+    @pytest.mark.parametrize("override", [{"snr_points_db": (-400.0,)},
+                                          {"relay_boost_db": -400.0}])
+    def test_certain_decoding_failure_is_domain_error(self, override):
+        spec = small_fig3_spec(n_updates=200, error_draws=1000, **override)
+        with pytest.raises(DomainError):
+            run_fig3(spec)
+
+    def test_unused_certain_relay_failure_is_harmless(self):
+        # with the relay never taken, its error probability never matters
+        spec = small_fig3_spec(relay_prob=0.0, relay_boost_db=-400.0,
+                               n_updates=200, error_draws=1000)
+        by = table_lookup(run_fig3(spec), ("k", "snr_db", "system"))
+        for k in spec.k_grid:
+            for snr in spec.snr_points_db:
+                assert by[(k, snr, "stin")]["eps_ter"] == 1.0
+                assert by[(k, snr, "stin")]["mean_paoi_cu"] == \
+                    by[(k, snr, "psn")]["mean_paoi_cu"]
+
+
 class TestStinPsn:
     def test_hybrid_never_worse(self):
         tab = compare_stin_psn(small_fig3_spec(figure="stin_psn"))
@@ -146,6 +205,13 @@ class TestSweepSpecValidation:
     def test_empty_grid(self):
         with pytest.raises(ConfigError):
             SweepSpec(figure="fig3", k_grid=())
+
+    @pytest.mark.parametrize("figure", ["fig3", "stin_psn"])
+    @pytest.mark.parametrize("grid", [{"k_grid": (-1, 2)}, {"k_grid": (0, -3)},
+                                      {"snr_points_db": ()}])
+    def test_negative_k_and_empty_snr_grid(self, figure, grid):
+        with pytest.raises(ConfigError):
+            SweepSpec(figure=figure, **grid)
 
     def test_echo_flattens_tuples(self):
         spec = SweepSpec(figure="fig5", n_grid=(100, 200))

@@ -81,6 +81,21 @@ class TestConditionalError:
         spec = CodingSpec(blocklength=100, code_size=2, rate=0.5)
         assert conditional_error(0.0, spec) == 1.0
 
+    def test_array_with_zero_sinr_matches_scalars(self):
+        spec = CodingSpec(blocklength=100, code_size=2, rate=0.5)
+        gammas = np.array([0.0, 1.0, 0.0, 3.0, 1e-3])
+        expected = [conditional_error(g, spec) for g in gammas]
+        assert np.array_equal(conditional_error(gammas, spec), expected)
+        assert conditional_error(np.zeros(3), spec).tolist() == [1.0, 1.0, 1.0]
+
+    def test_zero_dispersion_corner(self):
+        # 1 + gamma rounds to 1, so V = 0: the indicator on C vs R decides,
+        # and C == R gives the midpoint instead of 0/0
+        spec = CodingSpec(blocklength=64, code_size=2, rate=1e-17)
+        errs = conditional_error(np.array([1e-17, 2e-17, 5e-18, 1.0]), spec)
+        assert errs[:3].tolist() == [0.5, 0.0, 1.0]
+        assert errs[3] == conditional_error(1.0, spec)
+
     def test_monotone_in_gamma_and_rate(self):
         spec = CodingSpec(blocklength=200, code_size=256)
         gammas = np.linspace(0.0, 5.0, 200)

@@ -61,6 +61,16 @@ GOLDEN = {
                     "service": {"kind": "fixed", "n": 64}}},
         "87fbe998d2e62b6578ca078926fd747239f450b19f3dbc3a5a061aab152587c4",
     ),
+    "sweep_fig3": (
+        {"command": "sweep", "seed": 1,
+         "params": {"figure": "fig3", "n_updates": 2000, "error_draws": 5000}},
+        "f39f95767b00912f409c5135e10fa1e1ac3c24a1a73d95e19a6ae6187d7a9dc5",
+    ),
+    "sweep_stin_psn": (
+        {"command": "sweep", "seed": 1,
+         "params": {"figure": "stin_psn", "n_updates": 2000, "error_draws": 5000}},
+        "4c3a3c99cdf75ffd1912480ffc851cb41a8989169105ed806acfaf30237d8a08",
+    ),
     "paoi_bound": (
         {"command": "paoi-bound", "seed": 1},
         "8fce221bf73f4dad3c1f252078356af7711696e74f82d662adf3e7dd320dd7ef",
