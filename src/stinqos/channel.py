@@ -248,7 +248,14 @@ def sample_channel_gain(p: ShadowedRicianParams, rng: np.random.Generator, size=
 # ---------------------------------------------------------------------------
 
 def _db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    """Linear power of a dB value; refuses one whose power overflows a float."""
+    try:
+        linear = 10.0 ** (float(db) / 10.0)
+    except OverflowError:
+        linear = math.inf
+    if linear == math.inf:
+        raise DomainError(f"{db} dB overflows a float as a linear power")
+    return linear
 
 
 @dataclass(frozen=True)

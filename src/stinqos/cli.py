@@ -176,8 +176,8 @@ def main(argv=None) -> int:
     parser.add_argument("--output", help="override the output CSV path")
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes for fig4 and fig5 sweep grids; fig3 and "
-             "stin_psn run as one batched pass (output is worker-independent)",
+        help="worker processes for the fig5 sweep grid; the other sweeps "
+             "run in one process (output is worker-independent)",
     )
     args = parser.parse_args(argv)
 

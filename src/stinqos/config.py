@@ -19,16 +19,6 @@ from .experiments import SweepSpec, default_scenario
 COMMANDS = ("error", "exponent", "aoi-sim", "paoi-bound", "delay-bound", "sweep")
 
 _TOP_KEYS = {"command", "seed", "output", "scenario", "coding", "error_model", "params"}
-_SCENARIO_PRESET_KEYS = {"k", "avg_snr_db", "inr_db", "rx_antennas"}
-_SCENARIO_FULL_KEYS = {"satellite", "fading", "interferers", "rx_antennas"}
-_SATELLITE_KEYS = {"carrier_hz", "distance_m", "gain_tx_dbi", "gain_rx_dbi", "tx_snr_db"}
-_FADING_KEYS = {"b", "m", "omega"}
-_INTERFERER_KEYS = {
-    "count", "r_inner_m", "r_outer_m", "carrier_hz",
-    "gain_tx_dbi", "gain_rx_dbi", "tx_snr_db",
-}
-_CODING_KEYS = {"blocklength", "code_size", "rate"}
-_ERROR_MODEL_KEYS = {"method", "sample_budget", "quad_tolerance"}
 
 
 def _sweep_kind(default):
@@ -40,12 +30,24 @@ def _sweep_kind(default):
     return type(default)
 
 
-# Allowed value kinds of each params key: a type (float admits any JSON
-# number, no type admits a boolean unless it is bool), a literal value, a
-# one-item list for a JSON array of that kind, a dict for a nested object
-# (which may also be null), or a tuple of alternatives.
-_ARRIVAL_KINDS = {"kind": str, "period": float, "rate": float}
-_SERVICE_KINDS = {"kind": str, "n": int, "epsilon": (float, None)}
+# Allowed value kinds of each key of a config block: a type (float admits
+# any JSON number, no type admits a boolean unless it is bool), a literal
+# value, a one-item list for a JSON array of that kind, a dict for a nested
+# object, or a tuple of alternatives (an object or null is (dict, None)).
+_SATELLITE_KINDS = {"carrier_hz": float, "distance_m": float, "gain_tx_dbi": float,
+                    "gain_rx_dbi": float, "tx_snr_db": float}
+_FADING_KINDS = {"b": float, "m": float, "omega": float}
+_INTERFERER_KINDS = {"count": int, "r_inner_m": float, "r_outer_m": float,
+                     "carrier_hz": float, "gain_tx_dbi": float, "gain_rx_dbi": float,
+                     "tx_snr_db": float}
+_SCENARIO_FULL_KINDS = {"satellite": _SATELLITE_KINDS, "fading": _FADING_KINDS,
+                        "interferers": _INTERFERER_KINDS, "rx_antennas": int}
+_SCENARIO_PRESET_KINDS = {"k": int, "avg_snr_db": float, "inr_db": float,
+                          "rx_antennas": int}
+_CODING_KINDS = {"blocklength": int, "code_size": int, "rate": (float, None)}
+_ERROR_MODEL_KINDS = {"method": str, "sample_budget": int, "quad_tolerance": float}
+_ARRIVAL_KINDS = ({"kind": str, "period": float, "rate": float}, None)
+_SERVICE_KINDS = ({"kind": str, "n": int, "epsilon": (float, None)}, None)
 _PARAM_KINDS = {
     "error": {},
     "exponent": {},
@@ -72,7 +74,6 @@ class RunConfig:
     error_model: "object"
     params: dict
     defaults_used: list = field(default_factory=list)
-    raw: dict = field(default_factory=dict)
 
 
 def _check_keys(block: dict, allowed: set, context: str) -> None:
@@ -101,17 +102,16 @@ def _kind_name(kind) -> str:
 
 
 def _check_params(block, kinds: dict, path: str) -> None:
-    """Check the keys and value kinds of a params block and its sub-objects."""
+    """Check the keys and value kinds of a config block and its sub-objects."""
     if not isinstance(block, dict):
         raise ConfigError(f"{path} must be a JSON object")
     _check_keys(block, kinds, path)
     for key, value in block.items():
-        kind = kinds[key]
-        if isinstance(kind, dict):
-            if value is not None:
-                _check_params(value, kind, f"{path}.{key}")
+        alternatives = kinds[key] if isinstance(kinds[key], tuple) else (kinds[key],)
+        if isinstance(alternatives[0], dict):
+            if value is not None or None not in alternatives:
+                _check_params(value, alternatives[0], f"{path}.{key}")
             continue
-        alternatives = kind if isinstance(kind, tuple) else (kind,)
         if not any(_is_kind(value, k) for k in alternatives):
             expected = " or ".join(_kind_name(k) for k in alternatives)
             raise ConfigError(f"{path}.{key} must be {expected}, got {value!r}")
@@ -179,7 +179,6 @@ def build_config(raw: dict) -> RunConfig:
         error_model=error_model,
         params=params,
         defaults_used=defaults_used,
-        raw=raw,
     )
 
 
@@ -187,24 +186,17 @@ def _build_scenario(block, seed: int, defaults_used: list) -> Scenario:
     if block is None:
         defaults_used.append("scenario=default(k=1, avg_snr_db=15, inr_db=-3)")
         return default_scenario(k=1, avg_snr_db=15.0, inr_db=-3.0, seed=seed)
-    if not isinstance(block, dict):
-        raise ConfigError("scenario must be a JSON object")
-    if "satellite" in block or "fading" in block or "interferers" in block:
-        _check_keys(block, _SCENARIO_FULL_KEYS, "scenario")
-        sat = _require(block, "satellite", "scenario")
-        _check_keys(sat, _SATELLITE_KEYS, "scenario.satellite")
-        fad = _require(block, "fading", "scenario")
-        _check_keys(fad, _FADING_KEYS, "scenario.fading")
-        intf = _require(block, "interferers", "scenario")
-        _check_keys(intf, _INTERFERER_KEYS, "scenario.interferers")
+    if isinstance(block, dict) and (
+            "satellite" in block or "fading" in block or "interferers" in block):
+        _check_params(block, _SCENARIO_FULL_KINDS, "scenario")
         return Scenario(
-            satellite=LinkBudget(**sat),
-            fading=ShadowedRicianParams(**fad),
-            interferers=InterfererField(**intf),
+            satellite=LinkBudget(**_require(block, "satellite", "scenario")),
+            fading=ShadowedRicianParams(**_require(block, "fading", "scenario")),
+            interferers=InterfererField(**_require(block, "interferers", "scenario")),
             rx_antennas=block.get("rx_antennas", 1),
             seed=seed,
         )
-    _check_keys(block, _SCENARIO_PRESET_KEYS, "scenario")
+    _check_params(block, _SCENARIO_PRESET_KINDS, "scenario")
     return default_scenario(
         k=block.get("k", 1),
         avg_snr_db=block.get("avg_snr_db", 15.0),
@@ -220,9 +212,7 @@ def _build_coding(block, defaults_used: list):
     if block is None:
         defaults_used.append("coding=(blocklength=64, code_size=2^32)")
         return CodingSpec(blocklength=64, code_size=2 ** 32)
-    if not isinstance(block, dict):
-        raise ConfigError("coding must be a JSON object")
-    _check_keys(block, _CODING_KEYS, "coding")
+    _check_params(block, _CODING_KINDS, "coding")
     return CodingSpec(
         blocklength=_require(block, "blocklength", "coding"),
         code_size=_require(block, "code_size", "coding"),
@@ -236,9 +226,7 @@ def _build_error_model(block, defaults_used: list):
     if block is None:
         defaults_used.append("error_model=(quadrature, tol=1e-06)")
         return ErrorModel()
-    if not isinstance(block, dict):
-        raise ConfigError("error_model must be a JSON object")
-    _check_keys(block, _ERROR_MODEL_KEYS, "error_model")
+    _check_params(block, _ERROR_MODEL_KINDS, "error_model")
     return ErrorModel(
         method=block.get("method", "quadrature"),
         sample_budget=block.get("sample_budget", 100_000),

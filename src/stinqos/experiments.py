@@ -10,17 +10,19 @@ hold elementwise per update, not just on noisy averages:
   * interferer positions are nested in K, so adding a base station never
     reduces the interference any Monte Carlo draw sees.
 
-Per-point streams derive from (seed, grid index), so results are identical
-no matter how the points are scheduled across workers. Worker processes
-serve only the fig4 and fig5 grid points. fig3 and stin_psn run in one
-process as one batched departure pass per replication, over a buffer of
-2 * len(k_grid) * len(snr_points_db) x n_updates float64 values.
+Random streams derive from the sweep seed and fixed stream labels, so
+results do not depend on how the work is scheduled. Each figure computes its shared inputs once
+per sweep: fig3 and stin_psn run one batched departure pass per
+replication, over a buffer of 2 * len(k_grid) * len(snr_points_db) x
+n_updates float64 values; fig4 computes its models and the simulated
+violation frequency once and loops over theta in one process. Worker
+processes serve only the fig5 blocklength grid.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -173,36 +175,34 @@ class SweepSpec:
         if not 0.0 <= self.relay_prob <= 1.0:
             raise ConfigError("relay_prob must be in [0, 1]")
 
-    def echo(self) -> dict:
-        d = asdict(self)
-        for key, value in d.items():
-            if isinstance(value, tuple):
-                d[key] = ";".join(str(v) for v in value)
-        return d
-
 
 @dataclass
 class Table:
-    """Sweep result: column names, row dicts, and the parameter echo."""
+    """Sweep result: column names and row dicts."""
 
     fieldnames: list
     rows: list
-    meta: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
-# Coupled decoding-error estimates across (K, SNR) grids
+# fig3 and stin_psn: coupled decoding errors and one batched pass per
+# replication over the (K, SNR) grid
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
+_SYSTEMS = ("stin", "psn")  # axis 1 of _sweep_means: hybrid, satellite-only
+
+
 def _coupled_error_table(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
     """eps_sat[k_idx, snr_idx] and eps_ter[k_idx, snr_idx] on shared draws.
 
     One satellite-fading draw set, one Rayleigh relay draw set, and one
     nested interferer-gain matrix serve every grid point, so both tables are
-    elementwise monotone: nondecreasing in K, decreasing in SNR. Cached:
-    every grid point reads the same tables.
+    elementwise monotone: nondecreasing in K, decreasing in SNR.
     """
+    # received-SNR targets enter directly; the link budget realizes the same
+    # calibration through tx_snr_db_for_avg_rx_snr
+    snr_sat = [channel._db_to_linear(s) for s in spec.snr_points_db]
+    snr_ter = [channel._db_to_linear(s + spec.relay_boost_db) for s in spec.snr_points_db]
     k_max = max(spec.k_grid)
     base = default_scenario(
         k=k_max, avg_snr_db=spec.avg_snr_db, inr_db=spec.inr_db, seed=spec.seed
@@ -219,14 +219,10 @@ def _coupled_error_table(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
     eps_ter = np.empty_like(eps_sat)
     for ki, k in enumerate(spec.k_grid):
         i_a = e_gains[:, :k] @ coeff[:k] if k else 0.0
-        for si, snr_db in enumerate(spec.snr_points_db):
-            # received-SNR targets enter directly; the link budget realizes
-            # the same calibration through tx_snr_db_for_avg_rx_snr
-            a_sat = 10.0 ** (snr_db / 10.0) / base.fading.mean_power
-            gam_sat = a_sat * h_sat / (1.0 + i_a)
+        for si in range(len(spec.snr_points_db)):
+            gam_sat = snr_sat[si] / base.fading.mean_power * h_sat / (1.0 + i_a)
             eps_sat[ki, si] = float(np.mean(conditional_error(gam_sat, coding)))
-            a_ter = 10.0 ** ((snr_db + spec.relay_boost_db) / 10.0)
-            gam_ter = a_ter * h_ter / (1.0 + i_a)
+            gam_ter = snr_ter[si] * h_ter / (1.0 + i_a)
             eps_ter[ki, si] = float(np.mean(conditional_error(gam_ter, coding)))
     return eps_sat, eps_ter
 
@@ -244,19 +240,17 @@ def _rep_draws(spec: SweepSpec, rep: int):
     return np.cumsum(gaps), u_att, v_route
 
 
-@lru_cache(maxsize=8)
-def _sweep_means(spec: SweepSpec) -> dict:
-    """Per-replication mean peak AoI of every (K, SNR) point and system.
+def _sweep_means(spec: SweepSpec, eps_sat: np.ndarray, eps_ter: np.ndarray) -> np.ndarray:
+    """Per-replication mean peak AoI, shape (points, 2, replications).
 
-    Returns {(ki, si): {"psn": [...], "stin": [...]}}. Each replication is
-    one pass of departure_rows over a (2 * points, n_updates) buffer that
-    holds the satellite-only and hybrid service rows of every grid point;
-    the buffer is allocated once and reused by every replication. The
-    results equal build_trace row by row, bit for bit.
+    Points are the (K, SNR) grid in row-major order, K outer; axis 1 follows
+    _SYSTEMS. Each replication is one pass of departure_rows over a
+    (2 * points, n_updates) buffer that holds the hybrid and satellite-only
+    service rows of every grid point; the buffer is allocated once and
+    reused by every replication. The results equal build_trace row by row,
+    bit for bit.
     """
-    eps_sat, eps_ter = _coupled_error_table(spec)
-    points = [(ki, si) for ki in range(len(spec.k_grid))
-              for si in range(len(spec.snr_points_db))]
+    points = list(np.ndindex(eps_sat.shape))
     for ki, si in points:  # refuse before allocating
         relay = spec.k_grid[ki] >= 1 and spec.relay_prob > 0
         for link, eps in (("satellite", eps_sat[ki, si]),
@@ -267,8 +261,9 @@ def _sweep_means(spec: SweepSpec) -> dict:
                     f"K={spec.k_grid[ki]}, SNR={spec.snr_points_db[si]} dB; "
                     f"ARQ never delivers an update"
                 )
-    means = {point: {"psn": [], "stin": []} for point in points}
     buf = np.empty((2 * len(points), spec.n_updates))
+    rows = buf.reshape(len(points), 2, spec.n_updates)
+    means = np.empty((len(points), 2, spec.replications))
     for rep in range(spec.replications):
         arrivals, u_att, v_route = _rep_draws(spec, rep)
         for p, (ki, si) in enumerate(points):
@@ -280,112 +275,74 @@ def _sweep_means(spec: SweepSpec) -> dict:
                 np.where(use_relay, geometric_attempts(u_att, eps_ter[ki, si]), att_psn)
                 if use_relay.any() else att_psn
             )
-            np.multiply(slot_cu, att_psn, out=buf[2 * p])
-            np.multiply(slot_cu, att_stin, out=buf[2 * p + 1])
+            np.multiply(slot_cu, att_stin, out=rows[p, 0])
+            np.multiply(slot_cu, att_psn, out=rows[p, 1])
         departure_rows(arrivals, buf)
         buf -= arrivals  # sojourns
         buf += np.diff(arrivals, prepend=0.0)  # peak AoI: gap plus sojourn
-        for p, point in enumerate(points):
-            means[point]["psn"].append(float(np.mean(buf[2 * p])))
-            means[point]["stin"].append(float(np.mean(buf[2 * p + 1])))
+        means[:, :, rep] = rows.mean(axis=2)
     return means
 
 
-def _point_means(spec: SweepSpec, ki: int, si: int) -> dict:
-    """Mean peak AoI for one (K, SNR) grid point, both systems, all reps."""
+def _sweep_points(spec: SweepSpec):
+    """Each (K, SNR) grid point, K outer, as (k, snr_db, eps_sat, eps_ter,
+    mean, half): the mean peak AoI over replications and its 95 % half-width,
+    each a pair ordered as _SYSTEMS."""
     eps_sat, eps_ter = _coupled_error_table(spec)
-    out = {"eps_sat": float(eps_sat[ki, si]), "eps_ter": float(eps_ter[ki, si])}
-    for system, vals in _sweep_means(spec)[ki, si].items():
-        arr = np.asarray(vals)
-        half = (
-            1.96 * float(np.std(arr, ddof=1)) / math.sqrt(spec.replications)
-            if spec.replications > 1
-            else 0.0
-        )
-        out[system] = (float(np.mean(arr)), half)
-    return out
+    reps = _sweep_means(spec, eps_sat, eps_ter)
+    mean = reps.mean(axis=2)
+    half = (
+        1.96 * reps.std(axis=2, ddof=1) / math.sqrt(spec.replications)
+        if spec.replications > 1
+        else np.zeros_like(mean)
+    )
+    for p, (ki, si) in enumerate(np.ndindex(eps_sat.shape)):
+        yield (spec.k_grid[ki], spec.snr_points_db[si], float(eps_sat[ki, si]),
+               float(eps_ter[ki, si]), mean[p].tolist(), half[p].tolist())
 
 
-def _fig3_point(args) -> list:
-    spec, ki, si = args
-    point = _point_means(spec, ki, si)
-    rows = []
-    for system in ("stin", "psn"):
-        mean, half = point[system]
-        rows.append(
-            {
-                "k": spec.k_grid[ki],
-                "snr_db": spec.snr_points_db[si],
-                "system": system,
-                "mean_paoi_cu": mean,
-                "ci_half_width_cu": half,
-                "eps_sat": point["eps_sat"],
-                "eps_ter": point["eps_ter"],
-                "replications": spec.replications,
-            }
-        )
-    return rows
-
-
-def _stin_psn_point(args) -> list:
-    spec, ki, si = args
-    point = _point_means(spec, ki, si)
-    stin, _ = point["stin"]
-    psn, _ = point["psn"]
-    return [
+def run_fig3(spec: SweepSpec) -> Table:
+    """Mean peak AoI (cu) vs interferer count for the hybrid and
+    satellite-only systems at each SNR point."""
+    rows = [
         {
-            "k": spec.k_grid[ki],
-            "snr_db": spec.snr_points_db[si],
+            "k": k,
+            "snr_db": snr_db,
+            "system": system,
+            "mean_paoi_cu": mean[i],
+            "ci_half_width_cu": half[i],
+            "eps_sat": eps_sat,
+            "eps_ter": eps_ter,
+            "replications": spec.replications,
+        }
+        for k, snr_db, eps_sat, eps_ter, mean, half in _sweep_points(spec)
+        for i, system in enumerate(_SYSTEMS)
+    ]
+    fields = ["k", "snr_db", "system", "mean_paoi_cu", "ci_half_width_cu",
+              "eps_sat", "eps_ter", "replications"]
+    return Table(fieldnames=fields, rows=rows)
+
+
+def compare_stin_psn(spec: SweepSpec) -> Table:
+    """Paired-seed mean peak AoI comparison, hybrid vs satellite-only."""
+    rows = [
+        {
+            "k": k,
+            "snr_db": snr_db,
             "mean_paoi_stin_cu": stin,
             "mean_paoi_psn_cu": psn,
             "advantage_cu": psn - stin,
         }
+        for k, snr_db, _, _, (stin, psn), _ in _sweep_points(spec)
     ]
-
-
-def _grid_tasks(spec: SweepSpec):
-    return [
-        (spec, ki, si)
-        for ki in range(len(spec.k_grid))
-        for si in range(len(spec.snr_points_db))
-    ]
-
-
-def _pmap(fn, tasks, workers: int) -> list:
-    """Map fig4 or fig5 grid points to results, optionally across processes.
-
-    Every task recomputes its inputs from (seed, grid index), so scheduling
-    cannot change any output; results come back in task order. fig3 and
-    stin_psn do not come here: their grid points are rows of one batched
-    pass (_sweep_means).
-    """
-    if workers <= 1:
-        return [fn(t) for t in tasks]
-    import concurrent.futures
-
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
-
-
-def run_fig3(spec: SweepSpec, workers: int = 1) -> Table:
-    """Mean peak AoI (cu) vs interferer count for the hybrid and
-    satellite-only systems at each SNR point. ``workers`` is accepted and
-    unused: the grid runs as one batched pass."""
-    rows = [r for task in _grid_tasks(spec) for r in _fig3_point(task)]
-    fields = ["k", "snr_db", "system", "mean_paoi_cu", "ci_half_width_cu",
-              "eps_sat", "eps_ter", "replications"]
-    return Table(fieldnames=fields, rows=rows, meta=spec.echo())
-
-
-def compare_stin_psn(spec: SweepSpec, workers: int = 1) -> Table:
-    """Paired-seed mean peak AoI comparison, hybrid vs satellite-only;
-    ``workers`` is unused, as in run_fig3."""
-    rows = [r for task in _grid_tasks(spec) for r in _stin_psn_point(task)]
     fields = ["k", "snr_db", "mean_paoi_stin_cu", "mean_paoi_psn_cu", "advantage_cu"]
-    return Table(fieldnames=fields, rows=rows, meta=spec.echo())
+    return Table(fieldnames=fields, rows=rows)
 
 
-@lru_cache(maxsize=8)
+# ---------------------------------------------------------------------------
+# fig4 and fig5
+# ---------------------------------------------------------------------------
+
 def fig4_models(spec: SweepSpec) -> tuple[ArrivalModel, ServiceModel, float]:
     """Arrival/service models of the bound-vs-simulation comparison.
 
@@ -404,43 +361,32 @@ def fig4_models(spec: SweepSpec) -> tuple[ArrivalModel, ServiceModel, float]:
     return am, sm, eps
 
 
-@lru_cache(maxsize=8)
-def _fig4_empirical(spec: SweepSpec) -> float:
-    am, sm, _ = fig4_models(spec)
+def run_fig4(spec: SweepSpec) -> Table:
+    """Analytic peak-AoI violation bound vs empirical frequency over the
+    exponent grid at a fixed threshold. The models and the simulated
+    violation frequency are computed once; only the bound depends on theta."""
+    am, sm, eps = fig4_models(spec)
     rng = np.random.default_rng(
         np.random.SeedSequence(spec.seed, spawn_key=(_STREAM_TRACE, 0))
     )
     trace = simulate_trace(am, sm, spec.fig4_n_updates, rng)
-    return empirical_violation(trace, spec.a_th_cu)
-
-
-def _fig4_point(args) -> list:
-    spec, theta = args
-    am, sm, eps = fig4_models(spec)
-    rep = paoi_bound(theta, spec.a_th_cu, spec.blocklength, None, am, sm)
-    return [
-        {
+    empirical = empirical_violation(trace, spec.a_th_cu)
+    rows = []
+    for theta in spec.theta_grid:
+        rep = paoi_bound(theta, spec.a_th_cu, spec.blocklength, None, am, sm)
+        rows.append({
             "theta": theta,
             "bound": rep.bound_value,
-            "empirical": _fig4_empirical(spec),
+            "empirical": empirical,
             "a_th": spec.a_th_cu,
             "kernel": rep.kernel_value,
             "eps": eps,
-        }
-    ]
-
-
-def run_fig4(spec: SweepSpec, workers: int = 1) -> Table:
-    """Analytic peak-AoI violation bound vs empirical frequency over the
-    exponent grid at a fixed threshold."""
-    tasks = [(spec, theta) for theta in spec.theta_grid]
-    rows = [r for chunk in _pmap(_fig4_point, tasks, workers) for r in chunk]
+        })
     fields = ["theta", "bound", "empirical", "a_th", "kernel", "eps"]
-    return Table(fieldnames=fields, rows=rows, meta=spec.echo())
+    return Table(fieldnames=fields, rows=rows)
 
 
-def _fig5_point(args) -> list:
-    spec, n = args
+def _fig5_row(spec: SweepSpec, n: int) -> dict:
     scen = default_scenario(
         k=spec.fig_k, avg_snr_db=spec.avg_snr_db, inr_db=spec.inr_db, seed=spec.seed
     )
@@ -449,34 +395,45 @@ def _fig5_point(args) -> list:
     coding = CodingSpec(blocklength=n, code_size=spec.code_size, rate=base.rate)
     numeric = error_exponent(scen, coding, em)
     closed = error_exponent_closed_form(scen, coding)
-    return [
-        {
-            "n": n,
-            "theta_numeric": numeric.theta,
-            "theta_closed_form": closed.theta,
-            "rho_star": numeric.params["rho_star"],
-            "rate_nats": base.rate,
-        }
-    ]
+    return {
+        "n": n,
+        "theta_numeric": numeric.theta,
+        "theta_closed_form": closed.theta,
+        "rho_star": numeric.params["rho_star"],
+        "rate_nats": base.rate,
+    }
+
+
+def _pmap(fn, items, workers: int) -> list:
+    """[fn(x) for x in items], optionally across worker processes.
+
+    Serves fig5 only, whose grid points are independent exponent
+    computations. Results come back in item order, so the worker count
+    cannot change any output.
+    """
+    if workers <= 1:
+        return [fn(x) for x in items]
+    import concurrent.futures
+
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def run_fig5(spec: SweepSpec, workers: int = 1) -> Table:
     """Numeric error-rate exponent vs blocklength next to the n-free
-    closed-form approximation, at a fixed coding rate."""
-    tasks = [(spec, n) for n in spec.n_grid]
-    rows = [r for chunk in _pmap(_fig5_point, tasks, workers) for r in chunk]
+    closed-form approximation, at a fixed coding rate; ``workers`` processes
+    share the blocklength grid."""
+    rows = _pmap(partial(_fig5_row, spec), spec.n_grid, workers)
     fields = ["n", "theta_numeric", "theta_closed_form", "rho_star", "rate_nats"]
-    return Table(fieldnames=fields, rows=rows, meta=spec.echo())
+    return Table(fieldnames=fields, rows=rows)
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> Table:
-    runner = {
-        "fig3": run_fig3,
-        "fig4": run_fig4,
-        "fig5": run_fig5,
-        "stin_psn": compare_stin_psn,
-    }[spec.figure]
-    return runner(spec, workers=workers)
+    """Run the spec's figure; ``workers`` parallelises fig5 only."""
+    if spec.figure == "fig5":
+        return run_fig5(spec, workers)
+    runner = {"fig3": run_fig3, "fig4": run_fig4, "stin_psn": compare_stin_psn}
+    return runner[spec.figure](spec)
 
 
 # ---------------------------------------------------------------------------

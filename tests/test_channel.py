@@ -208,6 +208,15 @@ class TestPathloss:
         with pytest.raises(DomainError):
             LinkBudget(carrier_hz=1e9, distance_m=0.0)
 
+    @pytest.mark.parametrize("db", [4000, 3090.0, np.float64(4000.0), math.inf])
+    def test_db_overflow_is_domain_error(self, db):
+        with pytest.raises(DomainError, match=f"{db} dB"):
+            LinkBudget(carrier_hz=2e9, distance_m=1e6, tx_snr_db=db).tx_snr
+
+    def test_db_conversion_near_float_max(self):
+        assert LinkBudget(carrier_hz=2e9, distance_m=1e6,
+                          tx_snr_db=3080.0).tx_snr == 10.0 ** 308.0
+
 
 def _field(count=3, tx_snr_db=0.0):
     return InterfererField(

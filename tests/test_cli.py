@@ -179,11 +179,27 @@ class TestDispatch:
         ("aoi-sim", {"service": {"epsilon": "0.1"}}, "params.service.epsilon"),
         ("sweep", {"figure": "fig5", "n_grid": "x"}, "params.n_grid"),
         ("sweep", {"figure": "fig3", "replications": "2"}, "params.replications"),
+        ("error", {"method": "monte_carlo", "sample_budget": 100000.0},
+         "error_model.sample_budget"),
+        ("error", {"k": 1.5}, "scenario.k"),
+        ("error", {"rx_antennas": 2.5}, "scenario.rx_antennas"),
+        ("error", dict(THEOREM_CONFIG["scenario"],
+                       interferers={"count": 1.5, "r_inner_m": 2000.0,
+                                    "r_outer_m": 10000.0, "carrier_hz": 2.0e9}),
+         "scenario.interferers.count"),
+        ("error", dict(THEOREM_CONFIG["scenario"], satellite="abc"),
+         "scenario.satellite"),
+        ("error", dict(THEOREM_CONFIG["scenario"], satellite=[1]),
+         "scenario.satellite"),
+        ("error", {"blocklength": 64.5, "code_size": 256}, "coding.blocklength"),
+        ("error", {"blocklength": True, "code_size": 256}, "coding.blocklength"),
     ])
     def test_params_value_type_config_exit_code(self, tmp_path, capsys,
                                                  command, params, key):
+        # ``params`` is the content of the block that the key's first part names
         out = tmp_path / "p.csv"
-        cfg = {"command": command, "seed": 1, "output": str(out), "params": params}
+        cfg = {"command": command, "seed": 1, "output": str(out),
+               key.split(".")[0]: params}
         assert main([write_config(tmp_path, cfg)]) == 2
         assert not out.exists()
         err = capsys.readouterr().err
@@ -222,6 +238,24 @@ class TestDispatch:
         assert not out.exists()
         err = capsys.readouterr().err
         assert "category=domain" in err and "ARQ never delivers" in err
+
+    @pytest.mark.parametrize("command,blocks", [
+        ("sweep", {"params": {"figure": "fig3", "snr_points_db": [4000]}}),
+        ("sweep", {"params": {"figure": "fig3", "relay_boost_db": 4000}}),
+        ("sweep", {"params": {"figure": "fig4", "inr_db": 4000}}),
+        ("sweep", {"params": {"figure": "fig5", "avg_snr_db": 4000}}),
+        ("error", {"scenario": dict(THEOREM_CONFIG["scenario"], satellite={
+            "carrier_hz": 2.0e9, "distance_m": 1.0e6, "tx_snr_db": 4000})}),
+    ] + [(command, {"scenario": {key: 4000}})
+         for command in ("error", "exponent", "delay-bound")
+         for key in ("avg_snr_db", "inr_db")])
+    def test_db_overflow_domain_exit_code(self, tmp_path, capsys, command, blocks):
+        out = tmp_path / "o.csv"
+        cfg = dict(blocks, command=command, seed=3, output=str(out))
+        assert main([write_config(tmp_path, cfg)]) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "category=domain" in err and "dB overflows" in err
 
     def test_quadrature_error_beyond_six_interferers(self, tmp_path):
         out = tmp_path / "e.csv"

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from stinqos.csvio import comment_lines, write_csv
+from stinqos.csvio import write_csv
 from stinqos.errors import ConfigError, DomainError
 from stinqos.aoi import build_trace, geometric_attempts
 from stinqos.experiments import (
+    _SYSTEMS,
     SweepSpec,
     _backlog,
     _coupled_error_table,
@@ -92,9 +93,11 @@ class TestBatchedSweep:
         spec = small_fig3_spec(k_grid=(0, 2, 5), n_updates=1500, relay_prob=0.3,
                                slot_scaling=slot_scaling)
         eps_sat, eps_ter = _coupled_error_table(spec)
-        batched = _sweep_means(spec)
+        batched = _sweep_means(spec, eps_sat, eps_ter)
+        n_snr = len(spec.snr_points_db)
+        assert batched.shape == (len(spec.k_grid) * n_snr, 2, spec.replications)
         for ki, k in enumerate(spec.k_grid):
-            for si in range(len(spec.snr_points_db)):
+            for si in range(n_snr):
                 for rep in range(spec.replications):
                     arrivals, u_att, v_route = _rep_draws(spec, rep)
                     att_sat = geometric_attempts(u_att, eps_sat[ki, si])
@@ -105,10 +108,10 @@ class TestBatchedSweep:
                     for system, att in (("psn", att_sat), ("stin", att_stin)):
                         trace = build_trace(arrivals,
                                             float(spec.blocklength * slots) * att)
-                        assert batched[ki, si][system][rep] == \
-                            float(np.mean(trace.peak_aoi))
+                        row = batched[ki * n_snr + si, _SYSTEMS.index(system)]
+                        assert row[rep] == float(np.mean(trace.peak_aoi))
 
-    @pytest.mark.parametrize("figure", ["fig3", "stin_psn"])
+    @pytest.mark.parametrize("figure", ["fig3", "stin_psn", "fig4"])
     def test_workers_start_no_process_pool(self, monkeypatch, figure):
         import concurrent.futures
 
@@ -117,7 +120,6 @@ class TestBatchedSweep:
 
         spec = small_fig3_spec(figure=figure, k_grid=(0, 2), n_updates=500)
         expected = run_sweep(spec, workers=1).rows
-        _sweep_means.cache_clear()
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         assert run_sweep(spec, workers=2).rows == expected
 
@@ -173,10 +175,10 @@ class TestFig5:
         assert all(v >= 0.0 for v in numeric + closed)
 
 
-def csv_text(path, table, comments=()):
+def csv_text(path, table):
     """The table written with write_csv and read back."""
     columns = [[row[k] for row in table.rows] for k in table.fieldnames]
-    write_csv(path, table.fieldnames, columns, comments)
+    write_csv(path, table.fieldnames, columns)
     return path.read_text(encoding="utf-8")
 
 
@@ -185,8 +187,8 @@ class TestReproducibility:
         spec = small_fig3_spec()
         t1 = run_sweep(spec)
         t2 = run_sweep(spec)
-        c1 = csv_text(tmp_path / "1.csv", t1, comment_lines(t1.meta))
-        c2 = csv_text(tmp_path / "2.csv", t2, comment_lines(t2.meta))
+        c1 = csv_text(tmp_path / "1.csv", t1)
+        c2 = csv_text(tmp_path / "2.csv", t2)
         assert c1 == c2
 
     def test_worker_count_invariance(self, tmp_path):
@@ -212,10 +214,6 @@ class TestSweepSpecValidation:
     def test_negative_k_and_empty_snr_grid(self, figure, grid):
         with pytest.raises(ConfigError):
             SweepSpec(figure=figure, **grid)
-
-    def test_echo_flattens_tuples(self):
-        spec = SweepSpec(figure="fig5", n_grid=(100, 200))
-        assert spec.echo()["n_grid"] == "100;200"
 
 
 class TestDefaultScenario:

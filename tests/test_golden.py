@@ -71,6 +71,17 @@ GOLDEN = {
          "params": {"figure": "stin_psn", "n_updates": 2000, "error_draws": 5000}},
         "4c3a3c99cdf75ffd1912480ffc851cb41a8989169105ed806acfaf30237d8a08",
     ),
+    # a threshold low enough that the empirical column is nonzero (0.0036)
+    "sweep_fig4": (
+        {"command": "sweep", "seed": 1,
+         "params": {"figure": "fig4", "fig4_n_updates": 20000, "a_th_cu": 1500.0}},
+        "89d199517ecc9b936e1600171ab57093fc5035cc6c2b38ad8f6bef87b2b4be2a",
+    ),
+    "sweep_fig5": (
+        {"command": "sweep", "seed": 1,
+         "params": {"figure": "fig5", "n_grid": [100, 500]}},
+        "a28d0b40f7988974320e9d7b2d8ed600a3d100a6d351d52a31f4bad21f3b1dcb",
+    ),
     "paoi_bound": (
         {"command": "paoi-bound", "seed": 1},
         "8fce221bf73f4dad3c1f252078356af7711696e74f82d662adf3e7dd320dd7ef",
