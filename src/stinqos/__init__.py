@@ -4,6 +4,8 @@ network calculus, error-rate QoS exponents, and the Monte Carlo simulators
 that cross-validate them.
 """
 
+__version__ = "0.1.0"  # the one version source; pyproject.toml repeats it
+
 from .aoi import (
     ArrivalModel,
     ServiceModel,
@@ -66,4 +68,3 @@ from .snc import (
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]
-__version__ = "0.1.0"

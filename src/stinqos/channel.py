@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammaln, hyp1f1, logsumexp
 
 from .errors import DomainError, NumericError
 
@@ -30,8 +29,41 @@ STREAM_TRACE = 2
 
 
 # ---------------------------------------------------------------------------
-# Confluent hypergeometric function 1F1(m; 1; z)
+# log-sum-exp and the confluent hypergeometric function 1F1(m; 1; z)
 # ---------------------------------------------------------------------------
+
+def logsumexp(a, axis=None, b=None):
+    """log(sum(b * exp(a))) along ``axis`` (all axes for None).
+
+    scipy.special.logsumexp's algorithm for real float64 input and weights
+    b >= 0, bit for bit, without its per-call array-API dispatch: the max
+    terms are split off, the rest is summed as exp(a - a_max) / m, and the
+    log is log1p(s) + log(m) + a_max. A weight of 0 drops its term even
+    where a is infinite. Where that value is not finite, the plain
+    log(sum(b * exp(a))) is returned instead.
+    """
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    if b is not None:
+        a, b = np.broadcast_arrays(a, np.asarray(b, dtype=float))
+    axis = tuple(range(a.ndim)) if axis is None else axis
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        terms = a if b is None else np.where(b == 0, -np.inf, a)
+        a_max = np.max(terms, axis=axis, keepdims=True, initial=-np.inf)
+        is_max = terms == a_max
+        e = np.exp(np.where(is_max, -np.inf, terms) - a_max)
+        m = np.sum(is_max if b is None else b * is_max, axis=axis,
+                   keepdims=True, dtype=float)
+        s = np.sum(e if b is None else b * e, axis=axis, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            direct = np.exp(a) if b is None else b * np.exp(a)
+            out = np.where(finite, out,
+                           np.log(np.sum(direct, axis=axis, keepdims=True)))
+    out = np.squeeze(out, axis=axis)
+    return out[()] if out.ndim == 0 else out
+
 
 def hyp1f1_integer(m: float, z):
     """Kummer confluent hypergeometric function 1F1(m; 1; z) for z >= 0.
@@ -64,6 +96,8 @@ def log_hyp1f1_integer(m: float, z):
         NumericError: if non-integer m overflows scipy's 1F1 (roughly
             m >= 50 with z > 1e4).
     """
+    from scipy.special import gammaln, hyp1f1
+
     z = np.asarray(z, dtype=float)
     if float(m).is_integer() and m >= 1:
         mi = int(m)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import difflib
 import json
+import math
 from dataclasses import MISSING, dataclass, field, fields
 
 from .aoi import ArrivalModel, ServiceModel
@@ -31,9 +32,11 @@ def _sweep_kind(default):
 
 
 # Allowed value kinds of each key of a config block: a type (float admits
-# any JSON number, no type admits a boolean unless it is bool), a literal
-# value, a one-item list for a JSON array of that kind, a dict for a nested
-# object, or a tuple of alternatives (an object or null is (dict, None)).
+# any JSON number a finite float holds, not NaN, Infinity or an integer
+# beyond the float range; no type admits a boolean unless it is bool), a
+# literal value, a one-item list for a JSON array of that kind, a dict for
+# a nested object, or a tuple of alternatives (an object or null is
+# (dict, None)).
 _SATELLITE_KINDS = {"carrier_hz": float, "distance_m": float, "gain_tx_dbi": float,
                     "gain_rx_dbi": float, "tx_snr_db": float}
 _FADING_KINDS = {"b": float, "m": float, "omega": float}
@@ -59,7 +62,8 @@ _PARAM_KINDS = {
                     "rate_per_block": float, "batch_bits": float},
     "sweep": {f.name: _sweep_kind(f.default) for f in fields(SweepSpec)},
 }
-_KIND_NAMES = {float: "number", int: "integer", str: "string", bool: "boolean"}
+_KIND_NAMES = {float: "finite number", int: "integer", str: "string",
+               bool: "boolean"}
 
 
 @dataclass
@@ -92,7 +96,12 @@ def _is_kind(value, kind) -> bool:
         return value == kind
     if isinstance(value, bool):
         return kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
+    if kind is float:
+        try:
+            return isinstance(value, (int, float)) and math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            return False
+    return isinstance(value, kind)
 
 
 def _kind_name(kind) -> str:

@@ -12,19 +12,16 @@ the target untouched.
 from __future__ import annotations
 
 import os
-from importlib import metadata
 
 import numpy as np
+
+from . import __version__
 
 _CHUNK_ROWS = 1 << 14
 
 
 def build_identifier() -> str:
-    try:
-        version = metadata.version("stinqos")
-    except metadata.PackageNotFoundError:
-        version = "unreleased"
-    return f"stinqos {version}"
+    return f"stinqos {__version__}"
 
 
 def format_value(v) -> str:

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
-from scipy.special import erfc, logsumexp
 
 from . import channel
-from .channel import Scenario, srician_quad_nodes
+from .channel import Scenario, logsumexp, srician_quad_nodes
 from .errors import DomainError, NumericError
 from .optimize import grid_then_golden
 from .reports import QoSReport
@@ -108,6 +107,8 @@ def dispersion(gamma):
 
 def q_function(x):
     """Gaussian tail probability Q(x) = erfc(x / sqrt(2)) / 2."""
+    from scipy.special import erfc
+
     x = np.asarray(x, dtype=float)
     out = 0.5 * erfc(x / math.sqrt(2.0))
     return float(out) if out.ndim == 0 else out
@@ -134,7 +135,7 @@ def conditional_error(gamma, spec: CodingSpec):
             arg,
             np.where(c > spec.rate, np.inf, np.where(c < spec.rate, -np.inf, 0.0)),
         )
-    out = np.clip(0.5 * erfc(arg / math.sqrt(2.0)), 0.0, 1.0)
+    out = np.clip(q_function(arg), 0.0, 1.0)
     return float(out) if out.ndim == 0 else out
 
 

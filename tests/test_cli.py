@@ -1,9 +1,13 @@
 """CLI and configuration tests: parsing, dispatch, exit codes, determinism."""
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stinqos
 from stinqos import csvio
 from stinqos.aoi import TRACE_FIELDS
 from stinqos.cli import main
@@ -193,14 +197,25 @@ class TestDispatch:
          "scenario.satellite"),
         ("error", {"blocklength": 64.5, "code_size": 256}, "coding.blocklength"),
         ("error", {"blocklength": True, "code_size": 256}, "coding.blocklength"),
+        ("paoi-bound", {"a_th_cu": float("nan")}, "params.a_th_cu"),
+        ("error", {"avg_snr_db": float("nan")}, "scenario.avg_snr_db"),
+        ("sweep", {"figure": "fig3", "snr_points_db": [float("nan")]},
+         "params.snr_points_db"),
+        ("paoi-bound", "a_th_cu=Infinity", "params.a_th_cu"),
+        ("paoi-bound", {"a_th_cu": 10 ** 400}, "params.a_th_cu"),
     ])
     def test_params_value_type_config_exit_code(self, tmp_path, capsys,
                                                  command, params, key):
-        # ``params`` is the content of the block that the key's first part names
+        # ``params`` is the content of the block that the key's first part
+        # names, or a ``--set`` override of one key of that block
         out = tmp_path / "p.csv"
-        cfg = {"command": command, "seed": 1, "output": str(out),
-               key.split(".")[0]: params}
-        assert main([write_config(tmp_path, cfg)]) == 2
+        block = key.split(".")[0]
+        cfg = {"command": command, "seed": 1, "output": str(out)}
+        if isinstance(params, str):
+            argv = ["--set", f"{block}.{params}"]
+        else:
+            cfg[block], argv = params, []
+        assert main([write_config(tmp_path, cfg), *argv]) == 2
         assert not out.exists()
         err = capsys.readouterr().err
         assert "category=config" in err and key in err
@@ -347,3 +362,43 @@ class TestAtomicWrite:
         assert (os.stat(tmp_path / "t.csv").st_mode
                 == os.stat(tmp_path / "plain.csv").st_mode)
         assert not list(tmp_path.glob("*.tmp"))
+
+
+class TestStartupImports:
+    """Modules that only some commands need stay out of the others' start-up."""
+
+    PAOI = {"command": "paoi-bound", "seed": 1,
+            "params": {"arrival": {"kind": "deterministic", "period": 300.0}}}
+
+    @staticmethod
+    def loaded_after(tmp_path, cfg=None) -> set:
+        """Of scipy and importlib.metadata, those loaded by a fresh process.
+
+        The process imports stinqos.cli and, given a config, runs it.
+        """
+        code = "import sys, stinqos.cli\n"
+        argv = []
+        if cfg is not None:
+            cfg = dict(cfg, output=str(tmp_path / "out.csv"))
+            argv = [write_config(tmp_path, cfg)]
+            code += "assert stinqos.cli.main(sys.argv[1:]) == 0\n"
+        code += ("print(*(m for m in ('scipy', 'importlib.metadata')"
+                 " if m in sys.modules))")
+        src = str(Path(stinqos.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        res = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                             capture_output=True, text=True, check=True)
+        return set(res.stdout.splitlines()[-1].split())
+
+    @pytest.mark.parametrize("cfg", [
+        None,
+        dict(PAOI, params=dict(PAOI["params"], service={"kind": "arq", "n": 64,
+                                                       "epsilon": 0.1})),
+        dict(PAOI, params=dict(PAOI["params"], service={"kind": "fixed", "n": 64})),
+        dict(AOI_SIM_DET, params=dict(AOI_SIM_DET["params"], n_updates=1000)),
+    ], ids=["import", "paoi-bound-epsilon", "paoi-bound-fixed", "aoi-sim"])
+    def test_no_scipy_or_metadata(self, tmp_path, cfg):
+        assert self.loaded_after(tmp_path, cfg) == set()
+
+    def test_error_run_loads_scipy(self, tmp_path):
+        assert "scipy" in self.loaded_after(tmp_path, {"command": "error", "seed": 1})

@@ -1,10 +1,12 @@
 """CSV writer tests: byte identity with csv.writer plus format_value per cell."""
 import csv
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stinqos
 from stinqos import csvio
 from stinqos.aoi import (
     ArrivalModel, ServiceModel, TRACE_FIELDS, simulate_trace, trace_columns,
@@ -98,3 +100,14 @@ def test_quote_matches_csv_writer(cell):
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_MINIMAL).writerow([cell, "x"])
     assert csvio._quote(cell) + ",x\n" == buf.getvalue()
+
+
+def test_build_identifier_is_package_version():
+    assert csvio.build_identifier() == f"stinqos {stinqos.__version__}"
+
+
+def test_pyproject_version_is_package_version():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == stinqos.__version__
