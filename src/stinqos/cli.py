@@ -11,7 +11,6 @@ error, 5 io error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import channel, csvio
@@ -22,8 +21,8 @@ from .config import (
     build_arrival,
     build_config,
     build_service,
+    decode_json,
     echo_params,
-    parse_config,
 )
 from .errors import ConfigError, DomainError, NumericError, StabilityError
 from .experiments import SweepSpec, run_sweep
@@ -101,20 +100,16 @@ def _run_paoi_bound(rc: RunConfig, workers: int):
 
 
 def _run_delay_bound(rc: RunConfig, workers: int):
-    kind = rc.params.get("arrival_kind", "constant_rate")
-    if kind == "constant_rate":
+    if rc.params.get("arrival_kind", "constant_rate") == "constant_rate":
         arrival = constant_rate_arrival(rc.params.get("alpha_bits", 28.0))
-    elif kind == "poisson_batch":
+    else:
         arrival = poisson_batch_arrival(
             rc.params.get("rate_per_block", 1.0),
             rc.params.get("batch_bits", 28.0),
         )
-    else:
-        raise ConfigError(
-            f"unknown arrival_kind {kind!r}; expected constant_rate|poisson_batch"
-        )
     d_th = rc.params.get("d_th_blocks", 5.0)
-    report = delay_bound(d_th, arrival, rc.coding, rc.scenario, rc.error_model)
+    eps = average_error(rc.scenario, rc.coding, rc.error_model).value
+    report = delay_bound(d_th, arrival, rc.coding, eps)
     row = report_row(report, seed=rc.seed)
     return REPORT_FIELDS, _columns(REPORT_FIELDS, [row])
 
@@ -192,7 +187,7 @@ def main(argv=None) -> int:
         return fail("io", EXIT_IO, exc)
 
     try:
-        raw = json.loads(text)
+        raw = decode_json(text, "config")
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
         raw = apply_overrides(raw, args.overrides)
@@ -200,12 +195,6 @@ def main(argv=None) -> int:
             raw["output"] = args.output
         rc = build_config(raw)
     except ConfigError as exc:
-        return fail("config", EXIT_CONFIG, exc)
-    except Exception as exc:  # malformed JSON reported with context
-        try:
-            parse_config(text)
-        except ConfigError as parse_exc:
-            return fail("config", EXIT_CONFIG, parse_exc)
         return fail("config", EXIT_CONFIG, exc)
 
     try:

@@ -49,8 +49,10 @@ _SCENARIO_PRESET_KINDS = {"k": int, "avg_snr_db": float, "inr_db": float,
                           "rx_antennas": int}
 _CODING_KINDS = {"blocklength": int, "code_size": int, "rate": (float, None)}
 _ERROR_MODEL_KINDS = {"method": str, "sample_budget": int, "quad_tolerance": float}
-_ARRIVAL_KINDS = ({"kind": str, "period": float, "rate": float}, None)
-_SERVICE_KINDS = ({"kind": str, "n": int, "epsilon": (float, None)}, None)
+_ARRIVAL_KINDS = ({"kind": ("deterministic", "poisson"), "period": float,
+                   "rate": float}, None)
+_SERVICE_KINDS = ({"kind": ("fixed", "arq"), "n": int, "epsilon": (float, None)},
+                  None)
 _PARAM_KINDS = {
     "error": {},
     "exponent": {},
@@ -58,8 +60,9 @@ _PARAM_KINDS = {
                 "service": _SERVICE_KINDS},
     "paoi-bound": {"a_th_cu": float, "u": (int, "inf"), "theta": (float, "optimize"),
                    "arrival": _ARRIVAL_KINDS, "service": _SERVICE_KINDS},
-    "delay-bound": {"d_th_blocks": float, "arrival_kind": str, "alpha_bits": float,
-                    "rate_per_block": float, "batch_bits": float},
+    "delay-bound": {"d_th_blocks": float,
+                    "arrival_kind": ("constant_rate", "poisson_batch"),
+                    "alpha_bits": float, "rate_per_block": float, "batch_bits": float},
     "sweep": {f.name: _sweep_kind(f.default) for f in fields(SweepSpec)},
 }
 _KIND_NAMES = {float: "finite number", int: "integer", str: "string",
@@ -132,14 +135,30 @@ def _require(block: dict, key: str, context: str):
     return block[key]
 
 
+def decode_json(text: str, what: str, bare_string: bool = False):
+    """Decode JSON text; text it cannot decode is a ConfigError naming ``what``.
+
+    With ``bare_string`` text that is not JSON is returned as the string it
+    is. Nesting deeper than the decoder's recursion limit and integers longer
+    than Python converts are errors either way.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        if bare_string:
+            return text
+        raise ConfigError(
+            f"{what} is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
+        ) from None
+    except RecursionError:
+        raise ConfigError(f"{what} nests too deeply to decode") from None
+    except ValueError as exc:
+        raise ConfigError(f"{what} cannot be decoded: {exc}") from None
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON run configuration."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"config is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
-        ) from None
+    raw = decode_json(text, "config")
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     return build_config(raw)
@@ -247,12 +266,9 @@ def build_arrival(block, defaults_used: list, default_gap_cu: float = 4096.0) ->
     if block is None:
         defaults_used.append(f"arrival=poisson(rate=1/{default_gap_cu:g} per cu)")
         return ArrivalModel.poisson(1.0 / default_gap_cu)
-    kind = _require(block, "kind", "arrival")
-    if kind == "deterministic":
+    if _require(block, "kind", "arrival") == "deterministic":
         return ArrivalModel.deterministic(_require(block, "period", "arrival"))
-    if kind == "poisson":
-        return ArrivalModel.poisson(_require(block, "rate", "arrival"))
-    raise ConfigError(f"unknown arrival kind {kind!r}; expected deterministic|poisson")
+    return ArrivalModel.poisson(_require(block, "rate", "arrival"))
 
 
 def build_service(
@@ -264,12 +280,9 @@ def build_service(
     if block is None:
         block = {}
         defaults_used.append("service=arq(n=coding.blocklength, epsilon=from scenario)")
-    kind = block.get("kind", "arq")
     n = block.get("n", rc.coding.blocklength)
-    if kind == "fixed":
+    if block.get("kind", "arq") == "fixed":
         return ServiceModel.fixed(n)
-    if kind != "arq":
-        raise ConfigError(f"unknown service kind {kind!r}; expected fixed|arq")
     epsilon = block.get("epsilon")
     if epsilon is None:
         epsilon = average_error(rc.scenario, rc.coding, rc.error_model).value
@@ -283,10 +296,7 @@ def apply_overrides(raw: dict, overrides: list) -> dict:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not KEY=VALUE")
         path, _, value_text = item.partition("=")
-        try:
-            value = json.loads(value_text)
-        except json.JSONDecodeError:
-            value = value_text  # bare strings stay strings
+        value = decode_json(value_text, f"override {path!r}", bare_string=True)
         if isinstance(value, (dict, list)):
             raise ConfigError(f"override {path!r} must be scalar, got {value_text!r}")
         node = raw

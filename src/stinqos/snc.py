@@ -5,7 +5,9 @@ Mellin transform M_X(theta) = E[X^(theta-1)] is the moment generating
 function of T at theta - 1. Closed forms exist for the supported arrival
 and service models; the peak-AoI kernel combines them into a Chernoff-type
 violation bound, and the bit-domain service process gives the delay bound
-with its stability condition.
+with its stability condition. The delay layer sees the link only through
+the bits per block and the average decoding error probability eps, which
+the caller computes once from the fading and coding models.
 """
 from __future__ import annotations
 
@@ -14,9 +16,8 @@ import warnings
 from typing import Callable
 
 from .aoi import ArrivalModel, ServiceModel
-from .channel import Scenario
 from .errors import DomainError, StabilityError
-from .fbc import CodingSpec, ErrorModel, average_error
+from .fbc import CodingSpec
 from .optimize import grid_then_golden
 from .reports import QoSReport
 
@@ -90,6 +91,20 @@ def _log_geometric_sum(log_r: float, terms: int) -> float:
     return math.log(-math.expm1(terms * log_r)) - math.log(-math.expm1(log_r))
 
 
+def _bisect_edge(inside: Callable[[float], bool], lo: float, hi: float) -> float:
+    """Inner edge of the set where ``inside`` holds, by 200 halvings of [lo, hi].
+
+    lo must be inside; the last midpoint found inside is returned.
+    """
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if inside(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 # ---------------------------------------------------------------------------
 # Peak-AoI kernel and bound
 # ---------------------------------------------------------------------------
@@ -160,14 +175,8 @@ def paoi_theta_interval(am: ArrivalModel, sm: ServiceModel) -> tuple[float, floa
     probe = t_max * (1.0 - 1e-9)
     if log_ratio(probe) < 0.0:
         return 0.0, t_max
-    lo, hi = 0.0, probe
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= 0.0 or log_ratio(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.0, lo
+    return 0.0, _bisect_edge(lambda theta: theta <= 0.0 or log_ratio(theta) < 0.0,
+                             0.0, probe)
 
 
 def paoi_bound(
@@ -252,36 +261,29 @@ def poisson_batch_arrival(rate_per_block: float, batch_bits: float) -> Callable[
     return mellin
 
 
-def mellin_service_process(
-    theta: float,
-    spec: CodingSpec,
-    s: Scenario,
-    em: ErrorModel,
-    avg_error: float | None = None,
-) -> float:
+def mellin_service_process(theta: float, spec: CodingSpec, eps: float) -> float:
     """Transform of the per-block served bits: log2(M) with prob 1 - eps.
 
-    eps is the scenario's average decoding error probability; pass
-    ``avg_error`` to reuse a precomputed value across theta evaluations.
+    eps is the average decoding error probability of the link.
     """
-    eps = average_error(s, spec, em).value if avg_error is None else avg_error
     if not 0.0 <= eps <= 1.0:
         raise DomainError(f"average error must be in [0, 1], got {eps}")
     return eps + (1.0 - eps) * math.exp((theta - 1.0) * spec.bits_per_block)
 
 
+def _delay_transforms(
+    theta: float, arrival_mellin: Callable[[float], float], spec: CodingSpec, eps: float
+) -> tuple[float, float]:
+    """(M_S(1-theta), M_A(1+theta) M_S(1-theta)): service transform and product."""
+    ms = mellin_service_process(1.0 - theta, spec, eps)
+    return ms, arrival_mellin(1.0 + theta) * ms
+
+
 def stability_check(
-    theta: float,
-    arrival_mellin: Callable[[float], float],
-    spec: CodingSpec,
-    s: Scenario,
-    em: ErrorModel,
-    avg_error: float | None = None,
+    theta: float, arrival_mellin: Callable[[float], float], spec: CodingSpec, eps: float
 ) -> tuple[bool, float]:
     """Whether M_A(1+theta) M_S(1-theta) < 1, plus the product as margin."""
-    product = arrival_mellin(1.0 + theta) * mellin_service_process(
-        1.0 - theta, spec, s, em, avg_error=avg_error
-    )
+    _, product = _delay_transforms(theta, arrival_mellin, spec, eps)
     return product < 1.0, product
 
 
@@ -290,9 +292,7 @@ def delay_kernel(
     d_th: float,
     arrival_mellin: Callable[[float], float],
     spec: CodingSpec,
-    s: Scenario,
-    em: ErrorModel,
-    avg_error: float | None = None,
+    eps: float,
 ) -> float:
     """Delay kernel M_S(1-theta)^D_th / (1 - M_A(1+theta) M_S(1-theta)).
 
@@ -304,10 +304,7 @@ def delay_kernel(
         raise DomainError(f"theta must be > 0, got {theta}")
     if d_th < 0:
         raise DomainError(f"d_th must be >= 0, got {d_th}")
-    if avg_error is None:
-        avg_error = average_error(s, spec, em).value
-    ms = mellin_service_process(1.0 - theta, spec, s, em, avg_error=avg_error)
-    product = arrival_mellin(1.0 + theta) * ms
+    ms, product = _delay_transforms(theta, arrival_mellin, spec, eps)
     if product >= 1.0:
         raise StabilityError(
             f"stability condition violated: transform product {product:g} >= 1",
@@ -328,20 +325,18 @@ def delay_bound(
     d_th: float,
     arrival_mellin: Callable[[float], float],
     spec: CodingSpec,
-    s: Scenario,
-    em: ErrorModel,
-    avg_error: float | None = None,
+    eps: float,
     theta_tol: float = 1e-9,
 ) -> QoSReport:
-    """Delay violation bound inf over stable theta of the delay kernel."""
-    if avg_error is None:
-        avg_error = average_error(s, spec, em).value
+    """Delay violation bound inf over stable theta of the delay kernel.
+
+    eps is the average decoding error probability of the link; the link
+    enters the bound only through it and the bits per block of ``spec``.
+    """
 
     def product(theta: float) -> float:
         try:
-            return arrival_mellin(1.0 + theta) * mellin_service_process(
-                1.0 - theta, spec, s, em, avg_error=avg_error
-            )
+            return _delay_transforms(theta, arrival_mellin, spec, eps)[1]
         except OverflowError:
             return math.inf
 
@@ -362,18 +357,10 @@ def delay_bound(
         hi *= 2.0
         if hi > 1e12:
             break
-    lo_edge, hi_edge = probe, hi
-    for _ in range(200):
-        mid = 0.5 * (lo_edge + hi_edge)
-        if product(mid) < 1.0:
-            lo_edge = mid
-        else:
-            hi_edge = mid
-    theta_hi = lo_edge
+    theta_hi = _bisect_edge(lambda theta: product(theta) < 1.0, probe, hi)
 
     def log_kernel(theta: float) -> float:
-        ms = mellin_service_process(1.0 - theta, spec, s, em, avg_error=avg_error)
-        p = arrival_mellin(1.0 + theta) * ms
+        ms, p = _delay_transforms(theta, arrival_mellin, spec, eps)
         if p >= 1.0:
             return math.inf
         return d_th * math.log(ms) - math.log(1.0 - p)
@@ -383,7 +370,7 @@ def delay_bound(
         n_grid=96, tol=theta_tol * theta_hi,
     )
     raw = math.exp(log_k)
-    _, margin = stability_check(theta_star, arrival_mellin, spec, s, em, avg_error)
+    _, margin = _delay_transforms(theta_star, arrival_mellin, spec, eps)
     return QoSReport(
         kind="delay",
         theta=theta_star,
@@ -393,7 +380,7 @@ def delay_bound(
         raw_bound=raw,
         stability_ok=True,
         params={
-            "avg_error": avg_error,
+            "avg_error": eps,
             "bits_per_block": spec.bits_per_block,
             "arrival": getattr(arrival_mellin, "description", "custom"),
             "stability_margin": margin,

@@ -174,21 +174,17 @@ def test_criterion_5_delay_bound_dominance():
     d_grid = list(range(10))
     emp = simulate_delay_violation(alpha, coding.bits_per_block, eps, 100_000,
                                    d_grid, rng)
-    scen = default_scenario(k=spec.fig_k, avg_snr_db=spec.avg_snr_db, seed=spec.seed)
-    em = ErrorModel()
     for d in d_grid:
-        rep = delay_bound(float(d), arrival, coding, scen, em, avg_error=eps)
+        rep = delay_bound(float(d), arrival, coding, eps)
         assert rep.bound_value >= emp[float(d)], f"delay dominance fails at D={d}"
 
     # pushing the arrival rate past the stability point must blow the margin
     # above 1 and make the simulated backlog grow without bound
     bad_alpha = 40.0
-    ok, margin = stability_check(0.1, constant_rate_arrival(bad_alpha), coding,
-                                 scen, em, avg_error=eps)
+    ok, margin = stability_check(0.1, constant_rate_arrival(bad_alpha), coding, eps)
     assert not ok and margin > 1.0
     with pytest.raises(StabilityError):
-        delay_bound(5.0, constant_rate_arrival(bad_alpha), coding, scen, em,
-                    avg_error=eps)
+        delay_bound(5.0, constant_rate_arrival(bad_alpha), coding, eps)
     g_stable = queue_growth_ratio(alpha, coding.bits_per_block, eps, 100_000,
                                   np.random.default_rng(55))
     g_unstable = queue_growth_ratio(bad_alpha, coding.bits_per_block, eps, 100_000,

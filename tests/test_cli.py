@@ -203,6 +203,10 @@ class TestDispatch:
          "params.snr_points_db"),
         ("paoi-bound", "a_th_cu=Infinity", "params.a_th_cu"),
         ("paoi-bound", {"a_th_cu": 10 ** 400}, "params.a_th_cu"),
+        ("aoi-sim", {"arrival": {"kind": "uniform", "rate": 0.01}},
+         "params.arrival.kind"),
+        ("paoi-bound", {"service": {"kind": "harq", "n": 64}}, "params.service.kind"),
+        ("delay-bound", "arrival_kind=bursty", "params.arrival_kind"),
     ])
     def test_params_value_type_config_exit_code(self, tmp_path, capsys,
                                                  command, params, key):
@@ -292,6 +296,25 @@ class TestDispatch:
         assert main([path]) == 2
         assert "category=config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,argv,message", [
+        ('{"command": "error", "seed": 1, "params": %s}'
+         % ("[" * 100_000 + "]" * 100_000), [], "config nests too deeply"),
+        ('{"command": "error", "seed": 1}', ["--set", "params.x=" + "[" * 100_000],
+         "override 'params.x' nests too deeply"),
+        ('{"command": "error", "seed": 1, "scenario": {"k": %s}}' % ("1" * 5000),
+         [], "config cannot be decoded"),
+        ('{"command": "error", "seed": 1', [], "config is not valid JSON"),
+    ], ids=["deep-file", "deep-set", "long-integer", "truncated"])
+    def test_undecodable_config_exit_code(self, tmp_path, capsys, text, argv,
+                                          message):
+        config = tmp_path / "run.json"
+        config.write_text(text, encoding="utf-8")
+        out = tmp_path / "e.csv"
+        assert main([str(config), "--output", str(out), *argv]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "category=config" in err and message in err
+
     def test_cli_set_overrides_scalar(self, tmp_path):
         cfg = dict(THEOREM_CONFIG)
         path = write_config(tmp_path, cfg)
@@ -339,6 +362,18 @@ class TestAtomicWrite:
         assert main([write_config(tmp_path, cfg)]) == 5
         assert calls == [csvio._CHUNK_ROWS] * len(TRACE_FIELDS) + [5]
         assert "category=io" in capsys.readouterr().err
+        assert out.read_bytes() == b"earlier run\r\n"
+        assert not list(tmp_path.glob("*.tmp"))
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_worker_failure_keeps_existing_target(self, tmp_path, capsys, workers):
+        # blocklength 0 fails inside the fig5 grid, in a pool worker at 2
+        out = tmp_path / "s.csv"
+        out.write_bytes(b"earlier run\r\n")
+        cfg = {"command": "sweep", "seed": 11, "output": str(out),
+               "params": {"figure": "fig5", "n_grid": [100, 0]}}
+        assert main([write_config(tmp_path, cfg), "--workers", workers]) == 3
+        assert "category=domain" in capsys.readouterr().err
         assert out.read_bytes() == b"earlier run\r\n"
         assert not list(tmp_path.glob("*.tmp"))
 

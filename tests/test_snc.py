@@ -246,44 +246,38 @@ CODING = CodingSpec(blocklength=64, code_size=256)  # 8 bits per block
 
 class TestServiceProcessTransform:
     def test_identity_at_one(self):
-        assert mellin_service_process(1.0, CODING, None, None, avg_error=0.3) == 1.0
+        assert mellin_service_process(1.0, CODING, 0.3) == 1.0
 
     def test_degenerate_channel(self):
-        assert mellin_service_process(0.4, CODING, None, None, avg_error=1.0) == 1.0
+        assert mellin_service_process(0.4, CODING, 1.0) == 1.0
 
     def test_worked_value(self):
-        val = mellin_service_process(0.5, CODING, None, None, avg_error=0.1)
+        val = mellin_service_process(0.5, CODING, 0.1)
         assert val == pytest.approx(0.1 + 0.9 * math.exp(-4.0), rel=1e-12)
         assert val == pytest.approx(0.11648, abs=1e-5)
 
     def test_log_convexity(self):
         thetas = np.linspace(0.1, 1.5, 20)
-        logs = [math.log(mellin_service_process(t, CODING, None, None, avg_error=0.2))
-                for t in thetas]
+        logs = [math.log(mellin_service_process(t, CODING, 0.2)) for t in thetas]
         assert np.all(np.diff(logs, 2) >= -1e-9)
 
 
 class TestStabilityCheck:
     def test_stable(self):
-        ok, margin = stability_check(
-            0.5, lambda t: 1.0, CODING, None, None, avg_error=0.1
-        )
+        ok, margin = stability_check(0.5, lambda t: 1.0, CODING, 0.1)
         assert ok and margin < 1.0
 
     def test_unstable(self):
         ok, margin = stability_check(
-            0.5, lambda t: 2.0 / mellin_service_process(0.5, CODING, None, None,
-                                                        avg_error=0.1) * 0.6,
-            CODING, None, None, avg_error=0.1,
+            0.5, lambda t: 2.0 / mellin_service_process(0.5, CODING, 0.1) * 0.6,
+            CODING, 0.1,
         )
         assert (margin < 1.0) == ok
 
     def test_margin_monotone_in_arrival_rate(self):
         margins = []
         for alpha in (1.0, 2.0, 4.0, 6.0):
-            _, margin = stability_check(
-                0.3, constant_rate_arrival(alpha), CODING, None, None, avg_error=0.1
-            )
+            _, margin = stability_check(0.3, constant_rate_arrival(alpha), CODING, 0.1)
             margins.append(margin)
         assert all(margins[i + 1] > margins[i] for i in range(len(margins) - 1))
 
@@ -293,8 +287,7 @@ class TestDelayKernel:
         # make M_S(1 - theta) = 0.5 exactly: no decoding errors, 1 bit/block
         one_bit = CodingSpec(blocklength=64, code_size=2)
         theta = math.log(2.0)
-        val = delay_kernel(theta, 2.0, lambda t: 1.0, one_bit, None, None,
-                           avg_error=0.0)
+        val = delay_kernel(theta, 2.0, lambda t: 1.0, one_bit, 0.0)
         assert val == pytest.approx(0.25 / 0.5, rel=1e-12)
 
     def test_near_pole_warning(self):
@@ -303,26 +296,24 @@ class TestDelayKernel:
         target = 1.0 - 1e-7
 
         def arrival(t):
-            return target / mellin_service_process(2.0 - t, one_bit, None, None,
-                                                   avg_error=0.0)
+            return target / mellin_service_process(2.0 - t, one_bit, 0.0)
 
         theta = math.log(2.0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            val = delay_kernel(theta, 0.0, arrival, one_bit, None, None, avg_error=0.0)
+            val = delay_kernel(theta, 0.0, arrival, one_bit, 0.0)
         assert val > 1e6
         assert any("stability margin" in str(w.message) for w in caught)
 
     def test_stability_error_carries_margin(self):
         with pytest.raises(StabilityError) as info:
-            delay_kernel(0.3, 2.0, constant_rate_arrival(50.0), CODING, None, None,
-                         avg_error=0.1)
+            delay_kernel(0.3, 2.0, constant_rate_arrival(50.0), CODING, 0.1)
         assert info.value.margin >= 1.0
 
     def test_finite_and_decreasing_in_d_th(self):
         arrival = constant_rate_arrival(4.0)  # below (1 - eps) * 8 bits
         vals = [
-            delay_kernel(0.3, d, arrival, CODING, None, None, avg_error=0.1)
+            delay_kernel(0.3, d, arrival, CODING, 0.1)
             for d in (0.0, 1.0, 2.0, 5.0, 10.0)
         ]
         assert all(math.isfinite(v) for v in vals)
@@ -331,27 +322,24 @@ class TestDelayKernel:
 
 class TestDelayBound:
     def test_zero_threshold_clamps_to_one(self):
-        rep = delay_bound(0.0, constant_rate_arrival(4.0), CODING, None, None,
-                          avg_error=0.1)
+        rep = delay_bound(0.0, constant_rate_arrival(4.0), CODING, 0.1)
         assert rep.bound_value == 1.0 and rep.raw_bound >= 1.0
 
     def test_nonincreasing_in_threshold(self):
         vals = [
-            delay_bound(d, constant_rate_arrival(4.0), CODING, None, None,
-                        avg_error=0.1).bound_value
+            delay_bound(d, constant_rate_arrival(4.0), CODING, 0.1).bound_value
             for d in (0.0, 1.0, 3.0, 6.0, 10.0)
         ]
         assert all(vals[i + 1] <= vals[i] + 1e-15 for i in range(len(vals) - 1))
 
     def test_no_stable_theta(self):
         with pytest.raises(StabilityError):
-            delay_bound(3.0, constant_rate_arrival(8.0), CODING, None, None,
-                        avg_error=0.1)
+            delay_bound(3.0, constant_rate_arrival(8.0), CODING, 0.1)
 
     def test_poisson_batch_arrival_transform(self):
         arrival = poisson_batch_arrival(0.5, 4.0)
         assert arrival(1.0) == 1.0
-        rep = delay_bound(3.0, arrival, CODING, None, None, avg_error=0.05)
+        rep = delay_bound(3.0, arrival, CODING, 0.05)
         assert 0.0 <= rep.bound_value <= 1.0
 
 
