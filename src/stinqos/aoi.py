@@ -195,17 +195,22 @@ def departure_rows(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
 
 
 def departure_times_maxplus(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
-    """Direct O(N^2) max-plus evaluation, the oracle for departure_times."""
+    """Direct max-plus form max_{v<=u} (A[v] + S[v] + ... + S[u]), the oracle
+    for departure_times.
+
+    The candidate sum of every v <= u is kept and extended by S[u] at step
+    u, one addition each, so each sum is added left to right and the whole
+    evaluation is O(N^2).
+    """
+    arrivals = np.asarray(arrivals, dtype=float)
+    services = np.asarray(services, dtype=float)
     n = len(arrivals)
+    sums = np.empty(n)
     dep = np.empty(n)
     for u in range(n):
-        best = -math.inf
-        for v in range(u + 1):
-            t = arrivals[v]
-            for i in range(v, u + 1):
-                t += services[i]
-            best = max(best, t)
-        dep[u] = best
+        sums[:u] += services[u]
+        sums[u] = arrivals[u] + services[u]
+        dep[u] = sums[: u + 1].max()
     return dep
 
 

@@ -260,21 +260,48 @@ def srician_cdf_grid(
     return edges, np.minimum(cdf, 1.0)
 
 
+# Rows per block of the Monte Carlo SINR path. Blocks start at multiples of
+# this power of two: drawn one after another they give the draws of one big
+# draw, and a block's ``@`` adds in the order of the whole matrix's.
+_BLOCK_ROWS = 1 << 14
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Slices of rows 0..n-1, one per block of _BLOCK_ROWS rows."""
+    return [slice(i, min(i + _BLOCK_ROWS, n)) for i in range(0, n, _BLOCK_ROWS)]
+
+
 def sample_channel_gain(p: ShadowedRicianParams, rng: np.random.Generator, size=None):
     """Draw |h|^2 where h = A e^{j phi} + Z.
 
     A is Nakagami-m with spread omega (A^2 ~ Gamma(m, omega/m)), phi uniform,
     Z complex Gaussian with per-dimension variance b; the power gain then
     follows the shadowed-Rician density by construction.
+
+    The draws come in the order gamma, uniform, normal, normal; each normal
+    stream is drawn one block of rows at a time and the arithmetic is done
+    in place, so at most three arrays of the sample size are live.
     """
-    a = np.sqrt(rng.gamma(shape=p.m, scale=p.omega / p.m, size=size)) if p.omega > 0 else (
-        np.zeros(size if size is not None else ()) )
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=size)
+    n = 1 if size is None else int(np.prod(size))
+    if p.omega > 0:
+        a = rng.gamma(shape=p.m, scale=p.omega / p.m, size=n)
+        np.sqrt(a, out=a)
+    else:
+        a = np.zeros(n)
+    phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
     sd = math.sqrt(p.b)
-    re = a * np.cos(phi) + rng.normal(0.0, sd, size=size)
-    im = a * np.sin(phi) + rng.normal(0.0, sd, size=size)
-    gain = re * re + im * im
-    return float(gain) if size is None else gain
+    re = np.cos(phi)
+    re *= a
+    for rows in _row_blocks(n):
+        re[rows] += rng.normal(0.0, sd, size=rows.stop - rows.start)
+    im = np.sin(phi, out=phi)
+    im *= a
+    for rows in _row_blocks(n):
+        im[rows] += rng.normal(0.0, sd, size=rows.stop - rows.start)
+    re *= re
+    im *= im
+    re += im
+    return float(re[0]) if size is None else re.reshape(size)
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +409,10 @@ class InterfererField:
             return np.zeros(0)
         if self.distances_m is None:
             raise ValueError("interferer distances not placed yet")
-        phi = np.array([pathloss_factor(self.budget_at(d)) for d in self.distances_m])
-        return phi * self.tx_snr
+        free_space = SPEED_OF_LIGHT / (4.0 * np.pi * self.carrier_hz
+                                       * np.asarray(self.distances_m, dtype=float))
+        return (free_space ** 2 * _db_to_linear(self.gain_tx_dbi + self.gain_rx_dbi)
+                * self.tx_snr)
 
 
 def place_interferers(f: InterfererField, rng: np.random.Generator) -> np.ndarray:

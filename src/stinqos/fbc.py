@@ -144,17 +144,21 @@ def conditional_error(gamma, spec: CodingSpec):
 # ---------------------------------------------------------------------------
 
 def sinr_samples(s: Scenario, n_draws: int, stream_index: int = 0) -> np.ndarray:
-    """Monte Carlo SINR draws with interferer positions frozen per scenario."""
+    """Monte Carlo SINR draws with interferer positions frozen per scenario.
+
+    After every channel-gain draw, the Rayleigh interferer gains are drawn
+    and summed one block of rows at a time, and each block of channel gains
+    becomes SINR in place, so no (n_draws, K) matrix is ever built.
+    """
     s = s.placed()
     rng = s.rng(channel.STREAM_CHANNEL, stream_index)
-    h = channel.sample_channel_gain(s.fading, rng, size=n_draws)
-    k = s.interferers.count
-    if k:
-        gains = rng.exponential(1.0, size=(n_draws, k))
-        i_a = channel.aggregate_interference(s.interferers, gains)
-    else:
-        i_a = np.zeros(n_draws)
-    return channel.sinr(s, h, i_a)
+    gam = channel.sample_channel_gain(s.fading, rng, size=n_draws)
+    coef = s.interferers.coefficients()
+    for rows in channel._row_blocks(n_draws):
+        i_a = (rng.exponential(1.0, size=(rows.stop - rows.start, coef.size)) @ coef
+               if coef.size else 0.0)
+        gam[rows] = channel.sinr(s, gam[rows], i_a)
+    return gam
 
 
 def _gauss_rule(x: np.ndarray, w: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -224,8 +228,10 @@ def average_error(s: Scenario, spec: CodingSpec, em: ErrorModel) -> ErrorResult:
     panel count until successive values differ by less than quad_tolerance.
     """
     if em.method == "monte_carlo":
-        gam = sinr_samples(s, em.sample_budget)
-        errs = conditional_error(gam, spec)
+        errs = sinr_samples(s, em.sample_budget)
+        for rows in channel._row_blocks(errs.size):
+            errs[rows] = conditional_error(errs[rows], spec)
+        # over the whole array: block-wise sums would add in another order
         value = float(np.mean(errs))
         se = float(np.std(errs, ddof=1) / math.sqrt(em.sample_budget))
         return ErrorResult(value=value, std_error=se, achieved_tol=None,

@@ -1,5 +1,6 @@
 """Channel model tests: density, special function, sampling, geometry."""
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -28,6 +29,7 @@ from stinqos.channel import (
     srician_quad_nodes,
 )
 from stinqos.errors import DomainError, NumericError
+from stinqos.experiments import default_scenario
 
 
 def hyp1f1_series_oracle(m: float, z: float, terms: int = 200) -> float:
@@ -309,6 +311,25 @@ class TestAggregateInterference:
         f = _field(3).with_distances(np.array([3e3, 4e3, 5e3]))
         with pytest.raises(ValueError):
             aggregate_interference(f, np.ones(2))
+
+
+class TestInterfererCoefficients:
+    @pytest.mark.parametrize("k", range(11))
+    def test_equal_to_per_distance_pathloss(self, k):
+        fields = [
+            default_scenario(k=k, seed=k).placed().interferers,
+            replace(_field(k, tx_snr_db=97.3), gain_tx_dbi=3.0, gain_rx_dbi=-1.5),
+        ]
+        fields[1] = fields[1].with_distances(
+            place_interferers(fields[1], np.random.default_rng(k)))
+        for f in fields:
+            want = np.array([pathloss_factor(f.budget_at(d)) for d in f.distances_m])
+            got = f.coefficients()
+            assert got.shape == (k,) and np.array_equal(got, want * f.tx_snr)
+
+    def test_unplaced(self):
+        with pytest.raises(ValueError):
+            _field(2).coefficients()
 
 
 def _scenario(tx_snr_db=10.0, seed=7):

@@ -1,10 +1,12 @@
 """Finite-blocklength error and exponent tests."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.polynomial.laguerre import laggauss
 
+from stinqos import channel
 from stinqos.channel import (
     InterfererField,
     LinkBudget,
@@ -176,6 +178,88 @@ class TestAverageError:
             ErrorModel(quad_tolerance=0.5)
         with pytest.raises(DomainError):
             ErrorModel(method="bogus")
+
+
+def unblocked_channel_gain(p: ShadowedRicianParams, rng, size=None):
+    """sample_channel_gain as one whole-array draw: the oracle of the blocks."""
+    a = (np.sqrt(rng.gamma(shape=p.m, scale=p.omega / p.m, size=size))
+         if p.omega > 0 else np.zeros(size if size is not None else ()))
+    phi = rng.uniform(0.0, 2.0 * np.pi, size=size)
+    sd = math.sqrt(p.b)
+    re = a * np.cos(phi) + rng.normal(0.0, sd, size=size)
+    im = a * np.sin(phi) + rng.normal(0.0, sd, size=size)
+    gain = re * re + im * im
+    return float(gain) if size is None else gain
+
+
+def unblocked_sinr_samples(s: Scenario, n_draws: int) -> np.ndarray:
+    """sinr_samples with the whole (n_draws, K) gain matrix and one ``@``."""
+    s = s.placed()
+    rng = s.rng(channel.STREAM_CHANNEL, 0)
+    h = unblocked_channel_gain(s.fading, rng, size=n_draws)
+    k = s.interferers.count
+    if k:
+        gains = rng.exponential(1.0, size=(n_draws, k))
+        i_a = gains @ s.interferers.coefficients()
+    else:
+        i_a = np.zeros(n_draws)
+    return s.satellite_coefficient * h / (i_a + 1.0)
+
+
+BLOCK = channel._BLOCK_ROWS
+MC_SPEC = CodingSpec(blocklength=128, code_size=2 ** 192)
+
+
+def fading_scenario(k: int, m: float) -> Scenario:
+    return default_scenario(k=k, seed=7,
+                            fading=ShadowedRicianParams(b=0.126, m=m, omega=0.835))
+
+
+class TestBlockedMonteCarlo:
+    """The Monte Carlo SINR path runs in blocks of rows and gives the bits of
+    the whole-array formulas."""
+
+    @pytest.mark.parametrize("size", [None, (3, 5), 1000, 3 * BLOCK + 17])
+    @pytest.mark.parametrize("p", [ShadowedRicianParams(0.126, 10, 0.835),
+                                   ShadowedRicianParams(0.063, 2.5, 0.000897),
+                                   ShadowedRicianParams(0.4, 1, 0.0)])
+    def test_channel_gain_draws(self, p, size):
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        got = channel.sample_channel_gain(p, rng, size=size)
+        want = unblocked_channel_gain(p, ref_rng, size=size)
+        if size is None:
+            assert isinstance(got, float) and got == want
+        else:
+            assert got.shape == want.shape and np.array_equal(got, want)
+        assert rng.random() == ref_rng.random()  # same draws consumed
+
+    @pytest.mark.parametrize("n", [1000, BLOCK, 3 * BLOCK + 17])
+    @pytest.mark.parametrize("m", [10, 10.5])
+    @pytest.mark.parametrize("k", [0, 1, 3, 8, 10])
+    def test_sinr_and_average_error(self, k, m, n):
+        s = fading_scenario(k, m)
+        gam = unblocked_sinr_samples(s, n)
+        assert np.array_equal(sinr_samples(s, n), gam)
+        errs = conditional_error(gam, MC_SPEC)
+        res = average_error(s, MC_SPEC, ErrorModel("monte_carlo", sample_budget=n))
+        assert res.value == float(np.mean(errs))
+        assert res.std_error == float(np.std(errs, ddof=1) / math.sqrt(n))
+
+    def test_memory_does_not_grow_with_k(self):
+        n = 200_000
+        em = ErrorModel("monte_carlo", sample_budget=n)
+        peaks = []
+        for k in (0, 10):
+            s = fading_scenario(k, 10).placed()
+            average_error(s, MC_SPEC, ErrorModel("monte_carlo", sample_budget=1000))
+            tracemalloc.start()
+            try:
+                average_error(s, MC_SPEC, em)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 4 * 8 * n
+        assert abs(peaks[1] - peaks[0]) < 8 * BLOCK
 
 
 class TestGallagerE0:
