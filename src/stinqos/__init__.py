@@ -11,8 +11,6 @@ from .aoi import (
     ServiceModel,
     UpdateTrace,
     build_trace,
-    cumulative_interarrival,
-    cumulative_service,
     departure_times,
     empirical_violation,
     peak_aoi,

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import _row_blocks
 from .errors import DomainError
 
 
@@ -114,7 +115,13 @@ def geometric_attempts(u, epsilon: float) -> np.ndarray:
         raise DomainError(
             f"epsilon must be < 1 for ARQ to ever succeed, got {epsilon}"
         )
-    return np.floor(np.log(u) / math.log(epsilon)) + 1.0
+    # floor(log(u) / log(epsilon)) + 1, in place in one new array; u is
+    # never written, since coupled callers share it across error rates
+    att = np.log(u, out=np.empty_like(u))
+    att /= math.log(epsilon)
+    np.floor(att, out=att)
+    att += 1.0
+    return att
 
 
 @dataclass
@@ -135,23 +142,6 @@ class UpdateTrace:
         return len(self.arrivals)
 
 
-def cumulative_interarrival(trace: UpdateTrace, v: int, u: int) -> float:
-    """Total gap arrivals[u] - arrivals[v] for updates 1 <= v <= u <= N."""
-    _check_span(trace, v, u)
-    return float(trace.arrivals[u - 1] - trace.arrivals[v - 1])
-
-
-def cumulative_service(trace: UpdateTrace, v: int, u: int) -> float:
-    """Total service time of updates v..u inclusive."""
-    _check_span(trace, v, u)
-    return float(np.sum(trace.services[v - 1 : u]))
-
-
-def _check_span(trace: UpdateTrace, v: int, u: int) -> None:
-    if not 1 <= v <= u <= len(trace):
-        raise ValueError(f"need 1 <= v <= u <= N, got v={v}, u={u}, N={len(trace)}")
-
-
 def departure_times(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
     """FCFS departures D[u] = max(D[u-1], A[u]) + S[u].
 
@@ -162,14 +152,20 @@ def departure_times(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
     """
     arrivals = np.asarray(arrivals, dtype=float)
     services = np.asarray(services, dtype=float)
-    dep = []
+    if arrivals.ndim != 1 or services.shape != arrivals.shape:
+        raise ValueError("arrivals and services must be columns of equal length")
+    dep = np.empty(len(arrivals))
     prev = -math.inf
     # Python floats, since numpy scalar indexing costs more than the
-    # recursion; the conditional is max(prev, a), without the call overhead
-    for a, s in zip(arrivals.tolist(), services.tolist()):
-        prev = (a if a > prev else prev) + s
-        dep.append(prev)
-    return np.array(dep, dtype=float)
+    # recursion; the conditional is max(prev, a), without the call overhead.
+    # One block of rows at a time, so no list spans the whole column.
+    for rows in _row_blocks(len(dep)):
+        block = []
+        for a, s in zip(arrivals[rows].tolist(), services[rows].tolist()):
+            prev = (a if a > prev else prev) + s
+            block.append(prev)
+        dep[rows] = block
+    return dep
 
 
 def departure_rows(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
@@ -226,7 +222,8 @@ def peak_aoi(arrivals: np.ndarray, sojourns: np.ndarray) -> np.ndarray:
     """
     arrivals = np.asarray(arrivals, dtype=float)
     gaps = np.diff(arrivals, prepend=0.0)
-    return gaps + np.asarray(sojourns, dtype=float)
+    gaps += np.asarray(sojourns, dtype=float)
+    return gaps
 
 
 def _check_times(arrivals: np.ndarray, rows: np.ndarray) -> None:
@@ -264,7 +261,7 @@ def simulate_trace(
         raise DomainError(f"need at least one update, got {n_updates}")
     gaps = am.sample_gaps(n_updates, rng)
     services = sm.sample_services(n_updates, rng)
-    return build_trace(np.cumsum(gaps), services)
+    return build_trace(np.cumsum(gaps, out=gaps), services)
 
 
 def empirical_violation(trace: UpdateTrace, a_th: float) -> float:

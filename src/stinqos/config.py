@@ -183,6 +183,9 @@ def build_config(raw: dict) -> RunConfig:
         defaults_used.append(f"output={output}")
     if not isinstance(output, str) or not output:
         raise ConfigError(f"output must be a nonempty path string, got {output!r}")
+    if "\n" in output or "\r" in output:
+        # the path is echoed in a '#' comment line of the CSV it names
+        raise ConfigError(f"output must not contain a line break, got {output!r}")
 
     try:
         scenario = _build_scenario(raw.get("scenario"), seed, defaults_used)

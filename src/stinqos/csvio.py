@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 
-_CHUNK_ROWS = 1 << 14
+_CHUNK_ROWS = 1 << 12
 
 
 def build_identifier() -> str:

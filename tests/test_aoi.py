@@ -1,14 +1,16 @@
 """Queue recursion and peak-AoI tests."""
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from stinqos import channel
 from stinqos.aoi import (
     ArrivalModel,
     ServiceModel,
     build_trace,
-    cumulative_interarrival,
-    cumulative_service,
     departure_rows,
     departure_times,
     departure_times_maxplus,
@@ -21,36 +23,56 @@ from stinqos.aoi import (
 from stinqos.csvio import write_csv
 from stinqos.errors import DomainError
 
+BLOCK = channel._BLOCK_ROWS
+
 
 def example_trace():
     return build_trace(np.array([0.0, 3.0, 5.0]), np.array([4.0, 4.0, 4.0]))
 
 
-class TestCumulativeSpans:
-    def test_interarrival(self):
-        tr = build_trace(np.arange(10.0, 110.0, 10.0), np.ones(10))
-        assert cumulative_interarrival(tr, 3, 3) == 0.0
-        assert cumulative_interarrival(tr, 2, 5) == 30.0
-        with pytest.raises(ValueError):
-            cumulative_interarrival(tr, 5, 2)
+def interarrival_span(trace, v, u):
+    """Total gap arrivals[u] - arrivals[v] for updates 1 <= v <= u <= N."""
+    return float(trace.arrivals[u - 1] - trace.arrivals[v - 1])
 
-    def test_interarrival_matches_telescoping(self):
-        rng = np.random.default_rng(0)
-        tr = simulate_trace(ArrivalModel.poisson(0.1), ServiceModel.fixed(2), 50, rng)
-        gaps = np.diff(tr.arrivals, prepend=0.0)
-        assert cumulative_interarrival(tr, 4, 20) == pytest.approx(
-            tr.arrivals[19] - tr.arrivals[3], abs=0.0
-        )
-        assert tr.arrivals[19] - tr.arrivals[3] == pytest.approx(
-            np.sum(gaps[4:20]), rel=1e-12
-        )
 
-    def test_service(self):
-        tr = build_trace(np.arange(1.0, 11.0), np.full(10, 4.0))
-        assert cumulative_service(tr, 3, 3) == 4.0
-        assert cumulative_service(tr, 1, 3) == 12.0
-        with pytest.raises(ValueError):
-            cumulative_service(tr, 0, 3)
+def service_span(trace, v, u):
+    """Total service time of updates v..u inclusive."""
+    return float(np.sum(trace.services[v - 1 : u]))
+
+
+def departures_whole_list(arrivals, services):
+    """The one-pass recursion over whole-column lists: the oracle of the
+    blocked departure_times."""
+    dep = []
+    prev = -math.inf
+    for a, s in zip(arrivals.tolist(), services.tolist()):
+        prev = (a if a > prev else prev) + s
+        dep.append(prev)
+    return np.array(dep, dtype=float)
+
+
+def edge_queue(n, edge, rng):
+    """Arrivals and services with, at every block edge e, a tie
+    A[e] == D[e-1] (edge "tie") or a backlog A[e] < D[e-1] (edge "backlog"),
+    and zero services at rows e and e + 1; elsewhere a mix of small integers
+    (so ties and zeros recur) and exponential floats."""
+    def times():
+        return np.where(rng.random(n) < 0.5, rng.integers(0, 7, n),
+                        rng.exponential(3.0, n))
+    gaps, services = times(), times()
+    arrivals = np.empty(n)
+    a, d = 0.0, -math.inf
+    for u in range(n):
+        a += gaps[u]
+        if u % BLOCK == BLOCK - 1:
+            services[u] += 1.0  # D[e-1] > A[e-1], room for a backlog
+        elif u and u % BLOCK == 0:
+            a = d if edge == "tie" else arrivals[u - 1]
+        if u and u % BLOCK in (0, 1):
+            services[u] = 0.0
+        arrivals[u] = a
+        d = max(d, a) + services[u]
+    return arrivals, services
 
 
 class TestDepartures:
@@ -107,6 +129,56 @@ def queue_rows(draw):
     return np.cumsum(gaps), np.array(services, dtype=float)
 
 
+class TestBlockedDepartures:
+    @pytest.mark.parametrize("edge", ["tie", "backlog"])
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
+    def test_equal_to_whole_list_recursion(self, n, edge):
+        arrivals, services = edge_queue(n, edge, np.random.default_rng(n))
+        want = departures_whole_list(arrivals, services)
+        edges = np.arange(BLOCK, n, BLOCK)
+        if edge == "tie":
+            assert np.all(arrivals[edges] == want[edges - 1])
+        else:
+            assert np.all(arrivals[edges] < want[edges - 1])
+        assert np.all(services[edges] == 0.0)
+        assert np.array_equal(departure_times(arrivals, services), want)
+
+    @pytest.mark.parametrize("edge", ["tie", "backlog"])
+    def test_equal_to_maxplus_across_block_edge(self, edge):
+        arrivals, services = edge_queue(BLOCK + 1, edge, np.random.default_rng(11))
+        assert np.array_equal(departure_times(arrivals, services),
+                              departure_times_maxplus(arrivals, services))
+
+    def test_refuses_unequal_lengths(self):
+        with pytest.raises(ValueError):
+            departure_times(np.zeros(3), np.zeros(2))
+
+
+def traced_peak(fn, *args):
+    """tracemalloc peak of one call, in bytes, above what is live before it."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTraceMemory:
+    N = 200_000
+
+    def test_departure_times(self):
+        rng = np.random.default_rng(12)
+        arrivals = np.cumsum(rng.exponential(10.0, self.N))
+        services = rng.exponential(8.0, self.N)
+        assert traced_peak(departure_times, arrivals, services) < 8 * self.N + 2e6
+
+    def test_simulate_trace(self):
+        am, sm = ArrivalModel.poisson(1 / 300.0), ServiceModel.arq(64, 0.3)
+        peak = traced_peak(simulate_trace, am, sm, self.N, np.random.default_rng(13))
+        assert peak <= 64 * self.N
+
+
 class TestDepartureRows:
     @settings(max_examples=300, deadline=None)
     @given(queue_rows())
@@ -157,7 +229,7 @@ class TestSojournAndPeak:
         # max-plus dual: sojourn = max over v of service span minus gap span
         for u in (1, 17, 200):
             direct = max(
-                cumulative_service(tr, v, u) - cumulative_interarrival(tr, v, u)
+                service_span(tr, v, u) - interarrival_span(tr, v, u)
                 for v in range(1, u + 1)
             )
             assert tr.sojourns[u - 1] == pytest.approx(direct, rel=1e-12)
@@ -232,6 +304,15 @@ class TestSimulateTrace:
         high = geometric_attempts(u, 0.3)
         assert np.all(low <= high)
         assert np.mean(high) == pytest.approx(1 / 0.7, rel=0.01)
+
+    def test_service_draws_leave_uniforms_unwritten(self):
+        # coupled sweeps share one uniform array across error rates
+        u = np.random.default_rng(10).random(1000)
+        kept = u.copy()
+        att = geometric_attempts(u, 0.3)
+        services = ServiceModel.arq(64, 0.3).services_from_uniforms(u)
+        assert np.array_equal(u, kept)
+        assert np.array_equal(services, 64.0 * att)
 
     @pytest.mark.parametrize("eps", [1.0, 1.5, float("nan")])
     def test_geometric_attempts_refuses_certain_failure(self, eps):

@@ -296,6 +296,22 @@ class TestDispatch:
         assert main([path]) == 2
         assert "category=config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("route", ["config", "flag"])
+    @pytest.mark.parametrize("brk", ["\n", "\r"])
+    def test_output_line_break_config_exit_code(self, tmp_path, capsys, route, brk):
+        # the output path is echoed in a '#' comment line: a line break in
+        # it would start a line that a '#'-skipping reader takes as the header
+        out = str(tmp_path / f"a{brk}b.csv")
+        cfg = {"command": "aoi-sim", "seed": 1, "params": {"n_updates": 3}}
+        if route == "config":
+            cfg["output"], argv = out, []
+        else:
+            cfg["output"], argv = str(tmp_path / "ok.csv"), ["--output", out]
+        assert main([write_config(tmp_path, cfg), *argv]) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+        err = capsys.readouterr().err
+        assert "category=config" in err and "line break" in err
+
     @pytest.mark.parametrize("text,argv,message", [
         ('{"command": "error", "seed": 1, "params": %s}'
          % ("[" * 100_000 + "]" * 100_000), [], "config nests too deeply"),

@@ -1,13 +1,14 @@
 """CSV writer tests: byte identity with csv.writer plus format_value per cell."""
 import csv
 import io
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import stinqos
-from stinqos import csvio
+from stinqos import channel, csvio
 from stinqos.aoi import (
     ArrivalModel, ServiceModel, TRACE_FIELDS, simulate_trace, trace_columns,
 )
@@ -44,6 +45,30 @@ def test_trace_across_chunk_edges(tmp_path):
     diff = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
     assert diff is None, (diff, got[diff], want[diff])
     assert len(got) == len(want) == len(comments) + n + 2
+
+
+def test_trace_across_departure_blocks(tmp_path):
+    # three blocks of the departure recursion plus 17 rows: the chunked,
+    # column-wise writer equals the row-by-row csv.writer rendering
+    n = 3 * channel._BLOCK_ROWS + 17
+    trace = simulate_trace(ArrivalModel.poisson(1 / 300.0), ServiceModel.arq(64, 0.3),
+                           n, np.random.default_rng(8))
+    columns = trace_columns(trace)
+    assert written(tmp_path, TRACE_FIELDS, columns) == reference_csv(TRACE_FIELDS, columns)
+
+
+@pytest.mark.parametrize("n", [20_000, 200_000])
+def test_trace_memory_above_columns(tmp_path, n):
+    trace = simulate_trace(ArrivalModel.poisson(1 / 300.0), ServiceModel.arq(64, 0.3),
+                           n, np.random.default_rng(9))
+    columns = trace_columns(trace)
+    tracemalloc.start()
+    try:
+        write_csv(tmp_path / "out.csv", TRACE_FIELDS, columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
 
 
 MIXED = {
