@@ -22,8 +22,6 @@ from .channel import (
     LinkBudget,
     Scenario,
     ShadowedRicianParams,
-    aggregate_interference,
-    hyp1f1_integer,
     pathloss_factor,
     place_interferers,
     sample_channel_gain,
@@ -41,26 +39,19 @@ from .fbc import (
     CodingSpec,
     ErrorModel,
     average_error,
-    capacity_nats,
     conditional_error,
-    dispersion,
     error_exponent,
     error_exponent_closed_form,
-    gallager_e0,
     q_function,
 )
-from .experiments import SweepSpec, cu_to_seconds, default_scenario, run_sweep
+from .experiments import SweepSpec, default_scenario, run_sweep
 from .reports import QoSReport
 from .snc import (
     constant_rate_arrival,
     delay_bound,
-    delay_kernel,
-    mellin_cumulative_service,
-    mellin_interarrival,
     mellin_service_process,
     optimize_paoi_bound,
     paoi_bound,
-    paoi_kernel,
     poisson_batch_arrival,
     stability_check,
 )

@@ -65,30 +65,6 @@ def logsumexp(a, axis=None, b=None):
     return out[()] if out.ndim == 0 else out
 
 
-def hyp1f1_integer(m: float, z):
-    """Kummer confluent hypergeometric function 1F1(m; 1; z) for z >= 0.
-
-    Integer m collapses to the finite Kummer sum
-    ``exp(z) * sum_k C(m-1, k) z^k / k!``, which is exact and stable.
-    Non-integer m uses scipy's 1F1 through Kummer's transform
-    ``exp(z) * 1F1(1-m; 1; -z)``.
-
-    Args:
-        m: first parameter, >= 1 for the integer fast path.
-        z: scalar or array of nonnegative arguments.
-
-    Returns:
-        Value(s) of 1F1(m; 1; z); ``inf`` on float overflow.
-    """
-    z = np.asarray(z, dtype=float)
-    if np.any(z < 0):
-        raise DomainError("hyp1f1_integer requires z >= 0")
-    if m < 0.5:
-        raise DomainError(f"hyp1f1_integer requires m >= 0.5, got {m}")
-    out = np.exp(log_hyp1f1_integer(m, z))
-    return float(out) if out.ndim == 0 else out
-
-
 def log_hyp1f1_integer(m: float, z):
     """log of 1F1(m; 1; z), overflow-safe for large z (z >= 0).
 
@@ -419,27 +395,6 @@ def place_interferers(f: InterfererField, rng: np.random.Generator) -> np.ndarra
     """Draw K interferer distances uniformly by area over the annulus."""
     u = rng.random(f.count)
     return np.sqrt(f.r_inner_m ** 2 + u * (f.r_outer_m ** 2 - f.r_inner_m ** 2))
-
-
-def aggregate_interference(field: InterfererField, gains) -> np.ndarray | float:
-    """Total interference power sum_j phi_j P_t |h_j|^2, noise-normalized.
-
-    Args:
-        field: placed interferer field.
-        gains: Rayleigh power gains |h_j|^2, shape (K,) or (draws, K).
-
-    Returns:
-        Scalar for a single gain vector, array of length draws otherwise.
-    """
-    gains = np.asarray(gains, dtype=float)
-    if field.count == 0 and gains.size == 0:
-        return 0.0 if gains.ndim <= 1 else np.zeros(gains.shape[0])
-    if gains.shape[-1] != field.count:
-        raise ValueError(
-            f"got {gains.shape[-1]} gains for {field.count} interferers"
-        )
-    total = gains @ field.coefficients()
-    return float(total) if total.ndim == 0 else total
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 One JSON configuration file describes one run; flags only override scalar
 fields. Results are written as a single CSV whose '#' comment header echoes
 the fully resolved configuration, so (config, seed) -> output bytes is a
-pure function, independent of the worker count.
+pure function.
 
 Exit codes: 0 ok, 2 config error, 3 domain/stability error, 4 numeric
 error, 5 io error.
@@ -48,7 +48,7 @@ def _columns(fields, rows) -> list:
     return [[row[k] for row in rows] for k in fields]
 
 
-def _run_error(rc: RunConfig, workers: int):
+def _run_error(rc: RunConfig):
     res = average_error(rc.scenario, rc.coding, rc.error_model)
     fields = ["avg_error", "std_error", "achieved_tol", "method"]
     row = {
@@ -60,7 +60,7 @@ def _run_error(rc: RunConfig, workers: int):
     return fields, _columns(fields, [row])
 
 
-def _run_exponent(rc: RunConfig, workers: int):
+def _run_exponent(rc: RunConfig):
     numeric = error_exponent(rc.scenario, rc.coding, rc.error_model)
     closed = error_exponent_closed_form(rc.scenario, rc.coding)
     fields = ["blocklength", "rate_nats", "theta_numeric", "rho_star",
@@ -75,7 +75,7 @@ def _run_exponent(rc: RunConfig, workers: int):
     return fields, _columns(fields, [row])
 
 
-def _run_aoi_sim(rc: RunConfig, workers: int):
+def _run_aoi_sim(rc: RunConfig):
     am = build_arrival(rc.params.get("arrival"), rc.defaults_used)
     sm = build_service(rc.params.get("service"), rc.defaults_used, rc)
     n_updates = rc.params.get("n_updates", 10_000)
@@ -83,7 +83,7 @@ def _run_aoi_sim(rc: RunConfig, workers: int):
     return TRACE_FIELDS, trace_columns(trace)
 
 
-def _run_paoi_bound(rc: RunConfig, workers: int):
+def _run_paoi_bound(rc: RunConfig):
     am = build_arrival(rc.params.get("arrival"), rc.defaults_used)
     sm = build_service(rc.params.get("service"), rc.defaults_used, rc)
     a_th = rc.params.get("a_th_cu", 150_000.0)
@@ -99,7 +99,7 @@ def _run_paoi_bound(rc: RunConfig, workers: int):
     return REPORT_FIELDS, _columns(REPORT_FIELDS, [row])
 
 
-def _run_delay_bound(rc: RunConfig, workers: int):
+def _run_delay_bound(rc: RunConfig):
     if rc.params.get("arrival_kind", "constant_rate") == "constant_rate":
         arrival = constant_rate_arrival(rc.params.get("alpha_bits", 28.0))
     else:
@@ -114,7 +114,7 @@ def _run_delay_bound(rc: RunConfig, workers: int):
     return REPORT_FIELDS, _columns(REPORT_FIELDS, [row])
 
 
-def _run_sweep(rc: RunConfig, workers: int):
+def _run_sweep(rc: RunConfig):
     if rc.params.get("seed", rc.seed) != rc.seed:
         raise ConfigError(
             f"params.seed={rc.params['seed']} conflicts with seed={rc.seed}; "
@@ -125,7 +125,7 @@ def _run_sweep(rc: RunConfig, workers: int):
         if key in params and isinstance(params[key], list):
             params[key] = tuple(params[key])
     spec = SweepSpec(**params)
-    table = run_sweep(spec, workers=workers)
+    table = run_sweep(spec)
     return table.fieldnames, _columns(table.fieldnames, table.rows)
 
 
@@ -139,14 +139,14 @@ _RUNNERS = {
 }
 
 
-def dispatch(rc: RunConfig, workers: int = 1) -> str:
+def dispatch(rc: RunConfig) -> str:
     """Run the configured command and write its CSV; returns the path.
 
     The command runs to completion before any file is opened, and the CSV is
     streamed to a temp file that replaces ``rc.output`` only when complete,
     so a failing run leaves no partial output behind.
     """
-    fields, columns = _RUNNERS[rc.command](rc, workers)
+    fields, columns = _RUNNERS[rc.command](rc)
     csvio.write_csv(rc.output, fields, columns,
                     csvio.comment_lines(echo_params(rc)))
     return rc.output
@@ -171,8 +171,8 @@ def main(argv=None) -> int:
     parser.add_argument("--output", help="override the output CSV path")
     parser.add_argument(
         "--workers", type=int, default=1,
-        help="worker processes for the fig5 sweep grid; the other sweeps "
-             "run in one process (output is worker-independent)",
+        help="accepted for compatibility and has no effect; every command "
+             "runs in one process",
     )
     args = parser.parse_args(argv)
 
@@ -198,7 +198,7 @@ def main(argv=None) -> int:
         return fail("config", EXIT_CONFIG, exc)
 
     try:
-        path = dispatch(rc, workers=max(1, args.workers))
+        path = dispatch(rc)
     except ConfigError as exc:
         return fail("config", EXIT_CONFIG, exc)
     except (DomainError, StabilityError) as exc:

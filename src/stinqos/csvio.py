@@ -43,7 +43,10 @@ def _quote(cell: str) -> str:
 
 
 def _cells(col):
-    """CSV cells of one column; numeric arrays skip the per-cell dispatch."""
+    """CSV cells of one column; ranges and numeric arrays skip the per-cell
+    dispatch."""
+    if isinstance(col, range):
+        return map(str, col)
     if isinstance(col, np.ndarray):
         if col.dtype.kind == "f":
             return map(repr, col.tolist())

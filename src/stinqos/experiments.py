@@ -10,19 +10,18 @@ hold elementwise per update, not just on noisy averages:
   * interferer positions are nested in K, so adding a base station never
     reduces the interference any Monte Carlo draw sees.
 
-Random streams derive from the sweep seed and fixed stream labels, so
-results do not depend on how the work is scheduled. Each figure computes its shared inputs once
-per sweep: fig3 and stin_psn run one batched departure pass per
-replication, over a buffer of 2 * len(k_grid) * len(snr_points_db) x
-n_updates float64 values; fig4 computes its models and the simulated
-violation frequency once and loops over theta in one process. Worker
-processes serve only the fig5 blocklength grid.
+Random streams derive from the sweep seed and fixed stream labels. Every
+figure runs in the calling process and computes its shared inputs once per
+sweep: fig3 and stin_psn run one batched departure pass per replication,
+over a buffer of 2 * len(k_grid) * len(snr_points_db) x n_updates float64
+values; fig4 computes its models and the simulated violation frequency once
+and loops over theta; fig5 builds its scenario and error model once and
+loops over the blocklength grid.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -55,13 +54,9 @@ from .fbc import (
 )
 from .snc import paoi_bound
 
-SECONDS_PER_CU = 1e-6  # 2PSK at 1 Mbps: one channel use per microsecond
-
 # RNG stream labels under the sweep seed
 _STREAM_EPS = 10
 _STREAM_TRACE = 11
-
-FIGURES = ("fig3", "fig4", "fig5", "stin_psn")
 
 # Default link geometry: 1000 km satellite downlink at 2 GHz with a 20 dBi
 # satellite antenna; interferers in the 2-10 km annulus.
@@ -71,11 +66,6 @@ _DEFAULT_SAT_GAIN_DBI = 20.0
 _DEFAULT_R_IN_M = 2.0e3
 _DEFAULT_R_OUT_M = 10.0e3
 _DEFAULT_FADING = dict(b=0.126, m=10.0, omega=0.835)
-
-
-def cu_to_seconds(cu: float) -> float:
-    """Presentation-layer conversion; all internal times stay in channel uses."""
-    return cu * SECONDS_PER_CU
 
 
 def default_scenario(
@@ -151,9 +141,9 @@ class SweepSpec:
     quad_tolerance: float = 1e-7
 
     def __post_init__(self):
-        if self.figure not in FIGURES:
+        if self.figure not in _RUNNERS:
             raise ConfigError(
-                f"unknown figure {self.figure!r}; expected one of {FIGURES}"
+                f"unknown figure {self.figure!r}; expected one of {tuple(_RUNNERS)}"
             )
         if self.replications < 1:
             raise ConfigError("replications must be >= 1")
@@ -161,6 +151,9 @@ class SweepSpec:
             raise ConfigError("n_updates must be >= 1")
         if self.error_draws < 1:
             raise ConfigError("error_draws must be >= 1")
+        for key in ("arrival_mean_gap_cu", "fig4_mean_gap_cu"):
+            if not getattr(self, key) > 0:
+                raise ConfigError(f"{key} must be > 0, got {getattr(self, key)}")
         if self.figure in ("fig3", "stin_psn"):
             if not self.k_grid:
                 raise ConfigError("k_grid must be nonempty")
@@ -386,54 +379,36 @@ def run_fig4(spec: SweepSpec) -> Table:
     return Table(fieldnames=fields, rows=rows)
 
 
-def _fig5_row(spec: SweepSpec, n: int) -> dict:
+def run_fig5(spec: SweepSpec) -> Table:
+    """Numeric error-rate exponent vs blocklength next to the n-free
+    closed-form approximation, at a fixed coding rate."""
     scen = default_scenario(
         k=spec.fig_k, avg_snr_db=spec.avg_snr_db, inr_db=spec.inr_db, seed=spec.seed
     )
-    base = CodingSpec(blocklength=spec.blocklength, code_size=spec.code_size)
+    rate = CodingSpec(blocklength=spec.blocklength, code_size=spec.code_size).rate
     em = ErrorModel(method="quadrature", quad_tolerance=spec.quad_tolerance)
-    coding = CodingSpec(blocklength=n, code_size=spec.code_size, rate=base.rate)
-    numeric = error_exponent(scen, coding, em)
-    closed = error_exponent_closed_form(scen, coding)
-    return {
-        "n": n,
-        "theta_numeric": numeric.theta,
-        "theta_closed_form": closed.theta,
-        "rho_star": numeric.params["rho_star"],
-        "rate_nats": base.rate,
-    }
-
-
-def _pmap(fn, items, workers: int) -> list:
-    """[fn(x) for x in items], optionally across worker processes.
-
-    Serves fig5 only, whose grid points are independent exponent
-    computations. Results come back in item order, so the worker count
-    cannot change any output.
-    """
-    if workers <= 1:
-        return [fn(x) for x in items]
-    import concurrent.futures
-
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def run_fig5(spec: SweepSpec, workers: int = 1) -> Table:
-    """Numeric error-rate exponent vs blocklength next to the n-free
-    closed-form approximation, at a fixed coding rate; ``workers`` processes
-    share the blocklength grid."""
-    rows = _pmap(partial(_fig5_row, spec), spec.n_grid, workers)
+    rows = []
+    for n in spec.n_grid:
+        coding = CodingSpec(blocklength=n, code_size=spec.code_size, rate=rate)
+        numeric = error_exponent(scen, coding, em)
+        rows.append({
+            "n": n,
+            "theta_numeric": numeric.theta,
+            "theta_closed_form": error_exponent_closed_form(scen, coding).theta,
+            "rho_star": numeric.params["rho_star"],
+            "rate_nats": rate,
+        })
     fields = ["n", "theta_numeric", "theta_closed_form", "rho_star", "rate_nats"]
     return Table(fieldnames=fields, rows=rows)
 
 
-def run_sweep(spec: SweepSpec, workers: int = 1) -> Table:
-    """Run the spec's figure; ``workers`` parallelises fig5 only."""
-    if spec.figure == "fig5":
-        return run_fig5(spec, workers)
-    runner = {"fig3": run_fig3, "fig4": run_fig4, "stin_psn": compare_stin_psn}
-    return runner[spec.figure](spec)
+_RUNNERS = {"fig3": run_fig3, "fig4": run_fig4, "fig5": run_fig5,
+            "stin_psn": compare_stin_psn}
+
+
+def run_sweep(spec: SweepSpec) -> Table:
+    """Run the spec's figure."""
+    return _RUNNERS[spec.figure](spec)
 
 
 # ---------------------------------------------------------------------------

@@ -91,20 +91,6 @@ class ErrorResult:
 # Normal approximation pieces
 # ---------------------------------------------------------------------------
 
-def capacity_nats(gamma):
-    """AWGN capacity ln(1 + gamma) in nats per channel use."""
-    g = np.asarray(gamma, dtype=float)
-    out = np.log1p(g)
-    return float(out) if out.ndim == 0 else out
-
-
-def dispersion(gamma):
-    """Channel dispersion 1 - (1 + gamma)^-2 in nats^2 per channel use."""
-    g = np.asarray(gamma, dtype=float)
-    out = 1.0 - (1.0 + g) ** -2
-    return float(out) if out.ndim == 0 else out
-
-
 def q_function(x):
     """Gaussian tail probability Q(x) = erfc(x / sqrt(2)) / 2."""
     from scipy.special import erfc
@@ -207,20 +193,6 @@ def sinr_quadrature(
     return gam, wts
 
 
-def _refined(s: Scenario, value_of, tol: float, what: str) -> tuple[float, float]:
-    """value_of(SINR nodes, weights) over refined panels; (value, achieved)."""
-    prev = None
-    for panels in _QUAD_PANELS:
-        val = value_of(*sinr_quadrature(s, n_panels=panels))
-        if prev is not None and abs(val - prev) <= tol:
-            return val, abs(val - prev)
-        prev = val
-    raise NumericError(
-        f"{what} quadrature did not reach tolerance {tol:g}",
-        achieved=abs(val - prev),
-    )
-
-
 def average_error(s: Scenario, spec: CodingSpec, em: ErrorModel) -> ErrorResult:
     """Decoding error probability averaged over fading and interference.
 
@@ -236,12 +208,18 @@ def average_error(s: Scenario, spec: CodingSpec, em: ErrorModel) -> ErrorResult:
         se = float(np.std(errs, ddof=1) / math.sqrt(em.sample_budget))
         return ErrorResult(value=value, std_error=se, achieved_tol=None,
                            method="monte_carlo")
-    value, achieved = _refined(
-        s, lambda g, w: float(np.sum(w * conditional_error(g, spec))),
-        em.quad_tolerance, "SINR",
+    prev = None
+    for panels in _QUAD_PANELS:
+        g, w = sinr_quadrature(s, n_panels=panels)
+        value = float(np.sum(w * conditional_error(g, spec)))
+        if prev is not None and abs(value - prev) <= em.quad_tolerance:
+            return ErrorResult(value=min(max(value, 0.0), 1.0), std_error=None,
+                               achieved_tol=abs(value - prev), method="quadrature")
+        prev = value
+    raise NumericError(
+        f"SINR quadrature did not reach tolerance {em.quad_tolerance:g}",
+        achieved=abs(value - prev),
     )
-    return ErrorResult(value=min(max(value, 0.0), 1.0), std_error=None,
-                       achieved_tol=achieved, method="quadrature")
 
 
 # ---------------------------------------------------------------------------
@@ -286,19 +264,6 @@ def error_exponent_samples(
     if theta <= 0.0:
         return 0.0, 0.0
     return theta, rho_star
-
-
-def gallager_e0(rho: float, s: Scenario, n: int, em: ErrorModel) -> float:
-    """E0(rho) for the scenario's SINR law, dual-mode like average_error."""
-    if not 0.0 <= rho <= 1.0:
-        raise DomainError(f"rho must be in [0, 1], got {rho}")
-    if rho == 0.0:
-        return 0.0
-    if em.method == "monte_carlo":
-        gam = sinr_samples(s, em.sample_budget)
-        return gallager_e0_samples(rho, gam, n)
-    return _refined(s, lambda g, w: gallager_e0_samples(rho, g, n, w),
-                    em.quad_tolerance, "E0")[0]
 
 
 def error_exponent(s: Scenario, spec: CodingSpec, em: ErrorModel) -> QoSReport:

@@ -12,7 +12,6 @@ the caller computes once from the fading and coding models.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Callable
 
 from .aoi import ArrivalModel, ServiceModel
@@ -20,8 +19,6 @@ from .errors import DomainError, StabilityError
 from .fbc import CodingSpec
 from .optimize import grid_then_golden
 from .reports import QoSReport
-
-_POLE_WARN_LEVEL = 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -58,25 +55,6 @@ def _log_mellin_service(theta: float, sm: ServiceModel) -> float:
 
 def _safe_exp(x: float) -> float:
     return math.inf if x > 709.0 else math.exp(x)
-
-
-def mellin_interarrival(theta: float, am: ArrivalModel, steps: int) -> float:
-    """Transform E[e^{(theta-1) T}] of the gap accumulated over `steps` arrivals.
-
-    steps = 0 is the empty gap with transform 1.
-    """
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    if steps == 0:
-        return 1.0
-    return _safe_exp(steps * _log_mellin_gap(theta, am))
-
-
-def mellin_cumulative_service(theta: float, sm: ServiceModel, count: int) -> float:
-    """Transform of the total service time of `count` i.i.d. updates."""
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    return _safe_exp(count * _log_mellin_service(theta, sm))
 
 
 def _log_geometric_sum(log_r: float, terms: int) -> float:
@@ -135,11 +113,6 @@ def log_paoi_kernel(
             margin=_safe_exp(log_ratio),
         )
     return log_lead + log_ms - math.log(-math.expm1(log_ratio))
-
-
-def paoi_kernel(theta: float, u: int | None, am: ArrivalModel, sm: ServiceModel) -> float:
-    """Kernel K(theta, u): leading gap transform times the lag sum."""
-    return _safe_exp(log_paoi_kernel(theta, u, am, sm))
 
 
 def paoi_theta_interval(am: ArrivalModel, sm: ServiceModel) -> tuple[float, float]:
@@ -285,40 +258,6 @@ def stability_check(
     """Whether M_A(1+theta) M_S(1-theta) < 1, plus the product as margin."""
     _, product = _delay_transforms(theta, arrival_mellin, spec, eps)
     return product < 1.0, product
-
-
-def delay_kernel(
-    theta: float,
-    d_th: float,
-    arrival_mellin: Callable[[float], float],
-    spec: CodingSpec,
-    eps: float,
-) -> float:
-    """Delay kernel M_S(1-theta)^D_th / (1 - M_A(1+theta) M_S(1-theta)).
-
-    d_th is the target delay in blocks. Raises StabilityError (carrying the
-    transform product) when the stability condition fails; values within
-    1e-6 of the pole trigger a runtime warning.
-    """
-    if theta <= 0:
-        raise DomainError(f"theta must be > 0, got {theta}")
-    if d_th < 0:
-        raise DomainError(f"d_th must be >= 0, got {d_th}")
-    ms, product = _delay_transforms(theta, arrival_mellin, spec, eps)
-    if product >= 1.0:
-        raise StabilityError(
-            f"stability condition violated: transform product {product:g} >= 1",
-            margin=product,
-        )
-    kernel = ms ** d_th / (1.0 - product)
-    if kernel > _POLE_WARN_LEVEL:
-        warnings.warn(
-            f"delay kernel {kernel:.3g} exceeds {_POLE_WARN_LEVEL:g}; "
-            f"stability margin {product:.9g} is nearly 1",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return kernel
 
 
 def delay_bound(

@@ -37,7 +37,6 @@ from stinqos.fbc import (
     CodingSpec,
     ErrorModel,
     average_error,
-    capacity_nats,
     error_exponent_closed_form,
     error_exponent_samples,
     gallager_e0_samples,
@@ -96,7 +95,7 @@ def test_criterion_2_fbc_cross_validation():
     worst = 0.0
     for k, snr_db in CROSS_SCENARIOS:
         s = default_scenario(k=k, avg_snr_db=snr_db, seed=101)
-        rate = 0.5 * capacity_nats(10 ** (snr_db / 10.0))
+        rate = 0.5 * np.log1p(10 ** (snr_db / 10.0))
         spec = CodingSpec(blocklength=64, code_size=2, rate=rate)
         quad_res = average_error(s, spec, ErrorModel(quad_tolerance=1e-8))
         mc_res = average_error(
@@ -290,11 +289,11 @@ def test_criterion_8_gallager_structure():
     # point-mass channel: zero exponent at or above capacity
     for gamma in (0.5, 1.0, 4.0):
         theta, rho = error_exponent_samples(
-            np.array([gamma]), capacity_nats(gamma), 500
+            np.array([gamma]), np.log1p(gamma), 500
         )
         assert theta == 0.0 and rho == 0.0
         theta2, _ = error_exponent_samples(
-            np.array([gamma]), 1.5 * capacity_nats(gamma), 500
+            np.array([gamma]), 1.5 * np.log1p(gamma), 500
         )
         assert theta2 == 0.0
 

@@ -178,6 +178,11 @@ class TestTraceMemory:
         peak = traced_peak(simulate_trace, am, sm, self.N, np.random.default_rng(13))
         assert peak <= 64 * self.N
 
+    def test_trace_columns(self):
+        am, sm = ArrivalModel.poisson(1 / 300.0), ServiceModel.arq(64, 0.3)
+        trace = simulate_trace(am, sm, self.N, np.random.default_rng(14))
+        assert traced_peak(trace_columns, trace) < 1024
+
 
 class TestDepartureRows:
     @settings(max_examples=300, deadline=None)

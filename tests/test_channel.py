@@ -16,8 +16,6 @@ from stinqos.channel import (
     Scenario,
     ShadowedRicianParams,
     SPEED_OF_LIGHT,
-    aggregate_interference,
-    hyp1f1_integer,
     log_hyp1f1_integer,
     logsumexp,
     pathloss_factor,
@@ -77,26 +75,27 @@ class TestLogSumExp:
 
 class TestHyp1f1:
     def test_zero_argument(self):
-        assert hyp1f1_integer(3, 0.0) == 1.0
+        assert np.exp(log_hyp1f1_integer(3, 0.0)) == 1.0
 
     def test_m1_is_exp(self):
-        assert hyp1f1_integer(1, 2.0) == pytest.approx(math.e ** 2, rel=1e-14)
+        assert np.exp(log_hyp1f1_integer(1, 2.0)) == pytest.approx(math.e ** 2,
+                                                                   rel=1e-14)
 
     def test_m2_against_series_oracle(self):
-        assert hyp1f1_integer(2, 1.0) == pytest.approx(
+        assert np.exp(log_hyp1f1_integer(2, 1.0)) == pytest.approx(
             hyp1f1_series_oracle(2, 1.0), rel=1e-13
         )
-        assert hyp1f1_integer(2, 1.0) == pytest.approx(2 * math.e, rel=1e-13)
+        assert np.exp(log_hyp1f1_integer(2, 1.0)) == pytest.approx(2 * math.e, rel=1e-13)
 
     @pytest.mark.parametrize("m", [1, 2, 5, 10, 20])
     @pytest.mark.parametrize("z", [0.3, 1.7, 9.2])
     def test_integer_m_grid_against_series(self, m, z):
-        assert hyp1f1_integer(m, z) == pytest.approx(
+        assert np.exp(log_hyp1f1_integer(m, z)) == pytest.approx(
             hyp1f1_series_oracle(m, z, terms=400), rel=1e-12
         )
 
     def test_non_integer_fallback(self):
-        assert hyp1f1_integer(2.5, 1.3) == pytest.approx(
+        assert np.exp(log_hyp1f1_integer(2.5, 1.3)) == pytest.approx(
             hyp1f1_series_oracle(2.5, 1.3), rel=1e-12
         )
 
@@ -115,15 +114,9 @@ class TestHyp1f1:
 
     def test_vectorized(self):
         z = np.array([0.0, 1.0, 2.0])
-        out = hyp1f1_integer(2, z)
+        out = np.exp(log_hyp1f1_integer(2, z))
         assert out.shape == (3,)
         assert out[0] == 1.0
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            hyp1f1_integer(2, -1.0)
-        with pytest.raises(DomainError):
-            hyp1f1_integer(0.2, 1.0)
 
 
 class TestShadowedRicianPdf:
@@ -289,7 +282,7 @@ class TestPlacement:
 class TestAggregateInterference:
     def test_empty_field(self):
         f = _field(0).with_distances(np.zeros(0))
-        assert aggregate_interference(f, np.zeros(0)) == 0.0
+        assert np.zeros(0) @ f.coefficients() == 0.0
 
     def test_single_term(self):
         # make phi = 1 by choosing the unit free-space distance, P_t/sigma^2 = 2
@@ -297,20 +290,15 @@ class TestAggregateInterference:
         f = InterfererField(count=1, r_inner_m=d_unit / 2, r_outer_m=2 * d_unit,
                             carrier_hz=2e9, tx_snr_db=10 * math.log10(2.0))
         f = f.with_distances(np.array([d_unit]))
-        assert aggregate_interference(f, np.array([0.5])) == pytest.approx(1.0, rel=1e-12)
+        assert np.array([0.5]) @ f.coefficients() == pytest.approx(1.0, rel=1e-12)
 
     def test_monte_carlo_mean(self):
         f = _field(4)
         f = f.with_distances(place_interferers(f, np.random.default_rng(3)))
         rng = np.random.default_rng(4)
         gains = rng.exponential(1.0, size=(100_000, 4))
-        values = aggregate_interference(f, gains)
+        values = gains @ f.coefficients()
         assert np.mean(values) == pytest.approx(np.sum(f.coefficients()), rel=0.01)
-
-    def test_length_mismatch(self):
-        f = _field(3).with_distances(np.array([3e3, 4e3, 5e3]))
-        with pytest.raises(ValueError):
-            aggregate_interference(f, np.ones(2))
 
 
 class TestInterfererCoefficients:

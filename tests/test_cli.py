@@ -224,7 +224,8 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert "category=config" in err and key in err
 
-    @pytest.mark.parametrize("key", ["n_updates", "error_draws"])
+    @pytest.mark.parametrize("key", ["n_updates", "error_draws",
+                                     "arrival_mean_gap_cu", "fig4_mean_gap_cu"])
     def test_empty_sweep_config_exit_code(self, tmp_path, capsys, key):
         out = tmp_path / "s.csv"
         cfg = {"command": "sweep", "seed": 1, "output": str(out),
@@ -383,7 +384,7 @@ class TestAtomicWrite:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_worker_failure_keeps_existing_target(self, tmp_path, capsys, workers):
-        # blocklength 0 fails inside the fig5 grid, in a pool worker at 2
+        # blocklength 0 fails inside the fig5 grid, after the row at n = 100
         out = tmp_path / "s.csv"
         out.write_bytes(b"earlier run\r\n")
         cfg = {"command": "sweep", "seed": 11, "output": str(out),

@@ -1,9 +1,11 @@
 """Sweep table tests: trends, pairing, reproducibility."""
+import json
 import math
 
 import numpy as np
 import pytest
 
+from stinqos.cli import main
 from stinqos.csvio import write_csv
 from stinqos.errors import ConfigError, DomainError
 from stinqos.aoi import build_trace, geometric_attempts
@@ -111,17 +113,30 @@ class TestBatchedSweep:
                         row = batched[ki * n_snr + si, _SYSTEMS.index(system)]
                         assert row[rep] == float(np.mean(trace.peak_aoi))
 
-    @pytest.mark.parametrize("figure", ["fig3", "stin_psn", "fig4"])
-    def test_workers_start_no_process_pool(self, monkeypatch, figure):
+    @pytest.mark.parametrize("figure", ["fig3", "stin_psn", "fig4", "fig5"])
+    def test_workers_start_no_process_pool(self, tmp_path, monkeypatch, figure):
+        # --workers is accepted and ignored: every figure runs in this
+        # process and writes the same bytes as at --workers 1
         import concurrent.futures
 
         def refuse(*args, **kwargs):
             raise AssertionError("process pool started")
 
-        spec = small_fig3_spec(figure=figure, k_grid=(0, 2), n_updates=500)
-        expected = run_sweep(spec, workers=1).rows
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-        assert run_sweep(spec, workers=2).rows == expected
+        params = {"figure": figure, "k_grid": [0, 2], "n_updates": 500,
+                  "error_draws": 20_000, "fig4_n_updates": 2000,
+                  "n_grid": [100, 200]}
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"command": "sweep", "seed": 5,
+                                      "params": params}), encoding="utf-8")
+        bodies = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}.csv"
+            assert main([str(config), "--output", str(out),
+                         "--workers", workers]) == 0
+            bodies.append([line for line in out.read_text().split("\n")
+                           if not line.startswith("# output=")])
+        assert bodies[0] == bodies[1]
 
     @pytest.mark.parametrize("override", [{"snr_points_db": (-400.0,)},
                                           {"relay_boost_db": -400.0}])
@@ -190,13 +205,6 @@ class TestReproducibility:
         c1 = csv_text(tmp_path / "1.csv", t1)
         c2 = csv_text(tmp_path / "2.csv", t2)
         assert c1 == c2
-
-    def test_worker_count_invariance(self, tmp_path):
-        spec = small_fig3_spec(k_grid=(0, 2), n_updates=2000)
-        t1 = run_sweep(spec, workers=1)
-        t2 = run_sweep(spec, workers=2)
-        c1 = csv_text(tmp_path / "1.csv", t1)
-        assert c1 == csv_text(tmp_path / "2.csv", t2)
 
 
 class TestSweepSpecValidation:

@@ -20,13 +20,10 @@ from stinqos.fbc import (
     CodingSpec,
     ErrorModel,
     average_error,
-    capacity_nats,
     conditional_error,
-    dispersion,
     error_exponent,
     error_exponent_closed_form,
     error_exponent_samples,
-    gallager_e0,
     gallager_e0_samples,
     q_function,
     sinr_quadrature,
@@ -50,14 +47,20 @@ def q_series_oracle(x: float) -> float:
 
 class TestNormalApproximationPieces:
     def test_capacity(self):
-        assert capacity_nats(0.0) == 0.0
-        assert capacity_nats(math.e - 1) == pytest.approx(1.0, rel=1e-14)
-        assert capacity_nats(1.0) == pytest.approx(math.log(2), rel=1e-14)
+        # the error is 1/2 where the rate equals the capacity ln(1 + gamma)
+        for gamma, rate in ((math.e - 1, 1.0), (1.0, math.log(2))):
+            spec = CodingSpec(blocklength=250, code_size=2, rate=rate)
+            assert conditional_error(gamma, spec) == pytest.approx(0.5, rel=1e-12)
 
     def test_dispersion(self):
-        assert dispersion(0.0) == 0.0
-        assert dispersion(1.0) == pytest.approx(0.75, rel=1e-14)
-        assert dispersion(1e12) == pytest.approx(1.0, abs=1e-12)
+        # one dispersion sqrt(V / n) below capacity the error is Q(1), with
+        # V = 1 - (1 + gamma)^-2: 0.75 at gamma = 1, about 1 at gamma = 1e12
+        n = 300
+        for gamma, v in ((1.0, 0.75), (1e12, 1.0)):
+            rate = math.log1p(gamma) - math.sqrt(v / n)
+            spec = CodingSpec(blocklength=n, code_size=2, rate=rate)
+            assert conditional_error(gamma, spec) == pytest.approx(
+                q_series_oracle(1.0), abs=1e-12)
 
     def test_q_function(self):
         assert q_function(0.0) == 0.5
@@ -69,7 +72,7 @@ class TestNormalApproximationPieces:
 
 class TestConditionalError:
     def test_rate_equals_capacity(self):
-        spec = CodingSpec(blocklength=250, code_size=2, rate=capacity_nats(1.0))
+        spec = CodingSpec(blocklength=250, code_size=2, rate=math.log1p(1.0))
         assert conditional_error(1.0, spec) == pytest.approx(0.5, rel=1e-12)
 
     def test_worked_point(self):
@@ -112,7 +115,7 @@ class TestConditionalError:
 
     def test_monotone_in_blocklength_below_capacity(self):
         gamma = 1.5
-        rate = 0.5 * capacity_nats(gamma)
+        rate = 0.5 * math.log1p(gamma)
         errs = [
             conditional_error(gamma, CodingSpec(blocklength=n, code_size=2, rate=rate))
             for n in (50, 100, 200, 400, 800)
@@ -158,7 +161,7 @@ class TestAverageError:
         )
         spec = CodingSpec(blocklength=10 ** 6, code_size=2, rate=0.05)
         gam, wts = sinr_quadrature(s)
-        below = wts[capacity_nats(gam) <= spec.rate].sum()
+        below = wts[np.log1p(gam) <= spec.rate].sum()
         assert below < 1e-6  # failure mass is negligible at this rate
         res = average_error(s, spec, ErrorModel(method="quadrature",
                                                 quad_tolerance=1e-7))
@@ -281,8 +284,8 @@ class TestGallagerE0:
     def test_against_extended_precision_monte_carlo(self):
         s = scenario_at(15.0, 1)
         rho, n = 0.5, 200
-        e0 = gallager_e0(rho, s, n, ErrorModel(method="quadrature",
-                                               quad_tolerance=1e-9))
+        gam, wts = sinr_quadrature(s, n_panels=192)
+        e0 = gallager_e0_samples(rho, gam, n, wts)
         draws = np.concatenate([
             np.asarray(sinr_samples(s, 100_000, stream_index=i), dtype=np.longdouble)
             for i in range(10)
@@ -310,7 +313,7 @@ class TestGallagerE0:
 
 class TestErrorExponent:
     def test_point_mass_rate_above_capacity(self):
-        theta, rho = error_exponent_samples(np.array([1.0]), capacity_nats(1.0), 500)
+        theta, rho = error_exponent_samples(np.array([1.0]), math.log1p(1.0), 500)
         assert theta == 0.0 and rho == 0.0
 
     def test_point_mass_against_grid_oracle(self):
@@ -335,7 +338,7 @@ class TestErrorExponent:
     def test_exponent_dominates_point_mass_error_within_factor_ten(self):
         # Chernoff-style decay vs the normal approximation at half capacity
         gamma = 1.0
-        rate = 0.5 * capacity_nats(gamma)
+        rate = 0.5 * math.log1p(gamma)
         for n in (200, 500, 1000):
             theta, _ = error_exponent_samples(np.array([gamma]), rate, n)
             spec = CodingSpec(blocklength=n, code_size=2, rate=rate)

@@ -1,6 +1,5 @@
 """Network-calculus transform, kernel, and bound tests."""
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -15,16 +14,14 @@ from stinqos.aoi import (
 from stinqos.errors import DomainError, StabilityError
 from stinqos.fbc import CodingSpec
 from stinqos.snc import (
+    _log_mellin_gap,
+    _log_mellin_service,
     constant_rate_arrival,
     delay_bound,
-    delay_kernel,
     log_paoi_kernel,
-    mellin_cumulative_service,
-    mellin_interarrival,
     mellin_service_process,
     optimize_paoi_bound,
     paoi_bound,
-    paoi_kernel,
     paoi_theta_interval,
     poisson_batch_arrival,
     stability_check,
@@ -34,41 +31,40 @@ from stinqos.snc import (
 class TestInterarrivalTransform:
     def test_identity_at_one(self):
         for am in (ArrivalModel.poisson(1.0), ArrivalModel.deterministic(10.0)):
-            assert mellin_interarrival(1.0, am, 3) == 1.0
+            assert math.exp(3 * _log_mellin_gap(1.0, am)) == 1.0
 
     def test_poisson_value(self):
-        assert mellin_interarrival(1.5, ArrivalModel.poisson(1.0), 1) == pytest.approx(2.0)
+        assert math.exp(_log_mellin_gap(1.5, ArrivalModel.poisson(1.0))) == \
+            pytest.approx(2.0)
 
     def test_poisson_against_monte_carlo_mgf(self):
         am = ArrivalModel.poisson(1.0)
         rng = np.random.default_rng(0)
         gaps = rng.exponential(1.0, 1_000_000)
         mc = float(np.mean(np.exp(0.5 * gaps)))
-        assert mellin_interarrival(1.5, am, 1) == pytest.approx(mc, rel=0.01)
+        assert math.exp(_log_mellin_gap(1.5, am)) == pytest.approx(mc, rel=0.01)
 
     def test_deterministic_steps(self):
         am = ArrivalModel.deterministic(10.0)
-        assert mellin_interarrival(1.1, am, 2) == pytest.approx(math.e ** 2, rel=1e-12)
-
-    def test_zero_steps_is_empty_product(self):
-        assert mellin_interarrival(1.7, ArrivalModel.poisson(0.5), 0) == 1.0
+        assert math.exp(2 * _log_mellin_gap(1.1, am)) == pytest.approx(math.e ** 2,
+                                                                       rel=1e-12)
 
     def test_divergence(self):
         with pytest.raises(DomainError):
-            mellin_interarrival(2.1, ArrivalModel.poisson(1.0), 1)
+            _log_mellin_gap(2.1, ArrivalModel.poisson(1.0))
 
 
 class TestServiceTransform:
     def test_identity_at_one(self):
-        assert mellin_cumulative_service(1.0, ServiceModel.arq(10, 0.2), 4) == 1.0
+        assert math.exp(4 * _log_mellin_service(1.0, ServiceModel.arq(10, 0.2))) == 1.0
 
     def test_fixed_value(self):
-        assert mellin_cumulative_service(1.01, ServiceModel.fixed(100), 1) == \
+        assert math.exp(_log_mellin_service(1.01, ServiceModel.fixed(100))) == \
             pytest.approx(math.e, rel=1e-12)
 
     def test_arq_against_monte_carlo_mgf(self):
         sm = ServiceModel.arq(10, 0.1)
-        analytic = mellin_cumulative_service(1.05, sm, 1)
+        analytic = math.exp(_log_mellin_service(1.05, sm))
         formula = 0.9 * math.exp(0.5) / (1 - 0.1 * math.exp(0.5))
         assert analytic == pytest.approx(formula, rel=1e-12)
         u = np.random.default_rng(1).random(1_000_000)
@@ -79,27 +75,27 @@ class TestServiceTransform:
     def test_divergence(self):
         sm = ServiceModel.arq(10, 0.1)
         with pytest.raises(DomainError):
-            mellin_cumulative_service(1.0 + math.log(10.0) / 10.0 + 1e-9, sm, 1)
+            _log_mellin_service(1.0 + math.log(10.0) / 10.0 + 1e-9, sm)
 
     @pytest.mark.parametrize(
         "mellin,args",
         [
-            (mellin_interarrival, (ArrivalModel.poisson(0.5), 1)),
-            (mellin_cumulative_service, (ServiceModel.arq(5, 0.2), 1)),
-            (mellin_cumulative_service, (ServiceModel.fixed(7), 1)),
+            (_log_mellin_gap, (ArrivalModel.poisson(0.5),)),
+            (_log_mellin_service, (ServiceModel.arq(5, 0.2),)),
+            (_log_mellin_service, (ServiceModel.fixed(7),)),
         ],
     )
     def test_log_convexity(self, mellin, args):
         thetas = np.linspace(0.3, 1.3, 21)
-        logs = np.array([math.log(mellin(t, *args)) for t in thetas])
+        logs = np.array([mellin(t, *args) for t in thetas])
         assert np.all(np.diff(logs, 2) >= -1e-9)
 
 
 class TestPaoiKernel:
     def test_single_update_is_two_factor_product(self):
         am, sm = ArrivalModel.deterministic(10.0), ServiceModel.fixed(4)
-        k = paoi_kernel(0.05, 1, am, sm)
-        expected = mellin_interarrival(1.05, am, 1) * mellin_cumulative_service(1.05, sm, 1)
+        k = math.exp(log_paoi_kernel(0.05, 1, am, sm))
+        expected = math.exp(_log_mellin_gap(1.05, am) + _log_mellin_service(1.05, sm))
         assert k == pytest.approx(expected, rel=1e-12)
 
     def test_hand_evaluated_three_terms(self):
@@ -109,12 +105,13 @@ class TestPaoiKernel:
             + math.exp(0.05 * 8) * math.exp(-0.05 * 10)
             + math.exp(0.05 * 4)
         )
-        assert paoi_kernel(0.05, 3, am, sm) == pytest.approx(hand, rel=1e-12)
+        assert math.exp(log_paoi_kernel(0.05, 3, am, sm)) == pytest.approx(hand,
+                                                                           rel=1e-12)
 
     def test_steady_state_truncation(self):
         am, sm = ArrivalModel.poisson(1 / 256), ServiceModel.arq(64, 0.1)
-        k_inf = paoi_kernel(0.003, None, am, sm)
-        k_1000 = paoi_kernel(0.003, 1000, am, sm)
+        k_inf = math.exp(log_paoi_kernel(0.003, None, am, sm))
+        k_1000 = math.exp(log_paoi_kernel(0.003, 1000, am, sm))
         assert abs(k_inf - k_1000) < 1e-9 * k_inf
 
     @pytest.mark.parametrize("am", [ArrivalModel.poisson(1 / 256),
@@ -130,15 +127,15 @@ class TestPaoiKernel:
     def test_truncation_horizon_doubling(self):
         am, sm = ArrivalModel.poisson(1 / 256), ServiceModel.arq(64, 0.1)
         # term ratio < 0.9 here; doubling the horizon moves nothing
-        k_500 = paoi_kernel(0.002, 500, am, sm)
-        k_1000 = paoi_kernel(0.002, 1000, am, sm)
+        k_500 = math.exp(log_paoi_kernel(0.002, 500, am, sm))
+        k_1000 = math.exp(log_paoi_kernel(0.002, 1000, am, sm))
         assert abs(k_1000 - k_500) < 1e-9 * k_500
 
     def test_divergence_detection(self):
         # mean service beats mean gap: the lag terms never decay
         am, sm = ArrivalModel.poisson(1 / 50), ServiceModel.arq(64, 0.2)
         with pytest.raises(StabilityError):
-            paoi_kernel(0.001, None, am, sm)
+            log_paoi_kernel(0.001, None, am, sm)
 
     def test_feasible_interval(self):
         am, sm = ArrivalModel.poisson(1 / 256), ServiceModel.arq(64, 0.1)
@@ -161,7 +158,7 @@ class TestPaoiBound:
 
     def test_vanishing_theta_limit(self):
         rep = paoi_bound(1e-9, 1000.0, 64, 3, DEFAULT_AM, DEFAULT_SM)
-        k0 = paoi_kernel(1e-9, 3, DEFAULT_AM, DEFAULT_SM)
+        k0 = math.exp(log_paoi_kernel(1e-9, 3, DEFAULT_AM, DEFAULT_SM))
         assert rep.bound_value == pytest.approx(min(1.0, k0), rel=1e-9)
 
     def test_dominates_simulation(self):
@@ -284,36 +281,24 @@ class TestStabilityCheck:
 
 class TestDelayKernel:
     def test_direct_formula(self):
-        # make M_S(1 - theta) = 0.5 exactly: no decoding errors, 1 bit/block
-        one_bit = CodingSpec(blocklength=64, code_size=2)
-        theta = math.log(2.0)
-        val = delay_kernel(theta, 2.0, lambda t: 1.0, one_bit, 0.0)
-        assert val == pytest.approx(0.25 / 0.5, rel=1e-12)
-
-    def test_near_pole_warning(self):
-        one_bit = CodingSpec(blocklength=64, code_size=2)
-        # arrival transform tuned so the product is within 1e-7 of 1
-        target = 1.0 - 1e-7
-
-        def arrival(t):
-            return target / mellin_service_process(2.0 - t, one_bit, 0.0)
-
-        theta = math.log(2.0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            val = delay_kernel(theta, 0.0, arrival, one_bit, 0.0)
-        assert val > 1e6
-        assert any("stability margin" in str(w.message) for w in caught)
+        # kernel M_S(1-theta)^D_th / (1 - M_A(1+theta) M_S(1-theta)) at the
+        # optimized theta
+        arrival = constant_rate_arrival(4.0)
+        rep = delay_bound(2.0, arrival, CODING, 0.1)
+        ms = mellin_service_process(1.0 - rep.theta, CODING, 0.1)
+        product = arrival(1.0 + rep.theta) * ms
+        assert rep.params["stability_margin"] == product
+        assert rep.kernel_value == pytest.approx(ms ** 2 / (1.0 - product), rel=1e-12)
 
     def test_stability_error_carries_margin(self):
         with pytest.raises(StabilityError) as info:
-            delay_kernel(0.3, 2.0, constant_rate_arrival(50.0), CODING, 0.1)
+            delay_bound(2.0, constant_rate_arrival(50.0), CODING, 0.1)
         assert info.value.margin >= 1.0
 
     def test_finite_and_decreasing_in_d_th(self):
         arrival = constant_rate_arrival(4.0)  # below (1 - eps) * 8 bits
         vals = [
-            delay_kernel(0.3, d, arrival, CODING, 0.1)
+            delay_bound(d, arrival, CODING, 0.1).kernel_value
             for d in (0.0, 1.0, 2.0, 5.0, 10.0)
         ]
         assert all(math.isfinite(v) for v in vals)
