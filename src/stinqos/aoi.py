@@ -88,7 +88,17 @@ class ServiceModel:
         return self.n / (1.0 - self.epsilon)
 
     def sample_services(self, n_updates: int, rng: np.random.Generator) -> np.ndarray:
-        return self.services_from_uniforms(rng.random(n_updates))
+        """Service times of one rng.random(n_updates) draw of uniforms.
+
+        The uniforms are drawn one block of rows at a time, which gives the
+        doubles of one whole draw, so only the service column spans the
+        updates.
+        """
+        services = np.empty(n_updates)
+        for rows in _row_blocks(n_updates):
+            services[rows] = self.services_from_uniforms(
+                rng.random(rows.stop - rows.start))
+        return services
 
     def services_from_uniforms(self, u: np.ndarray) -> np.ndarray:
         """Service times from uniform(0,1) draws via the inverse CDF.
@@ -142,13 +152,29 @@ class UpdateTrace:
         return len(self.arrivals)
 
 
+def _departures(arrivals: np.ndarray, services: np.ndarray, prev: float,
+                out: np.ndarray) -> float:
+    """D[u] = max(D[u-1], A[u]) + S[u] over one block of rows into ``out``,
+    starting from the departure ``prev`` carried in from the rows before;
+    returns the block's last departure."""
+    # Python floats, since numpy scalar indexing costs more than the
+    # recursion; the conditional is max(prev, a), without the call overhead
+    block = []
+    for a, s in zip(arrivals.tolist(), services.tolist()):
+        prev = (a if a > prev else prev) + s
+        block.append(prev)
+    out[:] = block
+    return prev
+
+
 def departure_times(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
     """FCFS departures D[u] = max(D[u-1], A[u]) + S[u].
 
     This O(N) recursion equals the max-plus form
     max_{v<=u} (A[v] + sum_{i=v..u} S[i]) term for term, including float
     rounding, because float addition is monotone; tests assert the equality
-    against the direct O(N^2) evaluation.
+    against the direct O(N^2) evaluation. It runs one block of rows at a
+    time, so no list spans the whole column.
     """
     arrivals = np.asarray(arrivals, dtype=float)
     services = np.asarray(services, dtype=float)
@@ -156,15 +182,8 @@ def departure_times(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
         raise ValueError("arrivals and services must be columns of equal length")
     dep = np.empty(len(arrivals))
     prev = -math.inf
-    # Python floats, since numpy scalar indexing costs more than the
-    # recursion; the conditional is max(prev, a), without the call overhead.
-    # One block of rows at a time, so no list spans the whole column.
     for rows in _row_blocks(len(dep)):
-        block = []
-        for a, s in zip(arrivals[rows].tolist(), services[rows].tolist()):
-            prev = (a if a > prev else prev) + s
-            block.append(prev)
-        dep[rows] = block
+        prev = _departures(arrivals[rows], services[rows], prev, dep[rows])
     return dep
 
 
@@ -228,12 +247,16 @@ def peak_aoi(arrivals: np.ndarray, sojourns: np.ndarray) -> np.ndarray:
 
 def _check_times(arrivals: np.ndarray, rows: np.ndarray) -> None:
     """Input checks of the queue: one arrival column against a (rows, N)
-    service matrix."""
+    service matrix, one block of columns at a time, so no temporary spans
+    the columns."""
     if rows.shape[1:] != arrivals.shape:
         raise ValueError("arrivals and services must have equal length")
-    if np.any(np.diff(arrivals) < 0) or (len(arrivals) and arrivals[0] < 0):
-        raise ValueError("arrival times must be nonnegative and nondecreasing")
-    if np.any(rows < 0):
+    prev = 0.0  # each block is checked against the arrival before it
+    for cols in _row_blocks(len(arrivals)):
+        if arrivals[cols.start] < prev or np.any(np.diff(arrivals[cols]) < 0):
+            raise ValueError("arrival times must be nonnegative and nondecreasing")
+        prev = arrivals[cols.stop - 1]
+    if any(np.any(rows[:, cols] < 0) for cols in _row_blocks(len(arrivals))):
         raise ValueError("service times must be nonnegative")
 
 
@@ -253,15 +276,23 @@ def build_trace(arrivals: np.ndarray, services: np.ndarray) -> UpdateTrace:
     )
 
 
-def simulate_trace(
+def sample_updates(
     am: ArrivalModel, sm: ServiceModel, n_updates: int, rng: np.random.Generator
-) -> UpdateTrace:
-    """Draw arrivals and services from the models and fill the trace."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Arrival and service times of n_updates updates drawn from the models:
+    every gap first, then every service."""
     if n_updates < 1:
         raise DomainError(f"need at least one update, got {n_updates}")
     gaps = am.sample_gaps(n_updates, rng)
     services = sm.sample_services(n_updates, rng)
-    return build_trace(np.cumsum(gaps, out=gaps), services)
+    return np.cumsum(gaps, out=gaps), services
+
+
+def simulate_trace(
+    am: ArrivalModel, sm: ServiceModel, n_updates: int, rng: np.random.Generator
+) -> UpdateTrace:
+    """Draw arrivals and services from the models and fill the trace."""
+    return build_trace(*sample_updates(am, sm, n_updates, rng))
 
 
 def empirical_violation(trace: UpdateTrace, a_th: float) -> float:
@@ -274,10 +305,25 @@ def empirical_violation(trace: UpdateTrace, a_th: float) -> float:
 TRACE_FIELDS = ["u", "arrival", "service", "departure", "sojourn", "peak_aoi"]
 
 
-def trace_columns(trace: UpdateTrace) -> list:
-    """Columns for the CSV export in TRACE_FIELDS order, times in channel uses.
+def trace_columns(arrivals: np.ndarray, services: np.ndarray):
+    """Yield the CSV columns of build_trace(arrivals, services) in
+    TRACE_FIELDS order, one block of rows at a time, times in channel uses.
 
-    The update index is a ``range``, so numbering the rows allocates nothing.
+    The previous departure and the previous arrival are carried across
+    block edges, so every block equals the same rows of the whole trace bit
+    for bit while only one block of the derived columns exists. The input
+    checks of build_trace run before the first block.
     """
-    return [range(1, len(trace) + 1), trace.arrivals, trace.services,
-            trace.departures, trace.sojourns, trace.peak_aoi]
+    arrivals = np.asarray(arrivals, dtype=float)
+    services = np.asarray(services, dtype=float)
+    _check_times(arrivals, services[np.newaxis])
+    dep_prev, arr_prev = -math.inf, 0.0
+    for rows in _row_blocks(len(arrivals)):
+        arr, serv = arrivals[rows], services[rows]
+        dep = np.empty(len(arr))
+        dep_prev = _departures(arr, serv, dep_prev, dep)
+        soj = sojourn_times(arr, dep)
+        peak = np.diff(arr, prepend=arr_prev)  # as peak_aoi, from the carried arrival
+        peak += soj
+        arr_prev = arr[-1]
+        yield [range(rows.start + 1, rows.stop + 1), arr, serv, dep, soj, peak]

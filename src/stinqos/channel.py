@@ -254,9 +254,10 @@ def sample_channel_gain(p: ShadowedRicianParams, rng: np.random.Generator, size=
     Z complex Gaussian with per-dimension variance b; the power gain then
     follows the shadowed-Rician density by construction.
 
-    The draws come in the order gamma, uniform, normal, normal; each normal
-    stream is drawn one block of rows at a time and the arithmetic is done
-    in place, so at most three arrays of the sample size are live.
+    The draws come in the order gamma, uniform, normal, normal. The
+    arithmetic runs one block of rows at a time and in place: the real part
+    goes into the amplitudes' array and the imaginary part into the phases',
+    so two arrays of the sample size are live.
     """
     n = 1 if size is None else int(np.prod(size))
     if p.omega > 0:
@@ -266,18 +267,20 @@ def sample_channel_gain(p: ShadowedRicianParams, rng: np.random.Generator, size=
         a = np.zeros(n)
     phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
     sd = math.sqrt(p.b)
-    re = np.cos(phi)
-    re *= a
     for rows in _row_blocks(n):
-        re[rows] += rng.normal(0.0, sd, size=rows.stop - rows.start)
-    im = np.sin(phi, out=phi)
-    im *= a
+        amp, ph = a[rows], phi[rows]
+        re = np.cos(ph)
+        re *= amp
+        re += rng.normal(0.0, sd, size=rows.stop - rows.start)
+        np.sin(ph, out=ph)
+        ph *= amp
+        amp[:] = re
     for rows in _row_blocks(n):
-        im[rows] += rng.normal(0.0, sd, size=rows.stop - rows.start)
-    re *= re
-    im *= im
-    re += im
-    return float(re[0]) if size is None else re.reshape(size)
+        phi[rows] += rng.normal(0.0, sd, size=rows.stop - rows.start)
+    a *= a
+    phi *= phi
+    a += phi
+    return float(a[0]) if size is None else a.reshape(size)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from . import channel, csvio
-from .aoi import simulate_trace, trace_columns, TRACE_FIELDS
+from .aoi import sample_updates, trace_columns, TRACE_FIELDS
 from .config import (
     RunConfig,
     apply_overrides,
@@ -43,9 +43,10 @@ EXIT_NUMERIC = 4
 EXIT_IO = 5
 
 
-def _columns(fields, rows) -> list:
-    """The row dicts as one list per field, in ``fields`` order."""
-    return [[row[k] for row in rows] for k in fields]
+def _block(fields, rows) -> list:
+    """The row dicts as the one block of a CSV: one list per field, in
+    ``fields`` order."""
+    return [[[row[k] for row in rows] for k in fields]]
 
 
 def _run_error(rc: RunConfig):
@@ -57,7 +58,7 @@ def _run_error(rc: RunConfig):
         "achieved_tol": "" if res.achieved_tol is None else res.achieved_tol,
         "method": res.method,
     }
-    return fields, _columns(fields, [row])
+    return fields, _block(fields, [row])
 
 
 def _run_exponent(rc: RunConfig):
@@ -72,15 +73,16 @@ def _run_exponent(rc: RunConfig):
         "rho_star": numeric.params["rho_star"],
         "theta_closed_form": closed.theta,
     }
-    return fields, _columns(fields, [row])
+    return fields, _block(fields, [row])
 
 
 def _run_aoi_sim(rc: RunConfig):
     am = build_arrival(rc.params.get("arrival"), rc.defaults_used)
     sm = build_service(rc.params.get("service"), rc.defaults_used, rc)
     n_updates = rc.params.get("n_updates", 10_000)
-    trace = simulate_trace(am, sm, n_updates, rc.scenario.rng(channel.STREAM_TRACE))
-    return TRACE_FIELDS, trace_columns(trace)
+    arrivals, services = sample_updates(am, sm, n_updates,
+                                        rc.scenario.rng(channel.STREAM_TRACE))
+    return TRACE_FIELDS, trace_columns(arrivals, services)
 
 
 def _run_paoi_bound(rc: RunConfig):
@@ -96,7 +98,7 @@ def _run_paoi_bound(rc: RunConfig):
     else:
         report = paoi_bound(float(theta), a_th, n, u, am, sm)
     row = report_row(report, seed=rc.seed)
-    return REPORT_FIELDS, _columns(REPORT_FIELDS, [row])
+    return REPORT_FIELDS, _block(REPORT_FIELDS, [row])
 
 
 def _run_delay_bound(rc: RunConfig):
@@ -111,7 +113,7 @@ def _run_delay_bound(rc: RunConfig):
     eps = average_error(rc.scenario, rc.coding, rc.error_model).value
     report = delay_bound(d_th, arrival, rc.coding, eps)
     row = report_row(report, seed=rc.seed)
-    return REPORT_FIELDS, _columns(REPORT_FIELDS, [row])
+    return REPORT_FIELDS, _block(REPORT_FIELDS, [row])
 
 
 def _run_sweep(rc: RunConfig):
@@ -126,7 +128,7 @@ def _run_sweep(rc: RunConfig):
             params[key] = tuple(params[key])
     spec = SweepSpec(**params)
     table = run_sweep(spec)
-    return table.fieldnames, _columns(table.fieldnames, table.rows)
+    return table.fieldnames, _block(table.fieldnames, table.rows)
 
 
 _RUNNERS = {
@@ -142,12 +144,14 @@ _RUNNERS = {
 def dispatch(rc: RunConfig) -> str:
     """Run the configured command and write its CSV; returns the path.
 
-    The command runs to completion before any file is opened, and the CSV is
-    streamed to a temp file that replaces ``rc.output`` only when complete,
+    Every command but aoi-sim computes its one block of rows before any file
+    is opened; aoi-sim draws its arrivals and services first and computes
+    the rest of its trace one block at a time while the CSV is written. The
+    CSV goes to a temp file that replaces ``rc.output`` only when complete,
     so a failing run leaves no partial output behind.
     """
-    fields, columns = _RUNNERS[rc.command](rc)
-    csvio.write_csv(rc.output, fields, columns,
+    fields, blocks = _RUNNERS[rc.command](rc)
+    csvio.write_csv(rc.output, fields, blocks,
                     csvio.comment_lines(echo_params(rc)))
     return rc.output
 

@@ -4,10 +4,11 @@ Comment lines are '#'-prefixed and carry the full parameter echo plus the
 build identifier, so a written file is a reproducible record of its run.
 No timestamps: identical inputs must produce identical bytes.
 
-The body is formatted column by column and written in chunks of rows to a
-temp file next to the target, which is moved into place only once every
-row is written: a failing run leaves no partial CSV and an earlier file at
-the target untouched.
+The body comes as blocks of columns, which a producer may compute while
+earlier blocks are written. Each block is formatted column by column, in
+slices of at most _CHUNK_ROWS rows, into a temp file next to the target,
+which is moved into place only once every row is written: a failing run
+leaves no partial CSV and an earlier file at the target untouched.
 """
 from __future__ import annotations
 
@@ -55,25 +56,37 @@ def _cells(col):
     return [_quote(format_value(v)) for v in col]
 
 
-def write_csv(path, fieldnames, columns, comments=()) -> None:
-    """Write '#' comment lines, a header and one row per index of ``columns``.
-
-    ``columns`` holds one sequence per field, all of one length. The file
-    appears at ``path`` only when complete; on any error the temp file is
-    removed and the error re-raised.
-    """
+def _write_block(fh, n_fields: int, columns) -> None:
+    """The rows of one block, formatted _CHUNK_ROWS rows at a time; the
+    cells of the last slice are gone before the next block is computed."""
     n_rows = len(columns[0]) if columns else 0
-    if len(columns) != len(fieldnames) or any(len(c) != n_rows for c in columns):
+    if len(columns) != n_fields or any(len(c) != n_rows for c in columns):
         raise ValueError("need one column per field, all of equal length")
+    for start in range(0, n_rows, _CHUNK_ROWS):
+        cells = [_cells(c[start:start + _CHUNK_ROWS]) for c in columns]
+        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def write_csv(path, fieldnames, blocks, comments=()) -> None:
+    """Write '#' comment lines, a header and the rows of every block.
+
+    ``blocks`` is an iterable of blocks of rows; a block holds one sequence
+    per field, all of one length. The first block is taken before the temp
+    file is opened, so a producer's input checks run before any file
+    exists. The file appears at ``path`` only when complete; on any error
+    the temp file is removed and the error re-raised.
+    """
+    blocks = iter(blocks)
+    columns = next(blocks, None)
     tmp = f"{path}.{os.getpid()}.tmp"
     fh = open(tmp, "x", encoding="utf-8", newline="")
     try:
         with fh:
             fh.writelines(f"# {line}\n" for line in comments)
             fh.write(",".join(map(_quote, fieldnames)) + "\n")
-            for start in range(0, n_rows, _CHUNK_ROWS):
-                cells = [_cells(c[start:start + _CHUNK_ROWS]) for c in columns]
-                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            while columns is not None:
+                _write_block(fh, len(fieldnames), columns)
+                columns = next(blocks, None)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

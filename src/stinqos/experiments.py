@@ -151,6 +151,8 @@ class SweepSpec:
             raise ConfigError("n_updates must be >= 1")
         if self.error_draws < 1:
             raise ConfigError("error_draws must be >= 1")
+        if self.fig4_n_updates < 1:
+            raise ConfigError("fig4_n_updates must be >= 1")
         for key in ("arrival_mean_gap_cu", "fig4_mean_gap_cu"):
             if not getattr(self, key) > 0:
                 raise ConfigError(f"{key} must be > 0, got {getattr(self, key)}")
@@ -161,10 +163,16 @@ class SweepSpec:
                 raise ConfigError(f"k_grid values must be >= 0, got {min(self.k_grid)}")
             if not self.snr_points_db:
                 raise ConfigError("snr_points_db must be nonempty")
-        if self.figure == "fig4" and not self.theta_grid:
-            raise ConfigError("theta_grid must be nonempty")
-        if self.figure == "fig5" and not self.n_grid:
-            raise ConfigError("n_grid must be nonempty")
+        if self.figure == "fig4":
+            if not self.theta_grid:
+                raise ConfigError("theta_grid must be nonempty")
+            if not all(t > 0 for t in self.theta_grid):
+                raise ConfigError(f"theta_grid values must be > 0, got {min(self.theta_grid)}")
+        if self.figure == "fig5":
+            if not self.n_grid:
+                raise ConfigError("n_grid must be nonempty")
+            if min(self.n_grid) < 1:
+                raise ConfigError(f"n_grid values must be >= 1, got {min(self.n_grid)}")
         if not 0.0 <= self.relay_prob <= 1.0:
             raise ConfigError("relay_prob must be in [0, 1]")
 

@@ -204,10 +204,14 @@ def average_error(s: Scenario, spec: CodingSpec, em: ErrorModel) -> ErrorResult:
         for rows in channel._row_blocks(errs.size):
             errs[rows] = conditional_error(errs[rows], spec)
         # over the whole array: block-wise sums would add in another order
-        value = float(np.mean(errs))
-        se = float(np.std(errs, ddof=1) / math.sqrt(em.sample_budget))
-        return ErrorResult(value=value, std_error=se, achieved_tol=None,
-                           method="monte_carlo")
+        mean = np.mean(errs)
+        # np.std(errs, ddof=1) in place: the same ufuncs in the same order
+        errs -= mean
+        np.square(errs, out=errs)
+        std = np.sqrt(np.sum(errs) / (errs.size - 1))
+        return ErrorResult(value=float(mean),
+                           std_error=float(std / math.sqrt(em.sample_budget)),
+                           achieved_tol=None, method="monte_carlo")
     prev = None
     for panels in _QUAD_PANELS:
         g, w = sinr_quadrature(s, n_panels=panels)

@@ -16,6 +16,7 @@ from stinqos.aoi import (
     departure_times_maxplus,
     empirical_violation,
     geometric_attempts,
+    sample_updates,
     simulate_trace,
     trace_columns,
     TRACE_FIELDS,
@@ -178,10 +179,43 @@ class TestTraceMemory:
         peak = traced_peak(simulate_trace, am, sm, self.N, np.random.default_rng(13))
         assert peak <= 64 * self.N
 
-    def test_trace_columns(self):
+    def test_sample_updates(self):
+        # the service uniforms are drawn a block at a time: the two columns
+        # and one block, not a third column-sized array
         am, sm = ArrivalModel.poisson(1 / 300.0), ServiceModel.arq(64, 0.3)
-        trace = simulate_trace(am, sm, self.N, np.random.default_rng(14))
-        assert traced_peak(trace_columns, trace) < 1024
+        peak = traced_peak(sample_updates, am, sm, self.N, np.random.default_rng(16))
+        assert peak < 16 * self.N + 1e6
+
+    def test_trace_columns(self):
+        # the input checks and the derived columns take one block at a time,
+        # at a length where one temporary column would be 4 MB
+        rng = np.random.default_rng(14)
+        arrivals = np.cumsum(rng.exponential(10.0, 500_000))
+        services = rng.exponential(8.0, 500_000)
+        blocks = trace_columns(arrivals, services)
+        assert traced_peak(lambda: [None for _ in blocks]) < 160 * BLOCK
+
+
+class TestTraceColumns:
+    """The blocks of trace_columns are the rows of the whole trace."""
+
+    @pytest.mark.parametrize("edge", ["tie", "backlog"])
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
+    def test_equal_to_build_trace(self, n, edge):
+        arrivals, services = edge_queue(n, edge, np.random.default_rng(n + 1))
+        trace = build_trace(arrivals, services)
+        want = [np.arange(1, n + 1), trace.arrivals, trace.services,
+                trace.departures, trace.sojourns, trace.peak_aoi]
+        blocks = list(trace_columns(arrivals, services))
+        assert [len(b[0]) for b in blocks] == [
+            min(BLOCK, n - start) for start in range(0, n, BLOCK)]
+        for got, col in zip(zip(*blocks), want):
+            assert np.array_equal(np.concatenate([np.asarray(c) for c in got]), col)
+
+    def test_input_checks_run_before_first_block(self):
+        blocks = trace_columns(np.array([1.0, 0.5]), np.ones(2))
+        with pytest.raises(ValueError):
+            next(blocks)
 
 
 class TestDepartureRows:
@@ -319,6 +353,15 @@ class TestSimulateTrace:
         assert np.array_equal(u, kept)
         assert np.array_equal(services, 64.0 * att)
 
+    @pytest.mark.parametrize("n", [1, BLOCK, 3 * BLOCK + 17])
+    @pytest.mark.parametrize("sm", [ServiceModel.arq(64, 0.3), ServiceModel.fixed(64)])
+    def test_services_drawn_in_blocks_equal_one_draw(self, sm, n):
+        rng, ref_rng = np.random.default_rng(15), np.random.default_rng(15)
+        got = sm.sample_services(n, rng)
+        want = sm.services_from_uniforms(ref_rng.random(n))
+        assert np.array_equal(got, want)
+        assert rng.random() == ref_rng.random()  # same draws consumed
+
     @pytest.mark.parametrize("eps", [1.0, 1.5, float("nan")])
     def test_geometric_attempts_refuses_certain_failure(self, eps):
         with pytest.raises(DomainError):
@@ -357,7 +400,7 @@ class TestTraceCsv:
     def test_export_columns(self, tmp_path):
         tr = example_trace()
         out = tmp_path / "trace.csv"
-        write_csv(out, TRACE_FIELDS, trace_columns(tr))
+        write_csv(out, TRACE_FIELDS, trace_columns(tr.arrivals, tr.services))
         text = out.read_text(encoding="utf-8")
         lines = text.strip().split("\n")
         assert lines[0] == "u,arrival,service,departure,sojourn,peak_aoi"

@@ -1,4 +1,6 @@
 """CLI and configuration tests: parsing, dispatch, exit codes, determinism."""
+import csv
+import io
 import json
 import os
 import subprocess
@@ -8,11 +10,13 @@ from pathlib import Path
 import pytest
 
 import stinqos
-from stinqos import csvio
-from stinqos.aoi import TRACE_FIELDS
+from stinqos import channel, cli, csvio, experiments
+from stinqos.aoi import TRACE_FIELDS, simulate_trace
 from stinqos.cli import main
-from stinqos.config import apply_overrides, build_config, parse_config
-from stinqos.errors import ConfigError
+from stinqos.config import (
+    apply_overrides, build_arrival, build_config, build_service, parse_config,
+)
+from stinqos.errors import ConfigError, DomainError
 
 
 def write_config(tmp_path, payload, name="run.json"):
@@ -128,6 +132,30 @@ class TestDispatch:
         assert rows[0] == "u,arrival,service,departure,sojourn,peak_aoi"
         assert len(rows) == 51
 
+    def test_aoi_sim_equals_row_by_row_reference(self, tmp_path):
+        # three writer chunks plus 17 rows of a streamed trace, against the
+        # csv.writer rendering of the whole build_trace columns
+        n = 3 * csvio._CHUNK_ROWS + 17
+        cfg = {"command": "aoi-sim", "seed": 6, "output": str(tmp_path / "t.csv"),
+               "params": {"n_updates": n,
+                          "arrival": {"kind": "poisson", "rate": 1 / 300.0},
+                          "service": {"kind": "arq", "n": 64, "epsilon": 0.3}}}
+        assert main([write_config(tmp_path, cfg)]) == 0
+        rc = build_config(cfg)
+        am = build_arrival(rc.params["arrival"], [])
+        sm = build_service(rc.params["service"], [], rc)
+        trace = simulate_trace(am, sm, n, rc.scenario.rng(channel.STREAM_TRACE))
+        text = (tmp_path / "t.csv").read_bytes().decode("utf-8")
+        comments = [line for line in text.split("\n") if line.startswith("#")]
+        want = io.StringIO()
+        want.writelines(line + "\n" for line in comments)
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(TRACE_FIELDS)
+        for u, row in enumerate(zip(trace.arrivals, trace.services, trace.departures,
+                                    trace.sojourns, trace.peak_aoi), start=1):
+            writer.writerow([u] + [csvio.format_value(v) for v in row])
+        assert text == want.getvalue()
+
     def test_paoi_bound_optimize(self, tmp_path):
         cfg = {"command": "paoi-bound", "seed": 5, "output": str(tmp_path / "b.csv"),
                "params": {"a_th_cu": 150_000.0, "theta": "optimize",
@@ -225,11 +253,17 @@ class TestDispatch:
         assert "category=config" in err and key in err
 
     @pytest.mark.parametrize("key", ["n_updates", "error_draws",
-                                     "arrival_mean_gap_cu", "fig4_mean_gap_cu"])
-    def test_empty_sweep_config_exit_code(self, tmp_path, capsys, key):
+                                     "arrival_mean_gap_cu", "fig4_mean_gap_cu",
+                                     "fig4_n_updates", "theta_grid", "n_grid"])
+    def test_empty_sweep_config_exit_code(self, tmp_path, capsys, key, monkeypatch):
+        # refused before any work: no figure runner is reached
+        monkeypatch.setattr(experiments, "_RUNNERS", dict.fromkeys(
+            experiments._RUNNERS, lambda spec: pytest.fail("the sweep ran")))
+        figure, value = {"fig4_n_updates": ("fig4", 0), "theta_grid": ("fig4", [0.0]),
+                         "n_grid": ("fig5", [0])}.get(key, ("fig3", 0))
         out = tmp_path / "s.csv"
         cfg = {"command": "sweep", "seed": 1, "output": str(out),
-               "params": {"figure": "fig3", "snr_points_db": [5.0], key: 0}}
+               "params": {"figure": figure, "snr_points_db": [5.0], key: value}}
         assert main([write_config(tmp_path, cfg)]) == 2
         assert not out.exists()
         err = capsys.readouterr().err
@@ -383,16 +417,57 @@ class TestAtomicWrite:
         assert not list(tmp_path.glob("*.tmp"))
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_worker_failure_keeps_existing_target(self, tmp_path, capsys, workers):
-        # blocklength 0 fails inside the fig5 grid, after the row at n = 100
+    def test_worker_failure_keeps_existing_target(self, tmp_path, capsys, workers,
+                                                  monkeypatch):
+        # the fig5 grid fails at n = 200, after the row at n = 100
+        exponent = experiments.error_exponent
+
+        def failing_exponent(scen, coding, em):
+            if coding.blocklength == 200:
+                raise DomainError("no exponent at n = 200")
+            return exponent(scen, coding, em)
+
+        monkeypatch.setattr(experiments, "error_exponent", failing_exponent)
         out = tmp_path / "s.csv"
         out.write_bytes(b"earlier run\r\n")
         cfg = {"command": "sweep", "seed": 11, "output": str(out),
-               "params": {"figure": "fig5", "n_grid": [100, 0]}}
+               "params": {"figure": "fig5", "n_grid": [100, 200]}}
         assert main([write_config(tmp_path, cfg), "--workers", workers]) == 3
         assert "category=domain" in capsys.readouterr().err
         assert out.read_bytes() == b"earlier run\r\n"
         assert not list(tmp_path.glob("*.tmp"))
+
+    def test_trace_failure_after_first_block_keeps_existing_target(
+            self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "t.csv"
+        out.write_bytes(b"earlier run\r\n")
+        cfg = json.loads(json.dumps(AOI_SIM_DET))
+        cfg["output"] = str(out)
+        cfg["params"]["n_updates"] = 2 * channel._BLOCK_ROWS
+        trace_columns = cli.trace_columns
+
+        def failing_blocks(arrivals, services):
+            yield next(trace_columns(arrivals, services))
+            assert list(tmp_path.glob("*.tmp"))  # the first block is streaming
+            raise DomainError("no second block")
+
+        monkeypatch.setattr(cli, "trace_columns", failing_blocks)
+        assert main([write_config(tmp_path, cfg)]) == 3
+        assert "category=domain no second block" in capsys.readouterr().err
+        assert out.read_bytes() == b"earlier run\r\n"
+        assert not list(tmp_path.glob("*.tmp"))
+
+    def test_no_updates_refused_before_temp_file(self, tmp_path, monkeypatch, capsys):
+        opened = []
+        monkeypatch.setattr(csvio, "open", lambda *a, **k: opened.append(a),
+                            raising=False)
+        cfg = json.loads(json.dumps(AOI_SIM_DET))
+        cfg["output"] = str(tmp_path / "t.csv")
+        cfg["params"]["n_updates"] = 0
+        assert main([write_config(tmp_path, cfg)]) == 3
+        assert "category=domain need at least one update" in capsys.readouterr().err
+        assert opened == []
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
     def test_missing_output_directory_io_exit_code(self, tmp_path, capsys):
         cfg = dict(AOI_SIM_DET, output=str(tmp_path / "missing" / "t.csv"))

@@ -10,7 +10,8 @@ import pytest
 import stinqos
 from stinqos import channel, csvio
 from stinqos.aoi import (
-    ArrivalModel, ServiceModel, TRACE_FIELDS, simulate_trace, trace_columns,
+    ArrivalModel, ServiceModel, TRACE_FIELDS, sample_updates, simulate_trace,
+    trace_columns,
 )
 from stinqos.csvio import format_value, write_csv
 
@@ -27,19 +28,25 @@ def reference_csv(fieldnames, columns, comments=()):
     return buf.getvalue()
 
 
-def written(tmp_path, fieldnames, columns, comments=()):
+def written(tmp_path, fieldnames, blocks, comments=()):
     out = tmp_path / "out.csv"
-    write_csv(out, fieldnames, columns, comments)
+    write_csv(out, fieldnames, blocks, comments)
     return out.read_bytes().decode("utf-8")  # keeps a lone "\r" as written
+
+
+def whole_columns(trace):
+    """The trace's columns in TRACE_FIELDS order, each spanning every row."""
+    return [range(1, len(trace) + 1), trace.arrivals, trace.services,
+            trace.departures, trace.sojourns, trace.peak_aoi]
 
 
 def test_trace_across_chunk_edges(tmp_path):
     n = 2 * csvio._CHUNK_ROWS + 3
     trace = simulate_trace(ArrivalModel.poisson(1 / 300.0), ServiceModel.arq(64, 0.3),
                            n, np.random.default_rng(7))
-    columns = trace_columns(trace)
+    columns = whole_columns(trace)
     comments = ["build: test", "n_updates=" + str(n)]
-    got = written(tmp_path, TRACE_FIELDS, columns, comments).split("\n")
+    got = written(tmp_path, TRACE_FIELDS, [columns], comments).split("\n")
     want = reference_csv(TRACE_FIELDS, columns, comments).split("\n")
     # the first differing line, not a diff of two megabyte strings
     diff = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
@@ -48,27 +55,55 @@ def test_trace_across_chunk_edges(tmp_path):
 
 
 def test_trace_across_departure_blocks(tmp_path):
-    # three blocks of the departure recursion plus 17 rows: the chunked,
-    # column-wise writer equals the row-by-row csv.writer rendering
+    # three blocks of the departure recursion plus 17 rows: the streamed,
+    # chunked, column-wise writer equals the row-by-row csv.writer rendering
+    # of the whole trace
     n = 3 * channel._BLOCK_ROWS + 17
     trace = simulate_trace(ArrivalModel.poisson(1 / 300.0), ServiceModel.arq(64, 0.3),
                            n, np.random.default_rng(8))
-    columns = trace_columns(trace)
-    assert written(tmp_path, TRACE_FIELDS, columns) == reference_csv(TRACE_FIELDS, columns)
+    got = written(tmp_path, TRACE_FIELDS, trace_columns(trace.arrivals, trace.services))
+    assert got == reference_csv(TRACE_FIELDS, whole_columns(trace))
+
+
+def traced_peak(fn):
+    """tracemalloc peak of one call, in bytes, above what is live before it."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("n", [20_000, 200_000])
 def test_trace_memory_above_columns(tmp_path, n):
+    # one block of whole columns is still formatted a slice of rows at a time
     trace = simulate_trace(ArrivalModel.poisson(1 / 300.0), ServiceModel.arq(64, 0.3),
                            n, np.random.default_rng(9))
-    columns = trace_columns(trace)
-    tracemalloc.start()
-    try:
-        write_csv(tmp_path / "out.csv", TRACE_FIELDS, columns)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    columns = whole_columns(trace)
+    peak = traced_peak(lambda: write_csv(tmp_path / "out.csv", TRACE_FIELDS, [columns]))
     assert peak < 2.5e6
+
+
+def test_streamed_trace_memory(tmp_path):
+    # only the arrival and service columns span the trace: 16 B per update
+    n = 200_000
+
+    def draw_and_write():
+        arrivals, services = sample_updates(
+            ArrivalModel.poisson(1 / 300.0), ServiceModel.arq(64, 0.3), n,
+            np.random.default_rng(10))
+        write_csv(tmp_path / "out.csv", TRACE_FIELDS, trace_columns(arrivals, services))
+
+    assert traced_peak(draw_and_write) <= 16 * n + 2.5e6
+
+
+def test_producer_checks_run_before_file_is_opened(tmp_path):
+    # decreasing arrivals: the ValueError of trace_columns' input checks, not
+    # the FileNotFoundError of opening a file in a missing directory
+    blocks = trace_columns(np.array([2.0, 1.0]), np.ones(2))
+    with pytest.raises(ValueError, match="nondecreasing"):
+        write_csv(tmp_path / "missing" / "out.csv", TRACE_FIELDS, blocks)
 
 
 MIXED = {
@@ -94,28 +129,30 @@ def test_mixed_type_columns(tmp_path, monkeypatch, chunk_rows):
         np.arange(7) % 2 == 0,
         np.array([1.0, "", None, True, 2, "a,b", 0.5], dtype=object),
     ]
-    assert written(tmp_path, fields, columns) == reference_csv(fields, columns)
+    assert written(tmp_path, fields, [columns]) == reference_csv(fields, columns)
 
 
 def test_float_list_with_empty_cell_takes_per_cell_path(tmp_path):
     fields = ["a", "b"]
     columns = [[1.0, "", 2.5, np.float64(0.1)], [1, 2, 3, 4]]
-    text = written(tmp_path, fields, columns)
+    text = written(tmp_path, fields, [columns])
     assert text == reference_csv(fields, columns)
     assert text.split("\n")[2] == ",2"
 
 
 def test_header_only_when_no_rows(tmp_path):
     fields = ["x", "a,b"]
-    text = written(tmp_path, fields, [[], np.zeros(0)])
+    text = written(tmp_path, fields, [[[], np.zeros(0)]])
     assert text == reference_csv(fields, [[], []]) == 'x,"a,b"\n'
 
 
 def test_columns_must_match_fields(tmp_path):
     with pytest.raises(ValueError):
-        write_csv(tmp_path / "out.csv", ["a", "b"], [[1, 2], [3]])
+        write_csv(tmp_path / "out.csv", ["a", "b"], [[[1, 2], [3]]])
     with pytest.raises(ValueError):
-        write_csv(tmp_path / "out.csv", ["a", "b"], [[1, 2]])
+        write_csv(tmp_path / "out.csv", ["a", "b"], [[[1, 2]]])
+    with pytest.raises(ValueError):  # a bad block after a good one
+        write_csv(tmp_path / "out.csv", ["a", "b"], [[[1], [2]], [[1, 2], [3]]])
     assert list(tmp_path.iterdir()) == []
 
 

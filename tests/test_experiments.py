@@ -193,7 +193,7 @@ class TestFig5:
 def csv_text(path, table):
     """The table written with write_csv and read back."""
     columns = [[row[k] for row in table.rows] for k in table.fieldnames]
-    write_csv(path, table.fieldnames, columns)
+    write_csv(path, table.fieldnames, [columns])
     return path.read_text(encoding="utf-8")
 
 
