@@ -9,13 +9,9 @@ __version__ = "0.1.0"  # the one version source; pyproject.toml repeats it
 from .aoi import (
     ArrivalModel,
     ServiceModel,
-    UpdateTrace,
-    build_trace,
     departure_times,
-    empirical_violation,
-    peak_aoi,
-    simulate_trace,
-    sojourn_times,
+    sample_updates,
+    violation_frequency,
 )
 from .channel import (
     InterfererField,

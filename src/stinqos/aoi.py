@@ -134,24 +134,6 @@ def geometric_attempts(u, epsilon: float) -> np.ndarray:
     return att
 
 
-@dataclass
-class UpdateTrace:
-    """Per-update timing columns for N status updates, all in channel uses.
-
-    Index i holds update u = i + 1; the virtual update 0 arrives at time 0,
-    which is what makes the first peak-AoI entry well defined.
-    """
-
-    arrivals: np.ndarray
-    services: np.ndarray
-    departures: np.ndarray
-    sojourns: np.ndarray
-    peak_aoi: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.arrivals)
-
-
 def _departures(arrivals: np.ndarray, services: np.ndarray, prev: float,
                 out: np.ndarray) -> float:
     """D[u] = max(D[u-1], A[u]) + S[u] over one block of rows into ``out``,
@@ -229,22 +211,6 @@ def departure_times_maxplus(arrivals: np.ndarray, services: np.ndarray) -> np.nd
     return dep
 
 
-def sojourn_times(arrivals: np.ndarray, departures: np.ndarray) -> np.ndarray:
-    """Time in system: departure minus arrival per update."""
-    return np.asarray(departures, dtype=float) - np.asarray(arrivals, dtype=float)
-
-
-def peak_aoi(arrivals: np.ndarray, sojourns: np.ndarray) -> np.ndarray:
-    """Peak AoI per update: preceding inter-arrival gap plus sojourn time.
-
-    The gap of the first update is measured from the virtual arrival at 0.
-    """
-    arrivals = np.asarray(arrivals, dtype=float)
-    gaps = np.diff(arrivals, prepend=0.0)
-    gaps += np.asarray(sojourns, dtype=float)
-    return gaps
-
-
 def _check_times(arrivals: np.ndarray, rows: np.ndarray) -> None:
     """Input checks of the queue: one arrival column against a (rows, N)
     service matrix, one block of columns at a time, so no temporary spans
@@ -253,27 +219,17 @@ def _check_times(arrivals: np.ndarray, rows: np.ndarray) -> None:
         raise ValueError("arrivals and services must have equal length")
     prev = 0.0  # each block is checked against the arrival before it
     for cols in _row_blocks(len(arrivals)):
-        if arrivals[cols.start] < prev or np.any(np.diff(arrivals[cols]) < 0):
-            raise ValueError("arrival times must be nonnegative and nondecreasing")
-        prev = arrivals[cols.stop - 1]
-    if any(np.any(rows[:, cols] < 0) for cols in _row_blocks(len(arrivals))):
-        raise ValueError("service times must be nonnegative")
-
-
-def build_trace(arrivals: np.ndarray, services: np.ndarray) -> UpdateTrace:
-    """Fill every derived column from raw arrival and service times."""
-    arrivals = np.asarray(arrivals, dtype=float)
-    services = np.asarray(services, dtype=float)
-    _check_times(arrivals, services[np.newaxis])
-    dep = departure_times(arrivals, services)
-    soj = sojourn_times(arrivals, dep)
-    return UpdateTrace(
-        arrivals=arrivals,
-        services=services,
-        departures=dep,
-        sojourns=soj,
-        peak_aoi=peak_aoi(arrivals, soj),
-    )
+        block = arrivals[cols]
+        # negated comparisons, so that a NaN fails them as well
+        if not (block[0] >= prev and np.all(np.diff(block) >= 0)
+                and block[-1] < math.inf):
+            raise ValueError(
+                "arrival times must be finite, nonnegative and nondecreasing")
+        prev = block[-1]
+    for cols in _row_blocks(len(arrivals)):
+        block = rows[:, cols]
+        if block.size and not (block.min() >= 0 and block.max() < math.inf):
+            raise ValueError("service times must be finite and nonnegative")
 
 
 def sample_updates(
@@ -288,31 +244,20 @@ def sample_updates(
     return np.cumsum(gaps, out=gaps), services
 
 
-def simulate_trace(
-    am: ArrivalModel, sm: ServiceModel, n_updates: int, rng: np.random.Generator
-) -> UpdateTrace:
-    """Draw arrivals and services from the models and fill the trace."""
-    return build_trace(*sample_updates(am, sm, n_updates, rng))
-
-
-def empirical_violation(trace: UpdateTrace, a_th: float) -> float:
-    """Fraction of updates whose peak AoI strictly exceeds a_th (cu)."""
-    if a_th < 0:
-        raise DomainError(f"peak AoI threshold must be >= 0, got {a_th}")
-    return float(np.mean(trace.peak_aoi > a_th))
-
-
 TRACE_FIELDS = ["u", "arrival", "service", "departure", "sojourn", "peak_aoi"]
 
 
 def trace_columns(arrivals: np.ndarray, services: np.ndarray):
-    """Yield the CSV columns of build_trace(arrivals, services) in
-    TRACE_FIELDS order, one block of rows at a time, times in channel uses.
+    """Yield the trace columns of FCFS updates with these arrival and
+    service times in TRACE_FIELDS order, one block of rows at a time, times
+    in channel uses.
 
-    The previous departure and the previous arrival are carried across
-    block edges, so every block equals the same rows of the whole trace bit
-    for bit while only one block of the derived columns exists. The input
-    checks of build_trace run before the first block.
+    The sojourn is departure minus arrival, and the peak AoI is the gap from
+    the previous arrival (the virtual update 0 arrives at time 0) plus the
+    sojourn. The previous departure and the previous arrival are carried
+    across block edges, so every block equals the same rows of a whole-column
+    pass bit for bit while only one block of the derived columns exists. The
+    input checks run before the first block.
     """
     arrivals = np.asarray(arrivals, dtype=float)
     services = np.asarray(services, dtype=float)
@@ -322,8 +267,19 @@ def trace_columns(arrivals: np.ndarray, services: np.ndarray):
         arr, serv = arrivals[rows], services[rows]
         dep = np.empty(len(arr))
         dep_prev = _departures(arr, serv, dep_prev, dep)
-        soj = sojourn_times(arr, dep)
-        peak = np.diff(arr, prepend=arr_prev)  # as peak_aoi, from the carried arrival
+        soj = dep - arr
+        peak = np.diff(arr, prepend=arr_prev)
         peak += soj
         arr_prev = arr[-1]
         yield [range(rows.start + 1, rows.stop + 1), arr, serv, dep, soj, peak]
+
+
+def violation_frequency(arrivals: np.ndarray, services: np.ndarray,
+                        a_th: float) -> float:
+    """Fraction of updates whose peak AoI strictly exceeds a_th (cu),
+    counted one block of trace_columns at a time."""
+    if a_th < 0:
+        raise DomainError(f"peak AoI threshold must be >= 0, got {a_th}")
+    count = sum(np.count_nonzero(block[-1] > a_th)
+                for block in trace_columns(arrivals, services))
+    return count / len(arrivals)

@@ -31,9 +31,9 @@ from .aoi import (
     ServiceModel,
     departure_rows,
     departure_times,
-    empirical_violation,
     geometric_attempts,
-    simulate_trace,
+    sample_updates,
+    violation_frequency,
 )
 from .channel import (
     InterfererField,
@@ -248,8 +248,8 @@ def _sweep_means(spec: SweepSpec, eps_sat: np.ndarray, eps_ter: np.ndarray) -> n
     _SYSTEMS. Each replication is one pass of departure_rows over a
     (2 * points, n_updates) buffer that holds the hybrid and satellite-only
     service rows of every grid point; the buffer is allocated once and
-    reused by every replication. The results equal build_trace row by row,
-    bit for bit.
+    reused by every replication. The peak AoI of each row equals the
+    peak_aoi column of trace_columns on that row, bit for bit.
     """
     points = list(np.ndindex(eps_sat.shape))
     for ki, si in points:  # refuse before allocating
@@ -370,8 +370,8 @@ def run_fig4(spec: SweepSpec) -> Table:
     rng = np.random.default_rng(
         np.random.SeedSequence(spec.seed, spawn_key=(_STREAM_TRACE, 0))
     )
-    trace = simulate_trace(am, sm, spec.fig4_n_updates, rng)
-    empirical = empirical_violation(trace, spec.a_th_cu)
+    empirical = violation_frequency(
+        *sample_updates(am, sm, spec.fig4_n_updates, rng), spec.a_th_cu)
     rows = []
     for theta in spec.theta_grid:
         rep = paoi_bound(theta, spec.a_th_cu, spec.blocklength, None, am, sm)

@@ -12,6 +12,7 @@ the caller computes once from the fading and coding models.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Callable
 
 from .aoi import ArrivalModel, ServiceModel
@@ -202,8 +203,7 @@ def optimize_paoi_bound(
 
     theta_star, _ = grid_then_golden(log_raw, lo, hi, n_grid=96, tol=theta_tol * t_ub)
     report = paoi_bound(theta_star, a_th, n, u, am, sm)
-    report.params["theta_interval"] = (0.0, t_ub)
-    return report
+    return replace(report, params={**report.params, "theta_interval": (0.0, t_ub)})
 
 
 # ---------------------------------------------------------------------------

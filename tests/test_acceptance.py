@@ -14,8 +14,8 @@ import pytest
 from stinqos.aoi import (
     departure_times,
     departure_times_maxplus,
-    empirical_violation,
-    simulate_trace,
+    sample_updates,
+    violation_frequency,
 )
 from stinqos.channel import (
     ShadowedRicianParams,
@@ -129,7 +129,7 @@ def test_criterion_4_paoi_bound_dominance():
     am, sm, eps = fig4_models(spec)
     n = spec.blocklength
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(11, 0)))
-    trace = simulate_trace(am, sm, 100_000, rng)
+    times = sample_updates(am, sm, 100_000, rng)
 
     a_grid = np.linspace(120_000.0, 300_000.0, 20)
     theta_grid = np.asarray(spec.theta_grid)
@@ -137,7 +137,7 @@ def test_criterion_4_paoi_bound_dominance():
 
     optimized = []
     for a_th in a_grid:
-        emp = empirical_violation(trace, a_th)
+        emp = violation_frequency(*times, a_th)
         se = math.sqrt(max(emp * (1 - emp), 0.0) / 100_000)
         opt = optimize_paoi_bound(a_th, n, None, am, sm)
         optimized.append(opt)

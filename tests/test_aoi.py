@@ -10,35 +10,41 @@ from stinqos import channel
 from stinqos.aoi import (
     ArrivalModel,
     ServiceModel,
-    build_trace,
     departure_rows,
     departure_times,
     departure_times_maxplus,
-    empirical_violation,
     geometric_attempts,
     sample_updates,
-    simulate_trace,
     trace_columns,
     TRACE_FIELDS,
+    violation_frequency,
 )
 from stinqos.csvio import write_csv
 from stinqos.errors import DomainError
+from trace_helper import whole_trace
 
 BLOCK = channel._BLOCK_ROWS
 
 
+EXAMPLE = (np.array([0.0, 3.0, 5.0]), np.array([4.0, 4.0, 4.0]))
+
+
 def example_trace():
-    return build_trace(np.array([0.0, 3.0, 5.0]), np.array([4.0, 4.0, 4.0]))
+    return whole_trace(*EXAMPLE)
+
+
+def simulated_trace(am, sm, n, rng):
+    return whole_trace(*sample_updates(am, sm, n, rng))
 
 
 def interarrival_span(trace, v, u):
     """Total gap arrivals[u] - arrivals[v] for updates 1 <= v <= u <= N."""
-    return float(trace.arrivals[u - 1] - trace.arrivals[v - 1])
+    return float(trace["arrival"][u - 1] - trace["arrival"][v - 1])
 
 
 def service_span(trace, v, u):
     """Total service time of updates v..u inclusive."""
-    return float(np.sum(trace.services[v - 1 : u]))
+    return float(np.sum(trace["service"][v - 1 : u]))
 
 
 def departures_whole_list(arrivals, services):
@@ -50,6 +56,15 @@ def departures_whole_list(arrivals, services):
         prev = (a if a > prev else prev) + s
         dep.append(prev)
     return np.array(dep, dtype=float)
+
+
+def build_trace(arrivals, services):
+    """The trace columns in TRACE_FIELDS order, each computed over whole
+    columns: the oracle of the blocks of trace_columns."""
+    dep = departures_whole_list(arrivals, services)
+    soj = dep - arrivals
+    return [np.arange(1, len(dep) + 1), arrivals, services, dep, soj,
+            np.diff(arrivals, prepend=0.0) + soj]
 
 
 def edge_queue(n, edge, rng):
@@ -79,12 +94,12 @@ def edge_queue(n, edge, rng):
 class TestDepartures:
     def test_worked_example(self):
         tr = example_trace()
-        np.testing.assert_array_equal(tr.departures, [4.0, 8.0, 12.0])
-        np.testing.assert_array_equal(tr.sojourns, [4.0, 5.0, 7.0])
+        np.testing.assert_array_equal(tr["departure"], [4.0, 8.0, 12.0])
+        np.testing.assert_array_equal(tr["sojourn"], [4.0, 5.0, 7.0])
 
     def test_single_update(self):
-        tr = build_trace(np.array([2.5]), np.array([1.5]))
-        assert tr.departures[0] == 4.0
+        tr = whole_trace(np.array([2.5]), np.array([1.5]))
+        assert tr["departure"][0] == 4.0
 
     def test_zero_services(self):
         a = np.array([1.0, 2.0, 7.0])
@@ -101,16 +116,16 @@ class TestDepartures:
 
     def test_fcfs_order(self):
         rng = np.random.default_rng(1)
-        tr = simulate_trace(ArrivalModel.poisson(0.02), ServiceModel.arq(8, 0.2),
-                            2000, rng)
-        assert np.all(np.diff(tr.departures) > 0)
+        tr = simulated_trace(ArrivalModel.poisson(0.02), ServiceModel.arq(8, 0.2),
+                             2000, rng)
+        assert np.all(np.diff(tr["departure"]) > 0)
 
     def test_work_conservation(self):
         rng = np.random.default_rng(2)
-        tr = simulate_trace(ArrivalModel.poisson(0.05), ServiceModel.fixed(10),
-                            500, rng)
-        assert np.sum(tr.services) <= (
-            tr.departures[-1] - tr.arrivals[0] + tr.services[0] + 1e-9
+        tr = simulated_trace(ArrivalModel.poisson(0.05), ServiceModel.fixed(10),
+                             500, rng)
+        assert np.sum(tr["service"]) <= (
+            tr["departure"][-1] - tr["arrival"][0] + tr["service"][0] + 1e-9
         )
 
 
@@ -174,10 +189,15 @@ class TestTraceMemory:
         services = rng.exponential(8.0, self.N)
         assert traced_peak(departure_times, arrivals, services) < 8 * self.N + 2e6
 
-    def test_simulate_trace(self):
-        am, sm = ArrivalModel.poisson(1 / 300.0), ServiceModel.arq(64, 0.3)
-        peak = traced_peak(simulate_trace, am, sm, self.N, np.random.default_rng(13))
-        assert peak <= 64 * self.N
+    def test_violation_frequency(self):
+        # fig4's count over drawn updates: only the two drawn columns span
+        # the updates, 16 B per update, plus the allowance of one block of
+        # test_trace_columns
+        am, sm = ArrivalModel.poisson(1 / 256.0), ServiceModel.arq(64, 0.0047)
+        n, rng = 100_000, np.random.default_rng(13)
+        peak = traced_peak(lambda: violation_frequency(
+            *sample_updates(am, sm, n, rng), 1500.0))
+        assert peak < 16 * n + 160 * BLOCK
 
     def test_sample_updates(self):
         # the service uniforms are drawn a block at a time: the two columns
@@ -203,14 +223,16 @@ class TestTraceColumns:
     @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
     def test_equal_to_build_trace(self, n, edge):
         arrivals, services = edge_queue(n, edge, np.random.default_rng(n + 1))
-        trace = build_trace(arrivals, services)
-        want = [np.arange(1, n + 1), trace.arrivals, trace.services,
-                trace.departures, trace.sojourns, trace.peak_aoi]
-        blocks = list(trace_columns(arrivals, services))
-        assert [len(b[0]) for b in blocks] == [
+        want = build_trace(arrivals, services)
+        assert [len(b[0]) for b in trace_columns(arrivals, services)] == [
             min(BLOCK, n - start) for start in range(0, n, BLOCK)]
-        for got, col in zip(zip(*blocks), want):
-            assert np.array_equal(np.concatenate([np.asarray(c) for c in got]), col)
+        got = whole_trace(arrivals, services)
+        for field, col in zip(TRACE_FIELDS, want):
+            assert np.array_equal(got[field], col)
+        # the block-wise count of fig4 against the whole peak-AoI column
+        peak = got["peak_aoi"]
+        for a_th in (0.0, 300.0, 1000.0, 150_000.0, float(np.median(peak))):
+            assert violation_frequency(arrivals, services, a_th) == np.mean(peak > a_th)
 
     def test_input_checks_run_before_first_block(self):
         blocks = trace_columns(np.array([1.0, 0.5]), np.ones(2))
@@ -242,16 +264,35 @@ class TestDepartureRows:
         ([0.0, 2.0, 3.0], [1.0, -1.0, 1.0]),  # negative service
         ([0.0, 2.0, 3.0], [1.0, 1.0]),  # length mismatch
         ([[0.0, 2.0, 3.0]], [1.0, 1.0, 1.0]),  # arrivals not one column
+        ([0.0, math.nan, 2.0], [1.0, 1.0, 1.0]),  # NaN arrival
+        ([math.nan, 1.0, 2.0], [1.0, 1.0, 1.0]),  # NaN first arrival
+        ([0.0, 1.0, math.inf], [1.0, 1.0, 1.0]),  # infinite arrival
+        ([0.0, 2.0, 3.0], [1.0, math.nan, 1.0]),  # NaN service
+        ([0.0, 2.0, 3.0], [1.0, 1.0, math.inf]),  # infinite service
     ])
-    def test_input_checks_match_build_trace(self, arrivals, services):
+    def test_input_checks_match_trace_columns(self, arrivals, services):
+        arrivals, services = np.array(arrivals), np.array(services)
         with pytest.raises(ValueError):
-            build_trace(np.array(arrivals), np.array(services))
+            next(trace_columns(arrivals, services))
         with pytest.raises(ValueError):
-            departure_rows(np.array(arrivals), np.array([services, services]))
+            violation_frequency(arrivals, services, 0.0)
+        with pytest.raises(ValueError):
+            departure_rows(arrivals, np.array([services, services]))
 
-    def test_build_trace_refuses_service_matrix(self):
+    @pytest.mark.parametrize("column, value", [
+        ("arrivals", math.nan), ("arrivals", math.inf),
+        ("services", math.nan), ("services", math.inf)])
+    def test_non_finite_time_past_first_block(self, column, value):
+        times = {"arrivals": np.arange(BLOCK + 2.0), "services": np.ones(BLOCK + 2)}
+        times[column][BLOCK + 1] = value
+        with pytest.raises(ValueError, match="finite"):
+            next(trace_columns(times["arrivals"], times["services"]))
+        with pytest.raises(ValueError, match="finite"):
+            departure_rows(times["arrivals"], times["services"][np.newaxis].copy())
+
+    def test_trace_columns_refuses_service_matrix(self):
         with pytest.raises(ValueError):
-            build_trace(np.array([0.0, 1.0]), np.ones((2, 2)))
+            next(trace_columns(np.array([0.0, 1.0]), np.ones((2, 2))))
 
     def test_requires_float64_matrix(self):
         with pytest.raises(ValueError):
@@ -263,79 +304,79 @@ class TestDepartureRows:
 class TestSojournAndPeak:
     def test_sojourn_dual_form(self):
         rng = np.random.default_rng(3)
-        tr = simulate_trace(ArrivalModel.poisson(0.05), ServiceModel.arq(4, 0.3),
-                            200, rng)
+        tr = simulated_trace(ArrivalModel.poisson(0.05), ServiceModel.arq(4, 0.3),
+                             200, rng)
         # max-plus dual: sojourn = max over v of service span minus gap span
         for u in (1, 17, 200):
             direct = max(
                 service_span(tr, v, u) - interarrival_span(tr, v, u)
                 for v in range(1, u + 1)
             )
-            assert tr.sojourns[u - 1] == pytest.approx(direct, rel=1e-12)
+            assert tr["sojourn"][u - 1] == pytest.approx(direct, rel=1e-12)
 
     def test_idle_system_sojourn_is_service(self):
-        tr = simulate_trace(
+        tr = simulated_trace(
             ArrivalModel.deterministic(100.0), ServiceModel.fixed(4), 50,
             np.random.default_rng(0),
         )
-        np.testing.assert_array_equal(tr.sojourns[1:], np.full(49, 4.0))
+        np.testing.assert_array_equal(tr["sojourn"][1:], np.full(49, 4.0))
 
     def test_sojourn_lower_bound(self):
         rng = np.random.default_rng(4)
-        tr = simulate_trace(ArrivalModel.poisson(0.05), ServiceModel.arq(4, 0.3),
-                            500, rng)
-        assert np.all(tr.sojourns >= tr.services - 1e-12)
+        tr = simulated_trace(ArrivalModel.poisson(0.05), ServiceModel.arq(4, 0.3),
+                             500, rng)
+        assert np.all(tr["sojourn"] >= tr["service"] - 1e-12)
 
     def test_peak_decomposition(self):
         tr = example_trace()
-        np.testing.assert_allclose(tr.peak_aoi, [4.0, 8.0, 9.0])
-        gaps = np.diff(tr.arrivals, prepend=0.0)
-        np.testing.assert_allclose(tr.peak_aoi, gaps + tr.sojourns)
+        np.testing.assert_allclose(tr["peak_aoi"], [4.0, 8.0, 9.0])
+        gaps = np.diff(tr["arrival"], prepend=0.0)
+        np.testing.assert_allclose(tr["peak_aoi"], gaps + tr["sojourn"])
 
     def test_deterministic_peak(self):
-        tr = simulate_trace(
+        tr = simulated_trace(
             ArrivalModel.deterministic(10.0), ServiceModel.fixed(4), 20,
             np.random.default_rng(0),
         )
-        np.testing.assert_allclose(tr.peak_aoi[1:], np.full(19, 14.0))
+        np.testing.assert_allclose(tr["peak_aoi"][1:], np.full(19, 14.0))
 
     def test_peak_lower_bound(self):
         rng = np.random.default_rng(5)
-        tr = simulate_trace(ArrivalModel.poisson(0.01), ServiceModel.arq(16, 0.4),
-                            500, rng)
-        assert np.all(tr.peak_aoi >= tr.services - 1e-12)
+        tr = simulated_trace(ArrivalModel.poisson(0.01), ServiceModel.arq(16, 0.4),
+                             500, rng)
+        assert np.all(tr["peak_aoi"] >= tr["service"] - 1e-12)
 
 
 class TestSimulateTrace:
     def test_deterministic_columns(self):
-        tr = simulate_trace(
+        tr = simulated_trace(
             ArrivalModel.deterministic(10.0), ServiceModel.fixed(4), 5,
             np.random.default_rng(0),
         )
-        np.testing.assert_allclose(tr.arrivals, [10, 20, 30, 40, 50])
-        np.testing.assert_allclose(tr.departures, [14, 24, 34, 44, 54])
+        np.testing.assert_allclose(tr["arrival"], [10, 20, 30, 40, 50])
+        np.testing.assert_allclose(tr["departure"], [14, 24, 34, 44, 54])
 
     def test_poisson_gap_moment(self):
-        tr = simulate_trace(
+        arrivals, _ = sample_updates(
             ArrivalModel.poisson(0.2), ServiceModel.fixed(1), 1_000_000,
             np.random.default_rng(6),
         )
-        gaps = np.diff(tr.arrivals, prepend=0.0)
+        gaps = np.diff(arrivals, prepend=0.0)
         assert np.mean(gaps) == pytest.approx(5.0, rel=0.01)
 
     def test_arq_service_moment(self):
-        tr = simulate_trace(
+        _, services = sample_updates(
             ArrivalModel.deterministic(1000.0), ServiceModel.arq(8, 0.25),
             1_000_000, np.random.default_rng(7),
         )
-        assert np.mean(tr.services) == pytest.approx(8 / 0.75, rel=0.01)
+        assert np.mean(services) == pytest.approx(8 / 0.75, rel=0.01)
 
     def test_deterministic_given_seed(self):
-        t1 = simulate_trace(ArrivalModel.poisson(0.1), ServiceModel.arq(4, 0.2),
-                            100, np.random.default_rng(8))
-        t2 = simulate_trace(ArrivalModel.poisson(0.1), ServiceModel.arq(4, 0.2),
-                            100, np.random.default_rng(8))
-        np.testing.assert_array_equal(t1.peak_aoi, t2.peak_aoi)
+        t1 = simulated_trace(ArrivalModel.poisson(0.1), ServiceModel.arq(4, 0.2),
+                             100, np.random.default_rng(8))
+        t2 = simulated_trace(ArrivalModel.poisson(0.1), ServiceModel.arq(4, 0.2),
+                             100, np.random.default_rng(8))
+        np.testing.assert_array_equal(t1["peak_aoi"], t2["peak_aoi"])
 
     def test_geometric_attempts_coupling(self):
         u = np.random.default_rng(9).random(100_000)
@@ -380,27 +421,30 @@ class TestSimulateTrace:
 
 class TestEmpiricalViolation:
     def test_zero_threshold(self):
-        assert empirical_violation(example_trace(), 0.0) == 1.0
+        assert violation_frequency(*EXAMPLE, 0.0) == 1.0
 
     def test_above_max(self):
         tr = example_trace()
-        assert empirical_violation(tr, float(np.max(tr.peak_aoi)) + 1.0) == 0.0
+        assert violation_frequency(*EXAMPLE, float(np.max(tr["peak_aoi"])) + 1.0) == 0.0
 
     def test_strict_inequality(self):
-        tr = simulate_trace(
+        times = sample_updates(
             ArrivalModel.deterministic(10.0), ServiceModel.fixed(4), 100,
             np.random.default_rng(0),
         )
         # every peak is exactly 14; strictness decides the boundary threshold
-        assert empirical_violation(tr, 13.9) == 1.0
-        assert empirical_violation(tr, 14.0) == 0.0
+        assert violation_frequency(*times, 13.9) == 1.0
+        assert violation_frequency(*times, 14.0) == 0.0
+
+    def test_refuses_negative_threshold(self):
+        with pytest.raises(DomainError):
+            violation_frequency(*EXAMPLE, -1.0)
 
 
 class TestTraceCsv:
     def test_export_columns(self, tmp_path):
-        tr = example_trace()
         out = tmp_path / "trace.csv"
-        write_csv(out, TRACE_FIELDS, trace_columns(tr.arrivals, tr.services))
+        write_csv(out, TRACE_FIELDS, trace_columns(*EXAMPLE))
         text = out.read_text(encoding="utf-8")
         lines = text.strip().split("\n")
         assert lines[0] == "u,arrival,service,departure,sojourn,peak_aoi"

@@ -11,12 +11,13 @@ import pytest
 
 import stinqos
 from stinqos import channel, cli, csvio, experiments
-from stinqos.aoi import TRACE_FIELDS, simulate_trace
+from stinqos.aoi import TRACE_FIELDS, sample_updates
 from stinqos.cli import main
 from stinqos.config import (
     apply_overrides, build_arrival, build_config, build_service, parse_config,
 )
 from stinqos.errors import ConfigError, DomainError
+from trace_helper import whole_trace
 
 
 def write_config(tmp_path, payload, name="run.json"):
@@ -134,7 +135,7 @@ class TestDispatch:
 
     def test_aoi_sim_equals_row_by_row_reference(self, tmp_path):
         # three writer chunks plus 17 rows of a streamed trace, against the
-        # csv.writer rendering of the whole build_trace columns
+        # csv.writer rendering of the whole trace columns
         n = 3 * csvio._CHUNK_ROWS + 17
         cfg = {"command": "aoi-sim", "seed": 6, "output": str(tmp_path / "t.csv"),
                "params": {"n_updates": n,
@@ -144,15 +145,16 @@ class TestDispatch:
         rc = build_config(cfg)
         am = build_arrival(rc.params["arrival"], [])
         sm = build_service(rc.params["service"], [], rc)
-        trace = simulate_trace(am, sm, n, rc.scenario.rng(channel.STREAM_TRACE))
+        times = sample_updates(am, sm, n, rc.scenario.rng(channel.STREAM_TRACE))
+        trace = whole_trace(*times)
         text = (tmp_path / "t.csv").read_bytes().decode("utf-8")
         comments = [line for line in text.split("\n") if line.startswith("#")]
         want = io.StringIO()
         want.writelines(line + "\n" for line in comments)
         writer = csv.writer(want, lineterminator="\n")
         writer.writerow(TRACE_FIELDS)
-        for u, row in enumerate(zip(trace.arrivals, trace.services, trace.departures,
-                                    trace.sojourns, trace.peak_aoi), start=1):
+        for u, row in enumerate(zip(trace["arrival"], trace["service"], trace["departure"],
+                                    trace["sojourn"], trace["peak_aoi"]), start=1):
             writer.writerow([u] + [csvio.format_value(v) for v in row])
         assert text == want.getvalue()
 

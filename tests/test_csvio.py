@@ -10,10 +10,10 @@ import pytest
 import stinqos
 from stinqos import channel, csvio
 from stinqos.aoi import (
-    ArrivalModel, ServiceModel, TRACE_FIELDS, sample_updates, simulate_trace,
-    trace_columns,
+    ArrivalModel, ServiceModel, TRACE_FIELDS, sample_updates, trace_columns,
 )
 from stinqos.csvio import format_value, write_csv
+from trace_helper import whole_trace
 
 
 def reference_csv(fieldnames, columns, comments=()):
@@ -34,17 +34,17 @@ def written(tmp_path, fieldnames, blocks, comments=()):
     return out.read_bytes().decode("utf-8")  # keeps a lone "\r" as written
 
 
-def whole_columns(trace):
-    """The trace's columns in TRACE_FIELDS order, each spanning every row."""
-    return [range(1, len(trace) + 1), trace.arrivals, trace.services,
-            trace.departures, trace.sojourns, trace.peak_aoi]
+def whole_columns(times):
+    """The trace columns of drawn times in TRACE_FIELDS order, each
+    spanning every row."""
+    return list(whole_trace(*times).values())
 
 
 def test_trace_across_chunk_edges(tmp_path):
     n = 2 * csvio._CHUNK_ROWS + 3
-    trace = simulate_trace(ArrivalModel.poisson(1 / 300.0), ServiceModel.arq(64, 0.3),
+    times = sample_updates(ArrivalModel.poisson(1 / 300.0), ServiceModel.arq(64, 0.3),
                            n, np.random.default_rng(7))
-    columns = whole_columns(trace)
+    columns = whole_columns(times)
     comments = ["build: test", "n_updates=" + str(n)]
     got = written(tmp_path, TRACE_FIELDS, [columns], comments).split("\n")
     want = reference_csv(TRACE_FIELDS, columns, comments).split("\n")
@@ -59,10 +59,10 @@ def test_trace_across_departure_blocks(tmp_path):
     # chunked, column-wise writer equals the row-by-row csv.writer rendering
     # of the whole trace
     n = 3 * channel._BLOCK_ROWS + 17
-    trace = simulate_trace(ArrivalModel.poisson(1 / 300.0), ServiceModel.arq(64, 0.3),
+    times = sample_updates(ArrivalModel.poisson(1 / 300.0), ServiceModel.arq(64, 0.3),
                            n, np.random.default_rng(8))
-    got = written(tmp_path, TRACE_FIELDS, trace_columns(trace.arrivals, trace.services))
-    assert got == reference_csv(TRACE_FIELDS, whole_columns(trace))
+    got = written(tmp_path, TRACE_FIELDS, trace_columns(*times))
+    assert got == reference_csv(TRACE_FIELDS, whole_columns(times))
 
 
 def traced_peak(fn):
@@ -78,9 +78,9 @@ def traced_peak(fn):
 @pytest.mark.parametrize("n", [20_000, 200_000])
 def test_trace_memory_above_columns(tmp_path, n):
     # one block of whole columns is still formatted a slice of rows at a time
-    trace = simulate_trace(ArrivalModel.poisson(1 / 300.0), ServiceModel.arq(64, 0.3),
+    times = sample_updates(ArrivalModel.poisson(1 / 300.0), ServiceModel.arq(64, 0.3),
                            n, np.random.default_rng(9))
-    columns = whole_columns(trace)
+    columns = whole_columns(times)
     peak = traced_peak(lambda: write_csv(tmp_path / "out.csv", TRACE_FIELDS, [columns]))
     assert peak < 2.5e6
 

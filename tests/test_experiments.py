@@ -8,7 +8,7 @@ import pytest
 from stinqos.cli import main
 from stinqos.csvio import write_csv
 from stinqos.errors import ConfigError, DomainError
-from stinqos.aoi import build_trace, geometric_attempts
+from stinqos.aoi import geometric_attempts
 from stinqos.experiments import (
     _SYSTEMS,
     SweepSpec,
@@ -25,6 +25,7 @@ from stinqos.experiments import (
     compare_stin_psn,
     simulate_delay_violation,
 )
+from trace_helper import whole_trace
 
 
 def small_fig3_spec(**kw):
@@ -108,10 +109,10 @@ class TestBatchedSweep:
                     att_stin = np.where(use_relay, att_ter, att_sat)
                     slots = max(k, 1) if slot_scaling else 1
                     for system, att in (("psn", att_sat), ("stin", att_stin)):
-                        trace = build_trace(arrivals,
+                        trace = whole_trace(arrivals,
                                             float(spec.blocklength * slots) * att)
                         row = batched[ki * n_snr + si, _SYSTEMS.index(system)]
-                        assert row[rep] == float(np.mean(trace.peak_aoi))
+                        assert row[rep] == float(np.mean(trace["peak_aoi"]))
 
     @pytest.mark.parametrize("figure", ["fig3", "stin_psn", "fig4", "fig5"])
     def test_workers_start_no_process_pool(self, tmp_path, monkeypatch, figure):

@@ -7,9 +7,9 @@ import pytest
 from stinqos.aoi import (
     ArrivalModel,
     ServiceModel,
-    empirical_violation,
     geometric_attempts,
-    simulate_trace,
+    sample_updates,
+    violation_frequency,
 )
 from stinqos.errors import DomainError, StabilityError
 from stinqos.fbc import CodingSpec
@@ -163,9 +163,9 @@ class TestPaoiBound:
 
     def test_dominates_simulation(self):
         rng = np.random.default_rng(11)
-        trace = simulate_trace(DEFAULT_AM, DEFAULT_SM, 100_000, rng)
+        times = sample_updates(DEFAULT_AM, DEFAULT_SM, 100_000, rng)
         for a_th in (1000.0, 40_000.0, 120_000.0, 200_000.0):
-            emp = empirical_violation(trace, a_th)
+            emp = violation_frequency(*times, a_th)
             se = math.sqrt(max(emp * (1 - emp), 1e-12) / 100_000)
             rep = paoi_bound(0.0025, a_th, 64, None, DEFAULT_AM, DEFAULT_SM)
             assert rep.bound_value >= emp - 3 * se
@@ -202,6 +202,12 @@ class TestOptimizePaoiBound:
                   for t in grid]
         assert rep.raw_bound <= min(bounds) * (1 + 1e-9)
 
+    def test_report_carries_theta_interval(self):
+        rep = optimize_paoi_bound(150_000.0, 64, None, DEFAULT_AM, DEFAULT_SM)
+        assert rep.params["theta_interval"] == (
+            0.0, paoi_theta_interval(DEFAULT_AM, DEFAULT_SM)[1])
+        assert rep.params["n"] == 64 and rep.params["u"] == "inf"
+
     def test_monotone_in_threshold(self):
         reps = [
             optimize_paoi_bound(a, 64, None, DEFAULT_AM, DEFAULT_SM).bound_value
@@ -211,9 +217,9 @@ class TestOptimizePaoiBound:
 
     def test_dominates_simulation(self):
         rng = np.random.default_rng(12)
-        trace = simulate_trace(DEFAULT_AM, DEFAULT_SM, 100_000, rng)
+        times = sample_updates(DEFAULT_AM, DEFAULT_SM, 100_000, rng)
         for a_th in (2000.0, 100_000.0, 250_000.0):
-            emp = empirical_violation(trace, a_th)
+            emp = violation_frequency(*times, a_th)
             se = math.sqrt(max(emp * (1 - emp), 1e-12) / 100_000)
             rep = optimize_paoi_bound(a_th, 64, None, DEFAULT_AM, DEFAULT_SM)
             assert rep.bound_value >= emp - 3 * se
@@ -230,9 +236,9 @@ class TestOptimizePaoiBound:
     def test_dominance_under_perturbations(self, am, sm):
         n = sm.n
         rng = np.random.default_rng(hash((am.kind, sm.n)) % 2 ** 32)
-        trace = simulate_trace(am, sm, 100_000, rng)
+        times = sample_updates(am, sm, 100_000, rng)
         for a_th in (1000.0, 50_000.0, 150_000.0, 400_000.0):
-            emp = empirical_violation(trace, a_th)
+            emp = violation_frequency(*times, a_th)
             se = math.sqrt(max(emp * (1 - emp), 0.0) / 100_000)
             rep = optimize_paoi_bound(a_th, n, None, am, sm)
             assert rep.bound_value >= emp - 3 * se
