@@ -43,12 +43,10 @@ from .fbc import (
 from .experiments import SweepSpec, default_scenario, run_sweep
 from .reports import QoSReport
 from .snc import (
-    constant_rate_arrival,
+    BitArrival,
     delay_bound,
-    mellin_service_process,
     optimize_paoi_bound,
     paoi_bound,
-    poisson_batch_arrival,
     stability_check,
 )
 

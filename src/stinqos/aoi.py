@@ -9,6 +9,7 @@ only at presentation (1 cu = 1e-6 s under the default link assumptions).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,8 @@ class ServiceModel:
             raise DomainError(f"service blocklength must be >= 1, got {self.n}")
         if not 0.0 <= self.epsilon < 1.0:
             raise DomainError(f"epsilon must be in [0, 1), got {self.epsilon}")
+        if self.epsilon < sys.float_info.min:  # subnormal: 1/epsilon overflows
+            object.__setattr__(self, "epsilon", 0.0)
 
     @classmethod
     def fixed(cls, n: int) -> "ServiceModel":

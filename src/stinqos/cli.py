@@ -28,13 +28,7 @@ from .errors import ConfigError, DomainError, NumericError, StabilityError
 from .experiments import SweepSpec, run_sweep
 from .fbc import average_error, error_exponent, error_exponent_closed_form
 from .reports import REPORT_FIELDS, report_row
-from .snc import (
-    constant_rate_arrival,
-    delay_bound,
-    optimize_paoi_bound,
-    paoi_bound,
-    poisson_batch_arrival,
-)
+from .snc import BitArrival, delay_bound, optimize_paoi_bound, paoi_bound
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -103,9 +97,9 @@ def _run_paoi_bound(rc: RunConfig):
 
 def _run_delay_bound(rc: RunConfig):
     if rc.params.get("arrival_kind", "constant_rate") == "constant_rate":
-        arrival = constant_rate_arrival(rc.params.get("alpha_bits", 28.0))
+        arrival = BitArrival.constant_rate(rc.params.get("alpha_bits", 28.0))
     else:
-        arrival = poisson_batch_arrival(
+        arrival = BitArrival.poisson_batch(
             rc.params.get("rate_per_block", 1.0),
             rc.params.get("batch_bits", 28.0),
         )

@@ -12,15 +12,18 @@ the caller computes once from the fading and coding models.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from .aoi import ArrivalModel, ServiceModel
-from .errors import DomainError, StabilityError
+from .errors import DomainError, NumericError, StabilityError
 from .fbc import CodingSpec
 from .optimize import grid_then_golden
 from .reports import QoSReport
 
+# relative tolerance of the golden-section theta search, as a share of the
+# stable interval
+_THETA_TOL = 1e-9
 
 # ---------------------------------------------------------------------------
 # Transforms of inter-arrival and service times (channel-use domain)
@@ -70,17 +73,36 @@ def _log_geometric_sum(log_r: float, terms: int) -> float:
     return math.log(-math.expm1(terms * log_r)) - math.log(-math.expm1(log_r))
 
 
-def _bisect_edge(inside: Callable[[float], bool], lo: float, hi: float) -> float:
-    """Inner edge of the set where ``inside`` holds, by 200 halvings of [lo, hi].
+def _stable_edge(log_ratio: Callable[[float], float], t_max: float,
+                 scale: float) -> float:
+    """Upper edge of the stable set (0, edge) where ``log_ratio`` < 0.
 
-    lo must be inside; the last midpoint found inside is returned.
+    log_ratio is convex and 0 at theta = 0, so the set is an interval. t_max
+    caps it: a transform pole or a point known to be unstable. With no cap
+    (inf; fixed service with deterministic gaps may never reach 0) the
+    search expands from ``scale`` by at most 64 doublings and takes the last
+    point as cap. A cap with a stable inner neighbour is the edge; else 200
+    halvings of (0, cap) find it, and NumericError means none is stable.
     """
+    if math.isinf(t_max):
+        t_max = scale
+        for _ in range(64):
+            if log_ratio(t_max) >= 0.0:
+                break
+            t_max *= 2.0
+    probe = t_max * (1.0 - 1e-9)
+    if log_ratio(probe) < 0.0:
+        return t_max
+    lo, hi = 0.0, probe
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if inside(mid):
+        if log_ratio(mid) < 0.0:
             lo = mid
         else:
             hi = mid
+    if lo == 0.0:
+        raise NumericError("no stable theta in double precision: load within "
+                           "rounding of the service rate")
     return lo
 
 
@@ -137,20 +159,7 @@ def paoi_theta_interval(am: ArrivalModel, sm: ServiceModel) -> tuple[float, floa
     def log_ratio(theta: float) -> float:
         return _log_mellin_service(1.0 + theta, sm) + _log_mellin_gap(1.0 - theta, am)
 
-    if math.isinf(t_max):
-        # fixed service + deterministic gaps may never reach a transform pole
-        # (the lag ratio e^{theta (n - a)} stays below 1); expand a bounded
-        # number of times and accept the last cap as the search interval
-        t_max = 1.0 / am.mean_gap
-        for _ in range(64):
-            if log_ratio(t_max) >= 0.0:
-                break
-            t_max *= 2.0
-    probe = t_max * (1.0 - 1e-9)
-    if log_ratio(probe) < 0.0:
-        return 0.0, t_max
-    return 0.0, _bisect_edge(lambda theta: theta <= 0.0 or log_ratio(theta) < 0.0,
-                             0.0, probe)
+    return 0.0, _stable_edge(log_ratio, t_max, 1.0 / am.mean_gap)
 
 
 def paoi_bound(
@@ -191,7 +200,6 @@ def optimize_paoi_bound(
     u: int | None,
     am: ArrivalModel,
     sm: ServiceModel,
-    theta_tol: float = 1e-9,
 ) -> QoSReport:
     """Tightest peak-AoI bound over the transform-finite theta interval."""
     _, t_ub = paoi_theta_interval(am, sm)
@@ -201,115 +209,111 @@ def optimize_paoi_bound(
     def log_raw(theta: float) -> float:
         return -theta * a_th / n + log_paoi_kernel(theta, u, am, sm)
 
-    theta_star, _ = grid_then_golden(log_raw, lo, hi, n_grid=96, tol=theta_tol * t_ub)
+    theta_star, _ = grid_then_golden(log_raw, lo, hi, n_grid=96, tol=_THETA_TOL * t_ub)
     report = paoi_bound(theta_star, a_th, n, u, am, sm)
     return replace(report, params={**report.params, "theta_interval": (0.0, t_ub)})
 
 
 # ---------------------------------------------------------------------------
-# Delay-bounded QoS: bit-domain service process, kernel, stability, bound
+# Delay-bounded QoS: bit-domain arrivals and service, kernel, stability, bound
 # ---------------------------------------------------------------------------
 
-def constant_rate_arrival(alpha_bits: float) -> Callable[[float], float]:
-    """Transform of a constant arrival of alpha bits per block."""
-    if alpha_bits < 0:
-        raise DomainError(f"arrival rate must be >= 0, got {alpha_bits}")
+@dataclass(frozen=True)
+class BitArrival:
+    """Bits arriving per block: a constant alpha, or Poisson-many fixed batches."""
 
-    def mellin(theta: float) -> float:
-        return math.exp((theta - 1.0) * alpha_bits)
+    kind: str  # "constant_rate" | "poisson_batch"
+    alpha_bits: float = 0.0  # constant_rate bits per block
+    rate: float = 0.0  # poisson_batch batches per block
+    batch_bits: float = 0.0  # poisson_batch bits per batch
 
-    mellin.description = f"constant_rate({alpha_bits}bits/block)"
-    return mellin
+    def __post_init__(self):
+        if self.kind == "constant_rate":
+            if self.alpha_bits < 0:
+                raise DomainError(f"arrival rate must be >= 0, got {self.alpha_bits}")
+        elif self.kind != "poisson_batch":
+            raise DomainError(f"unknown bit arrival kind {self.kind!r}")
+        elif self.rate <= 0 or self.batch_bits <= 0:
+            raise DomainError("poisson batch arrival needs positive rate and batch size")
+
+    @classmethod
+    def constant_rate(cls, alpha_bits: float) -> "BitArrival":
+        return cls(kind="constant_rate", alpha_bits=alpha_bits)
+
+    @classmethod
+    def poisson_batch(cls, rate: float, batch_bits: float) -> "BitArrival":
+        return cls(kind="poisson_batch", rate=rate, batch_bits=batch_bits)
+
+    @property
+    def mean_bits(self) -> float:
+        return self.alpha_bits if self.kind == "constant_rate" else self.rate * self.batch_bits
+
+    def log_mellin(self, theta: float) -> float:
+        """log M_A(1+theta) = log E[e^{theta A}]; inf past the double range."""
+        if self.kind == "constant_rate":
+            return theta * self.alpha_bits
+        x = theta * self.batch_bits
+        return math.inf if x > 709.0 else self.rate * math.expm1(x)
 
 
-def poisson_batch_arrival(rate_per_block: float, batch_bits: float) -> Callable[[float], float]:
-    """Transform of Poisson-many batches of fixed size per block."""
-    if rate_per_block <= 0 or batch_bits <= 0:
-        raise DomainError("poisson batch arrival needs positive rate and batch size")
-
-    def mellin(theta: float) -> float:
-        return math.exp(rate_per_block * (math.exp((theta - 1.0) * batch_bits) - 1.0))
-
-    mellin.description = f"poisson_batch({rate_per_block}/block,{batch_bits}bits)"
-    return mellin
-
-
-def mellin_service_process(theta: float, spec: CodingSpec, eps: float) -> float:
-    """Transform of the per-block served bits: log2(M) with prob 1 - eps.
-
-    eps is the average decoding error probability of the link.
-    """
+def _log_mellin_served(theta: float, bits: float, eps: float) -> float:
+    """log M_S(1-theta) = log(eps + (1-eps) e^{-theta bits}) of the bits served
+    per block, at average decoding error eps; exactly 0 at theta = 0 and at
+    eps = 1. The log1p form near 0 would cancel once the sum is below 1/2."""
     if not 0.0 <= eps <= 1.0:
         raise DomainError(f"average error must be in [0, 1], got {eps}")
-    return eps + (1.0 - eps) * math.exp((theta - 1.0) * spec.bits_per_block)
-
-
-def _delay_transforms(
-    theta: float, arrival_mellin: Callable[[float], float], spec: CodingSpec, eps: float
-) -> tuple[float, float]:
-    """(M_S(1-theta), M_A(1+theta) M_S(1-theta)): service transform and product."""
-    ms = mellin_service_process(1.0 - theta, spec, eps)
-    return ms, arrival_mellin(1.0 + theta) * ms
+    if eps == 0.0:
+        return -theta * bits
+    x = (1.0 - eps) * math.expm1(-theta * bits)
+    if x > -0.5:
+        return math.log1p(x)
+    return math.log(eps + (1.0 - eps) * math.exp(-theta * bits))
 
 
 def stability_check(
-    theta: float, arrival_mellin: Callable[[float], float], spec: CodingSpec, eps: float
+    theta: float, arrival: BitArrival, spec: CodingSpec, eps: float
 ) -> tuple[bool, float]:
     """Whether M_A(1+theta) M_S(1-theta) < 1, plus the product as margin."""
-    _, product = _delay_transforms(theta, arrival_mellin, spec, eps)
-    return product < 1.0, product
+    log_p = arrival.log_mellin(theta) + _log_mellin_served(theta, spec.bits_per_block, eps)
+    return log_p < 0.0, _safe_exp(log_p)
 
 
-def delay_bound(
-    d_th: float,
-    arrival_mellin: Callable[[float], float],
-    spec: CodingSpec,
-    eps: float,
-    theta_tol: float = 1e-9,
-) -> QoSReport:
-    """Delay violation bound inf over stable theta of the delay kernel.
+def delay_bound(d_th: float, arrival: BitArrival, spec: CodingSpec, eps: float) -> QoSReport:
+    """Delay violation bound: inf over stable theta of the delay kernel
+    M_S(1-theta)^d_th / (1 - M_A(1+theta) M_S(1-theta)).
 
     eps is the average decoding error probability of the link; the link
     enters the bound only through it and the bits per block of ``spec``.
+    The log product is convex and 0 at theta = 0, so a stable theta exists
+    exactly when the mean arrival is below the mean service (1 - eps) bits.
     """
+    if d_th < 0:
+        raise DomainError(f"d_th must be >= 0, got {d_th}")
+    bits, mean = spec.bits_per_block, arrival.mean_bits
 
-    def product(theta: float) -> float:
-        try:
-            return _delay_transforms(theta, arrival_mellin, spec, eps)[1]
-        except OverflowError:
-            return math.inf
+    def log_terms(theta: float) -> tuple[float, float]:
+        log_ms = _log_mellin_served(theta, bits, eps)
+        return log_ms, arrival.log_mellin(theta) + log_ms
 
-    # the stable set is an interval (0, theta_hi): the product is log-convex
-    # with value 1 at theta = 0
-    probe = None
-    for theta in [10.0 ** e for e in range(-8, 4)]:
-        if product(theta) < 1.0:
-            probe = theta
-            break
-    if probe is None:
+    if mean >= (1.0 - eps) * bits:
         raise StabilityError(
-            "no stable theta: transform product >= 1 everywhere",
-            margin=min(product(10.0 ** e) for e in range(-8, 4)),
+            f"no stable theta: mean arrival {mean:g} bits >= mean service "
+            f"{(1.0 - eps) * bits:g} bits per block",
+            margin=_safe_exp(log_terms(1.0 / bits)[1]),
         )
-    hi = probe
-    while product(hi) < 1.0:
-        hi *= 2.0
-        if hi > 1e12:
-            break
-    theta_hi = _bisect_edge(lambda theta: product(theta) < 1.0, probe, hi)
+    # log M_A(1+theta) >= theta E[A] and log M_S(1-theta) > log eps
+    t_max = -math.log(eps) / mean if eps > 0.0 and mean > 0.0 else math.inf
+    theta_hi = _stable_edge(lambda theta: log_terms(theta)[1], t_max, 1.0 / bits)
 
     def log_kernel(theta: float) -> float:
-        ms, p = _delay_transforms(theta, arrival_mellin, spec, eps)
-        if p >= 1.0:
-            return math.inf
-        return d_th * math.log(ms) - math.log(1.0 - p)
+        log_ms, log_p = log_terms(theta)
+        return math.inf if log_p >= 0.0 else d_th * log_ms - math.log(-math.expm1(log_p))
 
     theta_star, log_k = grid_then_golden(
         log_kernel, theta_hi * 1e-9, theta_hi * (1.0 - 1e-9),
-        n_grid=96, tol=theta_tol * theta_hi,
+        n_grid=96, tol=_THETA_TOL * theta_hi,
     )
-    raw = math.exp(log_k)
-    _, margin = _delay_transforms(theta_star, arrival_mellin, spec, eps)
+    raw = _safe_exp(log_k)
     return QoSReport(
         kind="delay",
         theta=theta_star,
@@ -320,9 +324,9 @@ def delay_bound(
         stability_ok=True,
         params={
             "avg_error": eps,
-            "bits_per_block": spec.bits_per_block,
-            "arrival": getattr(arrival_mellin, "description", "custom"),
-            "stability_margin": margin,
+            "bits_per_block": bits,
+            "arrival": arrival,
+            "stability_margin": _safe_exp(log_terms(theta_star)[1]),
             "theta_hi": theta_hi,
         },
     )

@@ -44,7 +44,7 @@ from stinqos.fbc import (
 )
 from stinqos.experiments import run_fig5
 from stinqos.snc import (
-    constant_rate_arrival,
+    BitArrival,
     delay_bound,
     optimize_paoi_bound,
     paoi_bound,
@@ -168,7 +168,7 @@ def test_criterion_5_delay_bound_dominance():
     _, _, eps = fig4_models(spec)
     coding = CodingSpec(blocklength=spec.blocklength, code_size=spec.code_size)
     alpha = 28.0  # below the (1 - eps) * 32 bit service rate
-    arrival = constant_rate_arrival(alpha)
+    arrival = BitArrival.constant_rate(alpha)
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(13,)))
     d_grid = list(range(10))
     emp = simulate_delay_violation(alpha, coding.bits_per_block, eps, 100_000,
@@ -180,10 +180,10 @@ def test_criterion_5_delay_bound_dominance():
     # pushing the arrival rate past the stability point must blow the margin
     # above 1 and make the simulated backlog grow without bound
     bad_alpha = 40.0
-    ok, margin = stability_check(0.1, constant_rate_arrival(bad_alpha), coding, eps)
+    ok, margin = stability_check(0.1, BitArrival.constant_rate(bad_alpha), coding, eps)
     assert not ok and margin > 1.0
     with pytest.raises(StabilityError):
-        delay_bound(5.0, constant_rate_arrival(bad_alpha), coding, eps)
+        delay_bound(5.0, BitArrival.constant_rate(bad_alpha), coding, eps)
     g_stable = queue_growth_ratio(alpha, coding.bits_per_block, eps, 100_000,
                                   np.random.default_rng(55))
     g_unstable = queue_growth_ratio(bad_alpha, coding.bits_per_block, eps, 100_000,

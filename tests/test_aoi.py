@@ -418,6 +418,13 @@ class TestSimulateTrace:
         with pytest.raises(DomainError):
             ServiceModel.fixed(0)
 
+    def test_subnormal_epsilon_is_zero(self):
+        u = np.random.default_rng(4).random(1000)
+        sm = ServiceModel.arq(4, 5e-324)
+        assert sm.epsilon == 0.0
+        assert np.array_equal(sm.services_from_uniforms(u),
+                              ServiceModel.arq(4, 2.3e-308).services_from_uniforms(u))
+
 
 class TestEmpiricalViolation:
     def test_zero_threshold(self):

@@ -178,6 +178,14 @@ class TestDispatch:
         assert not out.exists()
         assert "category=stability" in capsys.readouterr().err
 
+    def test_delay_bound_negative_threshold_domain_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        cfg = {"command": "delay-bound", "seed": 1, "output": str(out),
+               "params": {"d_th_blocks": -2.0}}
+        assert main([write_config(tmp_path, cfg)]) == 3
+        assert not out.exists()
+        assert "category=domain" in capsys.readouterr().err
+
     def test_underflowing_fading_alpha_numeric_exit_code(self, tmp_path, capsys):
         # alpha = (2bm / (2bm + omega))^m / 2b underflows to 0 here; the
         # density stays in log domain and the 1F1 overflow is reported

@@ -88,7 +88,7 @@ GOLDEN = {
     ),
     "delay_bound": (
         {"command": "delay-bound", "seed": 1},
-        "53768652303a73afc260bdcbb819315ebd467bbe7f9ef014fa8bf54e0299f1e3",
+        "399fc4be01990288ae1286e6e9b272c8709507f68692255855e6ca36e52a3bdb",
     ),
 }
 

@@ -1,8 +1,11 @@
 """Network-calculus transform, kernel, and bound tests."""
 import math
+import zlib
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stinqos.aoi import (
     ArrivalModel,
@@ -11,19 +14,18 @@ from stinqos.aoi import (
     sample_updates,
     violation_frequency,
 )
-from stinqos.errors import DomainError, StabilityError
+from stinqos.errors import DomainError, NumericError, StabilityError
 from stinqos.fbc import CodingSpec
 from stinqos.snc import (
+    BitArrival,
     _log_mellin_gap,
+    _log_mellin_served,
     _log_mellin_service,
-    constant_rate_arrival,
     delay_bound,
     log_paoi_kernel,
-    mellin_service_process,
     optimize_paoi_bound,
     paoi_bound,
     paoi_theta_interval,
-    poisson_batch_arrival,
     stability_check,
 )
 
@@ -235,7 +237,7 @@ class TestOptimizePaoiBound:
     )
     def test_dominance_under_perturbations(self, am, sm):
         n = sm.n
-        rng = np.random.default_rng(hash((am.kind, sm.n)) % 2 ** 32)
+        rng = np.random.default_rng(zlib.crc32(f"{am.kind}/{sm.n}".encode()))
         times = sample_updates(am, sm, 100_000, rng)
         for a_th in (1000.0, 50_000.0, 150_000.0, 400_000.0):
             emp = violation_frequency(*times, a_th)
@@ -245,42 +247,86 @@ class TestOptimizePaoiBound:
 
 
 CODING = CodingSpec(blocklength=64, code_size=256)  # 8 bits per block
+BITS = CODING.bits_per_block
 
 
 class TestServiceProcessTransform:
     def test_identity_at_one(self):
-        assert mellin_service_process(1.0, CODING, 0.3) == 1.0
+        assert _log_mellin_served(0.0, BITS, 0.3) == 0.0
 
     def test_degenerate_channel(self):
-        assert mellin_service_process(0.4, CODING, 1.0) == 1.0
+        assert _log_mellin_served(0.6, BITS, 1.0) == 0.0
 
     def test_worked_value(self):
-        val = mellin_service_process(0.5, CODING, 0.1)
+        val = math.exp(_log_mellin_served(0.5, BITS, 0.1))
         assert val == pytest.approx(0.1 + 0.9 * math.exp(-4.0), rel=1e-12)
         assert val == pytest.approx(0.11648, abs=1e-5)
 
     def test_log_convexity(self):
-        thetas = np.linspace(0.1, 1.5, 20)
-        logs = [math.log(mellin_service_process(t, CODING, 0.2)) for t in thetas]
+        thetas = 1.0 - np.linspace(0.1, 1.5, 20)
+        logs = [_log_mellin_served(t, BITS, 0.2) for t in thetas]
         assert np.all(np.diff(logs, 2) >= -1e-9)
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-9, 0.05, 0.5, 0.999])
+    def test_both_forms_match_mpmath(self, eps):
+        # log1p near theta = 0, the direct sum once it falls below 1/2
+        for theta in (1e-9, 1e-3, 0.05, 0.08, 0.1, 1.0, 3.0, 100.0):
+            with mpmath.workdps(40):
+                exact = mpmath.log(eps + (1 - mpmath.mpf(eps))
+                                   * mpmath.exp(-mpmath.mpf(theta) * BITS))
+            assert _log_mellin_served(theta, BITS, eps) == pytest.approx(
+                float(exact), rel=1e-14)
+
+    def test_average_error_outside_unit_interval(self):
+        with pytest.raises(DomainError):
+            _log_mellin_served(0.1, BITS, 1.5)
+
+
+class TestBitArrival:
+    def test_identity_at_zero(self):
+        for arrival in (BitArrival.constant_rate(4.0),
+                        BitArrival.poisson_batch(0.5, 4.0)):
+            assert arrival.log_mellin(0.0) == 0.0
+
+    def test_means(self):
+        assert BitArrival.constant_rate(4.0).mean_bits == 4.0
+        assert BitArrival.poisson_batch(0.5, 6.0).mean_bits == 3.0
+
+    def test_poisson_batch_against_monte_carlo_mgf(self):
+        arrival = BitArrival.poisson_batch(0.5, 4.0)
+        counts = np.random.default_rng(3).poisson(0.5, 1_000_000)
+        mc = float(np.mean(np.exp(0.1 * 4.0 * counts)))
+        assert math.exp(arrival.log_mellin(0.1)) == pytest.approx(mc, rel=0.01)
+
+    def test_overflow_is_inf(self):
+        assert BitArrival.poisson_batch(0.5, 4.0).log_mellin(1e3) == math.inf
+
+    @pytest.mark.parametrize("kind,args", [
+        ("constant_rate", {"alpha_bits": -1.0}),
+        ("poisson_batch", {"rate": 0.0, "batch_bits": 4.0}),
+        ("poisson_batch", {"rate": 0.5, "batch_bits": -4.0}),
+        ("bursty", {}),
+    ])
+    def test_domain_checks(self, kind, args):
+        with pytest.raises(DomainError):
+            BitArrival(kind, **args)
 
 
 class TestStabilityCheck:
     def test_stable(self):
-        ok, margin = stability_check(0.5, lambda t: 1.0, CODING, 0.1)
+        ok, margin = stability_check(0.5, BitArrival.constant_rate(0.0), CODING, 0.1)
         assert ok and margin < 1.0
 
     def test_unstable(self):
-        ok, margin = stability_check(
-            0.5, lambda t: 2.0 / mellin_service_process(0.5, CODING, 0.1) * 0.6,
-            CODING, 0.1,
-        )
+        # arrival transform 1.2 / M_S(1 - theta) at theta = 0.5: product 1.2
+        alpha = (math.log(1.2) - _log_mellin_served(0.5, BITS, 0.1)) / 0.5
+        ok, margin = stability_check(0.5, BitArrival.constant_rate(alpha), CODING, 0.1)
         assert (margin < 1.0) == ok
 
     def test_margin_monotone_in_arrival_rate(self):
         margins = []
         for alpha in (1.0, 2.0, 4.0, 6.0):
-            _, margin = stability_check(0.3, constant_rate_arrival(alpha), CODING, 0.1)
+            _, margin = stability_check(0.3, BitArrival.constant_rate(alpha), CODING, 0.1)
             margins.append(margin)
         assert all(margins[i + 1] > margins[i] for i in range(len(margins) - 1))
 
@@ -289,20 +335,21 @@ class TestDelayKernel:
     def test_direct_formula(self):
         # kernel M_S(1-theta)^D_th / (1 - M_A(1+theta) M_S(1-theta)) at the
         # optimized theta
-        arrival = constant_rate_arrival(4.0)
+        arrival = BitArrival.constant_rate(4.0)
         rep = delay_bound(2.0, arrival, CODING, 0.1)
-        ms = mellin_service_process(1.0 - rep.theta, CODING, 0.1)
-        product = arrival(1.0 + rep.theta) * ms
+        log_ms = _log_mellin_served(rep.theta, BITS, 0.1)
+        product = math.exp(arrival.log_mellin(rep.theta) + log_ms)
+        ms = math.exp(log_ms)
         assert rep.params["stability_margin"] == product
         assert rep.kernel_value == pytest.approx(ms ** 2 / (1.0 - product), rel=1e-12)
 
     def test_stability_error_carries_margin(self):
         with pytest.raises(StabilityError) as info:
-            delay_bound(2.0, constant_rate_arrival(50.0), CODING, 0.1)
+            delay_bound(2.0, BitArrival.constant_rate(50.0), CODING, 0.1)
         assert info.value.margin >= 1.0
 
     def test_finite_and_decreasing_in_d_th(self):
-        arrival = constant_rate_arrival(4.0)  # below (1 - eps) * 8 bits
+        arrival = BitArrival.constant_rate(4.0)  # below (1 - eps) * 8 bits
         vals = [
             delay_bound(d, arrival, CODING, 0.1).kernel_value
             for d in (0.0, 1.0, 2.0, 5.0, 10.0)
@@ -313,25 +360,46 @@ class TestDelayKernel:
 
 class TestDelayBound:
     def test_zero_threshold_clamps_to_one(self):
-        rep = delay_bound(0.0, constant_rate_arrival(4.0), CODING, 0.1)
+        rep = delay_bound(0.0, BitArrival.constant_rate(4.0), CODING, 0.1)
         assert rep.bound_value == 1.0 and rep.raw_bound >= 1.0
 
     def test_nonincreasing_in_threshold(self):
         vals = [
-            delay_bound(d, constant_rate_arrival(4.0), CODING, 0.1).bound_value
+            delay_bound(d, BitArrival.constant_rate(4.0), CODING, 0.1).bound_value
             for d in (0.0, 1.0, 3.0, 6.0, 10.0)
         ]
         assert all(vals[i + 1] <= vals[i] + 1e-15 for i in range(len(vals) - 1))
 
     def test_no_stable_theta(self):
         with pytest.raises(StabilityError):
-            delay_bound(3.0, constant_rate_arrival(8.0), CODING, 0.1)
+            delay_bound(3.0, BitArrival.constant_rate(8.0), CODING, 0.1)
 
     def test_poisson_batch_arrival_transform(self):
-        arrival = poisson_batch_arrival(0.5, 4.0)
-        assert arrival(1.0) == 1.0
+        arrival = BitArrival.poisson_batch(0.5, 4.0)
+        assert arrival.log_mellin(0.0) == 0.0
         rep = delay_bound(3.0, arrival, CODING, 0.05)
         assert 0.0 <= rep.bound_value <= 1.0
+
+    def test_negative_threshold_refused(self):
+        with pytest.raises(DomainError):
+            delay_bound(-2.0, BitArrival.constant_rate(4.0), CODING, 0.1)
+
+    def test_report_carries_arrival_model(self):
+        arrival = BitArrival.poisson_batch(0.5, 4.0)
+        rep = delay_bound(3.0, arrival, CODING, 0.05)
+        assert rep.params["arrival"] == arrival
+        assert 0.0 < rep.theta < rep.params["theta_hi"]
+
+    def test_error_free_link(self):
+        # eps = 0: every block serves its bits, the stable set is unbounded
+        # and the kernel tends to 0 as theta grows
+        rep = delay_bound(2.0, BitArrival.constant_rate(4.0), CODING, 0.0)
+        assert rep.bound_value == 0.0
+
+    def test_zero_arrivals(self):
+        # nothing arrives: the infimum M_S^d / (1 - M_S) is eps^d / (1 - eps)
+        rep = delay_bound(2.0, BitArrival.constant_rate(0.0), CODING, 0.1)
+        assert rep.kernel_value == pytest.approx(0.1 ** 2 / 0.9, rel=1e-9)
 
 
 class TestExponentialDecaySlope:
@@ -346,3 +414,81 @@ class TestExponentialDecaySlope:
             ) / (a_grid[i + 1] - a_grid[i])
             theta_mid = 0.5 * (reps[i].theta + reps[i + 1].theta)
             assert slope == pytest.approx(-theta_mid / n, rel=0.01)
+
+
+# Property tests over both bit-arrival kinds, eps in [0, 0.5] and 2..32 bits
+# per block. A load within 1e-12 of the service rate may leave no stable
+# theta that double precision resolves; that is the one NumericError allowed.
+bit_arrivals = st.one_of(
+    st.builds(BitArrival.constant_rate, st.floats(0.0, 40.0)),
+    st.builds(BitArrival.poisson_batch, st.floats(0.01, 4.0), st.floats(0.5, 40.0)),
+)
+bit_codings = st.sampled_from([4, 16, 256, 2 ** 16, 2 ** 32]).map(
+    lambda m: CodingSpec(blocklength=64, code_size=m))
+update_arrivals = st.one_of(
+    st.builds(ArrivalModel.poisson, st.floats(1 / 400, 1 / 4)),
+    st.builds(ArrivalModel.deterministic, st.floats(4.0, 400.0)),
+)
+update_services = st.one_of(
+    st.builds(ServiceModel.fixed, st.integers(1, 128)),
+    st.builds(ServiceModel.arq, st.integers(1, 128), st.floats(0.0, 0.5)),
+)
+
+
+def _near_critical(mean, capacity):
+    return mean > capacity * (1.0 - 1e-12)
+
+
+def _linear_delay_kernel(theta, d_th, arrival, bits, eps):
+    """M_S(1-theta)^d_th / (1 - M_A(1+theta) M_S(1-theta)) in 50 digits."""
+    theta = mpmath.mpf(theta)
+    with mpmath.workdps(50):
+        ms = eps + (1 - mpmath.mpf(eps)) * mpmath.exp(-theta * bits)
+        if arrival.kind == "constant_rate":
+            ma = mpmath.exp(theta * arrival.alpha_bits)
+        else:
+            ma = mpmath.exp(arrival.rate * (mpmath.exp(theta * arrival.batch_bits) - 1))
+        return ms ** d_th / (1 - ma * ms)
+
+
+class TestBoundProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(bit_arrivals, bit_codings, st.floats(0.0, 0.5),
+           st.floats(0.0, 20.0), st.floats(0.0, 20.0))
+    def test_delay_bound(self, arrival, spec, eps, d1, d2):
+        bits = spec.bits_per_block
+        capacity = (1.0 - eps) * bits
+        if arrival.mean_bits >= capacity:
+            with pytest.raises(StabilityError) as info:
+                delay_bound(d1, arrival, spec, eps)
+            assert info.value.margin >= 1.0
+            return
+        d_lo, d_hi = sorted((d1, d2))
+        try:
+            lo = delay_bound(d_lo, arrival, spec, eps)
+        except NumericError:
+            assert _near_critical(arrival.mean_bits, capacity)
+            return
+        hi = delay_bound(d_hi, arrival, spec, eps)
+        # each search ends at its own theta; allow the oracle's tolerance
+        assert hi.bound_value <= lo.bound_value * (1.0 + 1e-12)
+        for rep in (lo, hi):
+            exact = _linear_delay_kernel(rep.theta, rep.threshold, arrival, bits, eps)
+            if 1e-300 < exact < 1e300:
+                assert rep.kernel_value == pytest.approx(float(exact), rel=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(update_arrivals, update_services)
+    # a subnormal epsilon, whose reciprocal overflows, is taken as 0
+    @example(ArrivalModel.deterministic(4.0), ServiceModel.arq(1, 5e-324))
+    def test_paoi_interval_nonempty_iff_stable(self, am, sm):
+        if sm.mean_service >= am.mean_gap:
+            with pytest.raises(StabilityError):
+                paoi_theta_interval(am, sm)
+            return
+        try:
+            lo, hi = paoi_theta_interval(am, sm)
+        except NumericError:
+            assert _near_critical(sm.mean_service, am.mean_gap)
+            return
+        assert lo == 0.0 < hi
