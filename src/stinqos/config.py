@@ -16,6 +16,7 @@ from .aoi import ArrivalModel, ServiceModel
 from .channel import InterfererField, LinkBudget, Scenario, ShadowedRicianParams
 from .errors import ConfigError, StinQosError
 from .experiments import SweepSpec, default_scenario
+from .fbc import CodingSpec, ErrorModel, average_error
 
 COMMANDS = ("error", "exponent", "aoi-sim", "paoi-bound", "delay-bound", "sweep")
 
@@ -238,8 +239,6 @@ def _build_scenario(block, seed: int, defaults_used: list) -> Scenario:
 
 
 def _build_coding(block, defaults_used: list):
-    from .fbc import CodingSpec
-
     if block is None:
         defaults_used.append("coding=(blocklength=64, code_size=2^32)")
         return CodingSpec(blocklength=64, code_size=2 ** 32)
@@ -252,8 +251,6 @@ def _build_coding(block, defaults_used: list):
 
 
 def _build_error_model(block, defaults_used: list):
-    from .fbc import ErrorModel
-
     if block is None:
         defaults_used.append("error_model=(quadrature, tol=1e-06)")
         return ErrorModel()
@@ -278,8 +275,6 @@ def build_service(
     block, defaults_used: list, rc: RunConfig
 ) -> ServiceModel:
     """Service model; ARQ epsilon defaults to the scenario's average error."""
-    from .fbc import average_error
-
     if block is None:
         block = {}
         defaults_used.append("service=arq(n=coding.blocklength, epsilon=from scenario)")

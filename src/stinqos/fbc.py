@@ -19,12 +19,14 @@ from numpy.polynomial.laguerre import laggauss
 from . import channel
 from .channel import Scenario, logsumexp, srician_quad_nodes
 from .errors import DomainError, NumericError
-from .optimize import grid_then_golden
+from .optimize import golden_section_min
 from .reports import QoSReport
 
 # Nodes of the Gauss rule for the aggregate interference, at every K.
 _INTERFERENCE_NODES = 32
 _QUAD_PANELS = (96, 144, 216, 324)
+# width of the final rho bracket of the exponent search
+_RHO_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -251,19 +253,22 @@ def gallager_e0_samples(rho: float, gammas, n: int, weights=None) -> float:
 
 
 def error_exponent_samples(
-    gammas, rate: float, n: int, weights=None, rho_tol: float = 1e-6
+    gammas, rate: float, n: int, weights=None
 ) -> tuple[float, float]:
     """sup over rho of E0(rho) - rho * rate for a discrete SINR law.
 
-    Returns (theta, rho_star). E0 is concave in rho, so a 64-point coarse
-    grid plus golden-section refinement locates the supremum; theta is
-    clamped at 0 (rho = 0 is always feasible).
+    Returns (theta, rho_star). E0 is concave in rho, so golden-section search
+    on [0, 1] locates the supremum; the edge rho = 1, where the search stops
+    short by up to its tolerance, is compared exactly. theta is clamped at 0
+    (rho = 0 is always feasible).
     """
     def neg_objective(rho: float) -> float:
         return -(gallager_e0_samples(rho, gammas, n, weights) - rho * rate)
 
-    rho_star, neg_best = grid_then_golden(neg_objective, 0.0, 1.0,
-                                          n_grid=64, tol=rho_tol)
+    rho_star, neg_best = golden_section_min(neg_objective, 0.0, 1.0, tol=_RHO_TOL)
+    neg_edge = neg_objective(1.0)
+    if neg_edge < neg_best:
+        rho_star, neg_best = 1.0, neg_edge
     theta = -neg_best
     if theta <= 0.0:
         return 0.0, 0.0

@@ -1,8 +1,11 @@
 """Scalar minimization used by the bound and exponent searches.
 
-Coarse grid to bracket the minimum of a unimodal-ish objective, then
-golden-section refinement inside the bracketing neighbors. The grid guard
-keeps flat or multi-dip objectives from fooling the section search.
+Golden-section search for objectives that are unimodal on their interval:
+the convex log delay kernel in theta and the concave Gallager objective in
+rho. ``grid_then_golden`` scans a coarse grid first and then refines inside
+the best grid point's neighbors; it is kept only for the peak-AoI search,
+whose flat minimum it pins to the values recorded in
+``perfbench/reference.json``.
 """
 from __future__ import annotations
 
@@ -10,12 +13,14 @@ import math
 from typing import Callable
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# points of the coarse grid of grid_then_golden
+_N_GRID = 96
 
 
 def golden_section_min(
-    f: Callable[[float], float], a: float, b: float, tol: float = 1e-6
+    f: Callable[[float], float], a: float, b: float, tol: float
 ) -> tuple[float, float]:
-    """Minimize f on [a, b]; returns (x_min, f(x_min))."""
+    """Minimize f on [a, b] to a bracket of width tol; returns (x_min, f(x_min))."""
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
     fc, fd = f(c), f(d)
@@ -33,20 +38,16 @@ def golden_section_min(
 
 
 def grid_then_golden(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    n_grid: int = 64,
-    tol: float = 1e-6,
+    f: Callable[[float], float], lo: float, hi: float, tol: float
 ) -> tuple[float, float]:
     """Coarse-grid bracketing followed by golden-section refinement."""
     if not hi > lo:
         raise ValueError(f"empty search interval [{lo}, {hi}]")
-    xs = [lo + (hi - lo) * i / (n_grid - 1) for i in range(n_grid)]
+    xs = [lo + (hi - lo) * i / (_N_GRID - 1) for i in range(_N_GRID)]
     fs = [f(x) for x in xs]
-    i = min(range(n_grid), key=fs.__getitem__)
+    i = min(range(_N_GRID), key=fs.__getitem__)
     a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, n_grid - 1)]
+    b = xs[min(i + 1, _N_GRID - 1)]
     x, fx = golden_section_min(f, a, b, tol=tol)
     if fs[i] < fx:
         return xs[i], fs[i]

@@ -18,7 +18,7 @@ from typing import Callable
 from .aoi import ArrivalModel, ServiceModel
 from .errors import DomainError, NumericError, StabilityError
 from .fbc import CodingSpec
-from .optimize import grid_then_golden
+from .optimize import golden_section_min, grid_then_golden
 from .reports import QoSReport
 
 # relative tolerance of the golden-section theta search, as a share of the
@@ -207,9 +207,12 @@ def optimize_paoi_bound(
     hi = t_ub * (1.0 - 1e-6)
 
     def log_raw(theta: float) -> float:
-        return -theta * a_th / n + log_paoi_kernel(theta, u, am, sm)
+        try:
+            return -theta * a_th / n + log_paoi_kernel(theta, u, am, sm)
+        except StabilityError:  # the lag ratio rounds to >= 1 near the critical load
+            return math.inf
 
-    theta_star, _ = grid_then_golden(log_raw, lo, hi, n_grid=96, tol=_THETA_TOL * t_ub)
+    theta_star, _ = grid_then_golden(log_raw, lo, hi, tol=_THETA_TOL * t_ub)
     report = paoi_bound(theta_star, a_th, n, u, am, sm)
     return replace(report, params={**report.params, "theta_interval": (0.0, t_ub)})
 
@@ -309,9 +312,9 @@ def delay_bound(d_th: float, arrival: BitArrival, spec: CodingSpec, eps: float) 
         log_ms, log_p = log_terms(theta)
         return math.inf if log_p >= 0.0 else d_th * log_ms - math.log(-math.expm1(log_p))
 
-    theta_star, log_k = grid_then_golden(
-        log_kernel, theta_hi * 1e-9, theta_hi * (1.0 - 1e-9),
-        n_grid=96, tol=_THETA_TOL * theta_hi,
+    # convex, and +inf at both ends of (0, theta_hi)
+    theta_star, log_k = golden_section_min(
+        log_kernel, theta_hi * 1e-9, theta_hi * (1.0 - 1e-9), tol=_THETA_TOL * theta_hi
     )
     raw = _safe_exp(log_k)
     return QoSReport(

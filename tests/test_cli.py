@@ -170,6 +170,22 @@ class TestDispatch:
         fields = rows[1].split(",")
         assert fields[0] == "aoi" and 0.0 < float(fields[4]) <= 1.0
 
+    # ARQ(64, 0.2) takes 80 cu on average. Within about 1e-5 of that mean
+    # gap the lag ratio rounds to 1 on part of the stable interval; the
+    # search skips those theta instead of refusing a stable queue.
+    @pytest.mark.parametrize("rate", [0.0124999, (1 - 1e-6) / 80, (1 - 1e-8) / 80])
+    def test_paoi_bound_near_critical_load(self, tmp_path, rate):
+        cfg = {"command": "paoi-bound", "seed": 1, "output": str(tmp_path / "b.csv"),
+               "params": {"a_th_cu": 100_000.0,
+                          "arrival": {"kind": "poisson", "rate": rate},
+                          "service": {"kind": "arq", "n": 64, "epsilon": 0.2}}}
+        assert main([write_config(tmp_path, cfg)]) == 0
+        rows = [l for l in (tmp_path / "b.csv").read_text().strip().split("\n")
+                if not l.startswith("#")]
+        fields = rows[1].split(",")
+        assert fields[0] == "aoi" and float(fields[1]) > 0.0
+        assert float(fields[4]) == 1.0
+
     def test_delay_bound_stability_exit_code_no_partial_csv(self, tmp_path, capsys):
         out = tmp_path / "d.csv"
         cfg = {"command": "delay-bound", "seed": 5, "output": str(out),

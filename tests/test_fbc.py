@@ -4,9 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial.laguerre import laggauss
 
-from stinqos import channel
+from stinqos import channel, fbc
 from stinqos.channel import (
     InterfererField,
     LinkBudget,
@@ -14,7 +15,7 @@ from stinqos.channel import (
     ShadowedRicianParams,
 )
 from stinqos.errors import DomainError
-from stinqos.experiments import default_scenario
+from stinqos.experiments import SweepSpec, default_scenario, run_fig5
 from stinqos.fbc import (
     _interference_nodes,
     CodingSpec,
@@ -335,6 +336,29 @@ class TestErrorExponent:
             thetas.append(error_exponent(s, spec, em).theta)
         assert all(thetas[i + 1] <= thetas[i] + 1e-12 for i in range(len(thetas) - 1))
 
+    # The search has no guard grid, so E0 must be concave in rho wherever it
+    # runs: K 0..10, integer and non-integer m, 0..30 dB, n 1..2000, and both
+    # laws. Rates run from 5 % to 120 % of E0'(0) = E[ln(1 + gamma)].
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10),
+           st.one_of(st.integers(2, 12).map(float), st.floats(2.0, 12.0)),
+           st.floats(0.0, 30.0), st.integers(1, 2000),
+           st.sampled_from(["quadrature", "monte_carlo"]), st.floats(0.05, 1.2))
+    def test_concave_e0_and_supremum_beats_grid(self, k, m, snr_db, n, method, frac):
+        fading = ShadowedRicianParams(b=0.126, m=m, omega=0.835)
+        s = default_scenario(k=k, avg_snr_db=snr_db, seed=7, fading=fading)
+        if method == "quadrature":
+            gam, wts = sinr_quadrature(s)
+        else:
+            gam, wts = sinr_samples(s, 20_000), None
+        rhos = np.linspace(0.0, 1.0, 201)
+        e0 = np.array([gallager_e0_samples(r, gam, n, wts) for r in rhos])
+        assert np.all(np.diff(e0, 2) <= 1e-12 * np.max(np.abs(e0)))
+        rate = frac * float(np.average(np.log1p(gam), weights=wts))
+        theta, rho_star = error_exponent_samples(gam, rate, n, wts)
+        assert theta >= np.max(e0 - rhos * rate) - 1e-9
+        assert 0.0 <= rho_star <= 1.0
+
     def test_exponent_dominates_point_mass_error_within_factor_ten(self):
         # Chernoff-style decay vs the normal approximation at half capacity
         gamma = 1.0
@@ -345,6 +369,25 @@ class TestErrorExponent:
             eps = conditional_error(gamma, spec)
             bound = math.exp(-n * theta)
             assert eps <= bound <= 10.0 * eps
+
+
+class TestExponentSearchCost:
+    def test_fig5_e0_calls_per_blocklength(self, monkeypatch):
+        # golden section alone takes 32 evaluations of E0 over [0, 1] at its
+        # 1e-6 tolerance, one more at rho = 1 and one for the 192-panel drift
+        # check; a guard grid would add 64
+        calls = []
+        e0 = fbc.gallager_e0_samples
+
+        def counting(rho, gammas, n, weights=None):
+            calls.append(n)
+            return e0(rho, gammas, n, weights)
+
+        monkeypatch.setattr(fbc, "gallager_e0_samples", counting)
+        n_grid = (100, 500, 2000)
+        run_fig5(SweepSpec(figure="fig5", n_grid=n_grid, seed=1))
+        assert sorted(set(calls)) == list(n_grid)
+        assert max(calls.count(n) for n in n_grid) <= 40
 
 
 def interference_moments(c, r_max):

@@ -44,11 +44,11 @@ GOLDEN = {
     ),
     "exponent_k3_m10": (
         {"command": "exponent", "seed": 1, "scenario": _scenario(3, 10)},
-        "306031c004978767ae7a7f6f713bb5499942ceff50f340eae72b6933a1c883a5",
+        "6ae654de0306a23859d4c984858e425bcb73c8bb3af30af4d0fb506fa2b6d048",
     ),
     "exponent_k0": (
         {"command": "exponent", "seed": 1, "scenario": _scenario(0, 10)},
-        "7e737a88ed8996a1405efd9c56022ad52f2022154f9d89fe6595858546e26e23",
+        "359b4ac9108b3f30f7b6591539e82af727a50fd70ccdbc37fd91f1e64d140ba7",
     ),
     "aoi_sim": (
         {"command": "aoi-sim", "seed": 1, "params": {"n_updates": 2000}},
@@ -80,7 +80,7 @@ GOLDEN = {
     "sweep_fig5": (
         {"command": "sweep", "seed": 1,
          "params": {"figure": "fig5", "n_grid": [100, 500]}},
-        "a28d0b40f7988974320e9d7b2d8ed600a3d100a6d351d52a31f4bad21f3b1dcb",
+        "75361387780d59ad7fa14520101de6313fc9557638c1e61cf10bd6c296adab5b",
     ),
     "paoi_bound": (
         {"command": "paoi-bound", "seed": 1},
@@ -88,7 +88,7 @@ GOLDEN = {
     ),
     "delay_bound": (
         {"command": "delay-bound", "seed": 1},
-        "399fc4be01990288ae1286e6e9b272c8709507f68692255855e6ca36e52a3bdb",
+        "3ebee6727350996e0ed85e34376f713473632dcfaab3328e08b44b921a67e903",
     ),
 }
 

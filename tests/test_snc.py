@@ -451,6 +451,21 @@ def _linear_delay_kernel(theta, d_th, arrival, bits, eps):
         return ms ** d_th / (1 - ma * ms)
 
 
+def _log_delay_kernel(theta, d_th, arrival, bits, eps):
+    log_ms = _log_mellin_served(theta, bits, eps)
+    log_p = arrival.log_mellin(theta) + log_ms
+    return math.inf if log_p >= 0.0 else d_th * log_ms - math.log(-math.expm1(log_p))
+
+
+def _optimized_paoi(a_th, n, am, sm):
+    """Optimized bound, or None at a load within 1e-12 of critical."""
+    try:
+        return optimize_paoi_bound(a_th, n, None, am, sm).bound_value
+    except NumericError:
+        assert _near_critical(sm.mean_service, am.mean_gap)
+        return None
+
+
 class TestBoundProperties:
     @settings(max_examples=150, deadline=None)
     @given(bit_arrivals, bit_codings, st.floats(0.0, 0.5),
@@ -492,3 +507,64 @@ class TestBoundProperties:
             assert _near_critical(sm.mean_service, am.mean_gap)
             return
         assert lo == 0.0 < hi
+
+    # the search has no guard grid: the convex log kernel must reach a fine
+    # grid's minimum anyway
+    @settings(max_examples=150, deadline=None)
+    @given(bit_arrivals, bit_codings, st.floats(0.0, 0.5), st.floats(0.0, 20.0))
+    def test_delay_theta_beats_fine_grid(self, arrival, spec, eps, d_th):
+        bits = spec.bits_per_block
+        if arrival.mean_bits >= (1.0 - eps) * bits:
+            return
+        try:
+            rep = delay_bound(d_th, arrival, spec, eps)
+        except NumericError:
+            assert _near_critical(arrival.mean_bits, (1.0 - eps) * bits)
+            return
+        grid = np.linspace(0.0, rep.params["theta_hi"], 2003)[1:-1]
+        best = min(_log_delay_kernel(t, d_th, arrival, bits, eps) for t in grid.tolist())
+        assert rep.kernel_value <= (1.0 + 1e-12) * math.exp(best)
+
+    @settings(max_examples=100, deadline=None)
+    @given(bit_arrivals, bit_codings, st.floats(0.0, 0.5), st.floats(0.0, 0.5),
+           st.floats(0.0, 20.0))
+    def test_delay_bound_nondecreasing_in_eps(self, arrival, spec, e1, e2, d_th):
+        e_lo, e_hi = sorted((e1, e2))
+        capacity = (1.0 - e_hi) * spec.bits_per_block
+        if arrival.mean_bits >= capacity:
+            return
+        try:
+            hi = delay_bound(d_th, arrival, spec, e_hi).bound_value
+        except NumericError:
+            assert _near_critical(arrival.mean_bits, capacity)
+            return
+        lo = delay_bound(d_th, arrival, spec, e_lo).bound_value
+        assert lo <= hi * (1.0 + 1e-9)
+
+    # thresholds in units of mean gap times blocklength, where the bound
+    # leaves 1
+    @settings(max_examples=100, deadline=None)
+    @given(update_arrivals, update_services, st.floats(0.0, 60.0),
+           st.floats(0.0, 60.0))
+    def test_paoi_bound_nonincreasing_in_threshold(self, am, sm, x1, x2):
+        if sm.mean_service >= am.mean_gap:
+            return
+        scale = am.mean_gap * sm.n
+        lo = _optimized_paoi(min(x1, x2) * scale, sm.n, am, sm)
+        if lo is not None:
+            hi = _optimized_paoi(max(x1, x2) * scale, sm.n, am, sm)
+            assert hi <= lo * (1.0 + 1e-9)
+
+    @settings(max_examples=100, deadline=None)
+    @given(update_arrivals, st.integers(1, 128), st.floats(0.0, 0.5),
+           st.floats(0.0, 0.5), st.floats(0.0, 60.0))
+    def test_paoi_bound_nondecreasing_in_arq_epsilon(self, am, n, e1, e2, x):
+        e_lo, e_hi = sorted((e1, e2))
+        sm_lo, sm_hi = ServiceModel.arq(n, e_lo), ServiceModel.arq(n, e_hi)
+        if sm_hi.mean_service >= am.mean_gap:
+            return
+        a_th = x * am.mean_gap * n
+        hi = _optimized_paoi(a_th, n, am, sm_hi)
+        if hi is not None:
+            lo = _optimized_paoi(a_th, n, am, sm_lo)
+            assert lo <= hi * (1.0 + 1e-9)
