@@ -11,6 +11,9 @@ from .aoi import (
     ServiceModel,
     departure_times,
     sample_updates,
+    trace_blocks,
+    trace_violation_frequency,
+    update_blocks,
     violation_frequency,
 )
 from .channel import (

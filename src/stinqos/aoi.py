@@ -8,6 +8,7 @@ only at presentation (1 cu = 1e-6 s under the default link assumptions).
 """
 from __future__ import annotations
 
+import copy
 import math
 import sys
 from dataclasses import dataclass
@@ -15,7 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import _row_blocks
-from .errors import DomainError
+from .errors import DomainError, NumericError
+
+# Updates a run may draw. The draw and the trace hold one block whatever the
+# count, so the cap bounds time and output instead: at 4.8 us and 72 B per
+# row on a 2-CPU VM, an aoi-sim run at the cap takes about 80 minutes and
+# writes about 72 GB of CSV.
+MAX_UPDATES = 10 ** 9
+
+# Rows per block of drawn updates and of their trace: the CSV writer's chunk.
+# A float64 block is 32 KiB, below glibc's 128 KiB mmap threshold, so block
+# buffers are reused from the heap rather than mapped afresh.
+_TRACE_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -93,15 +105,10 @@ class ServiceModel:
     def sample_services(self, n_updates: int, rng: np.random.Generator) -> np.ndarray:
         """Service times of one rng.random(n_updates) draw of uniforms.
 
-        The uniforms are drawn one block of rows at a time, which gives the
-        doubles of one whole draw, so only the service column spans the
-        updates.
+        Uniforms are drawn even where every service is fixed, so the stream
+        position after a draw does not depend on the model.
         """
-        services = np.empty(n_updates)
-        for rows in _row_blocks(n_updates):
-            services[rows] = self.services_from_uniforms(
-                rng.random(rows.stop - rows.start))
-        return services
+        return self.services_from_uniforms(rng.random(n_updates))
 
     def services_from_uniforms(self, u: np.ndarray) -> np.ndarray:
         """Service times from uniform(0,1) draws via the inverse CDF.
@@ -214,75 +221,139 @@ def departure_times_maxplus(arrivals: np.ndarray, services: np.ndarray) -> np.nd
     return dep
 
 
+def _check_block(arrivals: np.ndarray, rows: np.ndarray, prev: float) -> None:
+    """Input checks of the queue over one block: an arrival column, checked
+    against the arrival ``prev`` before the block, and a (rows, N) service
+    matrix."""
+    if arrivals.ndim != 1 or rows.shape[1:] != arrivals.shape:
+        raise ValueError("arrivals and services must have equal length")
+    # negated comparisons, so that a NaN fails them as well
+    if arrivals.size and not (arrivals[0] >= prev and np.all(np.diff(arrivals) >= 0)
+                              and arrivals[-1] < math.inf):
+        raise ValueError("arrival times must be finite, nonnegative and nondecreasing")
+    if rows.size and not (rows.min() >= 0 and rows.max() < math.inf):
+        raise ValueError("service times must be finite and nonnegative")
+
+
 def _check_times(arrivals: np.ndarray, rows: np.ndarray) -> None:
-    """Input checks of the queue: one arrival column against a (rows, N)
-    service matrix, one block of columns at a time, so no temporary spans
-    the columns."""
+    """_check_block over whole columns, one block of columns at a time, so
+    no temporary spans the columns."""
     if rows.shape[1:] != arrivals.shape:
         raise ValueError("arrivals and services must have equal length")
-    prev = 0.0  # each block is checked against the arrival before it
+    prev = 0.0
     for cols in _row_blocks(len(arrivals)):
-        block = arrivals[cols]
-        # negated comparisons, so that a NaN fails them as well
-        if not (block[0] >= prev and np.all(np.diff(block) >= 0)
-                and block[-1] < math.inf):
-            raise ValueError(
-                "arrival times must be finite, nonnegative and nondecreasing")
-        prev = block[-1]
-    for cols in _row_blocks(len(arrivals)):
-        block = rows[:, cols]
-        if block.size and not (block.min() >= 0 and block.max() < math.inf):
-            raise ValueError("service times must be finite and nonnegative")
+        _check_block(arrivals[cols], rows[:, cols], prev)
+        prev = arrivals[cols.stop - 1]
+
+
+def update_blocks(am: ArrivalModel, sm: ServiceModel, n_updates: int,
+                  rng: np.random.Generator):
+    """Arrival and service times of n_updates updates drawn from the models,
+    as an iterator of (arrivals, services) blocks of at most 2^12 rows.
+
+    The stream order is that of one whole draw of every gap, then one of
+    every service uniform. The gaps come from a copy of ``rng`` taken before
+    any draw; ``rng`` itself draws and discards every gap, block by block,
+    and then draws the service uniforms. The arrival sum is carried across
+    block edges by the same sequential adds as one whole cumsum, so the
+    blocks are the rows of whole-column draws bit for bit while one block
+    exists at a time. The count is checked here, before any draw; nothing
+    else may draw from ``rng`` until the blocks are taken.
+    """
+    if n_updates < 1:
+        raise DomainError(f"need at least one update, got {n_updates}")
+    if n_updates > MAX_UPDATES:
+        raise NumericError(
+            f"{n_updates} updates exceed the cap of {MAX_UPDATES} per run")
+    return _drawn_blocks(am, sm, n_updates, rng)
+
+
+def _drawn_blocks(am, sm, n_updates, rng):
+    starts = range(0, n_updates, _TRACE_ROWS)
+    gap_rng = copy.deepcopy(rng)
+    for start in starts:  # rng skips the gaps that its copy yields below
+        am.sample_gaps(min(_TRACE_ROWS, n_updates - start), rng)
+    carry = 0.0
+    for start in starts:
+        size = min(_TRACE_ROWS, n_updates - start)
+        arrivals = am.sample_gaps(size, gap_rng)
+        arrivals[0] += carry
+        np.cumsum(arrivals, out=arrivals)
+        carry = arrivals[-1]
+        yield arrivals, sm.sample_services(size, rng)
 
 
 def sample_updates(
     am: ArrivalModel, sm: ServiceModel, n_updates: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Arrival and service times of n_updates updates drawn from the models:
-    every gap first, then every service."""
-    if n_updates < 1:
-        raise DomainError(f"need at least one update, got {n_updates}")
-    gaps = am.sample_gaps(n_updates, rng)
-    services = sm.sample_services(n_updates, rng)
-    return np.cumsum(gaps, out=gaps), services
+    """The blocks of update_blocks joined into whole arrival and service
+    columns."""
+    blocks = update_blocks(am, sm, n_updates, rng)  # checks the count first
+    arrivals, services = np.empty(n_updates), np.empty(n_updates)
+    start = 0
+    for arr, serv in blocks:
+        arrivals[start:start + len(arr)] = arr
+        services[start:start + len(arr)] = serv
+        start += len(arr)
+    return arrivals, services
 
 
 TRACE_FIELDS = ["u", "arrival", "service", "departure", "sojourn", "peak_aoi"]
 
 
-def trace_columns(arrivals: np.ndarray, services: np.ndarray):
-    """Yield the trace columns of FCFS updates with these arrival and
-    service times in TRACE_FIELDS order, one block of rows at a time, times
-    in channel uses.
+def trace_blocks(updates):
+    """Yield the trace columns of FCFS updates in TRACE_FIELDS order, one
+    block for each (arrivals, services) block of ``updates``, times in
+    channel uses.
 
     The sojourn is departure minus arrival, and the peak AoI is the gap from
     the previous arrival (the virtual update 0 arrives at time 0) plus the
-    sojourn. The previous departure and the previous arrival are carried
-    across block edges, so every block equals the same rows of a whole-column
-    pass bit for bit while only one block of the derived columns exists. The
-    input checks run before the first block.
+    sojourn. The previous departure, the previous arrival and the row number
+    are carried across block edges, so every block equals the same rows of
+    a whole-column pass bit for bit while only one block exists. Each
+    block's input checks run before its rows, against the carried arrival.
     """
-    arrivals = np.asarray(arrivals, dtype=float)
-    services = np.asarray(services, dtype=float)
-    _check_times(arrivals, services[np.newaxis])
-    dep_prev, arr_prev = -math.inf, 0.0
-    for rows in _row_blocks(len(arrivals)):
-        arr, serv = arrivals[rows], services[rows]
+    dep_prev, arr_prev, start = -math.inf, 0.0, 0
+    for arr, serv in updates:
+        arr = np.asarray(arr, dtype=float)
+        serv = np.asarray(serv, dtype=float)
+        _check_block(arr, serv[np.newaxis], arr_prev)
+        if not arr.size:
+            continue
         dep = np.empty(len(arr))
         dep_prev = _departures(arr, serv, dep_prev, dep)
         soj = dep - arr
         peak = np.diff(arr, prepend=arr_prev)
         peak += soj
         arr_prev = arr[-1]
-        yield [range(rows.start + 1, rows.stop + 1), arr, serv, dep, soj, peak]
+        yield [range(start + 1, start + len(arr) + 1), arr, serv, dep, soj, peak]
+        start += len(arr)
+
+
+def trace_columns(arrivals: np.ndarray, services: np.ndarray):
+    """trace_blocks of whole arrival and service columns, in blocks of 2^14
+    rows; the input checks of every row run before the first block."""
+    arrivals = np.asarray(arrivals, dtype=float)
+    services = np.asarray(services, dtype=float)
+    _check_times(arrivals, services[np.newaxis])
+    yield from trace_blocks((arrivals[rows], services[rows])
+                            for rows in _row_blocks(len(arrivals)))
+
+
+def trace_violation_frequency(trace, a_th: float) -> float:
+    """Fraction of the rows of the trace blocks ``trace`` (from trace_blocks
+    or trace_columns) whose peak AoI strictly exceeds a_th (cu)."""
+    if a_th < 0:
+        raise DomainError(f"peak AoI threshold must be >= 0, got {a_th}")
+    count = rows = 0
+    for block in trace:
+        count += np.count_nonzero(block[-1] > a_th)
+        rows += len(block[-1])
+    return count / rows
 
 
 def violation_frequency(arrivals: np.ndarray, services: np.ndarray,
                         a_th: float) -> float:
-    """Fraction of updates whose peak AoI strictly exceeds a_th (cu),
-    counted one block of trace_columns at a time."""
-    if a_th < 0:
-        raise DomainError(f"peak AoI threshold must be >= 0, got {a_th}")
-    count = sum(np.count_nonzero(block[-1] > a_th)
-                for block in trace_columns(arrivals, services))
-    return count / len(arrivals)
+    """trace_violation_frequency of the trace of whole arrival and service
+    columns."""
+    return trace_violation_frequency(trace_columns(arrivals, services), a_th)

@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from . import channel, csvio
-from .aoi import sample_updates, trace_columns, TRACE_FIELDS
+from .aoi import TRACE_FIELDS, trace_blocks, update_blocks
 from .config import (
     RunConfig,
     apply_overrides,
@@ -73,10 +73,9 @@ def _run_exponent(rc: RunConfig):
 def _run_aoi_sim(rc: RunConfig):
     am = build_arrival(rc.params.get("arrival"), rc.defaults_used)
     sm = build_service(rc.params.get("service"), rc.defaults_used, rc)
-    n_updates = rc.params.get("n_updates", 10_000)
-    arrivals, services = sample_updates(am, sm, n_updates,
-                                        rc.scenario.rng(channel.STREAM_TRACE))
-    return TRACE_FIELDS, trace_columns(arrivals, services)
+    updates = update_blocks(am, sm, rc.params.get("n_updates", 10_000),
+                            rc.scenario.rng(channel.STREAM_TRACE))
+    return TRACE_FIELDS, trace_blocks(updates)
 
 
 def _run_paoi_bound(rc: RunConfig):
@@ -139,10 +138,12 @@ def dispatch(rc: RunConfig) -> str:
     """Run the configured command and write its CSV; returns the path.
 
     Every command but aoi-sim computes its one block of rows before any file
-    is opened; aoi-sim draws its arrivals and services first and computes
-    the rest of its trace one block at a time while the CSV is written. The
-    CSV goes to a temp file that replaces ``rc.output`` only when complete,
-    so a failing run leaves no partial output behind.
+    is opened. aoi-sim checks its update count against aoi.MAX_UPDATES
+    before any draw, then draws its updates and computes its trace one
+    block of rows at a time while the CSV is written, so it holds one block
+    whatever the count. The CSV goes to a temp file that replaces
+    ``rc.output`` only when complete, so a failing run leaves no partial
+    output behind.
     """
     fields, blocks = _RUNNERS[rc.command](rc)
     csvio.write_csv(rc.output, fields, blocks,

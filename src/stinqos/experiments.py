@@ -32,8 +32,9 @@ from .aoi import (
     departure_rows,
     departure_times,
     geometric_attempts,
-    sample_updates,
-    violation_frequency,
+    trace_blocks,
+    trace_violation_frequency,
+    update_blocks,
 )
 from .channel import (
     InterfererField,
@@ -370,8 +371,8 @@ def run_fig4(spec: SweepSpec) -> Table:
     rng = np.random.default_rng(
         np.random.SeedSequence(spec.seed, spawn_key=(_STREAM_TRACE, 0))
     )
-    empirical = violation_frequency(
-        *sample_updates(am, sm, spec.fig4_n_updates, rng), spec.a_th_cu)
+    trace = trace_blocks(update_blocks(am, sm, spec.fig4_n_updates, rng))
+    empirical = trace_violation_frequency(trace, spec.a_th_cu)
     rows = []
     for theta in spec.theta_grid:
         rep = paoi_bound(theta, spec.a_th_cu, spec.blocklength, None, am, sm)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 
 @dataclass(frozen=True)
@@ -10,7 +11,9 @@ class QoSReport:
 
     ``bound_value`` is the violation-probability bound clamped to [0, 1] for
     kind "aoi"/"delay"; for kind "error" it carries the exponent itself.
-    ``raw_bound`` preserves the unclamped Chernoff value.
+    ``raw_bound`` preserves the unclamped Chernoff value. ``params`` is a
+    read-only view of a copy of the mapping given, so a built report cannot
+    change; ``dataclasses.replace`` with new params gives a new report.
     """
 
     kind: str
@@ -21,6 +24,9 @@ class QoSReport:
     raw_bound: float | None = None
     stability_ok: bool | None = None
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
 
 
 def report_row(report: QoSReport, seed: int | None = None) -> dict:

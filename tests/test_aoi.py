@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stinqos import channel
+from stinqos import aoi, channel
 from stinqos.aoi import (
     ArrivalModel,
     ServiceModel,
@@ -15,15 +15,18 @@ from stinqos.aoi import (
     departure_times_maxplus,
     geometric_attempts,
     sample_updates,
+    trace_blocks,
     trace_columns,
     TRACE_FIELDS,
+    update_blocks,
     violation_frequency,
 )
 from stinqos.csvio import write_csv
-from stinqos.errors import DomainError
-from trace_helper import whole_trace
+from stinqos.errors import DomainError, NumericError
+from trace_helper import whole_trace, whole_updates
 
 BLOCK = channel._BLOCK_ROWS
+TRACE_BLOCK = aoi._TRACE_ROWS
 
 
 EXAMPLE = (np.array([0.0, 3.0, 5.0]), np.array([4.0, 4.0, 4.0]))
@@ -190,8 +193,8 @@ class TestTraceMemory:
         assert traced_peak(departure_times, arrivals, services) < 8 * self.N + 2e6
 
     def test_violation_frequency(self):
-        # fig4's count over drawn updates: only the two drawn columns span
-        # the updates, 16 B per update, plus the allowance of one block of
+        # the count over whole drawn columns: only the two columns span the
+        # updates, 16 B per update, plus the allowance of one block of
         # test_trace_columns
         am, sm = ArrivalModel.poisson(1 / 256.0), ServiceModel.arq(64, 0.0047)
         n, rng = 100_000, np.random.default_rng(13)
@@ -238,6 +241,43 @@ class TestTraceColumns:
         blocks = trace_columns(np.array([1.0, 0.5]), np.ones(2))
         with pytest.raises(ValueError):
             next(blocks)
+
+
+MODEL_PAIRS = [
+    (ArrivalModel.poisson(1 / 250.0), ServiceModel.arq(64, 0.3)),
+    (ArrivalModel.poisson(1 / 250.0), ServiceModel.fixed(64)),
+    (ArrivalModel.deterministic(80.0), ServiceModel.arq(64, 0.3)),
+    (ArrivalModel.deterministic(80.0), ServiceModel.fixed(64)),
+]
+
+
+class TestUpdateBlocks:
+    """The streamed draw and its trace are those of whole-column draws."""
+
+    @pytest.mark.parametrize("n", [1, TRACE_BLOCK - 1, TRACE_BLOCK, TRACE_BLOCK + 1,
+                                   3 * TRACE_BLOCK + 5])
+    @pytest.mark.parametrize("am, sm", MODEL_PAIRS)
+    def test_equal_to_whole_column_draw(self, am, sm, n):
+        rng, ref_rng = np.random.default_rng(n), np.random.default_rng(n)
+        blocks = list(update_blocks(am, sm, n, rng))
+        want = whole_updates(am, sm, n, ref_rng)
+        assert [len(a) for a, _ in blocks] == [
+            min(TRACE_BLOCK, n - start) for start in range(0, n, TRACE_BLOCK)]
+        for got, col in zip(zip(*blocks), want):
+            assert np.array_equal(np.concatenate(got), col)
+        assert rng.random() == ref_rng.random()  # same draws consumed
+        trace = [np.concatenate(col) for col in zip(
+            *trace_blocks(update_blocks(am, sm, n, np.random.default_rng(n))))]
+        for col, want_col in zip(trace, whole_trace(*want).values()):
+            assert np.array_equal(col, want_col)
+
+    @pytest.mark.parametrize("n", [aoi.MAX_UPDATES + 1, 10 ** 20])
+    def test_refuses_count_above_cap_before_any_draw(self, n):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(NumericError, match="cap"):
+            update_blocks(*MODEL_PAIRS[0], n, rng)
+        assert rng.bit_generator.state == state
 
 
 class TestDepartureRows:

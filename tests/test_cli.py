@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import stinqos
-from stinqos import channel, cli, csvio, experiments
+from stinqos import aoi, channel, cli, csvio, experiments
 from stinqos.aoi import TRACE_FIELDS, sample_updates
 from stinqos.cli import main
 from stinqos.config import (
@@ -418,6 +419,29 @@ AOI_SIM_DET = {"command": "aoi-sim", "seed": 1,
                           "service": {"kind": "fixed", "n": 64}}}
 
 
+class TestAoiSimMemory:
+    def test_peak_does_not_grow_with_updates(self, tmp_path):
+        # an in-process aoi-sim holds one block of its draw and trace at any
+        # length: 2^17 updates peak within 0.5 MB of 2^13 updates, where
+        # whole drawn columns would add 2 MB
+        def peak(n):
+            cfg = {"command": "aoi-sim", "seed": 3, "output": str(tmp_path / "t.csv"),
+                   "params": {"n_updates": n,
+                              "arrival": {"kind": "poisson", "rate": 1 / 300.0},
+                              "service": {"kind": "arq", "n": 64, "epsilon": 0.3}}}
+            rc = build_config(cfg)
+            tracemalloc.start()
+            try:
+                cli.dispatch(rc)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1 << 13)  # the first run also fills one-time caches
+        small, large = peak(1 << 13), peak(1 << 17)
+        assert large - small < 0.5e6, (small, large)
+
+
 class TestAtomicWrite:
     def test_failure_after_first_chunk_keeps_existing_target(
             self, tmp_path, monkeypatch, capsys):
@@ -470,14 +494,14 @@ class TestAtomicWrite:
         cfg = json.loads(json.dumps(AOI_SIM_DET))
         cfg["output"] = str(out)
         cfg["params"]["n_updates"] = 2 * channel._BLOCK_ROWS
-        trace_columns = cli.trace_columns
+        trace_blocks = cli.trace_blocks
 
-        def failing_blocks(arrivals, services):
-            yield next(trace_columns(arrivals, services))
+        def failing_blocks(updates):
+            yield next(trace_blocks(updates))
             assert list(tmp_path.glob("*.tmp"))  # the first block is streaming
             raise DomainError("no second block")
 
-        monkeypatch.setattr(cli, "trace_columns", failing_blocks)
+        monkeypatch.setattr(cli, "trace_blocks", failing_blocks)
         assert main([write_config(tmp_path, cfg)]) == 3
         assert "category=domain no second block" in capsys.readouterr().err
         assert out.read_bytes() == b"earlier run\r\n"
@@ -493,6 +517,22 @@ class TestAtomicWrite:
         assert main([write_config(tmp_path, cfg)]) == 3
         assert "category=domain need at least one update" in capsys.readouterr().err
         assert opened == []
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    @pytest.mark.parametrize("command, params", [
+        ("aoi-sim", {"n_updates": 10 ** 20}),
+        ("aoi-sim", {"n_updates": aoi.MAX_UPDATES + 1}),
+        ("sweep", {"figure": "fig4", "fig4_n_updates": 10 ** 20, "theta_grid": [0.002]}),
+    ])
+    def test_update_count_above_cap_numeric_exit_code(self, tmp_path, capsys,
+                                                      command, params):
+        cfg = dict(AOI_SIM_DET, command=command, output=str(tmp_path / "t.csv"))
+        cfg["params"] = dict(AOI_SIM_DET["params"], **params)
+        if command == "sweep":
+            del cfg["params"]["arrival"], cfg["params"]["service"]
+        assert main([write_config(tmp_path, cfg)]) == 4
+        err = capsys.readouterr().err
+        assert "category=numeric" in err and f"cap of {aoi.MAX_UPDATES}" in err
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
     def test_missing_output_directory_io_exit_code(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """CSV writer tests: byte identity with csv.writer plus format_value per cell."""
 import csv
 import io
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -8,9 +9,10 @@ import numpy as np
 import pytest
 
 import stinqos
-from stinqos import channel, csvio
+from stinqos import aoi, channel, csvio
 from stinqos.aoi import (
-    ArrivalModel, ServiceModel, TRACE_FIELDS, sample_updates, trace_columns,
+    ArrivalModel, ServiceModel, TRACE_FIELDS, sample_updates, trace_blocks,
+    trace_columns,
 )
 from stinqos.csvio import format_value, write_csv
 from trace_helper import whole_trace
@@ -104,6 +106,23 @@ def test_producer_checks_run_before_file_is_opened(tmp_path):
     blocks = trace_columns(np.array([2.0, 1.0]), np.ones(2))
     with pytest.raises(ValueError, match="nondecreasing"):
         write_csv(tmp_path / "missing" / "out.csv", TRACE_FIELDS, blocks)
+
+
+@pytest.mark.parametrize("column, row, value", [
+    ("arrivals", aoi._TRACE_ROWS, 0.5),  # below the carried arrival
+    ("services", aoi._TRACE_ROWS + 1, math.nan)])
+def test_failure_in_later_block_leaves_no_file(tmp_path, column, row, value):
+    # a decreasing arrival or a NaN service past the first block: the input
+    # checks of that block fail while the temp file is being written
+    n = 2 * aoi._TRACE_ROWS + 3
+    times = {"arrivals": np.arange(1.0, n + 1), "services": np.ones(n)}
+    times[column][row] = value
+    rows = range(0, n, aoi._TRACE_ROWS)
+    updates = [(times["arrivals"][i:i + aoi._TRACE_ROWS],
+                times["services"][i:i + aoi._TRACE_ROWS]) for i in rows]
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "out.csv", TRACE_FIELDS, trace_blocks(updates))
+    assert list(tmp_path.iterdir()) == []
 
 
 MIXED = {

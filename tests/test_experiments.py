@@ -8,7 +8,8 @@ import pytest
 from stinqos.cli import main
 from stinqos.csvio import write_csv
 from stinqos.errors import ConfigError, DomainError
-from stinqos.aoi import geometric_attempts
+from stinqos import aoi, experiments
+from stinqos.aoi import geometric_attempts, violation_frequency
 from stinqos.experiments import (
     _SYSTEMS,
     SweepSpec,
@@ -17,6 +18,7 @@ from stinqos.experiments import (
     _rep_draws,
     _sweep_means,
     default_scenario,
+    fig4_models,
     queue_growth_ratio,
     run_fig3,
     run_fig4,
@@ -25,7 +27,7 @@ from stinqos.experiments import (
     compare_stin_psn,
     simulate_delay_violation,
 )
-from trace_helper import whole_trace
+from trace_helper import whole_trace, whole_updates
 
 
 def small_fig3_spec(**kw):
@@ -179,6 +181,19 @@ class TestFig4:
         empirical = {r["empirical"] for r in tab.rows}
         assert len(empirical) == 1  # simulation does not depend on theta
         assert all(r["bound"] >= r["empirical"] for r in tab.rows)
+
+    def test_empirical_equals_whole_column_count(self):
+        # the streamed draw and count over three trace blocks and five rows
+        # against the count over whole drawn columns
+        spec = SweepSpec(figure="fig4", fig4_n_updates=3 * aoi._TRACE_ROWS + 5,
+                         a_th_cu=1000.0, theta_grid=(0.002,))
+        rng = np.random.default_rng(
+            np.random.SeedSequence(spec.seed, spawn_key=(experiments._STREAM_TRACE, 0)))
+        am, sm, _ = fig4_models(spec)
+        want = violation_frequency(*whole_updates(am, sm, spec.fig4_n_updates, rng),
+                                   spec.a_th_cu)
+        assert want > 0
+        assert run_fig4(spec).rows[0]["empirical"] == want
 
 
 class TestFig5:

@@ -61,6 +61,15 @@ GOLDEN = {
                     "service": {"kind": "fixed", "n": 64}}},
         "87fbe998d2e62b6578ca078926fd747239f450b19f3dbc3a5a061aab152587c4",
     ),
+    # three trace blocks of 2^14 rows and five more, so the draw order of
+    # the gaps and the service uniforms is pinned across block edges
+    "aoi_sim_poisson_arq_blocks": (
+        {"command": "aoi-sim", "seed": 1,
+         "params": {"n_updates": 3 * 2 ** 14 + 5,
+                    "arrival": {"kind": "poisson", "rate": 0.004},
+                    "service": {"kind": "arq", "n": 64, "epsilon": 0.3}}},
+        "9be52f7305d2548d71a9eec5a2077db95acfd6a348d80e219c374edf306f4543",
+    ),
     "sweep_fig3": (
         {"command": "sweep", "seed": 1,
          "params": {"figure": "fig3", "n_updates": 2000, "error_draws": 5000}},

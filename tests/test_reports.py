@@ -1,5 +1,11 @@
-"""CSV row serialization of reports."""
+"""CSV row serialization of reports, and their read-only parameters."""
+from dataclasses import replace
+
+import pytest
+
+from stinqos.aoi import ArrivalModel, ServiceModel
 from stinqos.reports import QoSReport, REPORT_FIELDS, report_row
+from stinqos.snc import optimize_paoi_bound
 
 
 class TestReportRow:
@@ -14,3 +20,24 @@ class TestReportRow:
         rep = QoSReport(kind="error", theta=0.2, bound_value=0.2)
         row = report_row(rep)
         assert row["threshold"] == "" and row["kernel"] == "" and row["seed"] == ""
+
+
+class TestParams:
+    def test_item_assignment_raises(self):
+        params = {"n": 64}
+        rep = QoSReport(kind="aoi", theta=0.1, bound_value=0.5, params=params)
+        with pytest.raises(TypeError):
+            rep.params["n"] = 128
+        params["n"] = 128  # the report keeps a copy of the mapping given
+        assert rep.params["n"] == 64
+
+    def test_replace_gives_new_read_only_params(self):
+        rep = optimize_paoi_bound(150_000.0, 64, None, ArrivalModel.poisson(1 / 4096),
+                                  ServiceModel.arq(64, 0.01))
+        assert rep.params["theta_interval"][0] == 0.0
+        with pytest.raises(TypeError):
+            rep.params["theta_interval"] = None
+        moved = replace(rep, params={**rep.params, "extra": 1})
+        assert moved.params["extra"] == 1 and "extra" not in rep.params
+        with pytest.raises(TypeError):
+            moved.params["extra"] = 2
