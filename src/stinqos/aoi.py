@@ -179,25 +179,35 @@ def departure_times(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
     return dep
 
 
-def departure_rows(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
+def departure_rows(arrivals: np.ndarray, services: np.ndarray,
+                   dep_prev: np.ndarray | None = None,
+                   arr_prev: float = 0.0) -> np.ndarray:
     """departure_times for every row of a (rows, N) service matrix at once.
 
     All rows share one arrival column. The float64 matrix is overwritten
     with the departures and returned, so a caller can reuse one buffer.
     Each element gets the same max-then-add as departure_times, so every
     row equals departure_times(arrivals, row) bit for bit.
+
+    The columns may be one block of longer ones. ``dep_prev`` then holds
+    each row's departure before the block and is overwritten with the
+    block's last departures, and the input checks compare the first
+    arrival with ``arr_prev``, the arrival before the block.
     """
     arrivals = np.asarray(arrivals, dtype=float)
     if not (isinstance(services, np.ndarray) and services.ndim == 2
             and services.dtype == np.float64):
         raise ValueError("services must be a 2-D float64 array")
-    _check_times(arrivals, services)
-    prev = np.full(len(services), -math.inf)
-    buf = np.empty_like(prev)
+    _check_times(arrivals, services, arr_prev)
+    if dep_prev is None:
+        dep_prev = np.full(len(services), -math.inf)
+    buf = np.empty_like(dep_prev)
+    prev = dep_prev
     for a, col in zip(arrivals.tolist(), services.T):
         np.maximum(prev, a, out=buf)
         np.add(buf, col, out=col)
         prev = col
+    dep_prev[:] = prev
     return services
 
 
@@ -235,12 +245,11 @@ def _check_block(arrivals: np.ndarray, rows: np.ndarray, prev: float) -> None:
         raise ValueError("service times must be finite and nonnegative")
 
 
-def _check_times(arrivals: np.ndarray, rows: np.ndarray) -> None:
+def _check_times(arrivals: np.ndarray, rows: np.ndarray, prev: float = 0.0) -> None:
     """_check_block over whole columns, one block of columns at a time, so
-    no temporary spans the columns."""
+    no temporary spans the columns; ``prev`` is the arrival before them."""
     if rows.shape[1:] != arrivals.shape:
         raise ValueError("arrivals and services must have equal length")
-    prev = 0.0
     for cols in _row_blocks(len(arrivals)):
         _check_block(arrivals[cols], rows[:, cols], prev)
         prev = arrivals[cols.stop - 1]
@@ -252,35 +261,54 @@ def update_blocks(am: ArrivalModel, sm: ServiceModel, n_updates: int,
     as an iterator of (arrivals, services) blocks of at most 2^12 rows.
 
     The stream order is that of one whole draw of every gap, then one of
-    every service uniform. The gaps come from a copy of ``rng`` taken before
-    any draw; ``rng`` itself draws and discards every gap, block by block,
-    and then draws the service uniforms. The arrival sum is carried across
-    block edges by the same sequential adds as one whole cumsum, so the
-    blocks are the rows of whole-column draws bit for bit while one block
-    exists at a time. The count is checked here, before any draw; nothing
-    else may draw from ``rng`` until the blocks are taken.
+    every service uniform, as _drawn_blocks gives it, so the blocks are the
+    rows of whole-column draws bit for bit while one block exists at a
+    time. The count is checked here, before any draw; nothing else may draw
+    from ``rng`` until the blocks are taken.
     """
+    _check_update_count(n_updates)
+    return _drawn_blocks(am, n_updates, rng, sm.sample_services)
+
+
+def _check_update_count(n_updates: int) -> None:
+    """Refuse a run of fewer than one or more than MAX_UPDATES updates."""
     if n_updates < 1:
         raise DomainError(f"need at least one update, got {n_updates}")
     if n_updates > MAX_UPDATES:
         raise NumericError(
             f"{n_updates} updates exceed the cap of {MAX_UPDATES} per run")
-    return _drawn_blocks(am, sm, n_updates, rng)
 
 
-def _drawn_blocks(am, sm, n_updates, rng):
+def _drawn_blocks(am: ArrivalModel, n_updates: int, rng: np.random.Generator,
+                 *draws):
+    """Yield blocks of at most 2^12 rows of the arrival times of n_updates
+    gaps drawn from ``am``, each followed by one block from each of
+    ``draws``, functions called as draw(rows, rng) like am.sample_gaps.
+
+    The stream order is that of one whole draw of every gap, then one whole
+    draw of each of ``draws`` in turn. Each draw but the last reads a copy
+    of ``rng`` taken where its whole draw would start, while ``rng`` itself
+    draws and discards those rows block by block; the last draw reads
+    ``rng``. The arrival sum is carried across block edges by the same
+    sequential adds as one whole cumsum, so every block equals the same
+    rows of whole-column draws bit for bit.
+    """
+    draws = (am.sample_gaps, *draws)
     starts = range(0, n_updates, _TRACE_ROWS)
-    gap_rng = copy.deepcopy(rng)
-    for start in starts:  # rng skips the gaps that its copy yields below
-        am.sample_gaps(min(_TRACE_ROWS, n_updates - start), rng)
+    streams = []
+    for draw in draws[:-1]:
+        streams.append(copy.deepcopy(rng))
+        for start in starts:  # rng skips the rows that its copy yields below
+            draw(min(_TRACE_ROWS, n_updates - start), rng)
+    streams.append(rng)
     carry = 0.0
     for start in starts:
         size = min(_TRACE_ROWS, n_updates - start)
-        arrivals = am.sample_gaps(size, gap_rng)
+        arrivals, *rest = [draw(size, r) for draw, r in zip(draws, streams)]
         arrivals[0] += carry
         np.cumsum(arrivals, out=arrivals)
         carry = arrivals[-1]
-        yield arrivals, sm.sample_services(size, rng)
+        yield arrivals, *rest
 
 
 def sample_updates(

@@ -12,20 +12,23 @@ hold elementwise per update, not just on noisy averages:
 
 Random streams derive from the sweep seed and fixed stream labels. Every
 figure runs in the calling process and computes its shared inputs once per
-sweep: fig3 and stin_psn run one batched departure pass per replication,
-over a buffer of 2 * len(k_grid) * len(snr_points_db) x n_updates float64
-values; fig4 computes its models and the simulated violation frequency once
-and loops over theta; fig5 builds its scenario and error model once and
-loops over the blocklength grid.
+sweep: fig3 and stin_psn hold their satellite and relay error draws whole
+(16 B per draw), draw the interferer gains and each replication's updates
+one block at a time, and run one batched departure pass per block of
+updates over one buffer of 2 * len(k_grid) * len(snr_points_db) x 2^12
+float64 values; fig4 computes its models and the simulated violation
+frequency once and loops over theta; fig5 builds its scenario and error
+model once and loops over the blocklength grid.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import channel
+from . import aoi, channel
 from .aoi import (
     ArrivalModel,
     ServiceModel,
@@ -44,7 +47,7 @@ from .channel import (
     pathloss_factor,
     tx_snr_db_for_avg_rx_snr,
 )
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NumericError
 from .fbc import (
     CodingSpec,
     ErrorModel,
@@ -58,6 +61,12 @@ from .snc import paoi_bound
 # RNG stream labels under the sweep seed
 _STREAM_EPS = 10
 _STREAM_TRACE = 11
+
+# Error draws a fig3 or stin_psn sweep may take. The satellite and relay
+# gains are held whole, 16 B per draw and 1.6 GB at the cap; the interferer
+# gains take one block of rows. At the default grids the error table takes
+# about 0.4 s per 10^5 draws on a 2-CPU VM, so about 7 minutes at the cap.
+MAX_ERROR_DRAWS = 10 ** 8
 
 # Default link geometry: 1000 km satellite downlink at 2 GHz with a 20 dBi
 # satellite antenna; interferers in the 2-10 km annulus.
@@ -200,6 +209,14 @@ def _coupled_error_table(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
     One satellite-fading draw set, one Rayleigh relay draw set, and one
     nested interferer-gain matrix serve every grid point, so both tables are
     elementwise monotone: nondecreasing in K, decreasing in SNR.
+
+    The stream order is that of whole draws: the satellite gains, the
+    (error_draws, k_max) gain matrix, then the relay gains. The matrix is
+    drawn one block of rows at a time from a copy of the generator taken
+    where its whole draw would start, while the generator itself draws and
+    discards it block by block, so one block of it exists at a time. Each
+    probability is the sum of its per-block sums in block order over
+    error_draws, which for one block is np.mean of the whole column.
     """
     # received-SNR targets enter directly; the link budget realizes the same
     # calibration through tx_snr_db_for_avg_rx_snr
@@ -212,45 +229,47 @@ def _coupled_error_table(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
     coeff = base.interferers.coefficients()
     rng = base.rng(_STREAM_EPS)
     draws = spec.error_draws
+    blocks = channel._row_blocks(draws)
     h_sat = channel.sample_channel_gain(base.fading, rng, size=draws)
-    e_gains = rng.exponential(1.0, size=(draws, k_max)) if k_max else np.zeros((draws, 0))
+    gain_rng = copy.deepcopy(rng)
+    for rows in blocks:  # rng skips the gains that gain_rng yields below
+        rng.exponential(1.0, size=(rows.stop - rows.start, k_max))
     h_ter = rng.exponential(1.0, size=draws)  # Rayleigh power, unit mean
 
     coding = CodingSpec(blocklength=spec.blocklength, code_size=spec.code_size)
-    eps_sat = np.empty((len(spec.k_grid), len(spec.snr_points_db)))
-    eps_ter = np.empty_like(eps_sat)
-    for ki, k in enumerate(spec.k_grid):
-        i_a = e_gains[:, :k] @ coeff[:k] if k else 0.0
-        for si in range(len(spec.snr_points_db)):
-            gam_sat = snr_sat[si] / base.fading.mean_power * h_sat / (1.0 + i_a)
-            eps_sat[ki, si] = float(np.mean(conditional_error(gam_sat, coding)))
-            gam_ter = snr_ter[si] * h_ter / (1.0 + i_a)
-            eps_ter[ki, si] = float(np.mean(conditional_error(gam_ter, coding)))
+    sums = np.zeros((2, len(spec.k_grid), len(spec.snr_points_db)))
+    for rows in blocks:
+        e_gains = gain_rng.exponential(1.0, size=(rows.stop - rows.start, k_max))
+        for ki, k in enumerate(spec.k_grid):
+            i_a = e_gains[:, :k] @ coeff[:k] if k else 0.0
+            for si in range(len(spec.snr_points_db)):
+                gam_sat = snr_sat[si] / base.fading.mean_power * h_sat[rows] / (1.0 + i_a)
+                sums[0, ki, si] += np.sum(conditional_error(gam_sat, coding))
+                gam_ter = snr_ter[si] * h_ter[rows] / (1.0 + i_a)
+                sums[1, ki, si] += np.sum(conditional_error(gam_ter, coding))
+    eps_sat, eps_ter = sums / draws
     return eps_sat, eps_ter
 
 
-def _rep_draws(spec: SweepSpec, rep: int):
-    """Arrival times and the two per-update uniform streams for one
-    replication; shared by every grid point so comparisons stay paired."""
-    rng = np.random.default_rng(
-        np.random.SeedSequence(spec.seed, spawn_key=(_STREAM_TRACE, rep))
-    )
-    arrival = ArrivalModel.poisson(1.0 / spec.arrival_mean_gap_cu)
-    gaps = arrival.sample_gaps(spec.n_updates, rng)
-    u_att = rng.random(spec.n_updates)  # drives ARQ attempts everywhere
-    v_route = rng.random(spec.n_updates)  # drives the relay decision
-    return np.cumsum(gaps), u_att, v_route
+def _uniforms(rows: int, rng: np.random.Generator) -> np.ndarray:
+    """rng.random(rows), in the draw(rows, rng) form of aoi._drawn_blocks."""
+    return rng.random(rows)
 
 
 def _sweep_means(spec: SweepSpec, eps_sat: np.ndarray, eps_ter: np.ndarray) -> np.ndarray:
     """Per-replication mean peak AoI, shape (points, 2, replications).
 
     Points are the (K, SNR) grid in row-major order, K outer; axis 1 follows
-    _SYSTEMS. Each replication is one pass of departure_rows over a
-    (2 * points, n_updates) buffer that holds the hybrid and satellite-only
-    service rows of every grid point; the buffer is allocated once and
-    reused by every replication. The peak AoI of each row equals the
-    peak_aoi column of trace_columns on that row, bit for bit.
+    _SYSTEMS. A replication draws its arrival times and its two per-update
+    uniform streams, which drive the ARQ attempts everywhere and the relay
+    decision, one block of 2^12 updates at a time in the stream order of
+    one whole draw of each. Each block is one pass of departure_rows over a
+    (2 * points, block) buffer that holds the hybrid and satellite-only
+    service rows of every grid point, carrying each row's departure and the
+    last arrival across block edges; one buffer serves the whole sweep. The
+    peak AoI of each row equals the peak_aoi column of trace_columns on
+    that row, bit for bit, and its mean is the sum of its per-block sums in
+    block order over n_updates, which for one block is np.mean of the row.
     """
     points = list(np.ndindex(eps_sat.shape))
     for ki, si in points:  # refuse before allocating
@@ -263,33 +282,45 @@ def _sweep_means(spec: SweepSpec, eps_sat: np.ndarray, eps_ter: np.ndarray) -> n
                     f"K={spec.k_grid[ki]}, SNR={spec.snr_points_db[si]} dB; "
                     f"ARQ never delivers an update"
                 )
-    buf = np.empty((2 * len(points), spec.n_updates))
-    rows = buf.reshape(len(points), 2, spec.n_updates)
-    means = np.empty((len(points), 2, spec.replications))
+    n = spec.n_updates
+    arrival = ArrivalModel.poisson(1.0 / spec.arrival_mean_gap_cu)
+    buf = np.empty((2 * len(points), min(n, aoi._TRACE_ROWS)))
+    sums = np.zeros((len(buf), spec.replications))
     for rep in range(spec.replications):
-        arrivals, u_att, v_route = _rep_draws(spec, rep)
-        for p, (ki, si) in enumerate(points):
-            k = spec.k_grid[ki]
-            slot_cu = float(spec.blocklength * (max(k, 1) if spec.slot_scaling else 1))
-            att_psn = geometric_attempts(u_att, eps_sat[ki, si])
-            use_relay = (v_route < spec.relay_prob) & (k >= 1)
-            att_stin = (
-                np.where(use_relay, geometric_attempts(u_att, eps_ter[ki, si]), att_psn)
-                if use_relay.any() else att_psn
-            )
-            np.multiply(slot_cu, att_stin, out=rows[p, 0])
-            np.multiply(slot_cu, att_psn, out=rows[p, 1])
-        departure_rows(arrivals, buf)
-        buf -= arrivals  # sojourns
-        buf += np.diff(arrivals, prepend=0.0)  # peak AoI: gap plus sojourn
-        means[:, :, rep] = rows.mean(axis=2)
-    return means
+        rng = np.random.default_rng(
+            np.random.SeedSequence(spec.seed, spawn_key=(_STREAM_TRACE, rep))
+        )
+        dep_prev, arr_prev = np.full(len(buf), -math.inf), 0.0
+        for arrivals, u_att, v_route in aoi._drawn_blocks(arrival, n, rng,
+                                                          _uniforms, _uniforms):
+            rows = buf[:, :len(arrivals)]
+            for p, (ki, si) in enumerate(points):
+                k = spec.k_grid[ki]
+                slot_cu = float(spec.blocklength * (max(k, 1) if spec.slot_scaling else 1))
+                att_psn = geometric_attempts(u_att, eps_sat[ki, si])
+                use_relay = (v_route < spec.relay_prob) & (k >= 1)
+                att_stin = (
+                    np.where(use_relay, geometric_attempts(u_att, eps_ter[ki, si]), att_psn)
+                    if use_relay.any() else att_psn
+                )
+                np.multiply(slot_cu, att_stin, out=rows[2 * p])
+                np.multiply(slot_cu, att_psn, out=rows[2 * p + 1])
+            departure_rows(arrivals, rows, dep_prev, arr_prev)
+            rows -= arrivals  # sojourns
+            rows += np.diff(arrivals, prepend=arr_prev)  # peak AoI: gap plus sojourn
+            sums[:, rep] += rows.sum(axis=1)
+            arr_prev = arrivals[-1]
+    return (sums / n).reshape(len(points), 2, spec.replications)
 
 
 def _sweep_points(spec: SweepSpec):
     """Each (K, SNR) grid point, K outer, as (k, snr_db, eps_sat, eps_ter,
     mean, half): the mean peak AoI over replications and its 95 % half-width,
     each a pair ordered as _SYSTEMS."""
+    aoi._check_update_count(spec.n_updates)  # refuse before any work
+    if spec.error_draws > MAX_ERROR_DRAWS:
+        raise NumericError(f"{spec.error_draws} error draws exceed the cap of "
+                           f"{MAX_ERROR_DRAWS} per sweep")
     eps_sat, eps_ter = _coupled_error_table(spec)
     reps = _sweep_means(spec, eps_sat, eps_ter)
     mean = reps.mean(axis=2)

@@ -12,6 +12,7 @@ the caller computes once from the fading and coding models.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -307,6 +308,14 @@ def delay_bound(d_th: float, arrival: BitArrival, spec: CodingSpec, eps: float) 
     # log M_A(1+theta) >= theta E[A] and log M_S(1-theta) > log eps
     t_max = -math.log(eps) / mean if eps > 0.0 and mean > 0.0 else math.inf
     theta_hi = _stable_edge(lambda theta: log_terms(theta)[1], t_max, 1.0 / bits)
+    # Rounding sets the edge when the convex log product is not resolved on
+    # the stable set: at its midpoint it must lie below the rounding of its
+    # two terms, 16 ulps of their sizes.
+    mid = 0.5 * theta_hi
+    log_ma, log_ms = arrival.log_mellin(mid), _log_mellin_served(mid, bits, eps)
+    if not log_ma + log_ms < -16.0 * sys.float_info.epsilon * (abs(log_ma) + abs(log_ms)):
+        raise NumericError("no resolved stable theta in double precision: load "
+                           "within rounding of the service rate")
 
     def log_kernel(theta: float) -> float:
         log_ms, log_p = log_terms(theta)

@@ -1,6 +1,5 @@
 """Queue recursion and peak-AoI tests."""
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from stinqos.aoi import (
 )
 from stinqos.csvio import write_csv
 from stinqos.errors import DomainError, NumericError
-from trace_helper import whole_trace, whole_updates
+from trace_helper import traced_peak, whole_trace, whole_updates
 
 BLOCK = channel._BLOCK_ROWS
 TRACE_BLOCK = aoi._TRACE_ROWS
@@ -173,16 +172,6 @@ class TestBlockedDepartures:
             departure_times(np.zeros(3), np.zeros(2))
 
 
-def traced_peak(fn, *args):
-    """tracemalloc peak of one call, in bytes, above what is live before it."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestTraceMemory:
     N = 200_000
 
@@ -297,6 +286,22 @@ class TestDepartureRows:
         buf = np.array([[4.0, 4.0, 4.0]])
         assert departure_rows(np.array([0.0, 3.0, 5.0]), buf) is buf
         np.testing.assert_array_equal(buf, [[4.0, 8.0, 12.0]])
+
+    def test_blocks_carry_departures_and_arrival(self):
+        rng = np.random.default_rng(21)
+        arrivals = np.cumsum(rng.exponential(10.0, 50))
+        services = rng.exponential(9.0, (3, 50))
+        whole = departure_rows(arrivals, services.copy())
+        dep_prev, blocks = np.full(3, -math.inf), []
+        for cols in (slice(0, 17), slice(17, 18), slice(18, 50)):
+            arr_prev = arrivals[cols.start - 1] if cols.start else 0.0
+            blocks.append(departure_rows(arrivals[cols], services[:, cols].copy(),
+                                         dep_prev, arr_prev))
+            assert np.array_equal(dep_prev, blocks[-1][:, -1])
+        assert np.array_equal(np.concatenate(blocks, axis=1), whole)
+        with pytest.raises(ValueError):  # below the arrival before the block
+            departure_rows(arrivals[17:], services[:, 17:].copy(), dep_prev,
+                           arrivals[17] + 1.0)
 
     @pytest.mark.parametrize("arrivals, services", [
         ([0.0, 2.0, 1.0], [1.0, 1.0, 1.0]),  # decreasing arrivals

@@ -523,16 +523,24 @@ class TestAtomicWrite:
         ("aoi-sim", {"n_updates": 10 ** 20}),
         ("aoi-sim", {"n_updates": aoi.MAX_UPDATES + 1}),
         ("sweep", {"figure": "fig4", "fig4_n_updates": 10 ** 20, "theta_grid": [0.002]}),
+        ("sweep", {"figure": "fig3", "n_updates": 10 ** 20}),
+        ("sweep", {"figure": "stin_psn", "n_updates": aoi.MAX_UPDATES + 1}),
+        ("sweep", {"figure": "fig3", "error_draws": 10 ** 20}),
+        ("sweep", {"figure": "stin_psn", "error_draws": experiments.MAX_ERROR_DRAWS + 1}),
     ])
     def test_update_count_above_cap_numeric_exit_code(self, tmp_path, capsys,
-                                                      command, params):
+                                                      monkeypatch, command, params):
+        # a fig3 or stin_psn sweep is refused before its error table is built
+        monkeypatch.setattr(experiments, "_coupled_error_table", None)
         cfg = dict(AOI_SIM_DET, command=command, output=str(tmp_path / "t.csv"))
         cfg["params"] = dict(AOI_SIM_DET["params"], **params)
         if command == "sweep":
             del cfg["params"]["arrival"], cfg["params"]["service"]
+        cap = (experiments.MAX_ERROR_DRAWS if "error_draws" in params
+               else aoi.MAX_UPDATES)
         assert main([write_config(tmp_path, cfg)]) == 4
         err = capsys.readouterr().err
-        assert "category=numeric" in err and f"cap of {aoi.MAX_UPDATES}" in err
+        assert "category=numeric" in err and f"cap of {cap}" in err
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
     def test_missing_output_directory_io_exit_code(self, tmp_path, capsys):

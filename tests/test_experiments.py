@@ -1,6 +1,7 @@
 """Sweep table tests: trends, pairing, reproducibility."""
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,14 +9,13 @@ import pytest
 from stinqos.cli import main
 from stinqos.csvio import write_csv
 from stinqos.errors import ConfigError, DomainError
-from stinqos import aoi, experiments
+from stinqos import aoi, channel, experiments
 from stinqos.aoi import geometric_attempts, violation_frequency
 from stinqos.experiments import (
     _SYSTEMS,
     SweepSpec,
     _backlog,
     _coupled_error_table,
-    _rep_draws,
     _sweep_means,
     default_scenario,
     fig4_models,
@@ -27,7 +27,8 @@ from stinqos.experiments import (
     compare_stin_psn,
     simulate_delay_violation,
 )
-from trace_helper import whole_trace, whole_updates
+from trace_helper import (block_mean, traced_peak, whole_error_table,
+                          whole_rep_draws, whole_trace, whole_updates)
 
 
 def small_fig3_spec(**kw):
@@ -94,17 +95,19 @@ class TestFig3:
 class TestBatchedSweep:
     @pytest.mark.parametrize("slot_scaling", [True, False])
     def test_means_equal_one_trace_per_row(self, slot_scaling):
-        # the per-row path the batched pass replaces, kept as its oracle
-        spec = small_fig3_spec(k_grid=(0, 2, 5), n_updates=1500, relay_prob=0.3,
-                               slot_scaling=slot_scaling)
+        # the per-row path the batched pass replaces, kept as its oracle, on
+        # whole drawn columns over two trace blocks and five rows; each mean
+        # adds its per-block sums in block order
+        spec = small_fig3_spec(k_grid=(0, 2, 5), n_updates=2 * aoi._TRACE_ROWS + 5,
+                               relay_prob=0.3, slot_scaling=slot_scaling)
         eps_sat, eps_ter = _coupled_error_table(spec)
         batched = _sweep_means(spec, eps_sat, eps_ter)
         n_snr = len(spec.snr_points_db)
         assert batched.shape == (len(spec.k_grid) * n_snr, 2, spec.replications)
-        for ki, k in enumerate(spec.k_grid):
-            for si in range(n_snr):
-                for rep in range(spec.replications):
-                    arrivals, u_att, v_route = _rep_draws(spec, rep)
+        for rep in range(spec.replications):
+            arrivals, u_att, v_route = whole_rep_draws(spec, rep)
+            for ki, k in enumerate(spec.k_grid):
+                for si in range(n_snr):
                     att_sat = geometric_attempts(u_att, eps_sat[ki, si])
                     att_ter = geometric_attempts(u_att, eps_ter[ki, si])
                     use_relay = (v_route < spec.relay_prob) & (k >= 1)
@@ -114,7 +117,34 @@ class TestBatchedSweep:
                         trace = whole_trace(arrivals,
                                             float(spec.blocklength * slots) * att)
                         row = batched[ki * n_snr + si, _SYSTEMS.index(system)]
-                        assert row[rep] == float(np.mean(trace["peak_aoi"]))
+                        assert row[rep] == block_mean(trace["peak_aoi"],
+                                                      aoi._TRACE_ROWS)
+
+    def test_error_table_equals_whole_draws(self):
+        # two blocks of channel._BLOCK_ROWS draws and five more
+        spec = small_fig3_spec(k_grid=(0, 1, 4, 7), relay_prob=0.3,
+                               error_draws=2 * channel._BLOCK_ROWS + 5)
+        got, want = _coupled_error_table(spec), whole_error_table(spec)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_sweep_memory_does_not_grow_with_updates(self):
+        # one (2 * points, 2^12) buffer and one block of draws at any
+        # n_updates; whole columns would add 3.2 MB at 2^16 updates
+        spec = small_fig3_spec(replications=1, k_grid=(0, 2), snr_points_db=(15.0,),
+                               error_draws=1000)
+        eps = _coupled_error_table(spec)
+        peaks = [traced_peak(_sweep_means, replace(spec, n_updates=n), *eps)
+                 for n in (1 << 12, 1 << 12, 1 << 16)]  # the first fills caches
+        assert peaks[2] - peaks[1] < 0.5e6, peaks
+
+    def test_error_table_memory_per_draw(self):
+        # the satellite and relay gains, 16 B per draw, and one block of the
+        # interferer gains, which whole would add 8 B per draw and interferer
+        spec = small_fig3_spec(k_grid=(0, 5, 10), snr_points_db=(15.0,))
+        peaks = [traced_peak(_coupled_error_table, replace(spec, error_draws=n))
+                 for n in (1 << 15, 1 << 15, 1 << 17)]  # the first fills caches
+        assert (peaks[2] - peaks[1]) / ((1 << 17) - (1 << 15)) <= 32, peaks
 
     @pytest.mark.parametrize("figure", ["fig3", "stin_psn", "fig4", "fig5"])
     def test_workers_start_no_process_pool(self, tmp_path, monkeypatch, figure):

@@ -75,6 +75,15 @@ GOLDEN = {
          "params": {"figure": "fig3", "n_updates": 2000, "error_draws": 5000}},
         "f39f95767b00912f409c5135e10fa1e1ac3c24a1a73d95e19a6ae6187d7a9dc5",
     ),
+    # two blocks of update draws and of error draws and five more, so each
+    # mean and error probability is a sum of block sums
+    "sweep_fig3_blocks": (
+        {"command": "sweep", "seed": 1,
+         "params": {"figure": "fig3", "n_updates": 2 * 2 ** 12 + 5,
+                    "error_draws": 2 * 2 ** 14 + 5, "k_grid": [0, 1, 3],
+                    "relay_prob": 0.3}},
+        "31d98c6b9bf46f7f96c41c889f263728dd916aeaabbfdff3b78e6e8020430c66",
+    ),
     "sweep_stin_psn": (
         {"command": "sweep", "seed": 1,
          "params": {"figure": "stin_psn", "n_updates": 2000, "error_draws": 5000}},

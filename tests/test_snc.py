@@ -470,6 +470,10 @@ class TestBoundProperties:
     @settings(max_examples=150, deadline=None)
     @given(bit_arrivals, bit_codings, st.floats(0.0, 0.5),
            st.floats(0.0, 20.0), st.floats(0.0, 20.0))
+    # a load of 1 - 1.1e-16, where the log product rounds at its own size
+    # on the whole stable set
+    @example(BitArrival.poisson_batch(3.9999999999999996, 0.5),
+             CodingSpec(blocklength=64, code_size=4), 0.0, 0.0, 0.0)
     def test_delay_bound(self, arrival, spec, eps, d1, d2):
         bits = spec.bits_per_block
         capacity = (1.0 - eps) * bits
