@@ -8,14 +8,13 @@ only at presentation (1 cu = 1e-6 s under the default link assumptions).
 """
 from __future__ import annotations
 
-import copy
 import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _row_blocks
+from .channel import _drawn_blocks, _row_blocks
 from .errors import DomainError, NumericError
 
 # Updates a run may draw. The draw and the trace hold one block whatever the
@@ -258,16 +257,12 @@ def _check_times(arrivals: np.ndarray, rows: np.ndarray, prev: float = 0.0) -> N
 def update_blocks(am: ArrivalModel, sm: ServiceModel, n_updates: int,
                   rng: np.random.Generator):
     """Arrival and service times of n_updates updates drawn from the models,
-    as an iterator of (arrivals, services) blocks of at most 2^12 rows.
-
-    The stream order is that of one whole draw of every gap, then one of
-    every service uniform, as _drawn_blocks gives it, so the blocks are the
-    rows of whole-column draws bit for bit while one block exists at a
-    time. The count is checked here, before any draw; nothing else may draw
-    from ``rng`` until the blocks are taken.
+    as the _arrival_blocks of the gaps and the service uniforms. The count
+    is checked here, before any draw; nothing else may draw from ``rng``
+    until the blocks are taken.
     """
     _check_update_count(n_updates)
-    return _drawn_blocks(am, n_updates, rng, sm.sample_services)
+    return _arrival_blocks(am, n_updates, rng, sm.sample_services)
 
 
 def _check_update_count(n_updates: int) -> None:
@@ -279,32 +274,13 @@ def _check_update_count(n_updates: int) -> None:
             f"{n_updates} updates exceed the cap of {MAX_UPDATES} per run")
 
 
-def _drawn_blocks(am: ArrivalModel, n_updates: int, rng: np.random.Generator,
-                 *draws):
-    """Yield blocks of at most 2^12 rows of the arrival times of n_updates
-    gaps drawn from ``am``, each followed by one block from each of
-    ``draws``, functions called as draw(rows, rng) like am.sample_gaps.
-
-    The stream order is that of one whole draw of every gap, then one whole
-    draw of each of ``draws`` in turn. Each draw but the last reads a copy
-    of ``rng`` taken where its whole draw would start, while ``rng`` itself
-    draws and discards those rows block by block; the last draw reads
-    ``rng``. The arrival sum is carried across block edges by the same
-    sequential adds as one whole cumsum, so every block equals the same
-    rows of whole-column draws bit for bit.
-    """
-    draws = (am.sample_gaps, *draws)
-    starts = range(0, n_updates, _TRACE_ROWS)
-    streams = []
-    for draw in draws[:-1]:
-        streams.append(copy.deepcopy(rng))
-        for start in starts:  # rng skips the rows that its copy yields below
-            draw(min(_TRACE_ROWS, n_updates - start), rng)
-    streams.append(rng)
+def _arrival_blocks(am: ArrivalModel, n_updates: int, rng: np.random.Generator, *draws):
+    """channel._drawn_blocks of 2^12 rows of the gaps of n_updates updates
+    drawn from ``am``, then of ``draws``, with each block of gaps made
+    arrival times in place by the sequential adds of one whole cumsum."""
     carry = 0.0
-    for start in starts:
-        size = min(_TRACE_ROWS, n_updates - start)
-        arrivals, *rest = [draw(size, r) for draw, r in zip(draws, streams)]
+    for arrivals, *rest in _drawn_blocks(rng, n_updates, _TRACE_ROWS,
+                                         am.sample_gaps, *draws):
         arrivals[0] += carry
         np.cumsum(arrivals, out=arrivals)
         carry = arrivals[-1]

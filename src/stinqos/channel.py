@@ -12,6 +12,7 @@ the SINR denominator is ``interference + 1``.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 
@@ -26,6 +27,12 @@ SPEED_OF_LIGHT = 3.0e8  # m/s, free-space value used throughout
 STREAM_PLACEMENT = 0
 STREAM_CHANNEL = 1
 STREAM_TRACE = 2
+
+# Interferers a scenario may hold, refused before placement draws anything:
+# 100 times fig. 3's K = 10. A Monte Carlo block of their gains, 2^14 rows
+# of K float64 values (125 MiB at the cap), is the largest allocation of
+# the Monte Carlo paths, and the quadrature adds interferers one at a time.
+MAX_INTERFERERS = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +254,45 @@ def _row_blocks(n: int) -> list[slice]:
     return [slice(i, min(i + _BLOCK_ROWS, n)) for i in range(0, n, _BLOCK_ROWS)]
 
 
+def _drawn_blocks(rng: np.random.Generator, n: int, rows: int, *draws):
+    """Yield, for each block of at most ``rows`` of rows 0..n-1, a list of
+    one block of each of ``draws``, functions called as draw(size, rng), in
+    the stream order of one whole draw of n rows of each in turn: each draw
+    but the last reads a copy of ``rng`` taken where its whole draw would
+    start, while ``rng`` draws and discards those rows. numpy's Generator
+    carries no state between variates, so the blocks are the rows of whole
+    draws bit for bit."""
+    streams = []
+    for draw in draws[:-1]:
+        streams.append(copy.deepcopy(rng))
+        for start in range(0, n, rows):  # rng skips the rows its copy yields
+            draw(min(rows, n - start), rng)
+    streams.append(rng)
+    for start in range(0, n, rows):
+        yield [draw(min(rows, n - start), r) for draw, r in zip(draws, streams)]
+
+
+def _gain_blocks(p: ShadowedRicianParams, rng: np.random.Generator, n: int, *draws):
+    """_drawn_blocks of 2^14 rows of n draws of |h|^2, then of ``draws``."""
+    sd = math.sqrt(p.b)
+
+    def amplitude(size, rng):  # no draw without LOS
+        return (np.sqrt(rng.gamma(shape=p.m, scale=p.omega / p.m, size=size))
+                if p.omega > 0 else np.zeros(size))
+
+    def phase(size, rng):
+        return rng.uniform(0.0, 2.0 * np.pi, size=size)
+
+    def scatter(size, rng):
+        return rng.normal(0.0, sd, size=size)
+
+    for amp, phi, re, im, *rest in _drawn_blocks(
+            rng, n, _BLOCK_ROWS, amplitude, phase, scatter, scatter, *draws):
+        re += amp * np.cos(phi)
+        im += amp * np.sin(phi)
+        yield [re * re + im * im, *rest]
+
+
 def sample_channel_gain(p: ShadowedRicianParams, rng: np.random.Generator, size=None):
     """Draw |h|^2 where h = A e^{j phi} + Z.
 
@@ -254,33 +300,14 @@ def sample_channel_gain(p: ShadowedRicianParams, rng: np.random.Generator, size=
     Z complex Gaussian with per-dimension variance b; the power gain then
     follows the shadowed-Rician density by construction.
 
-    The draws come in the order gamma, uniform, normal, normal. The
-    arithmetic runs one block of rows at a time and in place: the real part
-    goes into the amplitudes' array and the imaginary part into the phases',
-    so two arrays of the sample size are live.
+    The draws come in the order gamma, uniform, normal, normal, each a whole
+    column; the gains are the _gain_blocks joined.
     """
     n = 1 if size is None else int(np.prod(size))
-    if p.omega > 0:
-        a = rng.gamma(shape=p.m, scale=p.omega / p.m, size=n)
-        np.sqrt(a, out=a)
-    else:
-        a = np.zeros(n)
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    sd = math.sqrt(p.b)
-    for rows in _row_blocks(n):
-        amp, ph = a[rows], phi[rows]
-        re = np.cos(ph)
-        re *= amp
-        re += rng.normal(0.0, sd, size=rows.stop - rows.start)
-        np.sin(ph, out=ph)
-        ph *= amp
-        amp[:] = re
-    for rows in _row_blocks(n):
-        phi[rows] += rng.normal(0.0, sd, size=rows.stop - rows.start)
-    a *= a
-    phi *= phi
-    a += phi
-    return float(a[0]) if size is None else a.reshape(size)
+    gain = np.empty(n)
+    for rows, (block,) in zip(_row_blocks(n), _gain_blocks(p, rng, n)):
+        gain[rows] = block
+    return float(gain[0]) if size is None else gain.reshape(size)
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +380,9 @@ class InterfererField:
     def __post_init__(self):
         if self.count < 0:
             raise DomainError(f"interferer count must be >= 0, got {self.count}")
+        if self.count > MAX_INTERFERERS:
+            raise DomainError(f"interferer count {self.count} exceeds the cap of "
+                              f"{MAX_INTERFERERS}")
         if not 0 < self.r_inner_m < self.r_outer_m:
             raise DomainError(
                 f"annulus radii must satisfy 0 < r_inner_m < r_outer_m, "

@@ -12,9 +12,9 @@ hold elementwise per update, not just on noisy averages:
 
 Random streams derive from the sweep seed and fixed stream labels. Every
 figure runs in the calling process and computes its shared inputs once per
-sweep: fig3 and stin_psn hold their satellite and relay error draws whole
-(16 B per draw), draw the interferer gains and each replication's updates
-one block at a time, and run one batched departure pass per block of
+sweep: fig3 and stin_psn draw their error gains and each replication's
+updates one block at a time, so their memory does not grow with
+error_draws or n_updates, and run one batched departure pass per block of
 updates over one buffer of 2 * len(k_grid) * len(snr_points_db) x 2^12
 float64 values; fig4 computes its models and the simulated violation
 frequency once and loops over theta; fig5 builds its scenario and error
@@ -22,7 +22,6 @@ model once and loops over the blocklength grid.
 """
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, replace
 
@@ -62,10 +61,10 @@ from .snc import paoi_bound
 _STREAM_EPS = 10
 _STREAM_TRACE = 11
 
-# Error draws a fig3 or stin_psn sweep may take. The satellite and relay
-# gains are held whole, 16 B per draw and 1.6 GB at the cap; the interferer
-# gains take one block of rows. At the default grids the error table takes
-# about 0.4 s per 10^5 draws on a 2-CPU VM, so about 7 minutes at the cap.
+# Error draws a fig3 or stin_psn sweep may take. The error table holds one
+# block of 2^14 draws of each gain whatever the count, so the cap bounds
+# time: at the default grids it takes about 0.25 s per 10^5 draws on a
+# 2-CPU VM, so about 4 minutes at the cap.
 MAX_ERROR_DRAWS = 10 ** 8
 
 # Default link geometry: 1000 km satellite downlink at 2 GHz with a 20 dBi
@@ -210,13 +209,9 @@ def _coupled_error_table(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
     nested interferer-gain matrix serve every grid point, so both tables are
     elementwise monotone: nondecreasing in K, decreasing in SNR.
 
-    The stream order is that of whole draws: the satellite gains, the
-    (error_draws, k_max) gain matrix, then the relay gains. The matrix is
-    drawn one block of rows at a time from a copy of the generator taken
-    where its whole draw would start, while the generator itself draws and
-    discards it block by block, so one block of it exists at a time. Each
-    probability is the sum of its per-block sums in block order over
-    error_draws, which for one block is np.mean of the whole column.
+    The satellite gains, the (error_draws, k_max) interferer gains and the
+    relay gains are channel._gain_blocks, and each probability is the sum of
+    its block sums over error_draws, which for one block is np.mean.
     """
     # received-SNR targets enter directly; the link budget realizes the same
     # calibration through tx_snr_db_for_avg_rx_snr
@@ -227,33 +222,31 @@ def _coupled_error_table(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
         k=k_max, avg_snr_db=spec.avg_snr_db, inr_db=spec.inr_db, seed=spec.seed
     ).placed()
     coeff = base.interferers.coefficients()
-    rng = base.rng(_STREAM_EPS)
-    draws = spec.error_draws
-    blocks = channel._row_blocks(draws)
-    h_sat = channel.sample_channel_gain(base.fading, rng, size=draws)
-    gain_rng = copy.deepcopy(rng)
-    for rows in blocks:  # rng skips the gains that gain_rng yields below
-        rng.exponential(1.0, size=(rows.stop - rows.start, k_max))
-    h_ter = rng.exponential(1.0, size=draws)  # Rayleigh power, unit mean
+
+    def interferers(size, rng):
+        return rng.exponential(1.0, size=(size, k_max))
+
+    def relay(size, rng):  # Rayleigh power, unit mean
+        return rng.exponential(1.0, size=size)
 
     coding = CodingSpec(blocklength=spec.blocklength, code_size=spec.code_size)
     sums = np.zeros((2, len(spec.k_grid), len(spec.snr_points_db)))
-    for rows in blocks:
-        e_gains = gain_rng.exponential(1.0, size=(rows.stop - rows.start, k_max))
+    for h_sat, e_gains, h_ter in channel._gain_blocks(
+            base.fading, base.rng(_STREAM_EPS), spec.error_draws, interferers, relay):
         for ki, k in enumerate(spec.k_grid):
             i_a = e_gains[:, :k] @ coeff[:k] if k else 0.0
             for si in range(len(spec.snr_points_db)):
-                gam_sat = snr_sat[si] / base.fading.mean_power * h_sat[rows] / (1.0 + i_a)
+                gam_sat = snr_sat[si] / base.fading.mean_power * h_sat / (1.0 + i_a)
                 sums[0, ki, si] += np.sum(conditional_error(gam_sat, coding))
-                gam_ter = snr_ter[si] * h_ter[rows] / (1.0 + i_a)
+                gam_ter = snr_ter[si] * h_ter / (1.0 + i_a)
                 sums[1, ki, si] += np.sum(conditional_error(gam_ter, coding))
-    eps_sat, eps_ter = sums / draws
+    eps_sat, eps_ter = sums / spec.error_draws
     return eps_sat, eps_ter
 
 
-def _uniforms(rows: int, rng: np.random.Generator) -> np.ndarray:
-    """rng.random(rows), in the draw(rows, rng) form of aoi._drawn_blocks."""
-    return rng.random(rows)
+def _uniforms(size: int, rng: np.random.Generator) -> np.ndarray:
+    """rng.random(size), in the draw(size, rng) form of channel._drawn_blocks."""
+    return rng.random(size)
 
 
 def _sweep_means(spec: SweepSpec, eps_sat: np.ndarray, eps_ter: np.ndarray) -> np.ndarray:
@@ -291,8 +284,8 @@ def _sweep_means(spec: SweepSpec, eps_sat: np.ndarray, eps_ter: np.ndarray) -> n
             np.random.SeedSequence(spec.seed, spawn_key=(_STREAM_TRACE, rep))
         )
         dep_prev, arr_prev = np.full(len(buf), -math.inf), 0.0
-        for arrivals, u_att, v_route in aoi._drawn_blocks(arrival, n, rng,
-                                                          _uniforms, _uniforms):
+        for arrivals, u_att, v_route in aoi._arrival_blocks(arrival, n, rng,
+                                                            _uniforms, _uniforms):
             rows = buf[:, :len(arrivals)]
             for p, (ki, si) in enumerate(points):
                 k = spec.k_grid[ki]

@@ -28,6 +28,13 @@ _QUAD_PANELS = (96, 144, 216, 324)
 # width of the final rho bracket of the exponent search
 _RHO_TOL = 1e-6
 
+# Monte Carlo SINR draws a run may take, refused before any draw. The error
+# path holds one block of draws whatever the count, so the cap bounds its
+# time: about 0.4 s per 10^6 draws at K = 5 on a 2-CPU VM, some 40 s at the
+# cap. The exponent path holds its whole SINR column and its Gallager
+# terms, 33 B per draw by tracemalloc, so about 3.3 GB at the cap.
+MAX_SAMPLE_BUDGET = 10 ** 8
+
 
 @dataclass(frozen=True)
 class CodingSpec:
@@ -131,21 +138,30 @@ def conditional_error(gamma, spec: CodingSpec):
 # SINR law: Monte Carlo draws or deterministic quadrature nodes
 # ---------------------------------------------------------------------------
 
-def sinr_samples(s: Scenario, n_draws: int, stream_index: int = 0) -> np.ndarray:
-    """Monte Carlo SINR draws with interferer positions frozen per scenario.
-
-    After every channel-gain draw, the Rayleigh interferer gains are drawn
-    and summed one block of rows at a time, and each block of channel gains
-    becomes SINR in place, so no (n_draws, K) matrix is ever built.
-    """
+def _sinr_blocks(s: Scenario, n_draws: int, stream_index: int = 0):
+    """Monte Carlo SINR draws with interferer positions frozen per scenario:
+    channel._gain_blocks with the Rayleigh interferer gains, summed per
+    block. A count above MAX_SAMPLE_BUDGET is refused before any draw."""
+    if n_draws > MAX_SAMPLE_BUDGET:
+        raise NumericError(
+            f"{n_draws} Monte Carlo draws exceed the cap of {MAX_SAMPLE_BUDGET}")
     s = s.placed()
-    rng = s.rng(channel.STREAM_CHANNEL, stream_index)
-    gam = channel.sample_channel_gain(s.fading, rng, size=n_draws)
     coef = s.interferers.coefficients()
-    for rows in channel._row_blocks(n_draws):
-        i_a = (rng.exponential(1.0, size=(rows.stop - rows.start, coef.size)) @ coef
-               if coef.size else 0.0)
-        gam[rows] = channel.sinr(s, gam[rows], i_a)
+
+    def interference(size, rng):
+        return rng.exponential(1.0, size=(size, coef.size)) @ coef
+
+    blocks = channel._gain_blocks(s.fading, s.rng(channel.STREAM_CHANNEL, stream_index),
+                                  n_draws, interference)
+    return (channel.sinr(s, gain, i_a) for gain, i_a in blocks)
+
+
+def sinr_samples(s: Scenario, n_draws: int, stream_index: int = 0) -> np.ndarray:
+    """The blocks of _sinr_blocks joined into one array."""
+    blocks = _sinr_blocks(s, n_draws, stream_index)  # refuses before np.empty
+    gam = np.empty(n_draws)
+    for rows, block in zip(channel._row_blocks(n_draws), blocks):
+        gam[rows] = block
     return gam
 
 
@@ -202,17 +218,20 @@ def average_error(s: Scenario, spec: CodingSpec, em: ErrorModel) -> ErrorResult:
     panel count until successive values differ by less than quad_tolerance.
     """
     if em.method == "monte_carlo":
-        errs = sinr_samples(s, em.sample_budget)
-        for rows in channel._row_blocks(errs.size):
-            errs[rows] = conditional_error(errs[rows], spec)
-        # over the whole array: block-wise sums would add in another order
-        mean = np.mean(errs)
-        # np.std(errs, ddof=1) in place: the same ufuncs in the same order
-        errs -= mean
-        np.square(errs, out=errs)
-        std = np.sqrt(np.sum(errs) / (errs.size - 1))
-        return ErrorResult(value=float(mean),
-                           std_error=float(std / math.sqrt(em.sample_budget)),
+        # a sum of block sums, and squared deviations merged across blocks by
+        # Chan et al.'s update: np.mean and np.std(ddof=1) for one block
+        n, total, m2 = em.sample_budget, 0.0, 0.0
+        for i, gam in enumerate(_sinr_blocks(s, n)):
+            errs = conditional_error(gam, spec)
+            block_sum, size, seen = np.sum(errs), errs.size, i * channel._BLOCK_ROWS
+            if seen:
+                m2 += ((block_sum / size - total / seen) ** 2
+                       * (seen * size / (seen + size)))
+            errs -= block_sum / size
+            m2 += np.sum(np.square(errs, out=errs))
+            total += block_sum
+        return ErrorResult(value=float(total / n),
+                           std_error=math.sqrt(m2 / (n - 1)) / math.sqrt(n),
                            achieved_tol=None, method="monte_carlo")
     prev = None
     for panels in _QUAD_PANELS:

@@ -13,6 +13,7 @@ from scipy.special import logsumexp as scipy_logsumexp
 from stinqos.channel import (
     InterfererField,
     LinkBudget,
+    MAX_INTERFERERS,
     Scenario,
     ShadowedRicianParams,
     SPEED_OF_LIGHT,
@@ -266,13 +267,18 @@ class TestPlacement:
         assert np.all(d >= 2000.0) and np.all(d <= 10000.0)
 
     def test_area_uniform_moment(self):
-        d = place_interferers(
-            InterfererField(count=1_000_000, r_inner_m=2e3, r_outer_m=1e4,
-                            carrier_hz=2e9),
-            np.random.default_rng(2),
-        )
+        # 10^6 placements from one stream, in fields of at most the cap
+        rng = np.random.default_rng(2)
+        field = InterfererField(count=1000, r_inner_m=2e3, r_outer_m=1e4,
+                                carrier_hz=2e9)
+        d = np.concatenate([place_interferers(field, rng) for _ in range(1000)])
         expected = (2e3 ** 2 + 1e4 ** 2) / 2
         assert np.mean(d ** 2) == pytest.approx(expected, rel=0.005)
+
+    def test_count_cap(self):
+        assert _field(MAX_INTERFERERS).count == MAX_INTERFERERS
+        with pytest.raises(DomainError, match=f"cap of {MAX_INTERFERERS}"):
+            _field(MAX_INTERFERERS + 1)
 
     def test_bad_radii(self):
         with pytest.raises(DomainError):

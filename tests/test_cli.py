@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import stinqos
-from stinqos import aoi, channel, cli, csvio, experiments
+from stinqos import aoi, channel, cli, csvio, experiments, fbc
 from stinqos.aoi import TRACE_FIELDS, sample_updates
 from stinqos.cli import main
 from stinqos.config import (
@@ -541,6 +541,36 @@ class TestAtomicWrite:
         assert main([write_config(tmp_path, cfg)]) == 4
         err = capsys.readouterr().err
         assert "category=numeric" in err and f"cap of {cap}" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    @pytest.mark.parametrize("command", ["error", "exponent"])
+    @pytest.mark.parametrize("budget", [fbc.MAX_SAMPLE_BUDGET + 1, 10 ** 11])
+    def test_sample_budget_above_cap_numeric_exit_code(self, tmp_path, capsys,
+                                                       command, budget):
+        cfg = {"command": command, "seed": 1, "output": str(tmp_path / "t.csv"),
+               "error_model": {"method": "monte_carlo", "sample_budget": budget}}
+        assert main([write_config(tmp_path, cfg)]) == 4
+        err = capsys.readouterr().err
+        assert f"category=numeric {budget} Monte Carlo draws exceed the cap of " \
+            f"{fbc.MAX_SAMPLE_BUDGET}" in err and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    @pytest.mark.parametrize("cfg, code", [
+        ({"command": "error", "scenario": {"k": 10 ** 8}}, 2),
+        ({"command": "exponent", "scenario": {"k": channel.MAX_INTERFERERS + 1}}, 2),
+        ({"command": "error",
+          "scenario": dict(THEOREM_CONFIG["scenario"], interferers=dict(
+              THEOREM_CONFIG["scenario"]["interferers"], count=10 ** 8))}, 2),
+        ({"command": "sweep", "params": {"figure": "fig3", "k_grid": [10 ** 8]}}, 3),
+        ({"command": "sweep", "params": {"figure": "stin_psn", "k_grid": [0, 10 ** 8]}}, 3),
+    ])
+    def test_interferer_count_above_cap_typed_exit_code(self, tmp_path, capsys,
+                                                        cfg, code):
+        cfg = dict(cfg, seed=1, output=str(tmp_path / "t.csv"))
+        assert main([write_config(tmp_path, cfg)]) == code
+        err = capsys.readouterr().err
+        assert f"exceeds the cap of {channel.MAX_INTERFERERS}" in err
+        assert "Traceback" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
     def test_missing_output_directory_io_exit_code(self, tmp_path, capsys):

@@ -42,6 +42,13 @@ GOLDEN = {
         {"command": "error", "seed": 1, "scenario": _scenario(8, 10)},
         "884bc3f6dd07769788182926d3eb8bd0f8f2b8f70d7f0cdc315b0e6b47b52a98",
     ),
+    # three blocks of 2^14 Monte Carlo draws and five more, so the mean and
+    # standard error are merged across block edges
+    "error_k3_m10_monte_carlo_blocks": (
+        {"command": "error", "seed": 1, "scenario": _scenario(3, 10),
+         "error_model": {"method": "monte_carlo", "sample_budget": 3 * 2 ** 14 + 5}},
+        "7e11cdd2b55a01e42d71c9822513d4ed8d41f44b38fa441155c01d40a3394ba0",
+    ),
     "exponent_k3_m10": (
         {"command": "exponent", "seed": 1, "scenario": _scenario(3, 10)},
         "6ae654de0306a23859d4c984858e425bcb73c8bb3af30af4d0fb506fa2b6d048",
