@@ -9,12 +9,9 @@ __version__ = "0.1.0"  # the one version source; pyproject.toml repeats it
 from .aoi import (
     ArrivalModel,
     ServiceModel,
-    departure_times,
-    sample_updates,
     trace_blocks,
     trace_violation_frequency,
     update_blocks,
-    violation_frequency,
 )
 from .channel import (
     InterfererField,

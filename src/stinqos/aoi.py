@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _drawn_blocks, _row_blocks
+from .channel import _drawn_blocks
 from .errors import DomainError, NumericError
 
 # Updates a run may draw. The draw and the trace hold one block whatever the
@@ -158,35 +158,16 @@ def _departures(arrivals: np.ndarray, services: np.ndarray, prev: float,
     return prev
 
 
-def departure_times(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
-    """FCFS departures D[u] = max(D[u-1], A[u]) + S[u].
-
-    This O(N) recursion equals the max-plus form
-    max_{v<=u} (A[v] + sum_{i=v..u} S[i]) term for term, including float
-    rounding, because float addition is monotone; tests assert the equality
-    against the direct O(N^2) evaluation. It runs one block of rows at a
-    time, so no list spans the whole column.
-    """
-    arrivals = np.asarray(arrivals, dtype=float)
-    services = np.asarray(services, dtype=float)
-    if arrivals.ndim != 1 or services.shape != arrivals.shape:
-        raise ValueError("arrivals and services must be columns of equal length")
-    dep = np.empty(len(arrivals))
-    prev = -math.inf
-    for rows in _row_blocks(len(dep)):
-        prev = _departures(arrivals[rows], services[rows], prev, dep[rows])
-    return dep
-
-
 def departure_rows(arrivals: np.ndarray, services: np.ndarray,
                    dep_prev: np.ndarray | None = None,
                    arr_prev: float = 0.0) -> np.ndarray:
-    """departure_times for every row of a (rows, N) service matrix at once.
+    """FCFS departures for every row of a (rows, N) service matrix at once.
 
     All rows share one arrival column. The float64 matrix is overwritten
     with the departures and returned, so a caller can reuse one buffer.
-    Each element gets the same max-then-add as departure_times, so every
-    row equals departure_times(arrivals, row) bit for bit.
+    Each element gets the same max-then-add as trace_blocks, so every row
+    equals the departure column of trace_blocks([(arrivals, row)]) bit for
+    bit.
 
     The columns may be one block of longer ones. ``dep_prev`` then holds
     each row's departure before the block and is overwritten with the
@@ -197,7 +178,7 @@ def departure_rows(arrivals: np.ndarray, services: np.ndarray,
     if not (isinstance(services, np.ndarray) and services.ndim == 2
             and services.dtype == np.float64):
         raise ValueError("services must be a 2-D float64 array")
-    _check_times(arrivals, services, arr_prev)
+    _check_block(arrivals, services, arr_prev)
     if dep_prev is None:
         dep_prev = np.full(len(services), -math.inf)
     buf = np.empty_like(dep_prev)
@@ -211,8 +192,9 @@ def departure_rows(arrivals: np.ndarray, services: np.ndarray,
 
 
 def departure_times_maxplus(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:
-    """Direct max-plus form max_{v<=u} (A[v] + S[v] + ... + S[u]), the oracle
-    for departure_times.
+    """Direct max-plus form max_{v<=u} (A[v] + S[v] + ... + S[u]), which the
+    recursion D[u] = max(D[u-1], A[u]) + S[u] equals term for term, rounding
+    included, as float addition is monotone.
 
     The candidate sum of every v <= u is kept and extended by S[u] at step
     u, one addition each, so each sum is added left to right and the whole
@@ -242,16 +224,6 @@ def _check_block(arrivals: np.ndarray, rows: np.ndarray, prev: float) -> None:
         raise ValueError("arrival times must be finite, nonnegative and nondecreasing")
     if rows.size and not (rows.min() >= 0 and rows.max() < math.inf):
         raise ValueError("service times must be finite and nonnegative")
-
-
-def _check_times(arrivals: np.ndarray, rows: np.ndarray, prev: float = 0.0) -> None:
-    """_check_block over whole columns, one block of columns at a time, so
-    no temporary spans the columns; ``prev`` is the arrival before them."""
-    if rows.shape[1:] != arrivals.shape:
-        raise ValueError("arrivals and services must have equal length")
-    for cols in _row_blocks(len(arrivals)):
-        _check_block(arrivals[cols], rows[:, cols], prev)
-        prev = arrivals[cols.stop - 1]
 
 
 def update_blocks(am: ArrivalModel, sm: ServiceModel, n_updates: int,
@@ -287,21 +259,6 @@ def _arrival_blocks(am: ArrivalModel, n_updates: int, rng: np.random.Generator, 
         yield arrivals, *rest
 
 
-def sample_updates(
-    am: ArrivalModel, sm: ServiceModel, n_updates: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """The blocks of update_blocks joined into whole arrival and service
-    columns."""
-    blocks = update_blocks(am, sm, n_updates, rng)  # checks the count first
-    arrivals, services = np.empty(n_updates), np.empty(n_updates)
-    start = 0
-    for arr, serv in blocks:
-        arrivals[start:start + len(arr)] = arr
-        services[start:start + len(arr)] = serv
-        start += len(arr)
-    return arrivals, services
-
-
 TRACE_FIELDS = ["u", "arrival", "service", "departure", "sojourn", "peak_aoi"]
 
 
@@ -334,19 +291,9 @@ def trace_blocks(updates):
         start += len(arr)
 
 
-def trace_columns(arrivals: np.ndarray, services: np.ndarray):
-    """trace_blocks of whole arrival and service columns, in blocks of 2^14
-    rows; the input checks of every row run before the first block."""
-    arrivals = np.asarray(arrivals, dtype=float)
-    services = np.asarray(services, dtype=float)
-    _check_times(arrivals, services[np.newaxis])
-    yield from trace_blocks((arrivals[rows], services[rows])
-                            for rows in _row_blocks(len(arrivals)))
-
-
 def trace_violation_frequency(trace, a_th: float) -> float:
-    """Fraction of the rows of the trace blocks ``trace`` (from trace_blocks
-    or trace_columns) whose peak AoI strictly exceeds a_th (cu)."""
+    """Fraction of the rows of the trace blocks ``trace`` (from
+    trace_blocks) whose peak AoI strictly exceeds a_th (cu)."""
     if a_th < 0:
         raise DomainError(f"peak AoI threshold must be >= 0, got {a_th}")
     count = rows = 0
@@ -355,9 +302,3 @@ def trace_violation_frequency(trace, a_th: float) -> float:
         rows += len(block[-1])
     return count / rows
 
-
-def violation_frequency(arrivals: np.ndarray, services: np.ndarray,
-                        a_th: float) -> float:
-    """trace_violation_frequency of the trace of whole arrival and service
-    columns."""
-    return trace_violation_frequency(trace_columns(arrivals, services), a_th)

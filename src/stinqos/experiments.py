@@ -32,7 +32,6 @@ from .aoi import (
     ArrivalModel,
     ServiceModel,
     departure_rows,
-    departure_times,
     geometric_attempts,
     trace_blocks,
     trace_violation_frequency,
@@ -260,8 +259,8 @@ def _sweep_means(spec: SweepSpec, eps_sat: np.ndarray, eps_ter: np.ndarray) -> n
     (2 * points, block) buffer that holds the hybrid and satellite-only
     service rows of every grid point, carrying each row's departure and the
     last arrival across block edges; one buffer serves the whole sweep. The
-    peak AoI of each row equals the peak_aoi column of trace_columns on
-    that row, bit for bit, and its mean is the sum of its per-block sums in
+    peak AoI of each row equals the peak_aoi column of trace_blocks on that
+    row, bit for bit, and its mean is the sum of its per-block sums in
     block order over n_updates, which for one block is np.mean of the row.
     """
     points = list(np.ndindex(eps_sat.shape))
@@ -451,13 +450,13 @@ def run_sweep(spec: SweepSpec) -> Table:
 def _backlog(alpha_bits: float, served: np.ndarray) -> np.ndarray:
     """Bits left after blocks 0..T of the slotted queue, starting empty.
 
-    The Lindley recursion q_t = max(0, q_{t-1} + alpha - s_t) is the
-    departure recursion q_t = max(q_{t-1}, s_t - alpha) + (alpha - s_t) fed
-    from a zero-length virtual block 0; it is exact whenever alpha and the
-    served bits are integers.
+    The Lindley recursion q_t = max(0, q_{t-1} + alpha - s_t) in closed
+    form (Lindley 1952): q_t = L_t - min_{v<=t} L_v, where L is the running
+    sum of alpha - s from L_0 = 0. It is exact whenever alpha and the served
+    bits are integers, since then every sum is.
     """
-    excess = np.concatenate([[0.0], served - alpha_bits])
-    return departure_times(excess, -excess)
+    level = np.concatenate([[0.0], np.cumsum(alpha_bits - served)])
+    return level - np.minimum.accumulate(level)
 
 
 def simulate_delay_violation(

@@ -203,12 +203,18 @@ def sinr_quadrature(
     s: Scenario, n_panels: int = 96
 ) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic (SINR node, weight) pairs for the scenario's fading law."""
+    return next(_sinr_rules(s, (n_panels,)))
+
+
+def _sinr_rules(s: Scenario, panel_counts):
+    """Yield sinr_quadrature(s, n) for each n of ``panel_counts`` in turn,
+    with the interference rule built once for all of them."""
     s = s.placed()
-    x, w = srician_quad_nodes(s.fading, n_panels=n_panels, nodes_per_panel=8)
     i_a, iw = _interference_nodes(s.interferers)
-    gam = (s.satellite_coefficient * x[:, None] / (1.0 + i_a[None, :])).ravel()
-    wts = (w[:, None] * iw[None, :]).ravel()
-    return gam, wts
+    for n_panels in panel_counts:
+        x, w = srician_quad_nodes(s.fading, n_panels=n_panels, nodes_per_panel=8)
+        yield ((s.satellite_coefficient * x[:, None] / (1.0 + i_a[None, :])).ravel(),
+               (w[:, None] * iw[None, :]).ravel())
 
 
 def average_error(s: Scenario, spec: CodingSpec, em: ErrorModel) -> ErrorResult:
@@ -234,8 +240,7 @@ def average_error(s: Scenario, spec: CodingSpec, em: ErrorModel) -> ErrorResult:
                            std_error=math.sqrt(m2 / (n - 1)) / math.sqrt(n),
                            achieved_tol=None, method="monte_carlo")
     prev = None
-    for panels in _QUAD_PANELS:
-        g, w = sinr_quadrature(s, n_panels=panels)
+    for g, w in _sinr_rules(s, _QUAD_PANELS):
         value = float(np.sum(w * conditional_error(g, spec)))
         if prev is not None and abs(value - prev) <= em.quad_tolerance:
             return ErrorResult(value=min(max(value, 0.0), 1.0), std_error=None,
@@ -299,10 +304,11 @@ def error_exponent(s: Scenario, spec: CodingSpec, em: ErrorModel) -> QoSReport:
     if em.method == "monte_carlo":
         gam, wts = sinr_samples(s, em.sample_budget), None
     else:
-        gam, wts = sinr_quadrature(s)
+        rules = _sinr_rules(s, (96, 192))
+        gam, wts = next(rules)
     theta, rho_star = error_exponent_samples(gam, spec.rate, spec.blocklength, wts)
     if em.method == "quadrature":
-        gam2, wts2 = sinr_quadrature(s, n_panels=192)
+        gam2, wts2 = next(rules)
         refined = (
             gallager_e0_samples(rho_star, gam2, spec.blocklength, wts2)
             - rho_star * spec.rate

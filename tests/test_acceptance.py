@@ -11,12 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from stinqos.aoi import (
-    departure_times,
-    departure_times_maxplus,
-    sample_updates,
-    violation_frequency,
-)
+from stinqos.aoi import departure_times_maxplus, trace_blocks, trace_violation_frequency
 from stinqos.channel import (
     ShadowedRicianParams,
     sample_channel_gain,
@@ -51,6 +46,7 @@ from stinqos.snc import (
     stability_check,
 )
 from scipy.integrate import quad
+from trace_helper import whole_trace, whole_updates
 
 
 def _announce(num: int, message: str) -> None:
@@ -116,7 +112,7 @@ def test_criterion_3_maxplus_oracle():
     for _ in range(1000):
         arrivals = np.cumsum(rng.exponential(10.0, 50))
         services = rng.exponential(4.0, 50)
-        fast = departure_times(arrivals, services)
+        fast = whole_trace(arrivals, services)["departure"]
         direct = departure_times_maxplus(arrivals, services)
         assert np.array_equal(fast, direct)
     _announce(3, "O(N) departure recursion equals the direct max-plus "
@@ -129,7 +125,7 @@ def test_criterion_4_paoi_bound_dominance():
     am, sm, eps = fig4_models(spec)
     n = spec.blocklength
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(11, 0)))
-    times = sample_updates(am, sm, 100_000, rng)
+    trace = list(trace_blocks([whole_updates(am, sm, 100_000, rng)]))
 
     a_grid = np.linspace(120_000.0, 300_000.0, 20)
     theta_grid = np.asarray(spec.theta_grid)
@@ -137,7 +133,7 @@ def test_criterion_4_paoi_bound_dominance():
 
     optimized = []
     for a_th in a_grid:
-        emp = violation_frequency(*times, a_th)
+        emp = trace_violation_frequency(trace, a_th)
         se = math.sqrt(max(emp * (1 - emp), 0.0) / 100_000)
         opt = optimize_paoi_bound(a_th, n, None, am, sm)
         optimized.append(opt)

@@ -10,19 +10,16 @@ from stinqos.aoi import (
     ArrivalModel,
     ServiceModel,
     departure_rows,
-    departure_times,
     departure_times_maxplus,
     geometric_attempts,
-    sample_updates,
     trace_blocks,
-    trace_columns,
+    trace_violation_frequency,
     TRACE_FIELDS,
     update_blocks,
-    violation_frequency,
 )
 from stinqos.csvio import write_csv
 from stinqos.errors import DomainError, NumericError
-from trace_helper import traced_peak, whole_trace, whole_updates
+from trace_helper import column_blocks, whole_trace, whole_updates
 
 BLOCK = channel._BLOCK_ROWS
 TRACE_BLOCK = aoi._TRACE_ROWS
@@ -36,7 +33,7 @@ def example_trace():
 
 
 def simulated_trace(am, sm, n, rng):
-    return whole_trace(*sample_updates(am, sm, n, rng))
+    return whole_trace(*whole_updates(am, sm, n, rng))
 
 
 def interarrival_span(trace, v, u):
@@ -51,7 +48,7 @@ def service_span(trace, v, u):
 
 def departures_whole_list(arrivals, services):
     """The one-pass recursion over whole-column lists: the oracle of the
-    blocked departure_times."""
+    departure column of trace_blocks."""
     dep = []
     prev = -math.inf
     for a, s in zip(arrivals.tolist(), services.tolist()):
@@ -62,18 +59,26 @@ def departures_whole_list(arrivals, services):
 
 def build_trace(arrivals, services):
     """The trace columns in TRACE_FIELDS order, each computed over whole
-    columns: the oracle of the blocks of trace_columns."""
+    columns: the oracle of the blocks of trace_blocks."""
     dep = departures_whole_list(arrivals, services)
     soj = dep - arrivals
     return [np.arange(1, len(dep) + 1), arrivals, services, dep, soj,
             np.diff(arrivals, prepend=0.0) + soj]
 
 
+def blocked_departures(arrivals, services):
+    """The departure column of trace_blocks fed the columns in blocks of
+    aoi._TRACE_ROWS rows."""
+    return np.concatenate(
+        [block[3] for block in trace_blocks(column_blocks(arrivals, services))])
+
+
 def edge_queue(n, edge, rng):
-    """Arrivals and services with, at every block edge e, a tie
-    A[e] == D[e-1] (edge "tie") or a backlog A[e] < D[e-1] (edge "backlog"),
-    and zero services at rows e and e + 1; elsewhere a mix of small integers
-    (so ties and zeros recur) and exponential floats."""
+    """Arrivals and services with, at every edge e of blocks of
+    aoi._TRACE_ROWS rows, a tie A[e] == D[e-1] (edge "tie") or a backlog
+    A[e] < D[e-1] (edge "backlog"), and zero services at rows e and e + 1;
+    elsewhere a mix of small integers (so ties and zeros recur) and
+    exponential floats."""
     def times():
         return np.where(rng.random(n) < 0.5, rng.integers(0, 7, n),
                         rng.exponential(3.0, n))
@@ -82,11 +87,11 @@ def edge_queue(n, edge, rng):
     a, d = 0.0, -math.inf
     for u in range(n):
         a += gaps[u]
-        if u % BLOCK == BLOCK - 1:
+        if u % TRACE_BLOCK == TRACE_BLOCK - 1:
             services[u] += 1.0  # D[e-1] > A[e-1], room for a backlog
-        elif u and u % BLOCK == 0:
+        elif u and u % TRACE_BLOCK == 0:
             a = d if edge == "tie" else arrivals[u - 1]
-        if u and u % BLOCK in (0, 1):
+        if u and u % TRACE_BLOCK in (0, 1):
             services[u] = 0.0
         arrivals[u] = a
         d = max(d, a) + services[u]
@@ -105,14 +110,14 @@ class TestDepartures:
 
     def test_zero_services(self):
         a = np.array([1.0, 2.0, 7.0])
-        np.testing.assert_array_equal(departure_times(a, np.zeros(3)), a)
+        np.testing.assert_array_equal(whole_trace(a, np.zeros(3))["departure"], a)
 
     def test_lindley_equals_maxplus_exactly(self):
         rng = np.random.default_rng(42)
         for _ in range(100):
             a = np.cumsum(rng.exponential(10.0, 50))
             s = rng.exponential(4.0, 50)
-            fast = departure_times(a, s)
+            fast = whole_trace(a, s)["departure"]
             direct = departure_times_maxplus(a, s)
             assert np.array_equal(fast, direct)
 
@@ -148,86 +153,56 @@ def queue_rows(draw):
 
 
 class TestBlockedDepartures:
+    """The departure carried across the block edges of trace_blocks."""
+
+    # lengths about the multiples of BLOCK = 4 * TRACE_BLOCK rows, so that a
+    # length spans several TRACE_BLOCK edges and may end one row past one
     @pytest.mark.parametrize("edge", ["tie", "backlog"])
     @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
     def test_equal_to_whole_list_recursion(self, n, edge):
         arrivals, services = edge_queue(n, edge, np.random.default_rng(n))
         want = departures_whole_list(arrivals, services)
-        edges = np.arange(BLOCK, n, BLOCK)
+        edges = np.arange(TRACE_BLOCK, n, TRACE_BLOCK)
         if edge == "tie":
             assert np.all(arrivals[edges] == want[edges - 1])
         else:
             assert np.all(arrivals[edges] < want[edges - 1])
         assert np.all(services[edges] == 0.0)
-        assert np.array_equal(departure_times(arrivals, services), want)
+        assert np.array_equal(blocked_departures(arrivals, services), want)
 
     @pytest.mark.parametrize("edge", ["tie", "backlog"])
     def test_equal_to_maxplus_across_block_edge(self, edge):
-        arrivals, services = edge_queue(BLOCK + 1, edge, np.random.default_rng(11))
-        assert np.array_equal(departure_times(arrivals, services),
+        arrivals, services = edge_queue(TRACE_BLOCK + 1, edge, np.random.default_rng(11))
+        assert np.array_equal(blocked_departures(arrivals, services),
                               departure_times_maxplus(arrivals, services))
 
     def test_refuses_unequal_lengths(self):
         with pytest.raises(ValueError):
-            departure_times(np.zeros(3), np.zeros(2))
-
-
-class TestTraceMemory:
-    N = 200_000
-
-    def test_departure_times(self):
-        rng = np.random.default_rng(12)
-        arrivals = np.cumsum(rng.exponential(10.0, self.N))
-        services = rng.exponential(8.0, self.N)
-        assert traced_peak(departure_times, arrivals, services) < 8 * self.N + 2e6
-
-    def test_violation_frequency(self):
-        # the count over whole drawn columns: only the two columns span the
-        # updates, 16 B per update, plus the allowance of one block of
-        # test_trace_columns
-        am, sm = ArrivalModel.poisson(1 / 256.0), ServiceModel.arq(64, 0.0047)
-        n, rng = 100_000, np.random.default_rng(13)
-        peak = traced_peak(lambda: violation_frequency(
-            *sample_updates(am, sm, n, rng), 1500.0))
-        assert peak < 16 * n + 160 * BLOCK
-
-    def test_sample_updates(self):
-        # the service uniforms are drawn a block at a time: the two columns
-        # and one block, not a third column-sized array
-        am, sm = ArrivalModel.poisson(1 / 300.0), ServiceModel.arq(64, 0.3)
-        peak = traced_peak(sample_updates, am, sm, self.N, np.random.default_rng(16))
-        assert peak < 16 * self.N + 1e6
-
-    def test_trace_columns(self):
-        # the input checks and the derived columns take one block at a time,
-        # at a length where one temporary column would be 4 MB
-        rng = np.random.default_rng(14)
-        arrivals = np.cumsum(rng.exponential(10.0, 500_000))
-        services = rng.exponential(8.0, 500_000)
-        blocks = trace_columns(arrivals, services)
-        assert traced_peak(lambda: [None for _ in blocks]) < 160 * BLOCK
+            next(trace_blocks([(np.zeros(3), np.zeros(2))]))
 
 
 class TestTraceColumns:
-    """The blocks of trace_columns are the rows of the whole trace."""
+    """The blocks of trace_blocks, and its one block of whole columns, are
+    the rows of the whole trace."""
 
     @pytest.mark.parametrize("edge", ["tie", "backlog"])
     @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
     def test_equal_to_build_trace(self, n, edge):
         arrivals, services = edge_queue(n, edge, np.random.default_rng(n + 1))
         want = build_trace(arrivals, services)
-        assert [len(b[0]) for b in trace_columns(arrivals, services)] == [
-            min(BLOCK, n - start) for start in range(0, n, BLOCK)]
-        got = whole_trace(arrivals, services)
-        for field, col in zip(TRACE_FIELDS, want):
-            assert np.array_equal(got[field], col)
+        blocks = list(trace_blocks(column_blocks(arrivals, services)))
+        joined = [np.concatenate(col) for col in zip(*blocks)]
+        whole = whole_trace(arrivals, services)
+        for field, col, got in zip(TRACE_FIELDS, want, joined):
+            assert np.array_equal(got, col)
+            assert np.array_equal(whole[field], col)
         # the block-wise count of fig4 against the whole peak-AoI column
-        peak = got["peak_aoi"]
+        peak = whole["peak_aoi"]
         for a_th in (0.0, 300.0, 1000.0, 150_000.0, float(np.median(peak))):
-            assert violation_frequency(arrivals, services, a_th) == np.mean(peak > a_th)
+            assert trace_violation_frequency(blocks, a_th) == np.mean(peak > a_th)
 
     def test_input_checks_run_before_first_block(self):
-        blocks = trace_columns(np.array([1.0, 0.5]), np.ones(2))
+        blocks = trace_blocks([(np.array([1.0, 0.5]), np.ones(2))])
         with pytest.raises(ValueError):
             next(blocks)
 
@@ -277,7 +252,7 @@ class TestDepartureRows:
     @example((np.array([2.5]), np.array([[1.5]])))
     def test_rows_equal_departure_times(self, case):
         arrivals, services = case
-        expected = [departure_times(arrivals, row) for row in services]
+        expected = [whole_trace(arrivals, row)["departure"] for row in services]
         out = departure_rows(arrivals, services.copy())
         for row, exp in zip(out, expected):
             assert np.array_equal(row, exp)
@@ -318,9 +293,7 @@ class TestDepartureRows:
     def test_input_checks_match_trace_columns(self, arrivals, services):
         arrivals, services = np.array(arrivals), np.array(services)
         with pytest.raises(ValueError):
-            next(trace_columns(arrivals, services))
-        with pytest.raises(ValueError):
-            violation_frequency(arrivals, services, 0.0)
+            next(trace_blocks([(arrivals, services)]))
         with pytest.raises(ValueError):
             departure_rows(arrivals, np.array([services, services]))
 
@@ -331,13 +304,13 @@ class TestDepartureRows:
         times = {"arrivals": np.arange(BLOCK + 2.0), "services": np.ones(BLOCK + 2)}
         times[column][BLOCK + 1] = value
         with pytest.raises(ValueError, match="finite"):
-            next(trace_columns(times["arrivals"], times["services"]))
+            list(trace_blocks(column_blocks(times["arrivals"], times["services"])))
         with pytest.raises(ValueError, match="finite"):
             departure_rows(times["arrivals"], times["services"][np.newaxis].copy())
 
     def test_trace_columns_refuses_service_matrix(self):
         with pytest.raises(ValueError):
-            next(trace_columns(np.array([0.0, 1.0]), np.ones((2, 2))))
+            next(trace_blocks([(np.array([0.0, 1.0]), np.ones((2, 2)))]))
 
     def test_requires_float64_matrix(self):
         with pytest.raises(ValueError):
@@ -402,7 +375,7 @@ class TestSimulateTrace:
         np.testing.assert_allclose(tr["departure"], [14, 24, 34, 44, 54])
 
     def test_poisson_gap_moment(self):
-        arrivals, _ = sample_updates(
+        arrivals, _ = whole_updates(
             ArrivalModel.poisson(0.2), ServiceModel.fixed(1), 1_000_000,
             np.random.default_rng(6),
         )
@@ -410,7 +383,7 @@ class TestSimulateTrace:
         assert np.mean(gaps) == pytest.approx(5.0, rel=0.01)
 
     def test_arq_service_moment(self):
-        _, services = sample_updates(
+        _, services = whole_updates(
             ArrivalModel.deterministic(1000.0), ServiceModel.arq(8, 0.25),
             1_000_000, np.random.default_rng(7),
         )
@@ -473,30 +446,31 @@ class TestSimulateTrace:
 
 class TestEmpiricalViolation:
     def test_zero_threshold(self):
-        assert violation_frequency(*EXAMPLE, 0.0) == 1.0
+        assert trace_violation_frequency(trace_blocks([EXAMPLE]), 0.0) == 1.0
 
     def test_above_max(self):
-        tr = example_trace()
-        assert violation_frequency(*EXAMPLE, float(np.max(tr["peak_aoi"])) + 1.0) == 0.0
+        a_th = float(np.max(example_trace()["peak_aoi"])) + 1.0
+        assert trace_violation_frequency(trace_blocks([EXAMPLE]), a_th) == 0.0
 
     def test_strict_inequality(self):
-        times = sample_updates(
+        times = whole_updates(
             ArrivalModel.deterministic(10.0), ServiceModel.fixed(4), 100,
             np.random.default_rng(0),
         )
+        trace = list(trace_blocks([times]))
         # every peak is exactly 14; strictness decides the boundary threshold
-        assert violation_frequency(*times, 13.9) == 1.0
-        assert violation_frequency(*times, 14.0) == 0.0
+        assert trace_violation_frequency(trace, 13.9) == 1.0
+        assert trace_violation_frequency(trace, 14.0) == 0.0
 
     def test_refuses_negative_threshold(self):
         with pytest.raises(DomainError):
-            violation_frequency(*EXAMPLE, -1.0)
+            trace_violation_frequency(trace_blocks([EXAMPLE]), -1.0)
 
 
 class TestTraceCsv:
     def test_export_columns(self, tmp_path):
         out = tmp_path / "trace.csv"
-        write_csv(out, TRACE_FIELDS, trace_columns(*EXAMPLE))
+        write_csv(out, TRACE_FIELDS, trace_blocks([EXAMPLE]))
         text = out.read_text(encoding="utf-8")
         lines = text.strip().split("\n")
         assert lines[0] == "u,arrival,service,departure,sojourn,peak_aoi"

@@ -12,13 +12,13 @@ import pytest
 
 import stinqos
 from stinqos import aoi, channel, cli, csvio, experiments, fbc
-from stinqos.aoi import TRACE_FIELDS, sample_updates
+from stinqos.aoi import TRACE_FIELDS
 from stinqos.cli import main
 from stinqos.config import (
     apply_overrides, build_arrival, build_config, build_service, parse_config,
 )
 from stinqos.errors import ConfigError, DomainError
-from trace_helper import whole_trace
+from trace_helper import whole_trace, whole_updates
 
 
 def write_config(tmp_path, payload, name="run.json"):
@@ -146,7 +146,7 @@ class TestDispatch:
         rc = build_config(cfg)
         am = build_arrival(rc.params["arrival"], [])
         sm = build_service(rc.params["service"], [], rc)
-        times = sample_updates(am, sm, n, rc.scenario.rng(channel.STREAM_TRACE))
+        times = whole_updates(am, sm, n, rc.scenario.rng(channel.STREAM_TRACE))
         trace = whole_trace(*times)
         text = (tmp_path / "t.csv").read_bytes().decode("utf-8")
         comments = [line for line in text.split("\n") if line.startswith("#")]

@@ -10,12 +10,9 @@ import pytest
 
 import stinqos
 from stinqos import aoi, channel, csvio
-from stinqos.aoi import (
-    ArrivalModel, ServiceModel, TRACE_FIELDS, sample_updates, trace_blocks,
-    trace_columns,
-)
+from stinqos.aoi import ArrivalModel, ServiceModel, TRACE_FIELDS, trace_blocks, update_blocks
 from stinqos.csvio import format_value, write_csv
-from trace_helper import whole_trace
+from trace_helper import column_blocks, whole_trace, whole_updates
 
 
 def reference_csv(fieldnames, columns, comments=()):
@@ -44,8 +41,8 @@ def whole_columns(times):
 
 def test_trace_across_chunk_edges(tmp_path):
     n = 2 * csvio._CHUNK_ROWS + 3
-    times = sample_updates(ArrivalModel.poisson(1 / 300.0), ServiceModel.arq(64, 0.3),
-                           n, np.random.default_rng(7))
+    times = whole_updates(ArrivalModel.poisson(1 / 300.0), ServiceModel.arq(64, 0.3),
+                          n, np.random.default_rng(7))
     columns = whole_columns(times)
     comments = ["build: test", "n_updates=" + str(n)]
     got = written(tmp_path, TRACE_FIELDS, [columns], comments).split("\n")
@@ -57,13 +54,13 @@ def test_trace_across_chunk_edges(tmp_path):
 
 
 def test_trace_across_departure_blocks(tmp_path):
-    # three blocks of the departure recursion plus 17 rows: the streamed,
-    # chunked, column-wise writer equals the row-by-row csv.writer rendering
-    # of the whole trace
+    # twelve trace blocks of aoi._TRACE_ROWS rows plus 17 rows: the
+    # streamed, chunked, column-wise writer equals the row-by-row csv.writer
+    # rendering of the whole trace
     n = 3 * channel._BLOCK_ROWS + 17
-    times = sample_updates(ArrivalModel.poisson(1 / 300.0), ServiceModel.arq(64, 0.3),
-                           n, np.random.default_rng(8))
-    got = written(tmp_path, TRACE_FIELDS, trace_columns(*times))
+    times = whole_updates(ArrivalModel.poisson(1 / 300.0), ServiceModel.arq(64, 0.3),
+                          n, np.random.default_rng(8))
+    got = written(tmp_path, TRACE_FIELDS, trace_blocks(column_blocks(*times)))
     assert got == reference_csv(TRACE_FIELDS, whole_columns(times))
 
 
@@ -80,30 +77,30 @@ def traced_peak(fn):
 @pytest.mark.parametrize("n", [20_000, 200_000])
 def test_trace_memory_above_columns(tmp_path, n):
     # one block of whole columns is still formatted a slice of rows at a time
-    times = sample_updates(ArrivalModel.poisson(1 / 300.0), ServiceModel.arq(64, 0.3),
-                           n, np.random.default_rng(9))
+    times = whole_updates(ArrivalModel.poisson(1 / 300.0), ServiceModel.arq(64, 0.3),
+                          n, np.random.default_rng(9))
     columns = whole_columns(times)
     peak = traced_peak(lambda: write_csv(tmp_path / "out.csv", TRACE_FIELDS, [columns]))
     assert peak < 2.5e6
 
 
 def test_streamed_trace_memory(tmp_path):
-    # only the arrival and service columns span the trace: 16 B per update
+    # the streamed draw and its trace hold one block of rows at a time: no
+    # column spans the updates
     n = 200_000
 
     def draw_and_write():
-        arrivals, services = sample_updates(
-            ArrivalModel.poisson(1 / 300.0), ServiceModel.arq(64, 0.3), n,
-            np.random.default_rng(10))
-        write_csv(tmp_path / "out.csv", TRACE_FIELDS, trace_columns(arrivals, services))
+        updates = update_blocks(ArrivalModel.poisson(1 / 300.0), ServiceModel.arq(64, 0.3),
+                                n, np.random.default_rng(10))
+        write_csv(tmp_path / "out.csv", TRACE_FIELDS, trace_blocks(updates))
 
-    assert traced_peak(draw_and_write) <= 16 * n + 2.5e6
+    assert traced_peak(draw_and_write) <= 2.5e6
 
 
 def test_producer_checks_run_before_file_is_opened(tmp_path):
-    # decreasing arrivals: the ValueError of trace_columns' input checks, not
+    # decreasing arrivals: the ValueError of trace_blocks' input checks, not
     # the FileNotFoundError of opening a file in a missing directory
-    blocks = trace_columns(np.array([2.0, 1.0]), np.ones(2))
+    blocks = trace_blocks([(np.array([2.0, 1.0]), np.ones(2))])
     with pytest.raises(ValueError, match="nondecreasing"):
         write_csv(tmp_path / "missing" / "out.csv", TRACE_FIELDS, blocks)
 
@@ -117,9 +114,7 @@ def test_failure_in_later_block_leaves_no_file(tmp_path, column, row, value):
     n = 2 * aoi._TRACE_ROWS + 3
     times = {"arrivals": np.arange(1.0, n + 1), "services": np.ones(n)}
     times[column][row] = value
-    rows = range(0, n, aoi._TRACE_ROWS)
-    updates = [(times["arrivals"][i:i + aoi._TRACE_ROWS],
-                times["services"][i:i + aoi._TRACE_ROWS]) for i in rows]
+    updates = column_blocks(times["arrivals"], times["services"])
     with pytest.raises(ValueError):
         write_csv(tmp_path / "out.csv", TRACE_FIELDS, trace_blocks(updates))
     assert list(tmp_path.iterdir()) == []
@@ -192,3 +187,19 @@ def test_pyproject_version_is_package_version():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with open(pyproject, "rb") as fh:
         assert tomllib.load(fh)["project"]["version"] == stinqos.__version__
+
+
+def test_public_names_are_pinned():
+    # a public name is added or dropped on purpose, here and in __init__
+    assert stinqos.__all__ == [
+        "ArrivalModel", "BitArrival", "CodingSpec", "ConfigError", "DomainError",
+        "ErrorModel", "InterfererField", "LinkBudget", "NumericError", "QoSReport",
+        "Scenario", "ServiceModel", "ShadowedRicianParams", "StabilityError",
+        "StinQosError", "SweepSpec", "aoi", "average_error", "channel",
+        "conditional_error", "default_scenario", "delay_bound", "error_exponent",
+        "error_exponent_closed_form", "errors", "experiments", "fbc", "optimize",
+        "optimize_paoi_bound", "paoi_bound", "pathloss_factor", "place_interferers",
+        "q_function", "reports", "run_sweep", "sample_channel_gain",
+        "shadowed_rician_pdf", "sinr", "snc", "stability_check", "trace_blocks",
+        "trace_violation_frequency", "update_blocks",
+    ]

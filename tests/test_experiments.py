@@ -5,12 +5,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from stinqos.cli import main
 from stinqos.csvio import write_csv
 from stinqos.errors import ConfigError, DomainError
 from stinqos import aoi, channel, experiments
-from stinqos.aoi import geometric_attempts, violation_frequency
+from stinqos.aoi import geometric_attempts, trace_blocks, trace_violation_frequency
 from stinqos.experiments import (
     _SYSTEMS,
     SweepSpec,
@@ -220,8 +221,8 @@ class TestFig4:
         rng = np.random.default_rng(
             np.random.SeedSequence(spec.seed, spawn_key=(experiments._STREAM_TRACE, 0)))
         am, sm, _ = fig4_models(spec)
-        want = violation_frequency(*whole_updates(am, sm, spec.fig4_n_updates, rng),
-                                   spec.a_th_cu)
+        times = whole_updates(am, sm, spec.fig4_n_updates, rng)
+        want = trace_violation_frequency(trace_blocks([times]), spec.a_th_cu)
         assert want > 0
         assert run_fig4(spec).rows[0]["empirical"] == want
 
@@ -304,6 +305,20 @@ class TestDelaySimulation:
                 q = max(0.0, q + alpha - s)
                 expected.append(q)
             assert np.array_equal(_backlog(alpha, served), np.array(expected))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 64), st.lists(st.integers(0, 64), min_size=1, max_size=500))
+    # 64 / 3 served bits per block on average: loads 20 and 28 over it fall
+    # below and above 1
+    @example(20, [32, 0, 32] * 100)
+    @example(28, [32, 0, 32] * 100)
+    def test_backlog_closed_form_equals_lindley_loop(self, alpha, served):
+        q, expected = 0.0, [0.0]
+        for s in served:
+            q = max(0.0, q + alpha - s)
+            expected.append(q)
+        got = _backlog(float(alpha), np.array(served, dtype=float))
+        assert np.array_equal(got, np.array(expected))
 
     def test_growth_ratio_separates_regimes(self):
         stable = queue_growth_ratio(20.0, 32.0, 0.05, 100_000,

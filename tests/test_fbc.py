@@ -424,6 +424,22 @@ class TestInterferenceRule:
             laplace = float(np.prod(1.0 / (1.0 + s * c)))
             assert np.sum(iw * np.exp(-s * i_a)) == pytest.approx(laplace, rel=1e-12)
 
+    def test_built_once_per_job(self, monkeypatch):
+        # average_error tries several panel counts and error_exponent two;
+        # the interference rule does not depend on them
+        builds = []
+
+        def counting(field):
+            builds.append(field)
+            return _interference_nodes(field)
+
+        monkeypatch.setattr(fbc, "_interference_nodes", counting)
+        s, spec = default_scenario(5, seed=1), CodingSpec(blocklength=64, code_size=256)
+        for job in (average_error, error_exponent):
+            builds.clear()
+            job(s, spec, ErrorModel(method="quadrature"))
+            assert len(builds) == 1, job.__name__
+
     def test_k0_and_k1_are_the_plain_rules(self):
         i_a, iw = _interference_nodes(default_scenario(0, seed=1).placed().interferers)
         assert np.array_equal(i_a, np.zeros(1)) and np.array_equal(iw, np.ones(1))

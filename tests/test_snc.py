@@ -11,8 +11,8 @@ from stinqos.aoi import (
     ArrivalModel,
     ServiceModel,
     geometric_attempts,
-    sample_updates,
-    violation_frequency,
+    trace_blocks,
+    trace_violation_frequency,
 )
 from stinqos.errors import DomainError, NumericError, StabilityError
 from stinqos.fbc import CodingSpec
@@ -28,6 +28,7 @@ from stinqos.snc import (
     paoi_theta_interval,
     stability_check,
 )
+from trace_helper import whole_updates
 
 
 class TestInterarrivalTransform:
@@ -165,9 +166,9 @@ class TestPaoiBound:
 
     def test_dominates_simulation(self):
         rng = np.random.default_rng(11)
-        times = sample_updates(DEFAULT_AM, DEFAULT_SM, 100_000, rng)
+        trace = list(trace_blocks([whole_updates(DEFAULT_AM, DEFAULT_SM, 100_000, rng)]))
         for a_th in (1000.0, 40_000.0, 120_000.0, 200_000.0):
-            emp = violation_frequency(*times, a_th)
+            emp = trace_violation_frequency(trace, a_th)
             se = math.sqrt(max(emp * (1 - emp), 1e-12) / 100_000)
             rep = paoi_bound(0.0025, a_th, 64, None, DEFAULT_AM, DEFAULT_SM)
             assert rep.bound_value >= emp - 3 * se
@@ -219,9 +220,9 @@ class TestOptimizePaoiBound:
 
     def test_dominates_simulation(self):
         rng = np.random.default_rng(12)
-        times = sample_updates(DEFAULT_AM, DEFAULT_SM, 100_000, rng)
+        trace = list(trace_blocks([whole_updates(DEFAULT_AM, DEFAULT_SM, 100_000, rng)]))
         for a_th in (2000.0, 100_000.0, 250_000.0):
-            emp = violation_frequency(*times, a_th)
+            emp = trace_violation_frequency(trace, a_th)
             se = math.sqrt(max(emp * (1 - emp), 1e-12) / 100_000)
             rep = optimize_paoi_bound(a_th, 64, None, DEFAULT_AM, DEFAULT_SM)
             assert rep.bound_value >= emp - 3 * se
@@ -238,9 +239,9 @@ class TestOptimizePaoiBound:
     def test_dominance_under_perturbations(self, am, sm):
         n = sm.n
         rng = np.random.default_rng(zlib.crc32(f"{am.kind}/{sm.n}".encode()))
-        times = sample_updates(am, sm, 100_000, rng)
+        trace = list(trace_blocks([whole_updates(am, sm, 100_000, rng)]))
         for a_th in (1000.0, 50_000.0, 150_000.0, 400_000.0):
-            emp = violation_frequency(*times, a_th)
+            emp = trace_violation_frequency(trace, a_th)
             se = math.sqrt(max(emp * (1 - emp), 0.0) / 100_000)
             rep = optimize_paoi_bound(a_th, n, None, am, sm)
             assert rep.bound_value >= emp - 3 * se

@@ -4,8 +4,8 @@ import tracemalloc
 
 import numpy as np
 
-from stinqos import channel, experiments
-from stinqos.aoi import TRACE_FIELDS, ArrivalModel, trace_columns
+from stinqos import aoi, channel, experiments
+from stinqos.aoi import TRACE_FIELDS, ArrivalModel, trace_blocks
 from stinqos.fbc import CodingSpec, conditional_error
 
 
@@ -16,11 +16,18 @@ def whole_updates(am, sm, n, rng):
     return np.cumsum(gaps), sm.services_from_uniforms(rng.random(n))
 
 
+def column_blocks(arrivals, services, rows=aoi._TRACE_ROWS):
+    """(arrivals, services) blocks of ``rows`` rows of whole columns, the
+    last one shorter: the block feed of aoi.update_blocks."""
+    return [(arrivals[start:start + rows], services[start:start + rows])
+            for start in range(0, len(arrivals), rows)]
+
+
 def whole_trace(arrivals, services) -> dict:
-    """The blocks of trace_columns(arrivals, services) joined into whole
-    columns, keyed by TRACE_FIELDS."""
-    blocks = zip(*trace_columns(arrivals, services))
-    return {field: np.concatenate(col) for field, col in zip(TRACE_FIELDS, blocks)}
+    """The trace columns of trace_blocks fed the whole arrival and service
+    columns as one block, keyed by TRACE_FIELDS."""
+    block = next(trace_blocks([(arrivals, services)]))
+    return {field: np.asarray(col) for field, col in zip(TRACE_FIELDS, block)}
 
 
 def block_mean(column, block):
