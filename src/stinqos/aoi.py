@@ -67,19 +67,16 @@ class ArrivalModel:
 
 @dataclass(frozen=True)
 class ServiceModel:
-    """Per-update service law: fixed n cu, or geometric ARQ cycles of n cu.
+    """Per-update service law: geometric ARQ cycles of n cu.
 
-    Under "arq" each attempt succeeds with probability 1 - epsilon and every
-    attempt occupies n channel uses.
+    Each attempt succeeds with probability 1 - epsilon and occupies n
+    channel uses; at epsilon = 0 every service is the fixed n cu.
     """
 
-    kind: str  # "fixed" | "arq"
     n: int
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("fixed", "arq"):
-            raise DomainError(f"unknown service model kind {self.kind!r}")
         if self.n < 1:
             raise DomainError(f"service blocklength must be >= 1, got {self.n}")
         if not 0.0 <= self.epsilon < 1.0:
@@ -89,16 +86,14 @@ class ServiceModel:
 
     @classmethod
     def fixed(cls, n: int) -> "ServiceModel":
-        return cls(kind="fixed", n=n)
+        return cls.arq(n, 0.0)
 
     @classmethod
     def arq(cls, n: int, epsilon: float) -> "ServiceModel":
-        return cls(kind="arq", n=n, epsilon=epsilon)
+        return cls(n=n, epsilon=epsilon)
 
     @property
     def mean_service(self) -> float:
-        if self.kind == "fixed":
-            return float(self.n)
         return self.n / (1.0 - self.epsilon)
 
     def sample_services(self, n_updates: int, rng: np.random.Generator) -> np.ndarray:
@@ -115,9 +110,6 @@ class ServiceModel:
         Shared uniforms let paired variants (different epsilon) produce
         elementwise-ordered services, which the system comparisons rely on.
         """
-        u = np.asarray(u, dtype=float)
-        if self.kind == "fixed" or self.epsilon == 0.0:
-            return np.full(u.shape, float(self.n))
         return float(self.n) * geometric_attempts(u, self.epsilon)
 
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -33,6 +34,11 @@ STREAM_TRACE = 2
 # of K float64 values (125 MiB at the cap), is the largest allocation of
 # the Monte Carlo paths, and the quadrature adds interferers one at a time.
 MAX_INTERFERERS = 1000
+
+# Terms of the Kummer sum of an integer shadowing parameter m, refused before
+# its (nodes, m) term matrix exists: at the cap the finest fading rule takes
+# about 1 s and 0.7 GB on a 2-CPU VM.
+_MAX_KUMMER_TERMS = 10 ** 4
 
 
 # ---------------------------------------------------------------------------
@@ -76,14 +82,17 @@ def log_hyp1f1_integer(m: float, z):
     """log of 1F1(m; 1; z), overflow-safe for large z (z >= 0).
 
     Raises:
-        NumericError: if non-integer m overflows scipy's 1F1 (roughly
-            m >= 50 with z > 1e4).
+        NumericError: if integer m exceeds _MAX_KUMMER_TERMS, or non-integer
+            m overflows scipy's 1F1 (roughly m >= 50 with z > 1e4).
     """
     from scipy.special import gammaln, hyp1f1
 
     z = np.asarray(z, dtype=float)
     if float(m).is_integer() and m >= 1:
         mi = int(m)
+        if mi > _MAX_KUMMER_TERMS:
+            raise NumericError(f"fading m={m:g} needs {mi} Kummer terms, above "
+                               f"the cap of {_MAX_KUMMER_TERMS}")
         k = np.arange(mi)
         with np.errstate(divide="ignore", invalid="ignore"):
             # log of C(m-1, k) z^k / k!; the k=0 term is exactly 1 even at z=0
@@ -364,8 +373,8 @@ def pathloss_factor(l: LinkBudget) -> float:
 class InterfererField:
     """K terrestrial interferers in an annulus around the destination.
 
-    ``distances_m`` is filled by placement; every interferer shares the
-    template carrier/gain/power entries, only the distance differs.
+    Every interferer shares the carrier, gain and power entries; only the
+    distance, drawn by place_interferers, differs.
     """
 
     count: int
@@ -375,7 +384,6 @@ class InterfererField:
     gain_tx_dbi: float = 0.0
     gain_rx_dbi: float = 0.0
     tx_snr_db: float = 0.0
-    distances_m: np.ndarray | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.count < 0:
@@ -388,38 +396,18 @@ class InterfererField:
                 f"annulus radii must satisfy 0 < r_inner_m < r_outer_m, "
                 f"got r_inner_m={self.r_inner_m}, r_outer_m={self.r_outer_m}"
             )
-        if self.distances_m is not None and len(self.distances_m) != self.count:
-            raise ValueError(
-                f"{len(self.distances_m)} distances for {self.count} interferers"
-            )
 
     @property
     def tx_snr(self) -> float:
         return _db_to_linear(self.tx_snr_db)
 
-    def budget_at(self, distance_m: float) -> LinkBudget:
-        return LinkBudget(
-            carrier_hz=self.carrier_hz,
-            distance_m=distance_m,
-            gain_tx_dbi=self.gain_tx_dbi,
-            gain_rx_dbi=self.gain_rx_dbi,
-            tx_snr_db=self.tx_snr_db,
-        )
-
-    def with_distances(self, distances_m: np.ndarray) -> "InterfererField":
-        return replace(self, distances_m=np.asarray(distances_m, dtype=float))
-
-    def coefficients(self) -> np.ndarray:
-        """Per-interferer received-power coefficients phi_j * P_t (linear).
-
-        Requires placed distances.
-        """
-        if self.count == 0:
+    def coefficients(self, distances_m) -> np.ndarray:
+        """Received-power coefficients phi_j * P_t (linear) of interferers at
+        ``distances_m``; none at all for no distance."""
+        d = np.asarray(distances_m, dtype=float)
+        if not d.size:
             return np.zeros(0)
-        if self.distances_m is None:
-            raise ValueError("interferer distances not placed yet")
-        free_space = SPEED_OF_LIGHT / (4.0 * np.pi * self.carrier_hz
-                                       * np.asarray(self.distances_m, dtype=float))
+        free_space = SPEED_OF_LIGHT / (4.0 * np.pi * self.carrier_hz * d)
         return (free_space ** 2 * _db_to_linear(self.gain_tx_dbi + self.gain_rx_dbi)
                 * self.tx_snr)
 
@@ -456,16 +444,14 @@ class Scenario:
             np.random.SeedSequence(self.seed, spawn_key=(stream, index))
         )
 
-    def placed(self) -> "Scenario":
-        """Scenario with interferer distances frozen from the placement stream."""
-        if self.interferers.distances_m is not None or self.interferers.count == 0:
-            if self.interferers.distances_m is None:
-                return replace(
-                    self, interferers=self.interferers.with_distances(np.zeros(0))
-                )
-            return self
+    @cached_property
+    def interferer_coefficients(self) -> np.ndarray:
+        """Received-power coefficients of the interferers, placed once from
+        the placement stream; read-only, as every consumer shares them."""
         d = place_interferers(self.interferers, self.rng(STREAM_PLACEMENT))
-        return replace(self, interferers=self.interferers.with_distances(d))
+        coef = self.interferers.coefficients(d)
+        coef.flags.writeable = False
+        return coef
 
     @property
     def satellite_coefficient(self) -> float:

@@ -15,15 +15,7 @@ import sys
 
 from . import channel, csvio
 from .aoi import TRACE_FIELDS, trace_blocks, update_blocks
-from .config import (
-    RunConfig,
-    apply_overrides,
-    build_arrival,
-    build_config,
-    build_service,
-    decode_json,
-    echo_params,
-)
+from .config import RunConfig, build_arrival, build_service, echo_params, parse_config
 from .errors import ConfigError, DomainError, NumericError, StabilityError
 from .experiments import SweepSpec, run_sweep
 from .fbc import average_error, error_exponent, error_exponent_closed_form
@@ -73,7 +65,7 @@ def _run_exponent(rc: RunConfig):
 def _run_aoi_sim(rc: RunConfig):
     am = build_arrival(rc.params.get("arrival"), rc.defaults_used)
     sm = build_service(rc.params.get("service"), rc.defaults_used, rc)
-    updates = update_blocks(am, sm, rc.params.get("n_updates", 10_000),
+    updates = update_blocks(am, sm, rc.params["n_updates"],
                             rc.scenario.rng(channel.STREAM_TRACE))
     return TRACE_FIELDS, trace_blocks(updates)
 
@@ -81,10 +73,8 @@ def _run_aoi_sim(rc: RunConfig):
 def _run_paoi_bound(rc: RunConfig):
     am = build_arrival(rc.params.get("arrival"), rc.defaults_used)
     sm = build_service(rc.params.get("service"), rc.defaults_used, rc)
-    a_th = rc.params.get("a_th_cu", 150_000.0)
-    u = rc.params.get("u", "inf")
+    a_th, u, theta = rc.params["a_th_cu"], rc.params["u"], rc.params["theta"]
     u = None if u == "inf" else int(u)
-    theta = rc.params.get("theta", "optimize")
     n = rc.coding.blocklength
     if theta == "optimize":
         report = optimize_paoi_bound(a_th, n, u, am, sm)
@@ -95,31 +85,20 @@ def _run_paoi_bound(rc: RunConfig):
 
 
 def _run_delay_bound(rc: RunConfig):
-    if rc.params.get("arrival_kind", "constant_rate") == "constant_rate":
-        arrival = BitArrival.constant_rate(rc.params.get("alpha_bits", 28.0))
+    p = rc.params
+    if p["arrival_kind"] == "constant_rate":
+        arrival = BitArrival.constant_rate(p["alpha_bits"])
     else:
-        arrival = BitArrival.poisson_batch(
-            rc.params.get("rate_per_block", 1.0),
-            rc.params.get("batch_bits", 28.0),
-        )
-    d_th = rc.params.get("d_th_blocks", 5.0)
+        arrival = BitArrival.poisson_batch(p["rate_per_block"], p["batch_bits"])
     eps = average_error(rc.scenario, rc.coding, rc.error_model).value
-    report = delay_bound(d_th, arrival, rc.coding, eps)
+    report = delay_bound(p["d_th_blocks"], arrival, rc.coding, eps)
     row = report_row(report, seed=rc.seed)
     return REPORT_FIELDS, _block(REPORT_FIELDS, [row])
 
 
 def _run_sweep(rc: RunConfig):
-    if rc.params.get("seed", rc.seed) != rc.seed:
-        raise ConfigError(
-            f"params.seed={rc.params['seed']} conflicts with seed={rc.seed}; "
-            f"omit params.seed or give both the same value"
-        )
-    params = dict(rc.params, seed=rc.seed)
-    for key in ("k_grid", "snr_points_db", "theta_grid", "n_grid"):
-        if key in params and isinstance(params[key], list):
-            params[key] = tuple(params[key])
-    spec = SweepSpec(**params)
+    spec = SweepSpec(**{k: tuple(v) if isinstance(v, list) else v
+                        for k, v in rc.params.items()})
     table = run_sweep(spec)
     return table.fieldnames, _block(table.fieldnames, table.rows)
 
@@ -186,13 +165,7 @@ def main(argv=None) -> int:
         return fail("io", EXIT_IO, exc)
 
     try:
-        raw = decode_json(text, "config")
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
-        raw = apply_overrides(raw, args.overrides)
-        if args.output:
-            raw["output"] = args.output
-        rc = build_config(raw)
+        rc = parse_config(text, args.overrides, args.output)
     except ConfigError as exc:
         return fail("config", EXIT_CONFIG, exc)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import difflib
 import json
 import math
+import typing
 from dataclasses import MISSING, dataclass, field, fields
 
 from .aoi import ArrivalModel, ServiceModel
@@ -23,13 +24,20 @@ COMMANDS = ("error", "exponent", "aoi-sim", "paoi-bound", "delay-bound", "sweep"
 _TOP_KEYS = {"command", "seed", "output", "scenario", "coding", "error_model", "params"}
 
 
-def _sweep_kind(default):
-    """Value kind of a SweepSpec field, read off its default."""
-    if default is MISSING:  # figure
-        return str
-    if isinstance(default, tuple):
-        return [type(default[0])]
-    return type(default)
+def _field_kinds(cls) -> dict:
+    """Value kinds of the fields of dataclass ``cls``, read off their types:
+    a tuple field is a list of the kind of its default's items, and an
+    optional one admits null."""
+    hints = typing.get_type_hints(cls)
+    kinds = {}
+    for f in fields(cls):
+        kind = hints[f.name]
+        if kind is tuple:
+            kind = [type(f.default[0])]
+        elif typing.get_args(kind):  # X | None
+            kind = tuple(None if k is type(None) else k for k in typing.get_args(kind))
+        kinds[f.name] = kind
+    return kinds
 
 
 # Allowed value kinds of each key of a config block: a type (float admits
@@ -37,19 +45,13 @@ def _sweep_kind(default):
 # beyond the float range; no type admits a boolean unless it is bool), a
 # literal value, a one-item list for a JSON array of that kind, a dict for
 # a nested object, or a tuple of alternatives (an object or null is
-# (dict, None)).
-_SATELLITE_KINDS = {"carrier_hz": float, "distance_m": float, "gain_tx_dbi": float,
-                    "gain_rx_dbi": float, "tx_snr_db": float}
-_FADING_KINDS = {"b": float, "m": float, "omega": float}
-_INTERFERER_KINDS = {"count": int, "r_inner_m": float, "r_outer_m": float,
-                     "carrier_hz": float, "gain_tx_dbi": float, "gain_rx_dbi": float,
-                     "tx_snr_db": float}
-_SCENARIO_FULL_KINDS = {"satellite": _SATELLITE_KINDS, "fading": _FADING_KINDS,
-                        "interferers": _INTERFERER_KINDS, "rx_antennas": int}
+# (dict, None)). A block that builds a dataclass has its fields' kinds.
+_SCENARIO_FULL_KINDS = {"satellite": _field_kinds(LinkBudget),
+                        "fading": _field_kinds(ShadowedRicianParams),
+                        "interferers": _field_kinds(InterfererField),
+                        "rx_antennas": int}
 _SCENARIO_PRESET_KINDS = {"k": int, "avg_snr_db": float, "inr_db": float,
                           "rx_antennas": int}
-_CODING_KINDS = {"blocklength": int, "code_size": int, "rate": (float, None)}
-_ERROR_MODEL_KINDS = {"method": str, "sample_budget": int, "quad_tolerance": float}
 _ARRIVAL_KINDS = ({"kind": ("deterministic", "poisson"), "period": float,
                    "rate": float}, None)
 _SERVICE_KINDS = ({"kind": ("fixed", "arq"), "n": int, "epsilon": (float, None)},
@@ -64,7 +66,17 @@ _PARAM_KINDS = {
     "delay-bound": {"d_th_blocks": float,
                     "arrival_kind": ("constant_rate", "poisson_batch"),
                     "alpha_bits": float, "rate_per_block": float, "batch_bits": float},
-    "sweep": {f.name: _sweep_kind(f.default) for f in fields(SweepSpec)},
+    "sweep": _field_kinds(SweepSpec),
+}
+# Defaults of the command parameters; a sweep's are its SweepSpec's, and an
+# omitted arrival or service model is noted where it is built.
+_PARAM_DEFAULTS = {
+    "aoi-sim": {"n_updates": 10_000},
+    "paoi-bound": {"a_th_cu": 150_000.0, "u": "inf", "theta": "optimize"},
+    "delay-bound": {"d_th_blocks": 5.0, "arrival_kind": "constant_rate",
+                    "alpha_bits": 28.0, "rate_per_block": 1.0, "batch_bits": 28.0},
+    "sweep": {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+              for f in fields(SweepSpec) if f.default is not MISSING},
 }
 _KIND_NAMES = {float: "finite number", int: "integer", str: "string",
                bool: "boolean"}
@@ -72,7 +84,9 @@ _KIND_NAMES = {float: "finite number", int: "integer", str: "string",
 
 @dataclass
 class RunConfig:
-    """Fully validated run description."""
+    """Fully validated run description; ``params`` holds every command
+    parameter, at its default where the config omits it, but for an
+    omitted arrival or service model, which is built at dispatch."""
 
     command: str
     seed: int
@@ -157,11 +171,15 @@ def decode_json(text: str, what: str, bare_string: bool = False):
         raise ConfigError(f"{what} cannot be decoded: {exc}") from None
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a JSON run configuration."""
+def parse_config(text: str, overrides=(), output: str | None = None) -> RunConfig:
+    """Parse and validate a JSON run configuration, after applying the
+    KEY=VALUE ``overrides`` and, if given, the ``output`` path to it."""
     raw = decode_json(text, "config")
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
+    raw = apply_overrides(raw, overrides)
+    if output:
+        raw["output"] = output
     return build_config(raw)
 
 
@@ -199,8 +217,16 @@ def build_config(raw: dict) -> RunConfig:
 
     params = raw.get("params", {})
     _check_params(params, _PARAM_KINDS[command], "params")
-    if command == "sweep" and "figure" not in params:
-        raise ConfigError("sweep command requires params.figure")
+    if command == "sweep":
+        if "figure" not in params:
+            raise ConfigError("sweep command requires params.figure")
+        if params.get("seed", seed) != seed:
+            raise ConfigError(
+                f"params.seed={params['seed']} conflicts with seed={seed}; "
+                f"omit params.seed or give both the same value"
+            )
+        params = dict(params, seed=seed)
+    params = {**_PARAM_DEFAULTS.get(command, {}), **params}
 
     return RunConfig(
         command=command,
@@ -242,24 +268,16 @@ def _build_coding(block, defaults_used: list):
     if block is None:
         defaults_used.append("coding=(blocklength=64, code_size=2^32)")
         return CodingSpec(blocklength=64, code_size=2 ** 32)
-    _check_params(block, _CODING_KINDS, "coding")
-    return CodingSpec(
-        blocklength=_require(block, "blocklength", "coding"),
-        code_size=_require(block, "code_size", "coding"),
-        rate=block.get("rate"),
-    )
+    _check_params(block, _field_kinds(CodingSpec), "coding")
+    return CodingSpec(**block)
 
 
 def _build_error_model(block, defaults_used: list):
     if block is None:
         defaults_used.append("error_model=(quadrature, tol=1e-06)")
         return ErrorModel()
-    _check_params(block, _ERROR_MODEL_KINDS, "error_model")
-    return ErrorModel(
-        method=block.get("method", "quadrature"),
-        sample_budget=block.get("sample_budget", 100_000),
-        quad_tolerance=block.get("quad_tolerance", 1e-6),
-    )
+    _check_params(block, _field_kinds(ErrorModel), "error_model")
+    return ErrorModel(**block)
 
 
 def build_arrival(block, defaults_used: list, default_gap_cu: float = 4096.0) -> ArrivalModel:
@@ -308,31 +326,18 @@ def apply_overrides(raw: dict, overrides: list) -> dict:
 
 
 def echo_params(rc: RunConfig) -> dict:
-    """Flattened effective configuration for the CSV comment header."""
-    flat = {
-        "command": rc.command,
-        "seed": rc.seed,
-        "output": rc.output,
-        "coding.blocklength": rc.coding.blocklength,
-        "coding.code_size": rc.coding.code_size,
-        "coding.rate_nats": rc.coding.rate,
-        "error_model.method": rc.error_model.method,
-        "error_model.sample_budget": rc.error_model.sample_budget,
-        "error_model.quad_tolerance": rc.error_model.quad_tolerance,
-        "scenario.rx_antennas": rc.scenario.rx_antennas,
-        "scenario.satellite.carrier_hz": rc.scenario.satellite.carrier_hz,
-        "scenario.satellite.distance_m": rc.scenario.satellite.distance_m,
-        "scenario.satellite.gain_tx_dbi": rc.scenario.satellite.gain_tx_dbi,
-        "scenario.satellite.gain_rx_dbi": rc.scenario.satellite.gain_rx_dbi,
-        "scenario.satellite.tx_snr_db": rc.scenario.satellite.tx_snr_db,
-        "scenario.fading.b": rc.scenario.fading.b,
-        "scenario.fading.m": rc.scenario.fading.m,
-        "scenario.fading.omega": rc.scenario.fading.omega,
-        "scenario.interferers.count": rc.scenario.interferers.count,
-        "scenario.interferers.r_inner_m": rc.scenario.interferers.r_inner_m,
-        "scenario.interferers.r_outer_m": rc.scenario.interferers.r_outer_m,
-        "scenario.interferers.tx_snr_db": rc.scenario.interferers.tx_snr_db,
-    }
+    """Flattened effective configuration for the CSV comment header: every
+    field of the resolved scenario, coding and error model, the defaults
+    noted, and every command parameter."""
+    flat = {"command": rc.command, "seed": rc.seed, "output": rc.output,
+            "scenario.rx_antennas": rc.scenario.rx_antennas}
+    for path, obj in (("coding", rc.coding), ("error_model", rc.error_model),
+                      ("scenario.satellite", rc.scenario.satellite),
+                      ("scenario.fading", rc.scenario.fading),
+                      ("scenario.interferers", rc.scenario.interferers)):
+        for f in fields(obj):
+            flat[f"{path}.{f.name}"] = getattr(obj, f.name)
+    flat["coding.rate_nats"] = flat.pop("coding.rate")
     for i, note in enumerate(rc.defaults_used):
         flat[f"default.{i}"] = note
     for key, value in sorted(rc.params.items()):

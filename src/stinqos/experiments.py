@@ -94,13 +94,8 @@ def default_scenario(
     )
     sat = replace(sat, tx_snr_db=tx_snr_db_for_avg_rx_snr(sat, fading, avg_snr_db))
     d_rms = math.sqrt(0.5 * (_DEFAULT_R_IN_M ** 2 + _DEFAULT_R_OUT_M ** 2))
-    template = InterfererField(
-        count=max(k, 1),
-        r_inner_m=_DEFAULT_R_IN_M,
-        r_outer_m=_DEFAULT_R_OUT_M,
-        carrier_hz=_DEFAULT_CARRIER_HZ,
-    )
-    phi_rms = pathloss_factor(template.budget_at(d_rms))
+    phi_rms = pathloss_factor(
+        LinkBudget(carrier_hz=_DEFAULT_CARRIER_HZ, distance_m=d_rms))
     interferers = InterfererField(
         count=k,
         r_inner_m=_DEFAULT_R_IN_M,
@@ -219,8 +214,8 @@ def _coupled_error_table(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
     k_max = max(spec.k_grid)
     base = default_scenario(
         k=k_max, avg_snr_db=spec.avg_snr_db, inr_db=spec.inr_db, seed=spec.seed
-    ).placed()
-    coeff = base.interferers.coefficients()
+    )
+    coeff = base.interferer_coefficients
 
     def interferers(size, rng):
         return rng.exponential(1.0, size=(size, k_max))

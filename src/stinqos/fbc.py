@@ -145,8 +145,7 @@ def _sinr_blocks(s: Scenario, n_draws: int, stream_index: int = 0):
     if n_draws > MAX_SAMPLE_BUDGET:
         raise NumericError(
             f"{n_draws} Monte Carlo draws exceed the cap of {MAX_SAMPLE_BUDGET}")
-    s = s.placed()
-    coef = s.interferers.coefficients()
+    coef = s.interferer_coefficients
 
     def interference(size, rng):
         return rng.exponential(1.0, size=(size, coef.size)) @ coef
@@ -183,15 +182,16 @@ def _gauss_rule(x: np.ndarray, w: np.ndarray, n: int) -> tuple[np.ndarray, np.nd
     return x.max() * nodes, w.sum() * vecs[0] ** 2
 
 
-def _interference_nodes(field: channel.InterfererField) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss rule of the aggregate interference sum_j c_j E_j, E_j ~ Exp(1).
+def _interference_nodes(coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule of the aggregate interference sum_j c_j E_j, E_j ~ Exp(1),
+    for the interferer coefficients c_j.
 
     Interferers are added one at a time: the rule so far times a
     Gauss-Laguerre rule in the new gain, reduced back to the same node count.
     """
     x, w = laggauss(_INTERFERENCE_NODES)
     i_a, iw = np.zeros(1), np.ones(1)
-    for c in field.coefficients():
+    for c in coefficients:
         i_a = (i_a[:, None] + c * x[None, :]).ravel()
         iw = (iw[:, None] * w[None, :]).ravel()
         if i_a.size > _INTERFERENCE_NODES:
@@ -209,8 +209,7 @@ def sinr_quadrature(
 def _sinr_rules(s: Scenario, panel_counts):
     """Yield sinr_quadrature(s, n) for each n of ``panel_counts`` in turn,
     with the interference rule built once for all of them."""
-    s = s.placed()
-    i_a, iw = _interference_nodes(s.interferers)
+    i_a, iw = _interference_nodes(s.interferer_coefficients)
     for n_panels in panel_counts:
         x, w = srician_quad_nodes(s.fading, n_panels=n_panels, nodes_per_panel=8)
         yield ((s.satellite_coefficient * x[:, None] / (1.0 + i_a[None, :])).ravel(),

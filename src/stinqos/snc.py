@@ -45,7 +45,7 @@ def _log_mellin_gap(theta: float, am: ArrivalModel) -> float:
 def _log_mellin_service(theta: float, sm: ServiceModel) -> float:
     """log E[e^{(theta-1) S}] for a single update's service time."""
     s = theta - 1.0
-    if sm.kind == "fixed" or sm.epsilon == 0.0:
+    if sm.epsilon == 0.0:
         return s * sm.n
     if s * sm.n >= math.log(1.0 / sm.epsilon):
         raise DomainError(
@@ -153,7 +153,7 @@ def paoi_theta_interval(am: ArrivalModel, sm: ServiceModel) -> tuple[float, floa
     caps = [math.inf]
     if am.kind == "poisson":
         caps.append(am.rate)
-    if sm.kind == "arq" and sm.epsilon > 0.0:
+    if sm.epsilon > 0.0:
         caps.append(math.log(1.0 / sm.epsilon) / sm.n)
     t_max = min(caps)
 

@@ -17,6 +17,7 @@ from stinqos.channel import (
     Scenario,
     ShadowedRicianParams,
     SPEED_OF_LIGHT,
+    STREAM_PLACEMENT,
     log_hyp1f1_integer,
     logsumexp,
     pathloss_factor,
@@ -287,52 +288,48 @@ class TestPlacement:
 
 class TestAggregateInterference:
     def test_empty_field(self):
-        f = _field(0).with_distances(np.zeros(0))
-        assert np.zeros(0) @ f.coefficients() == 0.0
+        assert np.zeros(0) @ _field(0).coefficients(np.zeros(0)) == 0.0
 
     def test_single_term(self):
         # make phi = 1 by choosing the unit free-space distance, P_t/sigma^2 = 2
         d_unit = SPEED_OF_LIGHT / (4 * math.pi * 2e9)
         f = InterfererField(count=1, r_inner_m=d_unit / 2, r_outer_m=2 * d_unit,
                             carrier_hz=2e9, tx_snr_db=10 * math.log10(2.0))
-        f = f.with_distances(np.array([d_unit]))
-        assert np.array([0.5]) @ f.coefficients() == pytest.approx(1.0, rel=1e-12)
+        c = f.coefficients(np.array([d_unit]))
+        assert np.array([0.5]) @ c == pytest.approx(1.0, rel=1e-12)
 
     def test_monte_carlo_mean(self):
         f = _field(4)
-        f = f.with_distances(place_interferers(f, np.random.default_rng(3)))
+        c = f.coefficients(place_interferers(f, np.random.default_rng(3)))
         rng = np.random.default_rng(4)
         gains = rng.exponential(1.0, size=(100_000, 4))
-        values = gains @ f.coefficients()
-        assert np.mean(values) == pytest.approx(np.sum(f.coefficients()), rel=0.01)
+        values = gains @ c
+        assert np.mean(values) == pytest.approx(np.sum(c), rel=0.01)
 
 
 class TestInterfererCoefficients:
     @pytest.mark.parametrize("k", range(11))
     def test_equal_to_per_distance_pathloss(self, k):
-        fields = [
-            default_scenario(k=k, seed=k).placed().interferers,
-            replace(_field(k, tx_snr_db=97.3), gain_tx_dbi=3.0, gain_rx_dbi=-1.5),
+        s = default_scenario(k=k, seed=k)
+        f = replace(_field(k, tx_snr_db=97.3), gain_tx_dbi=3.0, gain_rx_dbi=-1.5)
+        cases = [
+            (s.interferers, place_interferers(s.interferers, s.rng(STREAM_PLACEMENT)),
+             s.interferer_coefficients),
+            (f, place_interferers(f, np.random.default_rng(k)), None),
         ]
-        fields[1] = fields[1].with_distances(
-            place_interferers(fields[1], np.random.default_rng(k)))
-        for f in fields:
-            want = np.array([pathloss_factor(f.budget_at(d)) for d in f.distances_m])
-            got = f.coefficients()
+        for f, d, got in cases:
+            want = np.array([pathloss_factor(LinkBudget(
+                carrier_hz=f.carrier_hz, distance_m=x, gain_tx_dbi=f.gain_tx_dbi,
+                gain_rx_dbi=f.gain_rx_dbi)) for x in d])
+            got = f.coefficients(d) if got is None else got
             assert got.shape == (k,) and np.array_equal(got, want * f.tx_snr)
-
-    def test_unplaced(self):
-        with pytest.raises(ValueError):
-            _field(2).coefficients()
 
 
 def _scenario(tx_snr_db=10.0, seed=7):
-    f = _field(1)
-    f = f.with_distances(np.array([5e3]))
     return Scenario(
         satellite=LinkBudget(carrier_hz=2e9, distance_m=1e6, tx_snr_db=tx_snr_db),
         fading=ShadowedRicianParams(b=0.126, m=10, omega=0.835),
-        interferers=f,
+        interferers=_field(1),
         rx_antennas=2,
         seed=seed,
     )
@@ -367,5 +364,5 @@ class TestSinr:
         s2 = Scenario(satellite=LinkBudget(carrier_hz=2e9, distance_m=1e6),
                       fading=ShadowedRicianParams.rayleigh(), interferers=f, seed=9)
         np.testing.assert_array_equal(
-            s1.placed().interferers.distances_m, s2.placed().interferers.distances_m
+            s1.interferer_coefficients, s2.interferer_coefficients
         )

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -419,6 +420,73 @@ AOI_SIM_DET = {"command": "aoi-sim", "seed": 1,
                           "service": {"kind": "fixed", "n": 64}}}
 
 
+class TestHeaderRecordsRun:
+    """The '#' header names every value a run used, defaults included."""
+
+    # the parameters of each command; a model omitted from arrival and
+    # service is named by the default note of the model built in its place
+    PARAMS = {
+        "error": [],
+        "exponent": [],
+        "aoi-sim": ["n_updates", "arrival", "service"],
+        "paoi-bound": ["a_th_cu", "u", "theta", "arrival", "service"],
+        "delay-bound": ["d_th_blocks", "arrival_kind", "alpha_bits",
+                        "rate_per_block", "batch_bits"],
+    }
+
+    @staticmethod
+    def header(tmp_path, cfg) -> dict:
+        cfg = dict(cfg, output=str(tmp_path / "h.csv"))
+        assert main([write_config(tmp_path, cfg)]) == 0
+        lines = (tmp_path / "h.csv").read_text().splitlines()
+        return dict(line[2:].split("=", 1) for line in lines
+                    if line.startswith("# ") and "=" in line)
+
+    @staticmethod
+    def model_fields(header) -> set:
+        return {f"{path}.{f.name}" for path, cls in (
+            ("scenario.satellite", channel.LinkBudget),
+            ("scenario.fading", channel.ShadowedRicianParams),
+            ("scenario.interferers", channel.InterfererField),
+            ("error_model", fbc.ErrorModel),
+        ) for f in fields(cls)} - set(header)
+
+    @pytest.mark.parametrize("command", sorted(PARAMS))
+    def test_every_command_parameter(self, tmp_path, command):
+        header = self.header(tmp_path, {"command": command, "seed": 1})
+        notes = [v.split("=", 1)[0] for k, v in header.items()
+                 if k.startswith("default.")]
+        scalars = {k for k in header if k.startswith("params.")}
+        want = [p for p in self.PARAMS[command] if p not in ("arrival", "service")]
+        assert sorted(scalars) == sorted(f"params.{p}" for p in want)
+        for p in set(self.PARAMS[command]) - set(want):
+            assert notes.count(p) == 1, (p, notes)
+        assert self.model_fields(header) == set()
+        assert {"coding.blocklength", "coding.code_size", "coding.rate_nats",
+                "scenario.rx_antennas"} <= set(header)
+
+    def test_every_sweep_field(self, tmp_path):
+        header = self.header(tmp_path, {"command": "sweep", "seed": 3,
+                                        "params": {"figure": "fig5"}})
+        assert {k for k in header if k.startswith("params.")} == {
+            f"params.{f.name}" for f in fields(experiments.SweepSpec)}
+        assert header["params.seed"] == "3"
+        assert header["params.n_grid"] == "[100, 200, 500, 1000, 2000]"
+
+    def test_every_interferer_field(self, tmp_path):
+        scenario = json.loads(json.dumps(THEOREM_CONFIG["scenario"]))
+        scenario["interferers"]["gain_tx_dbi"] = 10.0
+        header = self.header(tmp_path, dict(THEOREM_CONFIG, command="error",
+                                            scenario=scenario))
+        assert self.model_fields(header) == set()
+        interferers = {k.rsplit(".", 1)[1]: v for k, v in header.items()
+                       if k.startswith("scenario.interferers.")}
+        assert len(interferers) == 7
+        assert interferers["gain_tx_dbi"] == "10.0"
+        assert interferers["gain_rx_dbi"] == "0.0"
+        assert interferers["carrier_hz"] == "2000000000.0"
+
+
 class TestAoiSimMemory:
     def test_peak_does_not_grow_with_updates(self, tmp_path):
         # an in-process aoi-sim holds one block of its draw and trace at any
@@ -570,6 +638,19 @@ class TestAtomicWrite:
         assert main([write_config(tmp_path, cfg)]) == code
         err = capsys.readouterr().err
         assert f"exceeds the cap of {channel.MAX_INTERFERERS}" in err
+        assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    @pytest.mark.parametrize("m", [1e12, channel._MAX_KUMMER_TERMS + 1])
+    def test_fading_m_above_kummer_cap_numeric_exit_code(self, tmp_path, capsys, m):
+        # an integer m has m Kummer terms at each of the fading rule's nodes
+        scenario = dict(THEOREM_CONFIG["scenario"],
+                        fading={"b": 0.126, "m": m, "omega": 0.835})
+        cfg = {"command": "error", "seed": 1, "output": str(tmp_path / "e.csv"),
+               "scenario": scenario}
+        assert main([write_config(tmp_path, cfg)]) == 4
+        err = capsys.readouterr().err
+        assert "category=numeric" in err and "Kummer terms" in err
         assert "Traceback" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 

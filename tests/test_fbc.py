@@ -198,13 +198,12 @@ def unblocked_channel_gain(p: ShadowedRicianParams, rng, size=None):
 
 def unblocked_sinr_samples(s: Scenario, n_draws: int) -> np.ndarray:
     """sinr_samples with the whole (n_draws, K) gain matrix and one ``@``."""
-    s = s.placed()
     rng = s.rng(channel.STREAM_CHANNEL, 0)
     h = unblocked_channel_gain(s.fading, rng, size=n_draws)
     k = s.interferers.count
     if k:
         gains = rng.exponential(1.0, size=(n_draws, k))
-        i_a = gains @ s.interferers.coefficients()
+        i_a = gains @ s.interferer_coefficients
     else:
         i_a = np.zeros(n_draws)
     return s.satellite_coefficient * h / (i_a + 1.0)
@@ -263,7 +262,7 @@ class TestBlockedMonteCarlo:
 
         peaks = {}
         for k in (0, 10):
-            s = fading_scenario(k, 10).placed()
+            s = fading_scenario(k, 10)
             peak(s, 1000)  # fills caches
             peaks[k] = [peak(s, n) for n in (200_000, 800_000)]
             assert abs(peaks[k][1] - peaks[k][0]) < 8 * BLOCK, peaks
@@ -412,9 +411,8 @@ class TestInterferenceRule:
     @pytest.mark.parametrize("k", [2, 5, 7, 10])
     @pytest.mark.parametrize("seed", [1, 2, 3, 101, 12345])
     def test_against_closed_form_law(self, k, seed):
-        field = default_scenario(k, seed=seed).placed().interferers
-        c = field.coefficients()
-        i_a, iw = _interference_nodes(field)
+        c = default_scenario(k, seed=seed).interferer_coefficients
+        i_a, iw = _interference_nodes(c)
         assert np.all(i_a >= 0) and np.all(iw > 0)
         assert abs(iw.sum() - 1.0) <= 1e-13
         for r, moment in enumerate(interference_moments(c, 12)):
@@ -429,9 +427,9 @@ class TestInterferenceRule:
         # the interference rule does not depend on them
         builds = []
 
-        def counting(field):
-            builds.append(field)
-            return _interference_nodes(field)
+        def counting(coefficients):
+            builds.append(coefficients)
+            return _interference_nodes(coefficients)
 
         monkeypatch.setattr(fbc, "_interference_nodes", counting)
         s, spec = default_scenario(5, seed=1), CodingSpec(blocklength=64, code_size=256)
@@ -441,12 +439,12 @@ class TestInterferenceRule:
             assert len(builds) == 1, job.__name__
 
     def test_k0_and_k1_are_the_plain_rules(self):
-        i_a, iw = _interference_nodes(default_scenario(0, seed=1).placed().interferers)
+        i_a, iw = _interference_nodes(default_scenario(0, seed=1).interferer_coefficients)
         assert np.array_equal(i_a, np.zeros(1)) and np.array_equal(iw, np.ones(1))
-        field = default_scenario(1, seed=1).placed().interferers
+        c = default_scenario(1, seed=1).interferer_coefficients
         x, w = laggauss(32)
-        i_a, iw = _interference_nodes(field)
-        assert np.array_equal(i_a, field.coefficients()[0] * x)
+        i_a, iw = _interference_nodes(c)
+        assert np.array_equal(i_a, c[0] * x)
         assert np.array_equal(iw, w)
 
 

@@ -1,15 +1,36 @@
-"""The README's library example runs against the package as it is."""
+"""The README's examples run against the package as it is."""
+import json
 import re
 from pathlib import Path
+
+import pytest
+
+from stinqos.config import build_config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def section(heading: str) -> str:
+    """The text under the "## <heading>" heading, up to the next one."""
+    text = README.read_text(encoding="utf-8")
+    return text.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def library_example() -> str:
     """The python block under the "## Library use" heading, and only it."""
-    text = README.read_text(encoding="utf-8")
-    section = text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    return re.search(r"```python\n(.*?)```", section("Library use"), re.S).group(1)
+
+
+def cli_configs() -> list:
+    """Every JSON config of the "## Command-line interface" section: its
+    json blocks, and its shorthand scenario in an error run."""
+    text = section("Command-line interface")
+    configs = [json.loads(block)
+               for block in re.findall(r"```json\n(.*?)```", text, re.S)]
+    shorthand = re.search(r'`"scenario": (\{.*?\})`', text).group(1)
+    configs.append({"command": "error", "seed": 1,
+                    "scenario": json.loads(shorthand)})
+    return configs
 
 
 def test_library_use_example_runs(capsys):
@@ -17,3 +38,16 @@ def test_library_use_example_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2  # the peak-AoI line and the delay line
     assert all(float(v) >= 0 for v in " ".join(lines).split())
+
+
+def test_cli_configs_found():
+    # the minimal config, the explicit scenario, the sweep and the shorthand
+    assert [c["command"] for c in cli_configs()] == [
+        "error", "exponent", "sweep", "error"]
+
+
+@pytest.mark.parametrize("config", cli_configs(),
+                         ids=["minimal", "explicit", "sweep", "shorthand"])
+def test_cli_config_builds(config):
+    rc = build_config(config)
+    assert rc.command == config["command"]

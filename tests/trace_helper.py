@@ -62,8 +62,8 @@ def whole_error_table(spec):
     k_max = max(spec.k_grid)
     base = experiments.default_scenario(
         k=k_max, avg_snr_db=spec.avg_snr_db, inr_db=spec.inr_db, seed=spec.seed
-    ).placed()
-    coeff = base.interferers.coefficients()
+    )
+    coeff = base.interferer_coefficients
     rng = base.rng(experiments._STREAM_EPS)
     draws = spec.error_draws
     h_sat = channel.sample_channel_gain(base.fading, rng, size=draws)
