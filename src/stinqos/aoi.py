@@ -213,9 +213,9 @@ def _check_block(arrivals: np.ndarray, rows: np.ndarray, prev: float) -> None:
     # negated comparisons, so that a NaN fails them as well
     if arrivals.size and not (arrivals[0] >= prev and np.all(np.diff(arrivals) >= 0)
                               and arrivals[-1] < math.inf):
-        raise ValueError("arrival times must be finite, nonnegative and nondecreasing")
+        raise DomainError("arrival times must be finite, nonnegative and nondecreasing")
     if rows.size and not (rows.min() >= 0 and rows.max() < math.inf):
-        raise ValueError("service times must be finite and nonnegative")
+        raise DomainError("service times must be finite and nonnegative")
 
 
 def update_blocks(am: ArrivalModel, sm: ServiceModel, n_updates: int,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -185,71 +186,62 @@ def shadowed_rician_pdf(x, p: ShadowedRicianParams):
     return float(out) if out.ndim == 0 else out
 
 
-def srician_quad_nodes(
-    p: ShadowedRicianParams,
-    n_panels: int = 144,
-    nodes_per_panel: int = 8,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre panel rule for expectations against the fading density.
+_PANEL_NODES = 8  # Gauss-Legendre nodes per panel of every fading rule
 
-    Returns nodes x and weights w with ``sum(w_i g(x_i)) ~ E[g(|h|^2)]``.
-    Panels are geometrically spaced over twelve decades below the truncation
-    point, so integrands with sharp features deep in the fade region (e.g.
-    decoding-error sigmoids) stay resolved at any SNR scale. The support is
-    truncated where the density envelope (decay rate beta - delta > 0) leaves
-    less than ~1e-20 mass.
 
-    Raises:
-        NumericError: if the truncated rule fails to capture unit mass.
-    """
+def _support_cut(p: ShadowedRicianParams) -> float:
+    """60 / (beta - delta), where the density envelope of decay rate
+    beta - delta leaves less than ~1e-20 mass: the upper end of every
+    tabulated fading rule. A rate that rounds to 0 is a NumericError."""
     decay = p.beta - p.delta
-    x_max = 60.0 / decay
-    x_min = x_max * 1e-12
-    gl_x, gl_w = leggauss(nodes_per_panel)
-    edges = np.concatenate(
-        [[0.0], np.geomspace(x_min, x_max, n_panels)]
-    )
+    if not decay > 60.0 / sys.float_info.max:
+        raise NumericError(f"fading decay rate beta - delta = {decay:g} leaves "
+                           f"no finite support to tabulate")
+    return 60.0 / decay
+
+
+def _panel_rule(p: ShadowedRicianParams, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and density weights, each of shape (panels, _PANEL_NODES), of
+    the Gauss-Legendre rule on each panel between consecutive ``edges``;
+    weights that do not sum to unit mass are a NumericError."""
+    gl_x, gl_w = leggauss(_PANEL_NODES)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
-    x = (mid[:, None] + half[:, None] * gl_x[None, :]).ravel()
-    w = (half[:, None] * gl_w[None, :]).ravel() * shadowed_rician_pdf(x, p)
+    x = mid[:, None] + half[:, None] * gl_x[None, :]
+    w = (half[:, None] * gl_w[None, :]) * shadowed_rician_pdf(x, p)
     mass = float(np.sum(w))
-    if abs(mass - 1.0) > 1e-7:
-        raise NumericError(
-            f"fading quadrature captured mass {mass:.12g}, expected 1",
-            achieved=abs(mass - 1.0),
-        )
+    if not abs(mass - 1.0) <= 1e-7:
+        raise NumericError(f"fading quadrature captured mass {mass:.12g}, expected 1",
+                           achieved=abs(mass - 1.0))
     return x, w
 
 
-def srician_cdf_grid(
-    p: ShadowedRicianParams,
-    n_panels: int = 4096,
-    nodes_per_panel: int = 8,
-) -> tuple[np.ndarray, np.ndarray]:
+def srician_quad_nodes(p: ShadowedRicianParams,
+                       n_panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre panel rule for expectations against the fading density.
+
+    Returns nodes x and weights w with ``sum(w_i g(x_i)) ~ E[g(|h|^2)]``.
+    Panels are geometrically spaced over twelve decades below the support
+    cut, so integrands with sharp features deep in the fade region (e.g.
+    decoding-error sigmoids) stay resolved at any SNR scale.
+    """
+    x_max = _support_cut(p)
+    x, w = _panel_rule(p, np.concatenate(
+        [[0.0], np.geomspace(x_max * 1e-12, x_max, n_panels)]))
+    return x.ravel(), w.ravel()
+
+
+def srician_cdf_grid(p: ShadowedRicianParams,
+                     n_panels: int = 4096) -> tuple[np.ndarray, np.ndarray]:
     """CDF of |h|^2 tabulated at panel edges.
 
     Panel masses come from Gauss-Legendre quadrature of the density, so the
     edge values carry only quadrature error; linear interpolation between
     edges is accurate to O((x_max / n_panels)^2).
     """
-    decay = p.beta - p.delta
-    x_max = 60.0 / decay
-    gl_x, gl_w = leggauss(nodes_per_panel)
-    edges = np.linspace(0.0, x_max, n_panels + 1)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    x = mid[:, None] + half[:, None] * gl_x[None, :]
-    panel_mass = np.sum(
-        (half[:, None] * gl_w[None, :]) * shadowed_rician_pdf(x, p), axis=1
-    )
-    cdf = np.concatenate([[0.0], np.cumsum(panel_mass)])
-    if abs(cdf[-1] - 1.0) > 1e-7:
-        raise NumericError(
-            f"fading CDF captured mass {cdf[-1]:.12g}, expected 1",
-            achieved=abs(cdf[-1] - 1.0),
-        )
-    return edges, np.minimum(cdf, 1.0)
+    edges = np.linspace(0.0, _support_cut(p), n_panels + 1)
+    panel_mass = np.sum(_panel_rule(p, edges)[1], axis=1)
+    return edges, np.minimum(np.concatenate([[0.0], np.cumsum(panel_mass)]), 1.0)
 
 
 # Rows per block of the Monte Carlo SINR path. Blocks start at multiples of
@@ -258,9 +250,13 @@ def srician_cdf_grid(
 _BLOCK_ROWS = 1 << 14
 
 
-def _row_blocks(n: int) -> list[slice]:
-    """Slices of rows 0..n-1, one per block of _BLOCK_ROWS rows."""
-    return [slice(i, min(i + _BLOCK_ROWS, n)) for i in range(0, n, _BLOCK_ROWS)]
+def _joined(blocks, n: int) -> np.ndarray:
+    """The blocks of a stream of n values, filled in turn into one array."""
+    out, start = np.empty(n), 0
+    for block in blocks:
+        out[start:start + len(block)] = block
+        start += len(block)
+    return out
 
 
 def _drawn_blocks(rng: np.random.Generator, n: int, rows: int, *draws):
@@ -313,9 +309,7 @@ def sample_channel_gain(p: ShadowedRicianParams, rng: np.random.Generator, size=
     column; the gains are the _gain_blocks joined.
     """
     n = 1 if size is None else int(np.prod(size))
-    gain = np.empty(n)
-    for rows, (block,) in zip(_row_blocks(n), _gain_blocks(p, rng, n)):
-        gain[rows] = block
+    gain = _joined((block for block, in _gain_blocks(p, rng, n)), n)
     return float(gain[0]) if size is None else gain.reshape(size)
 
 
@@ -364,9 +358,17 @@ class LinkBudget:
 
 
 def pathloss_factor(l: LinkBudget) -> float:
-    """Free-space power attenuation (c / 4 pi f d)^2 times linearized gains."""
-    free_space = SPEED_OF_LIGHT / (4.0 * np.pi * l.carrier_hz * l.distance_m)
-    return free_space ** 2 * _db_to_linear(l.gain_tx_dbi + l.gain_rx_dbi)
+    """Free-space power attenuation (c / 4 pi f d)^2 times linearized gains;
+    a factor that overflows a float is a DomainError."""
+    try:
+        free_space = SPEED_OF_LIGHT / (4.0 * np.pi * l.carrier_hz * l.distance_m)
+        factor = free_space ** 2 * _db_to_linear(l.gain_tx_dbi + l.gain_rx_dbi)
+    except (OverflowError, ZeroDivisionError):
+        factor = math.inf
+    if not factor < math.inf:
+        raise DomainError(f"pathloss factor at carrier_hz={l.carrier_hz}, "
+                          f"distance_m={l.distance_m} overflows a float")
+    return factor
 
 
 @dataclass(frozen=True)
@@ -396,6 +398,8 @@ class InterfererField:
                 f"annulus radii must satisfy 0 < r_inner_m < r_outer_m, "
                 f"got r_inner_m={self.r_inner_m}, r_outer_m={self.r_outer_m}"
             )
+        if float(self.r_outer_m) * self.r_outer_m == math.inf:
+            raise DomainError(f"r_outer_m={self.r_outer_m} squared overflows a float")
 
     @property
     def tx_snr(self) -> float:

@@ -19,7 +19,7 @@ from .config import RunConfig, build_arrival, build_service, echo_params, parse_
 from .errors import ConfigError, DomainError, NumericError, StabilityError
 from .experiments import SweepSpec, run_sweep
 from .fbc import average_error, error_exponent, error_exponent_closed_form
-from .reports import REPORT_FIELDS, report_row
+from .reports import report_row
 from .snc import BitArrival, delay_bound, optimize_paoi_bound, paoi_bound
 
 EXIT_OK = 0
@@ -29,37 +29,26 @@ EXIT_NUMERIC = 4
 EXIT_IO = 5
 
 
-def _block(fields, rows) -> list:
-    """The row dicts as the one block of a CSV: one list per field, in
-    ``fields`` order."""
-    return [[[row[k] for row in rows] for k in fields]]
+def _table(rows) -> tuple[list, list]:
+    """Row dicts as a CSV's fields and its one block: the fields are the
+    first row's keys in order, and a None value is an empty cell."""
+    fields = list(rows[0])
+    return fields, [[["" if row[k] is None else row[k] for row in rows]
+                     for k in fields]]
 
 
 def _run_error(rc: RunConfig):
     res = average_error(rc.scenario, rc.coding, rc.error_model)
-    fields = ["avg_error", "std_error", "achieved_tol", "method"]
-    row = {
-        "avg_error": res.value,
-        "std_error": "" if res.std_error is None else res.std_error,
-        "achieved_tol": "" if res.achieved_tol is None else res.achieved_tol,
-        "method": res.method,
-    }
-    return fields, _block(fields, [row])
+    return _table([{"avg_error": res.value, "std_error": res.std_error,
+                    "achieved_tol": res.achieved_tol, "method": res.method}])
 
 
 def _run_exponent(rc: RunConfig):
     numeric = error_exponent(rc.scenario, rc.coding, rc.error_model)
     closed = error_exponent_closed_form(rc.scenario, rc.coding)
-    fields = ["blocklength", "rate_nats", "theta_numeric", "rho_star",
-              "theta_closed_form"]
-    row = {
-        "blocklength": rc.coding.blocklength,
-        "rate_nats": rc.coding.rate,
-        "theta_numeric": numeric.theta,
-        "rho_star": numeric.params["rho_star"],
-        "theta_closed_form": closed.theta,
-    }
-    return fields, _block(fields, [row])
+    return _table([{"blocklength": rc.coding.blocklength, "rate_nats": rc.coding.rate,
+                    "theta_numeric": numeric.theta, "rho_star": numeric.params["rho_star"],
+                    "theta_closed_form": closed.theta}])
 
 
 def _run_aoi_sim(rc: RunConfig):
@@ -76,12 +65,9 @@ def _run_paoi_bound(rc: RunConfig):
     a_th, u, theta = rc.params["a_th_cu"], rc.params["u"], rc.params["theta"]
     u = None if u == "inf" else int(u)
     n = rc.coding.blocklength
-    if theta == "optimize":
-        report = optimize_paoi_bound(a_th, n, u, am, sm)
-    else:
-        report = paoi_bound(float(theta), a_th, n, u, am, sm)
-    row = report_row(report, seed=rc.seed)
-    return REPORT_FIELDS, _block(REPORT_FIELDS, [row])
+    report = (optimize_paoi_bound(a_th, n, u, am, sm) if theta == "optimize"
+              else paoi_bound(float(theta), a_th, n, u, am, sm))
+    return _table([report_row(report, seed=rc.seed)])
 
 
 def _run_delay_bound(rc: RunConfig):
@@ -92,15 +78,13 @@ def _run_delay_bound(rc: RunConfig):
         arrival = BitArrival.poisson_batch(p["rate_per_block"], p["batch_bits"])
     eps = average_error(rc.scenario, rc.coding, rc.error_model).value
     report = delay_bound(p["d_th_blocks"], arrival, rc.coding, eps)
-    row = report_row(report, seed=rc.seed)
-    return REPORT_FIELDS, _block(REPORT_FIELDS, [row])
+    return _table([report_row(report, seed=rc.seed)])
 
 
 def _run_sweep(rc: RunConfig):
     spec = SweepSpec(**{k: tuple(v) if isinstance(v, list) else v
                         for k, v in rc.params.items()})
-    table = run_sweep(spec)
-    return table.fieldnames, _block(table.fieldnames, table.rows)
+    return _table(run_sweep(spec))
 
 
 _RUNNERS = {

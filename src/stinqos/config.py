@@ -78,6 +78,8 @@ _PARAM_DEFAULTS = {
     "sweep": {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
               for f in fields(SweepSpec) if f.default is not MISSING},
 }
+# Mean gap of the arrival model an omitted arrival block stands for
+_DEFAULT_GAP_CU = 4096.0
 _KIND_NAMES = {float: "finite number", int: "integer", str: "string",
                bool: "boolean"}
 
@@ -243,7 +245,7 @@ def build_config(raw: dict) -> RunConfig:
 def _build_scenario(block, seed: int, defaults_used: list) -> Scenario:
     if block is None:
         defaults_used.append("scenario=default(k=1, avg_snr_db=15, inr_db=-3)")
-        return default_scenario(k=1, avg_snr_db=15.0, inr_db=-3.0, seed=seed)
+        return default_scenario(seed=seed)
     if isinstance(block, dict) and (
             "satellite" in block or "fading" in block or "interferers" in block):
         _check_params(block, _SCENARIO_FULL_KINDS, "scenario")
@@ -255,13 +257,7 @@ def _build_scenario(block, seed: int, defaults_used: list) -> Scenario:
             seed=seed,
         )
     _check_params(block, _SCENARIO_PRESET_KINDS, "scenario")
-    return default_scenario(
-        k=block.get("k", 1),
-        avg_snr_db=block.get("avg_snr_db", 15.0),
-        inr_db=block.get("inr_db", -3.0),
-        rx_antennas=block.get("rx_antennas", 2),
-        seed=seed,
-    )
+    return default_scenario(seed=seed, **block)
 
 
 def _build_coding(block, defaults_used: list):
@@ -280,29 +276,35 @@ def _build_error_model(block, defaults_used: list):
     return ErrorModel(**block)
 
 
-def build_arrival(block, defaults_used: list, default_gap_cu: float = 4096.0) -> ArrivalModel:
+def build_arrival(block, defaults_used: list) -> ArrivalModel:
     if block is None:
-        defaults_used.append(f"arrival=poisson(rate=1/{default_gap_cu:g} per cu)")
-        return ArrivalModel.poisson(1.0 / default_gap_cu)
+        defaults_used.append(f"arrival=poisson(rate=1/{_DEFAULT_GAP_CU:g} per cu)")
+        return ArrivalModel.poisson(1.0 / _DEFAULT_GAP_CU)
     if _require(block, "kind", "arrival") == "deterministic":
         return ArrivalModel.deterministic(_require(block, "period", "arrival"))
     return ArrivalModel.poisson(_require(block, "rate", "arrival"))
 
 
-def build_service(
-    block, defaults_used: list, rc: RunConfig
-) -> ServiceModel:
-    """Service model; ARQ epsilon defaults to the scenario's average error."""
-    if block is None:
+def build_service(block, defaults_used: list, rc: RunConfig) -> ServiceModel:
+    """Service model; n defaults to coding.blocklength and an ARQ epsilon to
+    the scenario's average error. A fixed service is ARQ at epsilon 0 and
+    takes no epsilon."""
+    given = block is not None
+    if not given:
         block = {}
         defaults_used.append("service=arq(n=coding.blocklength, epsilon=from scenario)")
     n = block.get("n", rc.coding.blocklength)
-    if block.get("kind", "arq") == "fixed":
-        return ServiceModel.fixed(n)
     epsilon = block.get("epsilon")
-    if epsilon is None:
+    if block.get("kind", "arq") == "fixed":
+        if "epsilon" in block:
+            raise ConfigError("params.service.epsilon is not a parameter of a "
+                              "fixed service, which never fails")
+        epsilon = 0.0
+    elif epsilon is None:
         epsilon = average_error(rc.scenario, rc.coding, rc.error_model).value
         defaults_used.append(f"service.epsilon={epsilon!r} (scenario average error)")
+    if given and "n" not in block:
+        defaults_used.append(f"service.n={n} (coding.blocklength)")
     return ServiceModel.arq(n, epsilon)
 
 

@@ -180,14 +180,6 @@ class SweepSpec:
             raise ConfigError("relay_prob must be in [0, 1]")
 
 
-@dataclass
-class Table:
-    """Sweep result: column names and row dicts."""
-
-    fieldnames: list
-    rows: list
-
-
 # ---------------------------------------------------------------------------
 # fig3 and stin_psn: coupled decoding errors and one batched pass per
 # replication over the (K, SNR) grid
@@ -321,10 +313,10 @@ def _sweep_points(spec: SweepSpec):
                float(eps_ter[ki, si]), mean[p].tolist(), half[p].tolist())
 
 
-def run_fig3(spec: SweepSpec) -> Table:
+def run_fig3(spec: SweepSpec) -> list[dict]:
     """Mean peak AoI (cu) vs interferer count for the hybrid and
     satellite-only systems at each SNR point."""
-    rows = [
+    return [
         {
             "k": k,
             "snr_db": snr_db,
@@ -338,14 +330,11 @@ def run_fig3(spec: SweepSpec) -> Table:
         for k, snr_db, eps_sat, eps_ter, mean, half in _sweep_points(spec)
         for i, system in enumerate(_SYSTEMS)
     ]
-    fields = ["k", "snr_db", "system", "mean_paoi_cu", "ci_half_width_cu",
-              "eps_sat", "eps_ter", "replications"]
-    return Table(fieldnames=fields, rows=rows)
 
 
-def compare_stin_psn(spec: SweepSpec) -> Table:
+def compare_stin_psn(spec: SweepSpec) -> list[dict]:
     """Paired-seed mean peak AoI comparison, hybrid vs satellite-only."""
-    rows = [
+    return [
         {
             "k": k,
             "snr_db": snr_db,
@@ -355,8 +344,6 @@ def compare_stin_psn(spec: SweepSpec) -> Table:
         }
         for k, snr_db, _, _, (stin, psn), _ in _sweep_points(spec)
     ]
-    fields = ["k", "snr_db", "mean_paoi_stin_cu", "mean_paoi_psn_cu", "advantage_cu"]
-    return Table(fieldnames=fields, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +368,7 @@ def fig4_models(spec: SweepSpec) -> tuple[ArrivalModel, ServiceModel, float]:
     return am, sm, eps
 
 
-def run_fig4(spec: SweepSpec) -> Table:
+def run_fig4(spec: SweepSpec) -> list[dict]:
     """Analytic peak-AoI violation bound vs empirical frequency over the
     exponent grid at a fixed threshold. The models and the simulated
     violation frequency are computed once; only the bound depends on theta."""
@@ -391,22 +378,14 @@ def run_fig4(spec: SweepSpec) -> Table:
     )
     trace = trace_blocks(update_blocks(am, sm, spec.fig4_n_updates, rng))
     empirical = trace_violation_frequency(trace, spec.a_th_cu)
-    rows = []
-    for theta in spec.theta_grid:
-        rep = paoi_bound(theta, spec.a_th_cu, spec.blocklength, None, am, sm)
-        rows.append({
-            "theta": theta,
-            "bound": rep.bound_value,
-            "empirical": empirical,
-            "a_th": spec.a_th_cu,
-            "kernel": rep.kernel_value,
-            "eps": eps,
-        })
-    fields = ["theta", "bound", "empirical", "a_th", "kernel", "eps"]
-    return Table(fieldnames=fields, rows=rows)
+    reports = [paoi_bound(theta, spec.a_th_cu, spec.blocklength, None, am, sm)
+               for theta in spec.theta_grid]
+    return [{"theta": theta, "bound": rep.bound_value, "empirical": empirical,
+             "a_th": spec.a_th_cu, "kernel": rep.kernel_value, "eps": eps}
+            for theta, rep in zip(spec.theta_grid, reports)]
 
 
-def run_fig5(spec: SweepSpec) -> Table:
+def run_fig5(spec: SweepSpec) -> list[dict]:
     """Numeric error-rate exponent vs blocklength next to the n-free
     closed-form approximation, at a fixed coding rate."""
     scen = default_scenario(
@@ -414,27 +393,21 @@ def run_fig5(spec: SweepSpec) -> Table:
     )
     rate = CodingSpec(blocklength=spec.blocklength, code_size=spec.code_size).rate
     em = ErrorModel(method="quadrature", quad_tolerance=spec.quad_tolerance)
-    rows = []
-    for n in spec.n_grid:
-        coding = CodingSpec(blocklength=n, code_size=spec.code_size, rate=rate)
-        numeric = error_exponent(scen, coding, em)
-        rows.append({
-            "n": n,
-            "theta_numeric": numeric.theta,
-            "theta_closed_form": error_exponent_closed_form(scen, coding).theta,
-            "rho_star": numeric.params["rho_star"],
-            "rate_nats": rate,
-        })
-    fields = ["n", "theta_numeric", "theta_closed_form", "rho_star", "rate_nats"]
-    return Table(fieldnames=fields, rows=rows)
+    codings = [CodingSpec(blocklength=n, code_size=spec.code_size, rate=rate)
+               for n in spec.n_grid]
+    reports = [error_exponent(scen, coding, em) for coding in codings]
+    return [{"n": n, "theta_numeric": rep.theta,
+             "theta_closed_form": error_exponent_closed_form(scen, coding).theta,
+             "rho_star": rep.params["rho_star"], "rate_nats": rate}
+            for n, coding, rep in zip(spec.n_grid, codings, reports)]
 
 
 _RUNNERS = {"fig3": run_fig3, "fig4": run_fig4, "fig5": run_fig5,
             "stin_psn": compare_stin_psn}
 
 
-def run_sweep(spec: SweepSpec) -> Table:
-    """Run the spec's figure."""
+def run_sweep(spec: SweepSpec) -> list[dict]:
+    """Run the spec's figure: its rows, each a dict keyed in column order."""
     return _RUNNERS[spec.figure](spec)
 
 

@@ -156,12 +156,9 @@ def _sinr_blocks(s: Scenario, n_draws: int, stream_index: int = 0):
 
 
 def sinr_samples(s: Scenario, n_draws: int, stream_index: int = 0) -> np.ndarray:
-    """The blocks of _sinr_blocks joined into one array."""
-    blocks = _sinr_blocks(s, n_draws, stream_index)  # refuses before np.empty
-    gam = np.empty(n_draws)
-    for rows, block in zip(channel._row_blocks(n_draws), blocks):
-        gam[rows] = block
-    return gam
+    """The blocks of _sinr_blocks joined into one array; the count is
+    refused before the array exists."""
+    return channel._joined(_sinr_blocks(s, n_draws, stream_index), n_draws)
 
 
 def _gauss_rule(x: np.ndarray, w: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -211,7 +208,7 @@ def _sinr_rules(s: Scenario, panel_counts):
     with the interference rule built once for all of them."""
     i_a, iw = _interference_nodes(s.interferer_coefficients)
     for n_panels in panel_counts:
-        x, w = srician_quad_nodes(s.fading, n_panels=n_panels, nodes_per_panel=8)
+        x, w = srician_quad_nodes(s.fading, n_panels)
         yield ((s.satellite_coefficient * x[:, None] / (1.0 + i_a[None, :])).ravel(),
                (w[:, None] * iw[None, :]).ravel())
 

@@ -30,16 +30,14 @@ class QoSReport:
 
 
 def report_row(report: QoSReport, seed: int | None = None) -> dict:
-    """Flatten a report into the canonical CSV row."""
+    """Flatten a report into the canonical CSV row, keys in column order;
+    a missing value is None."""
     return {
         "kind": report.kind,
         "theta": report.theta,
-        "threshold": "" if report.threshold is None else report.threshold,
-        "kernel": "" if report.kernel_value is None else report.kernel_value,
+        "threshold": report.threshold,
+        "kernel": report.kernel_value,
         "bound": report.bound_value,
-        "stable": "" if report.stability_ok is None else report.stability_ok,
-        "seed": "" if seed is None else seed,
+        "stable": report.stability_ok,
+        "seed": seed,
     }
-
-
-REPORT_FIELDS = ["kind", "theta", "threshold", "kernel", "bound", "stable", "seed"]

@@ -197,7 +197,7 @@ def test_criterion_6_fig3_trends():
     spec = SweepSpec(figure="fig3", k_grid=tuple(range(0, 11)),
                      snr_points_db=(5.0, 15.0))
     table = run_fig3(spec)
-    by = {(r["k"], r["snr_db"], r["system"]): r["mean_paoi_cu"] for r in table.rows}
+    by = {(r["k"], r["snr_db"], r["system"]): r["mean_paoi_cu"] for r in table}
     ks = list(range(1, 11))
     for snr in (5.0, 15.0):
         for system in ("stin", "psn"):
@@ -221,8 +221,8 @@ def test_criterion_6_fig3_trends():
 def test_criterion_7_fig5_trends_and_point_check():
     start = time.time()
     table = run_fig5(SweepSpec(figure="fig5", n_grid=(100, 200, 500, 1000, 2000)))
-    numeric = [r["theta_numeric"] for r in table.rows]
-    closed = [r["theta_closed_form"] for r in table.rows]
+    numeric = [r["theta_numeric"] for r in table]
+    closed = [r["theta_closed_form"] for r in table]
     assert all(numeric[i + 1] <= numeric[i] + 1e-12 for i in range(len(numeric) - 1))
     assert len(set(closed)) == 1
     assert all(v >= 0.0 for v in numeric + closed)

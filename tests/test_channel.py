@@ -203,7 +203,7 @@ class TestSampling:
 class TestQuadratureNodes:
     def test_mass_and_mean(self):
         p = ShadowedRicianParams(b=0.1, m=5, omega=2.0)
-        x, w = srician_quad_nodes(p)
+        x, w = srician_quad_nodes(p, 144)
         assert abs(np.sum(w) - 1.0) < 1e-9
         assert np.sum(w * x) == pytest.approx(p.mean_power, rel=1e-9)
 

@@ -487,6 +487,34 @@ class TestHeaderRecordsRun:
         assert interferers["carrier_hz"] == "2000000000.0"
 
 
+    def test_fixed_service_refuses_epsilon(self, tmp_path, capsys):
+        # a fixed service is ARQ at epsilon 0: an epsilon there would be
+        # echoed in the header but never used
+        cfg = dict(AOI_SIM_DET, output=str(tmp_path / "t.csv"), params=dict(
+            AOI_SIM_DET["params"], service={"kind": "fixed", "n": 64, "epsilon": 0.5}))
+        assert main([write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "category=config params.service.epsilon" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    @pytest.mark.parametrize("command", ["aoi-sim", "paoi-bound"])
+    @pytest.mark.parametrize("service, noted", [
+        ({}, True), ({"kind": "fixed"}, True), ({"kind": "arq", "epsilon": 0.1}, True),
+        ({"kind": "fixed", "n": 32}, False), (None, False)])
+    def test_service_n_default_noted(self, tmp_path, command, service, noted):
+        # a service block without n runs at coding.blocklength; a config
+        # without one says so in its service note already
+        params = {"n_updates": 10} if command == "aoi-sim" else {}
+        if service is not None:
+            params["service"] = service
+        header = self.header(tmp_path, {"command": command, "seed": 1, "params": params,
+                                        "coding": {"blocklength": 32, "code_size": 256}})
+        notes = [v for k, v in header.items() if k.startswith("default.")]
+        assert ("service.n=32 (coding.blocklength)" in notes) == noted
+        assert notes.count("service=arq(n=coding.blocklength, epsilon=from scenario)") \
+            == (service is None)
+
+
 class TestAoiSimMemory:
     def test_peak_does_not_grow_with_updates(self, tmp_path):
         # an in-process aoi-sim holds one block of its draw and trace at any
@@ -652,6 +680,43 @@ class TestAtomicWrite:
         err = capsys.readouterr().err
         assert "category=numeric" in err and "Kummer terms" in err
         assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    @pytest.mark.parametrize("cfg, code, message", [
+        ({"command": "aoi-sim", "params": {
+            "arrival": {"kind": "deterministic", "period": 1e308}}},
+         3, "category=domain arrival times must be finite"),
+        ({"command": "aoi-sim", "params": {"arrival": {"kind": "poisson", "rate": 1e-308}}},
+         3, "category=domain arrival times must be finite"),
+        ({"command": "sweep", "params": {"figure": "fig3", "arrival_mean_gap_cu": 1e308,
+                                         "n_updates": 200, "error_draws": 1000}},
+         3, "category=domain arrival times must be finite"),
+        ({"command": "sweep", "params": {"figure": "fig4", "fig4_mean_gap_cu": 1e308,
+                                         "fig4_n_updates": 200}},
+         3, "category=domain arrival times must be finite"),
+        ({"command": "error", "scenario": dict(THEOREM_CONFIG["scenario"], fading={
+            "b": 0.126, "m": 10, "omega": 1e17})},
+         4, "category=numeric fading decay rate beta - delta = 0"),
+        ({"command": "error", "scenario": dict(THEOREM_CONFIG["scenario"], interferers=dict(
+            THEOREM_CONFIG["scenario"]["interferers"], r_outer_m=1e155))},
+         2, "category=config r_outer_m=1e+155 squared overflows"),
+        ({"command": "exponent", "scenario": dict(THEOREM_CONFIG["scenario"], satellite={
+            "carrier_hz": 4817.0, "distance_m": 5.8e-249})},
+         3, "category=domain pathloss factor"),
+        ({"command": "error", "scenario": dict(THEOREM_CONFIG["scenario"], satellite={
+            "carrier_hz": 1e-200, "distance_m": 1e-200})},
+         3, "category=domain pathloss factor"),
+    ], ids=["deterministic-period", "poisson-rate", "fig3-gap", "fig4-gap",
+            "fading-decay", "annulus-radius", "pathloss", "pathloss-underflow"])
+    def test_overflow_typed_exit_code(self, tmp_path, capsys, cfg, code, message):
+        # each of these once ended in a traceback: arrival times beyond the
+        # float range, a fading decay rate that rounds to 0, an annulus
+        # radius whose square overflows, and a pathloss factor that does,
+        # by an overflow or by a product carrier_hz * distance_m of 0
+        cfg = dict(cfg, seed=1, output=str(tmp_path / "t.csv"))
+        assert main([write_config(tmp_path, cfg)]) == code
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
     def test_missing_output_directory_io_exit_code(self, tmp_path, capsys):

@@ -45,7 +45,7 @@ def small_fig3_spec(**kw):
 
 
 def table_lookup(tab, keys):
-    return {tuple(r[k] for k in keys): r for r in tab.rows}
+    return {tuple(r[k] for k in keys): r for r in tab}
 
 
 class TestFig3:
@@ -88,8 +88,8 @@ class TestFig3:
         hi = run_fig3(small_fig3_spec(replications=256, k_grid=(2,),
                                       snr_points_db=(15.0,), n_updates=1000,
                                       error_draws=10_000))
-        w_lo = lo.rows[0]["ci_half_width_cu"]
-        w_hi = hi.rows[0]["ci_half_width_cu"]
+        w_lo = lo[0]["ci_half_width_cu"]
+        w_hi = hi[0]["ci_half_width_cu"]
         assert w_hi / w_lo == pytest.approx(0.5, rel=0.2)
 
 
@@ -194,7 +194,7 @@ class TestBatchedSweep:
 class TestStinPsn:
     def test_hybrid_never_worse(self):
         tab = compare_stin_psn(small_fig3_spec(figure="stin_psn"))
-        assert all(r["advantage_cu"] >= 0.0 for r in tab.rows)
+        assert all(r["advantage_cu"] >= 0.0 for r in tab)
 
     def test_advantage_widens_at_low_snr(self):
         tab = compare_stin_psn(small_fig3_spec(figure="stin_psn"))
@@ -206,12 +206,12 @@ class TestStinPsn:
 class TestFig4:
     def test_columns_and_trends(self):
         tab = run_fig4(SweepSpec(figure="fig4"))
-        assert tab.fieldnames[:4] == ["theta", "bound", "empirical", "a_th"]
-        bounds = [r["bound"] for r in tab.rows]
+        assert list(tab[0])[:4] == ["theta", "bound", "empirical", "a_th"]
+        bounds = [r["bound"] for r in tab]
         assert all(bounds[i + 1] < bounds[i] for i in range(len(bounds) - 1))
-        empirical = {r["empirical"] for r in tab.rows}
+        empirical = {r["empirical"] for r in tab}
         assert len(empirical) == 1  # simulation does not depend on theta
-        assert all(r["bound"] >= r["empirical"] for r in tab.rows)
+        assert all(r["bound"] >= r["empirical"] for r in tab)
 
     def test_empirical_equals_whole_column_count(self):
         # the streamed draw and count over three trace blocks and five rows
@@ -224,14 +224,14 @@ class TestFig4:
         times = whole_updates(am, sm, spec.fig4_n_updates, rng)
         want = trace_violation_frequency(trace_blocks([times]), spec.a_th_cu)
         assert want > 0
-        assert run_fig4(spec).rows[0]["empirical"] == want
+        assert run_fig4(spec)[0]["empirical"] == want
 
 
 class TestFig5:
     def test_columns_and_trends(self):
         tab = run_fig5(SweepSpec(figure="fig5"))
-        numeric = [r["theta_numeric"] for r in tab.rows]
-        closed = [r["theta_closed_form"] for r in tab.rows]
+        numeric = [r["theta_numeric"] for r in tab]
+        closed = [r["theta_closed_form"] for r in tab]
         assert all(numeric[i + 1] <= numeric[i] + 1e-12 for i in range(len(numeric) - 1))
         assert len(set(closed)) == 1
         assert all(v >= 0.0 for v in numeric + closed)
@@ -239,8 +239,8 @@ class TestFig5:
 
 def csv_text(path, table):
     """The table written with write_csv and read back."""
-    columns = [[row[k] for row in table.rows] for k in table.fieldnames]
-    write_csv(path, table.fieldnames, [columns])
+    columns = [[row[k] for row in table] for k in table[0]]
+    write_csv(path, list(table[0]), [columns])
     return path.read_text(encoding="utf-8")
 
 

@@ -4,7 +4,8 @@ from dataclasses import replace
 import pytest
 
 from stinqos.aoi import ArrivalModel, ServiceModel
-from stinqos.reports import QoSReport, REPORT_FIELDS, report_row
+from stinqos.cli import _table
+from stinqos.reports import QoSReport, report_row
 from stinqos.snc import optimize_paoi_bound
 
 
@@ -13,13 +14,16 @@ class TestReportRow:
         rep = QoSReport(kind="delay", theta=0.4, bound_value=0.01,
                         threshold=5.0, kernel_value=0.01, stability_ok=True)
         row = report_row(rep, seed=9)
-        assert list(row) == REPORT_FIELDS
+        assert list(row) == ["kind", "theta", "threshold", "kernel", "bound",
+                             "stable", "seed"]
         assert row["stable"] is True and row["seed"] == 9
 
     def test_missing_fields_serialize_empty(self):
         rep = QoSReport(kind="error", theta=0.2, bound_value=0.2)
         row = report_row(rep)
-        assert row["threshold"] == "" and row["kernel"] == "" and row["seed"] == ""
+        assert row["threshold"] is None and row["kernel"] is None and row["seed"] is None
+        _, [columns] = _table([row])
+        assert [c[0] for c in columns] == ["error", 0.2, "", "", 0.2, "", ""]
 
 
 class TestParams:
