@@ -210,10 +210,12 @@ def _check_block(arrivals: np.ndarray, rows: np.ndarray, prev: float) -> None:
     matrix."""
     if arrivals.ndim != 1 or rows.shape[1:] != arrivals.shape:
         raise ValueError("arrivals and services must have equal length")
-    # negated comparisons, so that a NaN fails them as well
-    if arrivals.size and not (arrivals[0] >= prev and np.all(np.diff(arrivals) >= 0)
-                              and arrivals[-1] < math.inf):
-        raise DomainError("arrival times must be finite, nonnegative and nondecreasing")
+    # negated comparisons, so that a NaN fails them as well; an infinite
+    # arrival, refused here, makes a NaN gap without a warning
+    with np.errstate(invalid="ignore"):
+        if arrivals.size and not (arrivals[0] >= prev and np.all(np.diff(arrivals) >= 0)
+                                  and arrivals[-1] < math.inf):
+            raise DomainError("arrival times must be finite, nonnegative and nondecreasing")
     if rows.size and not (rows.min() >= 0 and rows.max() < math.inf):
         raise DomainError("service times must be finite and nonnegative")
 
@@ -241,12 +243,15 @@ def _check_update_count(n_updates: int) -> None:
 def _arrival_blocks(am: ArrivalModel, n_updates: int, rng: np.random.Generator, *draws):
     """channel._drawn_blocks of 2^12 rows of the gaps of n_updates updates
     drawn from ``am``, then of ``draws``, with each block of gaps made
-    arrival times in place by the sequential adds of one whole cumsum."""
+    arrival times in place by the sequential adds of one whole cumsum. A
+    sum past the float range is left infinite, without a warning, for the
+    queue's input checks to refuse."""
     carry = 0.0
     for arrivals, *rest in _drawn_blocks(rng, n_updates, _TRACE_ROWS,
                                          am.sample_gaps, *draws):
         arrivals[0] += carry
-        np.cumsum(arrivals, out=arrivals)
+        with np.errstate(over="ignore"):
+            np.cumsum(arrivals, out=arrivals)
         carry = arrivals[-1]
         yield arrivals, *rest
 

@@ -11,6 +11,7 @@ error, 5 io error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import channel, csvio
@@ -168,5 +169,22 @@ def main(argv=None) -> int:
     return EXIT_OK
 
 
+def run() -> None:
+    """Process entry of ``python -m stinqos`` and the console script.
+
+    Runs main() on sys.argv, flushes standard output and error (each that
+    the process was started with), and ends the process with os._exit: a
+    finished run has written and closed its CSV, so module teardown, the
+    shutdown garbage collections and the library destructors would only cost
+    time. An exception out of main() or out of a flush (argparse's
+    SystemExit included) ends the process the ordinary way.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -66,6 +66,13 @@ _STREAM_TRACE = 11
 # 2-CPU VM, so about 4 minutes at the cap.
 MAX_ERROR_DRAWS = 10 ** 8
 
+# Replications a fig3 or stin_psn sweep may run. Each adds one float per
+# service row to the sums that _sweep_means keeps (44 rows at the default
+# grids) and at least one block pass, so 10^4 one-update replications take
+# about 3 s on a 2-CPU VM; the updates of all replications together fall
+# under aoi.MAX_UPDATES.
+MAX_REPLICATIONS = 10 ** 4
+
 # Default link geometry: 1000 km satellite downlink at 2 GHz with a 20 dBi
 # satellite antenna; interferers in the 2-10 km annulus.
 _DEFAULT_CARRIER_HZ = 2.0e9
@@ -296,7 +303,11 @@ def _sweep_points(spec: SweepSpec):
     """Each (K, SNR) grid point, K outer, as (k, snr_db, eps_sat, eps_ter,
     mean, half): the mean peak AoI over replications and its 95 % half-width,
     each a pair ordered as _SYSTEMS."""
-    aoi._check_update_count(spec.n_updates)  # refuse before any work
+    # refuse before any work
+    if spec.replications > MAX_REPLICATIONS:
+        raise NumericError(f"{spec.replications} replications exceed the cap of "
+                           f"{MAX_REPLICATIONS} per sweep")
+    aoi._check_update_count(spec.replications * spec.n_updates)
     if spec.error_draws > MAX_ERROR_DRAWS:
         raise NumericError(f"{spec.error_draws} error draws exceed the cap of "
                            f"{MAX_ERROR_DRAWS} per sweep")

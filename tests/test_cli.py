@@ -623,17 +623,26 @@ class TestAtomicWrite:
         ("sweep", {"figure": "stin_psn", "n_updates": aoi.MAX_UPDATES + 1}),
         ("sweep", {"figure": "fig3", "error_draws": 10 ** 20}),
         ("sweep", {"figure": "stin_psn", "error_draws": experiments.MAX_ERROR_DRAWS + 1}),
+        ("sweep", {"figure": "fig3", "replications": 2 ** 64}),
+        ("sweep", {"figure": "stin_psn", "replications": 10 ** 8, "n_updates": 100}),
+        ("sweep", {"figure": "fig3", "replications": experiments.MAX_REPLICATIONS,
+                   "n_updates": aoi.MAX_UPDATES // experiments.MAX_REPLICATIONS + 1}),
     ])
     def test_update_count_above_cap_numeric_exit_code(self, tmp_path, capsys,
                                                       monkeypatch, command, params):
-        # a fig3 or stin_psn sweep is refused before its error table is built
+        # a fig3 or stin_psn sweep is refused before its error table is built;
+        # the updates of all its replications fall under the update cap
         monkeypatch.setattr(experiments, "_coupled_error_table", None)
         cfg = dict(AOI_SIM_DET, command=command, output=str(tmp_path / "t.csv"))
         cfg["params"] = dict(AOI_SIM_DET["params"], **params)
         if command == "sweep":
             del cfg["params"]["arrival"], cfg["params"]["service"]
-        cap = (experiments.MAX_ERROR_DRAWS if "error_draws" in params
-               else aoi.MAX_UPDATES)
+        if "error_draws" in params:
+            cap = experiments.MAX_ERROR_DRAWS
+        elif params.get("replications", 0) > experiments.MAX_REPLICATIONS:
+            cap = experiments.MAX_REPLICATIONS
+        else:
+            cap = aoi.MAX_UPDATES
         assert main([write_config(tmp_path, cfg)]) == 4
         err = capsys.readouterr().err
         assert "category=numeric" in err and f"cap of {cap}" in err
@@ -708,6 +717,7 @@ class TestAtomicWrite:
          3, "category=domain pathloss factor"),
     ], ids=["deterministic-period", "poisson-rate", "fig3-gap", "fig4-gap",
             "fading-decay", "annulus-radius", "pathloss", "pathloss-underflow"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_typed_exit_code(self, tmp_path, capsys, cfg, code, message):
         # each of these once ended in a traceback: arrival times beyond the
         # float range, a fading decay rate that rounds to 0, an annulus
@@ -779,3 +789,55 @@ class TestStartupImports:
 
     def test_error_run_loads_scipy(self, tmp_path):
         assert "scipy" in self.loaded_after(tmp_path, {"command": "error", "seed": 1})
+
+
+class TestProcessEntry:
+    """``python -m stinqos`` ends through cli.run: flushed output, then
+    os._exit with main's code; main itself returns and never exits."""
+
+    PAOI = dict(TestStartupImports.PAOI, params=dict(
+        TestStartupImports.PAOI["params"], service={"kind": "fixed", "n": 64}))
+
+    @staticmethod
+    def spawn(tmp_path, cfg, module="stinqos", stdout_closed=False):
+        """Run one config in a fresh process with piped, block-buffered
+        output, or with its stdout closed."""
+        cfg = dict(cfg, output=str(tmp_path / "out.csv"))
+        src = str(Path(stinqos.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("PYTHONUNBUFFERED", None)
+        return subprocess.run([sys.executable, "-m", module, write_config(tmp_path, cfg)],
+                              env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True,
+                              preexec_fn=(lambda: os.close(1)) if stdout_closed else None)
+
+    @pytest.mark.parametrize("module", ["stinqos", "stinqos.cli"])
+    def test_run_flushes_and_matches_main(self, tmp_path, module):
+        res = self.spawn(tmp_path, self.PAOI, module)
+        out = tmp_path / "out.csv"
+        assert (res.returncode, res.stderr) == (0, "")
+        assert res.stdout.endswith(f"wrote {out}\n")
+        spawned = out.read_bytes()
+        out.unlink()
+        assert main([str(tmp_path / "run.json")]) == 0
+        assert out.read_bytes() == spawned
+
+    def test_run_without_stdout(self, tmp_path):
+        # a process started with its stdout closed has sys.stdout None
+        res = self.spawn(tmp_path, self.PAOI, stdout_closed=True)
+        assert (res.returncode, res.stderr) == (0, "")
+        assert (tmp_path / "out.csv").read_text().startswith("# build:")
+
+    def test_config_error_exit_code(self, tmp_path):
+        res = self.spawn(tmp_path, dict(self.PAOI, command="paoi-bund"))
+        assert res.returncode == 2
+        assert [line.split()[:2] for line in res.stderr.splitlines()] == [
+            ["error:", "category=config"]]
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    def test_refused_size_exit_code(self, tmp_path):
+        res = self.spawn(tmp_path, dict(AOI_SIM_DET, params=dict(
+            AOI_SIM_DET["params"], n_updates=aoi.MAX_UPDATES + 1)))
+        assert res.returncode == 4
+        assert res.stderr.startswith("error: category=numeric")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
