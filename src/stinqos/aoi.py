@@ -135,31 +135,16 @@ def geometric_attempts(u, epsilon: float) -> np.ndarray:
     return att
 
 
-def _departures(arrivals: np.ndarray, services: np.ndarray, prev: float,
-                out: np.ndarray) -> float:
-    """D[u] = max(D[u-1], A[u]) + S[u] over one block of rows into ``out``,
-    starting from the departure ``prev`` carried in from the rows before;
-    returns the block's last departure."""
-    # Python floats, since numpy scalar indexing costs more than the
-    # recursion; the conditional is max(prev, a), without the call overhead
-    block = []
-    for a, s in zip(arrivals.tolist(), services.tolist()):
-        prev = (a if a > prev else prev) + s
-        block.append(prev)
-    out[:] = block
-    return prev
-
-
 def departure_rows(arrivals: np.ndarray, services: np.ndarray,
                    dep_prev: np.ndarray | None = None,
                    arr_prev: float = 0.0) -> np.ndarray:
-    """FCFS departures for every row of a (rows, N) service matrix at once.
+    """FCFS departures D[u] = max(D[u-1], A[u]) + S[u] of every row of a
+    (rows, N) service matrix at once; trace_blocks runs it on one row.
 
     All rows share one arrival column. The float64 matrix is overwritten
     with the departures and returned, so a caller can reuse one buffer.
-    Each element gets the same max-then-add as trace_blocks, so every row
-    equals the departure column of trace_blocks([(arrivals, row)]) bit for
-    bit.
+    Every element gets the same max-then-add, so each row equals the
+    one-row result bit for bit.
 
     The columns may be one block of longer ones. ``dep_prev`` then holds
     each row's departure before the block and is overwritten with the
@@ -173,6 +158,15 @@ def departure_rows(arrivals: np.ndarray, services: np.ndarray,
     _check_block(arrivals, services, arr_prev)
     if dep_prev is None:
         dep_prev = np.full(len(services), -math.inf)
+    if len(services) == 1:  # Python floats: numpy scalar indexing costs more
+        # than the recursion, and the conditional is max(prev, a) without a call
+        prev, row = float(dep_prev[0]), []
+        for a, s in zip(arrivals.tolist(), services[0].tolist()):
+            prev = (a if a > prev else prev) + s
+            row.append(prev)
+        services[0] = row
+        dep_prev[0] = prev
+        return services
     buf = np.empty_like(dep_prev)
     prev = dep_prev
     for a, col in zip(arrivals.tolist(), services.T):
@@ -271,15 +265,13 @@ def trace_blocks(updates):
     a whole-column pass bit for bit while only one block exists. Each
     block's input checks run before its rows, against the carried arrival.
     """
-    dep_prev, arr_prev, start = -math.inf, 0.0, 0
+    dep_prev, arr_prev, start = np.full(1, -math.inf), 0.0, 0
     for arr, serv in updates:
         arr = np.asarray(arr, dtype=float)
         serv = np.asarray(serv, dtype=float)
-        _check_block(arr, serv[np.newaxis], arr_prev)
+        dep = departure_rows(arr, serv[np.newaxis].copy(), dep_prev, arr_prev)[0]
         if not arr.size:
             continue
-        dep = np.empty(len(arr))
-        dep_prev = _departures(arr, serv, dep_prev, dep)
         soj = dep - arr
         peak = np.diff(arr, prepend=arr_prev)
         peak += soj

@@ -25,10 +25,12 @@ from .errors import DomainError, NumericError
 
 SPEED_OF_LIGHT = 3.0e8  # m/s, free-space value used throughout
 
-# Deterministic sub-stream labels hung off a scenario seed.
+# Deterministic sub-stream labels hung off a scenario's or a sweep's seed.
 STREAM_PLACEMENT = 0
 STREAM_CHANNEL = 1
 STREAM_TRACE = 2
+_STREAM_SWEEP_EPS = 10
+_STREAM_SWEEP_TRACE = 11
 
 # Interferers a scenario may hold, refused before placement draws anything:
 # 100 times fig. 3's K = 10. A Monte Carlo block of their gains, 2^14 rows
@@ -444,9 +446,7 @@ class Scenario:
 
     def rng(self, stream: int, index: int = 0) -> np.random.Generator:
         """Independent generator for one named sub-stream of this scenario."""
-        return np.random.default_rng(
-            np.random.SeedSequence(self.seed, spawn_key=(stream, index))
-        )
+        return _stream_rng(self.seed, stream, index)
 
     @cached_property
     def interferer_coefficients(self) -> np.ndarray:
@@ -466,6 +466,11 @@ class Scenario:
     def avg_rx_snr(self) -> float:
         """Average received satellite SNR phi_s P_s E|h|^2 (linear)."""
         return self.satellite_coefficient * self.fading.mean_power
+
+
+def _stream_rng(seed: int, stream: int, index: int = 0) -> np.random.Generator:
+    """Generator of sub-stream (``stream``, ``index``) of ``seed``."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, index)))
 
 
 def sinr(s: Scenario, h_gain, i_a):

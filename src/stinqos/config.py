@@ -80,6 +80,12 @@ _PARAM_DEFAULTS = {
 }
 # Mean gap of the arrival model an omitted arrival block stands for
 _DEFAULT_GAP_CU = 4096.0
+# Keys that each model kind refuses: they set the other kind of its block,
+# so they would be echoed in the header but never used.
+_OTHER_KIND_KEYS = {"deterministic": ("rate",), "poisson": ("period",),
+                    "fixed": ("epsilon",),
+                    "constant_rate": ("rate_per_block", "batch_bits"),
+                    "poisson_batch": ("alpha_bits",)}
 _KIND_NAMES = {float: "finite number", int: "integer", str: "string",
                bool: "boolean"}
 
@@ -93,7 +99,7 @@ class RunConfig:
     command: str
     seed: int
     output: str
-    scenario: Scenario
+    scenario: Scenario | None  # None for a sweep, as are coding and error_model
     coding: "object"
     error_model: "object"
     params: dict
@@ -208,17 +214,31 @@ def build_config(raw: dict) -> RunConfig:
         # the path is echoed in a '#' comment line of the CSV it names
         raise ConfigError(f"output must not contain a line break, got {output!r}")
 
-    try:
-        scenario = _build_scenario(raw.get("scenario"), seed, defaults_used)
-        coding = _build_coding(raw.get("coding"), defaults_used)
-        error_model = _build_error_model(raw.get("error_model"), defaults_used)
-    except ConfigError:
-        raise
-    except (StinQosError, TypeError) as exc:
-        raise ConfigError(str(exc)) from None
+    scenario = coding = error_model = None
+    if command == "sweep":
+        for key in ("scenario", "coding", "error_model"):
+            if key in raw:
+                raise ConfigError(
+                    f"a sweep takes no {key!r} block; params.blocklength, "
+                    f"params.code_size, params.fig_k, params.avg_snr_db, "
+                    f"params.inr_db and params.quad_tolerance set its link")
+    else:
+        try:
+            scenario = _build_scenario(raw.get("scenario"), seed, defaults_used)
+            coding = _build_coding(raw.get("coding"), defaults_used)
+            error_model = _build_error_model(raw.get("error_model"), defaults_used)
+        except ConfigError:
+            raise
+        except (StinQosError, TypeError) as exc:
+            raise ConfigError(str(exc)) from None
 
     params = raw.get("params", {})
     _check_params(params, _PARAM_KINDS[command], "params")
+    if command == "delay-bound":
+        _refuse_other_kind(params, params.get("arrival_kind", "constant_rate"), "params")
+    for key in ("arrival", "service"):
+        if isinstance(params.get(key), dict):
+            _refuse_other_kind(params[key], params[key].get("kind"), f"params.{key}")
     if command == "sweep":
         if "figure" not in params:
             raise ConfigError("sweep command requires params.figure")
@@ -240,6 +260,13 @@ def build_config(raw: dict) -> RunConfig:
         params=params,
         defaults_used=defaults_used,
     )
+
+
+def _refuse_other_kind(block: dict, kind, path: str) -> None:
+    """Refuse a key of ``block`` that sets another kind than ``kind``."""
+    for key in _OTHER_KIND_KEYS.get(kind, ()):
+        if key in block:
+            raise ConfigError(f"{path}.{key} is not a parameter of kind {kind!r}")
 
 
 def _build_scenario(block, seed: int, defaults_used: list) -> Scenario:
@@ -287,8 +314,7 @@ def build_arrival(block, defaults_used: list) -> ArrivalModel:
 
 def build_service(block, defaults_used: list, rc: RunConfig) -> ServiceModel:
     """Service model; n defaults to coding.blocklength and an ARQ epsilon to
-    the scenario's average error. A fixed service is ARQ at epsilon 0 and
-    takes no epsilon."""
+    the scenario's average error. A fixed service is ARQ at epsilon 0."""
     given = block is not None
     if not given:
         block = {}
@@ -296,9 +322,6 @@ def build_service(block, defaults_used: list, rc: RunConfig) -> ServiceModel:
     n = block.get("n", rc.coding.blocklength)
     epsilon = block.get("epsilon")
     if block.get("kind", "arq") == "fixed":
-        if "epsilon" in block:
-            raise ConfigError("params.service.epsilon is not a parameter of a "
-                              "fixed service, which never fails")
         epsilon = 0.0
     elif epsilon is None:
         epsilon = average_error(rc.scenario, rc.coding, rc.error_model).value
@@ -329,17 +352,18 @@ def apply_overrides(raw: dict, overrides: list) -> dict:
 
 def echo_params(rc: RunConfig) -> dict:
     """Flattened effective configuration for the CSV comment header: every
-    field of the resolved scenario, coding and error model, the defaults
-    noted, and every command parameter."""
-    flat = {"command": rc.command, "seed": rc.seed, "output": rc.output,
-            "scenario.rx_antennas": rc.scenario.rx_antennas}
-    for path, obj in (("coding", rc.coding), ("error_model", rc.error_model),
-                      ("scenario.satellite", rc.scenario.satellite),
-                      ("scenario.fading", rc.scenario.fading),
-                      ("scenario.interferers", rc.scenario.interferers)):
-        for f in fields(obj):
-            flat[f"{path}.{f.name}"] = getattr(obj, f.name)
-    flat["coding.rate_nats"] = flat.pop("coding.rate")
+    field of the resolved scenario, coding and error model (none for a
+    sweep), the defaults noted, and every command parameter."""
+    flat = {"command": rc.command, "seed": rc.seed, "output": rc.output}
+    if rc.scenario is not None:
+        flat["scenario.rx_antennas"] = rc.scenario.rx_antennas
+        for path, obj in (("coding", rc.coding), ("error_model", rc.error_model),
+                          ("scenario.satellite", rc.scenario.satellite),
+                          ("scenario.fading", rc.scenario.fading),
+                          ("scenario.interferers", rc.scenario.interferers)):
+            for f in fields(obj):
+                flat[f"{path}.{f.name}"] = getattr(obj, f.name)
+        flat["coding.rate_nats"] = flat.pop("coding.rate")
     for i, note in enumerate(rc.defaults_used):
         flat[f"default.{i}"] = note
     for key, value in sorted(rc.params.items()):

@@ -56,10 +56,6 @@ from .fbc import (
 )
 from .snc import paoi_bound
 
-# RNG stream labels under the sweep seed
-_STREAM_EPS = 10
-_STREAM_TRACE = 11
-
 # Error draws a fig3 or stin_psn sweep may take. The error table holds one
 # block of 2^14 draws of each gain whatever the count, so the cap bounds
 # time: at the default grids it takes about 0.25 s per 10^5 draws on a
@@ -225,7 +221,8 @@ def _coupled_error_table(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
     coding = CodingSpec(blocklength=spec.blocklength, code_size=spec.code_size)
     sums = np.zeros((2, len(spec.k_grid), len(spec.snr_points_db)))
     for h_sat, e_gains, h_ter in channel._gain_blocks(
-            base.fading, base.rng(_STREAM_EPS), spec.error_draws, interferers, relay):
+            base.fading, base.rng(channel._STREAM_SWEEP_EPS), spec.error_draws,
+            interferers, relay):
         for ki, k in enumerate(spec.k_grid):
             i_a = e_gains[:, :k] @ coeff[:k] if k else 0.0
             for si in range(len(spec.snr_points_db)):
@@ -273,9 +270,7 @@ def _sweep_means(spec: SweepSpec, eps_sat: np.ndarray, eps_ter: np.ndarray) -> n
     buf = np.empty((2 * len(points), min(n, aoi._TRACE_ROWS)))
     sums = np.zeros((len(buf), spec.replications))
     for rep in range(spec.replications):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(spec.seed, spawn_key=(_STREAM_TRACE, rep))
-        )
+        rng = channel._stream_rng(spec.seed, channel._STREAM_SWEEP_TRACE, rep)
         dep_prev, arr_prev = np.full(len(buf), -math.inf), 0.0
         for arrivals, u_att, v_route in aoi._arrival_blocks(arrival, n, rng,
                                                             _uniforms, _uniforms):
@@ -384,9 +379,7 @@ def run_fig4(spec: SweepSpec) -> list[dict]:
     exponent grid at a fixed threshold. The models and the simulated
     violation frequency are computed once; only the bound depends on theta."""
     am, sm, eps = fig4_models(spec)
-    rng = np.random.default_rng(
-        np.random.SeedSequence(spec.seed, spawn_key=(_STREAM_TRACE, 0))
-    )
+    rng = channel._stream_rng(spec.seed, channel._STREAM_SWEEP_TRACE)
     trace = trace_blocks(update_blocks(am, sm, spec.fig4_n_updates, rng))
     empirical = trace_violation_frequency(trace, spec.a_th_cu)
     reports = [paoi_bound(theta, spec.a_th_cu, spec.blocklength, None, am, sm)

@@ -31,9 +31,12 @@ _RHO_TOL = 1e-6
 # Monte Carlo SINR draws a run may take, refused before any draw. The error
 # path holds one block of draws whatever the count, so the cap bounds its
 # time: about 0.4 s per 10^6 draws at K = 5 on a 2-CPU VM, some 40 s at the
-# cap. The exponent path holds its whole SINR column and its Gallager
-# terms, 33 B per draw by tracemalloc, so about 3.3 GB at the cap.
+# cap.
 MAX_SAMPLE_BUDGET = 10 ** 8
+# The exponent path holds its whole SINR column and its Gallager terms, 33 B
+# per draw by tracemalloc, so its own cap bounds its memory: 352 MB of peak
+# RSS and 4.4 s at the cap on a 2-CPU VM, against about 3.3 GB at 10^8.
+_MAX_EXPONENT_DRAWS = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -209,7 +212,7 @@ def _sinr_rules(s: Scenario, panel_counts):
     i_a, iw = _interference_nodes(s.interferer_coefficients)
     for n_panels in panel_counts:
         x, w = srician_quad_nodes(s.fading, n_panels)
-        yield ((s.satellite_coefficient * x[:, None] / (1.0 + i_a[None, :])).ravel(),
+        yield (channel.sinr(s, x[:, None], i_a[None, :]).ravel(),
                (w[:, None] * iw[None, :]).ravel())
 
 
@@ -298,6 +301,9 @@ def error_exponent_samples(
 def error_exponent(s: Scenario, spec: CodingSpec, em: ErrorModel) -> QoSReport:
     """Error-rate QoS exponent sup_rho {E0(rho) - rho R*} for the scenario."""
     if em.method == "monte_carlo":
+        if em.sample_budget > _MAX_EXPONENT_DRAWS:
+            raise NumericError(f"{em.sample_budget} Monte Carlo draws exceed the cap "
+                               f"of {_MAX_EXPONENT_DRAWS} on an exponent")
         gam, wts = sinr_samples(s, em.sample_budget), None
     else:
         rules = _sinr_rules(s, (96, 192))

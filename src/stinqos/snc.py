@@ -58,6 +58,14 @@ def _log_mellin_service(theta: float, sm: ServiceModel) -> float:
     )
 
 
+def _log_lag_terms(theta: float, am: ArrivalModel,
+                   sm: ServiceModel) -> tuple[float, float]:
+    """log M_S(1+theta) and the log lag ratio log M_S(1+theta) + log
+    M_I(1-theta), the factor each further lag adds to the peak-AoI kernel."""
+    log_ms = _log_mellin_service(1.0 + theta, sm)
+    return log_ms, log_ms + _log_mellin_gap(1.0 - theta, am)
+
+
 def _safe_exp(x: float) -> float:
     return math.inf if x > 709.0 else math.exp(x)
 
@@ -127,8 +135,7 @@ def log_paoi_kernel(
     if u is not None and u < 1:
         raise DomainError(f"update index must be >= 1, got {u}")
     log_lead = _log_mellin_gap(1.0 + theta, am)
-    log_ms = _log_mellin_service(1.0 + theta, sm)
-    log_ratio = log_ms + _log_mellin_gap(1.0 - theta, am)
+    log_ms, log_ratio = _log_lag_terms(theta, am, sm)
     if u is not None:
         return log_lead + log_ms + _log_geometric_sum(log_ratio, u)
     if log_ratio >= 0.0:
@@ -155,12 +162,8 @@ def paoi_theta_interval(am: ArrivalModel, sm: ServiceModel) -> tuple[float, floa
         caps.append(am.rate)
     if sm.epsilon > 0.0:
         caps.append(math.log(1.0 / sm.epsilon) / sm.n)
-    t_max = min(caps)
-
-    def log_ratio(theta: float) -> float:
-        return _log_mellin_service(1.0 + theta, sm) + _log_mellin_gap(1.0 - theta, am)
-
-    return 0.0, _stable_edge(log_ratio, t_max, 1.0 / am.mean_gap)
+    return 0.0, _stable_edge(lambda theta: _log_lag_terms(theta, am, sm)[1],
+                             min(caps), 1.0 / am.mean_gap)
 
 
 def paoi_bound(
@@ -274,11 +277,20 @@ def _log_mellin_served(theta: float, bits: float, eps: float) -> float:
     return math.log(eps + (1.0 - eps) * math.exp(-theta * bits))
 
 
+def _log_delay_terms(theta: float, arrival: BitArrival, bits: float,
+                     eps: float) -> tuple[float, float, float]:
+    """log M_A(1+theta), log M_S(1-theta) and their sum, the log of the
+    product that is below 1 exactly at a stable theta."""
+    log_ma = arrival.log_mellin(theta)
+    log_ms = _log_mellin_served(theta, bits, eps)
+    return log_ma, log_ms, log_ma + log_ms
+
+
 def stability_check(
     theta: float, arrival: BitArrival, spec: CodingSpec, eps: float
 ) -> tuple[bool, float]:
     """Whether M_A(1+theta) M_S(1-theta) < 1, plus the product as margin."""
-    log_p = arrival.log_mellin(theta) + _log_mellin_served(theta, spec.bits_per_block, eps)
+    log_p = _log_delay_terms(theta, arrival, spec.bits_per_block, eps)[2]
     return log_p < 0.0, _safe_exp(log_p)
 
 
@@ -294,31 +306,26 @@ def delay_bound(d_th: float, arrival: BitArrival, spec: CodingSpec, eps: float) 
     if d_th < 0:
         raise DomainError(f"d_th must be >= 0, got {d_th}")
     bits, mean = spec.bits_per_block, arrival.mean_bits
-
-    def log_terms(theta: float) -> tuple[float, float]:
-        log_ms = _log_mellin_served(theta, bits, eps)
-        return log_ms, arrival.log_mellin(theta) + log_ms
-
     if mean >= (1.0 - eps) * bits:
         raise StabilityError(
             f"no stable theta: mean arrival {mean:g} bits >= mean service "
             f"{(1.0 - eps) * bits:g} bits per block",
-            margin=_safe_exp(log_terms(1.0 / bits)[1]),
+            margin=stability_check(1.0 / bits, arrival, spec, eps)[1],
         )
     # log M_A(1+theta) >= theta E[A] and log M_S(1-theta) > log eps
     t_max = -math.log(eps) / mean if eps > 0.0 and mean > 0.0 else math.inf
-    theta_hi = _stable_edge(lambda theta: log_terms(theta)[1], t_max, 1.0 / bits)
+    theta_hi = _stable_edge(lambda theta: _log_delay_terms(theta, arrival, bits, eps)[2],
+                            t_max, 1.0 / bits)
     # Rounding sets the edge when the convex log product is not resolved on
     # the stable set: at its midpoint it must lie below the rounding of its
     # two terms, 16 ulps of their sizes.
-    mid = 0.5 * theta_hi
-    log_ma, log_ms = arrival.log_mellin(mid), _log_mellin_served(mid, bits, eps)
-    if not log_ma + log_ms < -16.0 * sys.float_info.epsilon * (abs(log_ma) + abs(log_ms)):
+    log_ma, log_ms, log_p = _log_delay_terms(0.5 * theta_hi, arrival, bits, eps)
+    if not log_p < -16.0 * sys.float_info.epsilon * (abs(log_ma) + abs(log_ms)):
         raise NumericError("no resolved stable theta in double precision: load "
                            "within rounding of the service rate")
 
     def log_kernel(theta: float) -> float:
-        log_ms, log_p = log_terms(theta)
+        _, log_ms, log_p = _log_delay_terms(theta, arrival, bits, eps)
         return math.inf if log_p >= 0.0 else d_th * log_ms - math.log(-math.expm1(log_p))
 
     # convex, and +inf at both ends of (0, theta_hi)
@@ -338,7 +345,7 @@ def delay_bound(d_th: float, arrival: BitArrival, spec: CodingSpec, eps: float) 
             "avg_error": eps,
             "bits_per_block": bits,
             "arrival": arrival,
-            "stability_margin": _safe_exp(log_terms(theta_star)[1]),
+            "stability_margin": stability_check(theta_star, arrival, spec, eps)[1],
             "theta_hi": theta_hi,
         },
     )

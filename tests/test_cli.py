@@ -472,6 +472,25 @@ class TestHeaderRecordsRun:
             f"params.{f.name}" for f in fields(experiments.SweepSpec)}
         assert header["params.seed"] == "3"
         assert header["params.n_grid"] == "[100, 200, 500, 1000, 2000]"
+        # a sweep builds no scenario, coding or error model, so it echoes none
+        assert not [k for k in header if k.startswith(
+            ("scenario.", "coding.", "error_model.", "default."))]
+
+    @pytest.mark.parametrize("key, block", [
+        ("scenario", {"k": 2}), ("coding", {"blocklength": 128, "code_size": 4}),
+        ("error_model", {"method": "quadrature"})])
+    def test_sweep_refuses_link_blocks(self, tmp_path, capsys, key, block):
+        # a sweep sets its link by params keys; a top-level block would be
+        # echoed in the header but never used
+        cfg = {"command": "sweep", "seed": 1, "output": str(tmp_path / "s.csv"),
+               "params": {"figure": "fig5", "n_grid": [100]}, key: block}
+        assert main([write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"category=config a sweep takes no {key!r} block" in err
+        for param in ("blocklength", "code_size", "fig_k", "avg_snr_db", "inr_db",
+                      "quad_tolerance"):
+            assert f"params.{param}" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
     def test_every_interferer_field(self, tmp_path):
         scenario = json.loads(json.dumps(THEOREM_CONFIG["scenario"]))
@@ -495,6 +514,34 @@ class TestHeaderRecordsRun:
         assert main([write_config(tmp_path, cfg)]) == 2
         err = capsys.readouterr().err
         assert "category=config params.service.epsilon" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    @pytest.mark.parametrize("command", ["aoi-sim", "paoi-bound"])
+    @pytest.mark.parametrize("arrival, key", [
+        ({"kind": "deterministic", "period": 80.0, "rate": 0.5}, "rate"),
+        ({"kind": "poisson", "rate": 0.004, "period": 80.0}, "period")])
+    def test_arrival_refuses_other_kind_key(self, tmp_path, capsys, command,
+                                            arrival, key):
+        cfg = dict(AOI_SIM_DET, command=command, output=str(tmp_path / "t.csv"),
+                   params=dict(AOI_SIM_DET["params"], arrival=arrival))
+        assert main([write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert (f"category=config params.arrival.{key} is not a parameter of "
+                f"kind {arrival['kind']!r}") in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    @pytest.mark.parametrize("params, key", [
+        ({"arrival_kind": "poisson_batch", "alpha_bits": 5.0}, "alpha_bits"),
+        ({"arrival_kind": "constant_rate", "rate_per_block": 0.5}, "rate_per_block"),
+        ({"arrival_kind": "constant_rate", "batch_bits": 20.0}, "batch_bits"),
+        ({"batch_bits": 20.0}, "batch_bits")])  # constant_rate by default
+    def test_delay_bound_refuses_other_kind_key(self, tmp_path, capsys, params, key):
+        cfg = {"command": "delay-bound", "seed": 1, "output": str(tmp_path / "d.csv"),
+               "params": params}
+        assert main([write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        kind = params.get("arrival_kind", "constant_rate")
+        assert f"category=config params.{key} is not a parameter of kind {kind!r}" in err
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
     @pytest.mark.parametrize("command", ["aoi-sim", "paoi-bound"])
@@ -656,8 +703,24 @@ class TestAtomicWrite:
                "error_model": {"method": "monte_carlo", "sample_budget": budget}}
         assert main([write_config(tmp_path, cfg)]) == 4
         err = capsys.readouterr().err
+        # the exponent's own, lower cap refuses it first
+        cap = fbc._MAX_EXPONENT_DRAWS if command == "exponent" else fbc.MAX_SAMPLE_BUDGET
         assert f"category=numeric {budget} Monte Carlo draws exceed the cap of " \
-            f"{fbc.MAX_SAMPLE_BUDGET}" in err and "Traceback" not in err
+            f"{cap}" in err and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    @pytest.mark.parametrize("budget", [10 ** 7 + 1, 10 ** 8])
+    def test_exponent_draws_above_cap_numeric_exit_code(self, tmp_path, capsys,
+                                                        monkeypatch, budget):
+        # the exponent holds every draw at once: 352 MB of RSS at 10^7
+        monkeypatch.setattr(fbc, "sinr_samples",
+                            lambda *args: pytest.fail("the exponent drew"))
+        cfg = {"command": "exponent", "seed": 1, "output": str(tmp_path / "t.csv"),
+               "error_model": {"method": "monte_carlo", "sample_budget": budget}}
+        assert main([write_config(tmp_path, cfg)]) == 4
+        err = capsys.readouterr().err
+        assert f"category=numeric {budget} Monte Carlo draws exceed the cap of " \
+            f"{10 ** 7}" in err
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
     @pytest.mark.parametrize("cfg, code", [

@@ -219,7 +219,7 @@ class TestFig4:
         spec = SweepSpec(figure="fig4", fig4_n_updates=3 * aoi._TRACE_ROWS + 5,
                          a_th_cu=1000.0, theta_grid=(0.002,))
         rng = np.random.default_rng(
-            np.random.SeedSequence(spec.seed, spawn_key=(experiments._STREAM_TRACE, 0)))
+            np.random.SeedSequence(spec.seed, spawn_key=(channel._STREAM_SWEEP_TRACE, 0)))
         am, sm, _ = fig4_models(spec)
         times = whole_updates(am, sm, spec.fig4_n_updates, rng)
         want = trace_violation_frequency(trace_blocks([times]), spec.a_th_cu)

@@ -115,6 +115,13 @@ GOLDEN = {
         {"command": "delay-bound", "seed": 1},
         "3ebee6727350996e0ed85e34376f713473632dcfaab3328e08b44b921a67e903",
     ),
+    # the Poisson batch arrival of the bit-domain delay bound
+    "delay_bound_poisson_batch": (
+        {"command": "delay-bound", "seed": 1,
+         "params": {"arrival_kind": "poisson_batch", "rate_per_block": 0.6,
+                    "batch_bits": 24.0, "d_th_blocks": 6.0}},
+        "e32446b862014d01668d7d0f108304c5a50ce070c34ec52f46cb1f17a3b1ab7c",
+    ),
 }
 
 

@@ -111,6 +111,37 @@ class TestPaoiKernel:
         assert math.exp(log_paoi_kernel(0.05, 3, am, sm)) == pytest.approx(hand,
                                                                            rel=1e-12)
 
+    @staticmethod
+    def mp_log_kernel(theta, u, period, n, eps):
+        """log K(theta, u) of deterministic gaps of ``period`` and ARQ cycles
+        of n at error eps, summed lag by lag in 50-digit arithmetic, with the
+        log lag ratio."""
+        with mpmath.workdps(50):
+            theta, eps = mpmath.mpf(theta), mpmath.mpf(eps)
+            e = mpmath.exp(theta * n)
+            ms = (1 - eps) * e / (1 - eps * e)  # E[e^{theta S}]
+            ratio = ms * mpmath.exp(-theta * period)
+            total = sum(mpmath.exp(theta * period) * ms * ratio ** lag
+                        for lag in range(u))
+            return float(mpmath.log(total)), float(mpmath.log(ratio))
+
+    def test_finite_sum_past_stable_edge(self):
+        # a growing lag ratio, where the sum is taken from its largest term
+        am, sm = ArrivalModel.deterministic(80.0), ServiceModel.arq(64, 0.1)
+        theta = 0.9 * math.log(1 / 0.1) / 64  # below the service pole
+        assert theta > paoi_theta_interval(am, sm)[1]
+        want, log_ratio = self.mp_log_kernel(theta, 50, 80.0, 64, 0.1)
+        assert log_ratio > 0.5
+        assert log_paoi_kernel(theta, 50, am, sm) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("period", [64.0, 64.0 * (1 + 1e-15)])
+    def test_finite_sum_of_ratio_rounding_to_one(self, period):
+        # the flat sum: the lag ratio is 1 within 1e-14
+        am, sm = ArrivalModel.deterministic(period), ServiceModel.fixed(64)
+        want, log_ratio = self.mp_log_kernel(0.01, 1000, period, 64, 0.0)
+        assert abs(log_ratio) < 1e-14
+        assert log_paoi_kernel(0.01, 1000, am, sm) == pytest.approx(want, rel=1e-12)
+
     def test_steady_state_truncation(self):
         am, sm = ArrivalModel.poisson(1 / 256), ServiceModel.arq(64, 0.1)
         k_inf = math.exp(log_paoi_kernel(0.003, None, am, sm))

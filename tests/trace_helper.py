@@ -43,7 +43,7 @@ def whole_rep_draws(spec, rep):
     """Arrival times and the ARQ and relay uniform columns of one fig3
     replication, each drawn whole in turn."""
     rng = np.random.default_rng(
-        np.random.SeedSequence(spec.seed, spawn_key=(experiments._STREAM_TRACE, rep)))
+        np.random.SeedSequence(spec.seed, spawn_key=(channel._STREAM_SWEEP_TRACE, rep)))
     gaps = ArrivalModel.poisson(1.0 / spec.arrival_mean_gap_cu).sample_gaps(
         spec.n_updates, rng)
     u_att = rng.random(spec.n_updates)
@@ -64,7 +64,7 @@ def whole_error_table(spec):
         k=k_max, avg_snr_db=spec.avg_snr_db, inr_db=spec.inr_db, seed=spec.seed
     )
     coeff = base.interferer_coefficients
-    rng = base.rng(experiments._STREAM_EPS)
+    rng = base.rng(channel._STREAM_SWEEP_EPS)
     draws = spec.error_draws
     h_sat = channel.sample_channel_gain(base.fading, rng, size=draws)
     e_gains = rng.exponential(1.0, size=(draws, k_max))
