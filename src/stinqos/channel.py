@@ -395,6 +395,8 @@ class InterfererField:
         if self.count > MAX_INTERFERERS:
             raise DomainError(f"interferer count {self.count} exceeds the cap of "
                               f"{MAX_INTERFERERS}")
+        if not self.carrier_hz > 0:
+            raise DomainError(f"carrier_hz must be > 0, got {self.carrier_hz}")
         if not 0 < self.r_inner_m < self.r_outer_m:
             raise DomainError(
                 f"annulus radii must satisfy 0 < r_inner_m < r_outer_m, "
@@ -413,9 +415,13 @@ class InterfererField:
         d = np.asarray(distances_m, dtype=float)
         if not d.size:
             return np.zeros(0)
-        free_space = SPEED_OF_LIGHT / (4.0 * np.pi * self.carrier_hz * d)
-        return (free_space ** 2 * _db_to_linear(self.gain_tx_dbi + self.gain_rx_dbi)
-                * self.tx_snr)
+        with np.errstate(over="ignore"):
+            coef = ((SPEED_OF_LIGHT / (4.0 * np.pi * self.carrier_hz * d)) ** 2
+                    * _db_to_linear(self.gain_tx_dbi + self.gain_rx_dbi) * self.tx_snr)
+        if not np.all(coef < math.inf):  # a power that overflows a float
+            raise DomainError(f"interferer power at carrier_hz={self.carrier_hz} "
+                              f"overflows a float")
+        return coef
 
 
 def place_interferers(f: InterfererField, rng: np.random.Generator) -> np.ndarray:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import difflib
 import json
-import math
+import sys
 import typing
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -40,8 +40,8 @@ def _field_kinds(cls) -> dict:
     return kinds
 
 
-# Allowed value kinds of each key of a config block: a type (float admits
-# any JSON number a finite float holds, not NaN, Infinity or an integer
+# Allowed value kinds of each key of a config block: a type (float and int
+# admit only numbers a finite float holds, no NaN, Infinity or integer
 # beyond the float range; no type admits a boolean unless it is bool), a
 # literal value, a one-item list for a JSON array of that kind, a dict for
 # a nested object, or a tuple of alternatives (an object or null is
@@ -86,7 +86,7 @@ _OTHER_KIND_KEYS = {"deterministic": ("rate",), "poisson": ("period",),
                     "fixed": ("epsilon",),
                     "constant_rate": ("rate_per_block", "batch_bits"),
                     "poisson_batch": ("alpha_bits",)}
-_KIND_NAMES = {float: "finite number", int: "integer", str: "string",
+_KIND_NAMES = {float: "finite number", int: "finite integer", str: "string",
                bool: "boolean"}
 
 
@@ -122,11 +122,9 @@ def _is_kind(value, kind) -> bool:
         return value == kind
     if isinstance(value, bool):
         return kind is bool
-    if kind is float:
-        try:
-            return isinstance(value, (int, float)) and math.isfinite(value)
-        except OverflowError:  # an integer beyond the float range
-            return False
+    if kind in (int, float):  # a number a finite float holds
+        return (isinstance(value, (int, float) if kind is float else int)
+                and abs(value) <= sys.float_info.max)
     return isinstance(value, kind)
 
 

@@ -1,9 +1,10 @@
 """Mellin-transform network calculus bounds for peak AoI and queueing delay.
 
 Random times are mapped to the exponential domain (X = e^T), where the
-Mellin transform M_X(theta) = E[X^(theta-1)] is the moment generating
-function of T at theta - 1. Closed forms exist for the supported arrival
-and service models; the peak-AoI kernel combines them into a Chernoff-type
+Mellin transform M_X(1+s) = E[X^s] is the moment generating function of T
+at s. Every transform here takes that exponent s (theta or -theta), and
+each kernel is a lead term times the geometric series of one lag ratio,
+summed by _log_geometric_sum. The peak-AoI kernel gives a Chernoff-type
 violation bound, and the bit-domain service process gives the delay bound
 with its stability condition. The delay layer sees the link only through
 the bits per block and the average decoding error probability eps, which
@@ -30,51 +31,42 @@ _THETA_TOL = 1e-9
 # Transforms of inter-arrival and service times (channel-use domain)
 # ---------------------------------------------------------------------------
 
-def _log_mellin_gap(theta: float, am: ArrivalModel) -> float:
-    """log E[e^{(theta-1) G}] for a single inter-arrival gap."""
-    s = theta - 1.0
+def _log_mellin_gap(s: float, am: ArrivalModel) -> float:
+    """log E[e^{s G}] = log M_I(1+s) for a single inter-arrival gap."""
     if am.kind == "deterministic":
         return s * am.period
     if s >= am.rate:
-        raise DomainError(
-            f"inter-arrival transform diverges: theta-1={s:g} >= rate={am.rate:g}"
-        )
+        raise DomainError(f"inter-arrival transform diverges: s={s:g} >= rate={am.rate:g}")
     return -math.log1p(-s / am.rate)
 
 
-def _log_mellin_service(theta: float, sm: ServiceModel) -> float:
-    """log E[e^{(theta-1) S}] for a single update's service time."""
-    s = theta - 1.0
+def _log_mellin_service(s: float, sm: ServiceModel) -> float:
+    """log E[e^{s S}] = log M_S(1+s) for a single update's service time."""
     if sm.epsilon == 0.0:
         return s * sm.n
     if s * sm.n >= math.log(1.0 / sm.epsilon):
-        raise DomainError(
-            f"service transform diverges: (theta-1)*n={s * sm.n:g} >= "
-            f"ln(1/epsilon)={math.log(1.0 / sm.epsilon):g}"
-        )
-    return (
-        math.log1p(-sm.epsilon) + s * sm.n
-        - math.log1p(-sm.epsilon * math.exp(s * sm.n))
-    )
+        raise DomainError(f"service transform diverges: s*n={s * sm.n:g} >= "
+                          f"ln(1/epsilon)={math.log(1.0 / sm.epsilon):g}")
+    return (math.log1p(-sm.epsilon) + s * sm.n
+            - math.log1p(-sm.epsilon * math.exp(s * sm.n)))
 
 
 def _log_lag_terms(theta: float, am: ArrivalModel,
                    sm: ServiceModel) -> tuple[float, float]:
     """log M_S(1+theta) and the log lag ratio log M_S(1+theta) + log
     M_I(1-theta), the factor each further lag adds to the peak-AoI kernel."""
-    log_ms = _log_mellin_service(1.0 + theta, sm)
-    return log_ms, log_ms + _log_mellin_gap(1.0 - theta, am)
+    log_ms = _log_mellin_service(theta, sm)
+    return log_ms, log_ms + _log_mellin_gap(-theta, am)
 
 
 def _safe_exp(x: float) -> float:
     return math.inf if x > 709.0 else math.exp(x)
 
 
-def _log_geometric_sum(log_r: float, terms: int) -> float:
-    """log of sum_{j=0}^{terms-1} r^j, overflow-safe for any log ratio."""
-    if terms < 1:
-        raise ValueError("geometric sum needs at least one term")
-    if abs(log_r) < 1e-14:  # exp(log_r) rounds to 1; sum is essentially flat
+def _log_geometric_sum(log_r: float, terms: float = math.inf) -> float:
+    """log of sum_{j=0}^{terms-1} r^j, overflow-safe for any log ratio; the
+    whole series (terms = inf) is inf where r >= 1."""
+    if log_r == 0.0:
         return math.log(terms)
     if log_r > 0.0:
         return (terms - 1) * log_r + _log_geometric_sum(-log_r, terms)
@@ -134,16 +126,14 @@ def log_paoi_kernel(
         raise DomainError(f"theta must be > 0, got {theta}")
     if u is not None and u < 1:
         raise DomainError(f"update index must be >= 1, got {u}")
-    log_lead = _log_mellin_gap(1.0 + theta, am)
     log_ms, log_ratio = _log_lag_terms(theta, am, sm)
-    if u is not None:
-        return log_lead + log_ms + _log_geometric_sum(log_ratio, u)
-    if log_ratio >= 0.0:
+    if u is None and log_ratio >= 0.0:
         raise StabilityError(
             f"kernel sum diverges: term ratio {_safe_exp(log_ratio):g} >= 1",
             margin=_safe_exp(log_ratio),
         )
-    return log_lead + log_ms - math.log(-math.expm1(log_ratio))
+    return (_log_mellin_gap(theta, am) + log_ms
+            + _log_geometric_sum(log_ratio, math.inf if u is None else u))
 
 
 def paoi_theta_interval(am: ArrivalModel, sm: ServiceModel) -> tuple[float, float]:
@@ -326,7 +316,7 @@ def delay_bound(d_th: float, arrival: BitArrival, spec: CodingSpec, eps: float) 
 
     def log_kernel(theta: float) -> float:
         _, log_ms, log_p = _log_delay_terms(theta, arrival, bits, eps)
-        return math.inf if log_p >= 0.0 else d_th * log_ms - math.log(-math.expm1(log_p))
+        return d_th * log_ms + _log_geometric_sum(log_p)
 
     # convex, and +inf at both ends of (0, theta_hi)
     theta_star, log_k = golden_section_min(

@@ -263,15 +263,31 @@ class TestDispatch:
          "params.arrival.kind"),
         ("paoi-bound", {"service": {"kind": "harq", "n": 64}}, "params.service.kind"),
         ("delay-bound", "arrival_kind=bursty", "params.arrival_kind"),
+        # integers that a float cannot hold, at int keys
+        ("aoi-sim", {"service": {"kind": "arq", "n": 10 ** 400, "epsilon": 0.1}},
+         "params.service.n"),
+        ("paoi-bound", {"service": {"kind": "fixed", "n": 10 ** 400}}, "params.service.n"),
+        ("paoi-bound", {"service": {"kind": "arq", "n": 10 ** 400, "epsilon": 0.1}},
+         "params.service.n"),
+        ("paoi-bound", {"u": 10 ** 400}, "params.u"),
+        ("paoi-bound", {"blocklength": 10 ** 400, "code_size": 256}, "coding.blocklength"),
+        ("exponent", {"rx_antennas": 10 ** 400}, "scenario.rx_antennas"),
+        ("sweep", {"figure": "fig3", "blocklength": 10 ** 400}, "params.blocklength"),
+        ("sweep", {"figure": "fig4", "blocklength": -10 ** 400}, "params.blocklength"),
+        ("sweep", {"figure": "fig5", "n_grid": [10 ** 400]}, "params.n_grid"),
+        ("sweep", {}, "params.figure"),
+        ("error", "", "output"),
+        ("error", "x=1", "seed.x"),
     ])
     def test_params_value_type_config_exit_code(self, tmp_path, capsys,
                                                  command, params, key):
         # ``params`` is the content of the block that the key's first part
-        # names, or a ``--set`` override of one key of that block
+        # names, or, as KEY=VALUE text, a ``--set`` override of one key of
+        # that block
         out = tmp_path / "p.csv"
         block = key.split(".")[0]
         cfg = {"command": command, "seed": 1, "output": str(out)}
-        if isinstance(params, str):
+        if isinstance(params, str) and "=" in params:
             argv = ["--set", f"{block}.{params}"]
         else:
             cfg[block], argv = params, []
@@ -282,13 +298,15 @@ class TestDispatch:
 
     @pytest.mark.parametrize("key", ["n_updates", "error_draws",
                                      "arrival_mean_gap_cu", "fig4_mean_gap_cu",
-                                     "fig4_n_updates", "theta_grid", "n_grid"])
+                                     "fig4_n_updates", "theta_grid", "n_grid",
+                                     "replications", "relay_prob"])
     def test_empty_sweep_config_exit_code(self, tmp_path, capsys, key, monkeypatch):
         # refused before any work: no figure runner is reached
         monkeypatch.setattr(experiments, "_RUNNERS", dict.fromkeys(
             experiments._RUNNERS, lambda spec: pytest.fail("the sweep ran")))
         figure, value = {"fig4_n_updates": ("fig4", 0), "theta_grid": ("fig4", [0.0]),
-                         "n_grid": ("fig5", [0])}.get(key, ("fig3", 0))
+                         "n_grid": ("fig5", [0]),
+                         "relay_prob": ("fig3", 1.5)}.get(key, ("fig3", 0))
         out = tmp_path / "s.csv"
         cfg = {"command": "sweep", "seed": 1, "output": str(out),
                "params": {"figure": figure, "snr_points_db": [5.0], key: value}}
@@ -297,7 +315,9 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert "category=config" in err and key in err
 
-    @pytest.mark.parametrize("params", [{"k_grid": [-1, 2]}, {"snr_points_db": []}])
+    @pytest.mark.parametrize("params", [{"k_grid": [-1, 2]}, {"snr_points_db": []},
+                                        {"theta_grid": [], "figure": "fig4"},
+                                        {"n_grid": [], "figure": "fig5"}])
     def test_bad_sweep_grid_config_exit_code(self, tmp_path, capsys, params):
         out = tmp_path / "s.csv"
         cfg = {"command": "sweep", "seed": 1, "output": str(out),
@@ -383,7 +403,8 @@ class TestDispatch:
         ('{"command": "error", "seed": 1, "scenario": {"k": %s}}' % ("1" * 5000),
          [], "config cannot be decoded"),
         ('{"command": "error", "seed": 1', [], "config is not valid JSON"),
-    ], ids=["deep-file", "deep-set", "long-integer", "truncated"])
+        ('[]', [], "config root must be a JSON object"),
+    ], ids=["deep-file", "deep-set", "long-integer", "truncated", "array-root"])
     def test_undecodable_config_exit_code(self, tmp_path, capsys, text, argv,
                                           message):
         config = tmp_path / "run.json"
@@ -778,14 +799,22 @@ class TestAtomicWrite:
         ({"command": "error", "scenario": dict(THEOREM_CONFIG["scenario"], satellite={
             "carrier_hz": 1e-200, "distance_m": 1e-200})},
          3, "category=domain pathloss factor"),
+        ({"command": "error", "scenario": dict(THEOREM_CONFIG["scenario"], interferers=dict(
+            THEOREM_CONFIG["scenario"]["interferers"], carrier_hz=0.0))},
+         2, "category=config carrier_hz must be > 0"),
+        ({"command": "error", "scenario": dict(THEOREM_CONFIG["scenario"], interferers=dict(
+            THEOREM_CONFIG["scenario"]["interferers"], carrier_hz=1e-300))},
+         3, "category=domain interferer power at carrier_hz=1e-300 overflows"),
     ], ids=["deterministic-period", "poisson-rate", "fig3-gap", "fig4-gap",
-            "fading-decay", "annulus-radius", "pathloss", "pathloss-underflow"])
+            "fading-decay", "annulus-radius", "pathloss", "pathloss-underflow",
+            "interferer-carrier-zero", "interferer-power"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_typed_exit_code(self, tmp_path, capsys, cfg, code, message):
         # each of these once ended in a traceback: arrival times beyond the
         # float range, a fading decay rate that rounds to 0, an annulus
-        # radius whose square overflows, and a pathloss factor that does,
-        # by an overflow or by a product carrier_hz * distance_m of 0
+        # radius whose square overflows, a pathloss factor that does, by an
+        # overflow or by a product carrier_hz * distance_m of 0, and an
+        # interferer carrier of 0 or one so low that its power overflows
         cfg = dict(cfg, seed=1, output=str(tmp_path / "t.csv"))
         assert main([write_config(tmp_path, cfg)]) == code
         err = capsys.readouterr().err

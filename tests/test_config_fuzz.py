@@ -44,10 +44,11 @@ FULL_SCENARIO = {
 }
 
 # Values a mutated path may take whatever its kind: wrong types, signs,
-# zero, non-finite and huge or tiny numbers, empty and nested containers.
+# zero, non-finite and huge or tiny numbers, integers beyond the float
+# range, empty and nested containers.
 MUTANTS = ["x", "", True, False, None, [], {}, [[1]], {"a": {"b": []}}, [[[]]],
            0, -1, 0.0, -0.0, -2.5, math.nan, math.inf, -math.inf, 1e300, -1e300,
-           1e-300, -1e-300, 2 ** 64, -(2 ** 64)]
+           1e-300, -1e-300, 2 ** 64, -(2 ** 64), 10 ** 309, -(10 ** 309)]
 
 # String values of the str-typed keys
 STRINGS = {"method": ["quadrature", "monte_carlo"],

@@ -79,6 +79,13 @@ class TestFig3:
                 assert by[(k, snr, "stin")]["mean_paoi_cu"] == \
                     by[(k, snr, "psn")]["mean_paoi_cu"]
 
+    def test_single_replication_has_zero_half_width(self):
+        tab = run_fig3(small_fig3_spec(replications=1, k_grid=(0, 2),
+                                       n_updates=1000, error_draws=5000))
+        assert len(tab) == 8
+        assert all(r["ci_half_width_cu"] == 0.0 and r["mean_paoi_cu"] > 0.0
+                   for r in tab)
+
     def test_half_width_shrinks_with_replications(self):
         # 4x replications should halve the width, within 20 percent; the
         # counts are large enough that the width estimate itself concentrates

@@ -339,6 +339,27 @@ class TestErrorExponent:
             thetas.append(error_exponent(s, spec, em).theta)
         assert all(thetas[i + 1] <= thetas[i] + 1e-12 for i in range(len(thetas) - 1))
 
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_monte_carlo_within_delta_band_of_quadrature(self, k):
+        # the 3-SE band on E0's inner mean at the Monte Carlo rho*, carried
+        # to the exponent, must hold the quadrature exponent
+        s, n, rate, budget = scenario_at(15.0, k), 200, 0.2, 200_000
+        spec = CodingSpec(blocklength=n, code_size=2, rate=rate)
+        quad = error_exponent(s, spec, ErrorModel(method="quadrature",
+                                                  quad_tolerance=1e-8))
+        mc = error_exponent(s, spec, ErrorModel(method="monte_carlo",
+                                                sample_budget=budget))
+        rho = mc.params["rho_star"]
+        assert rho > 0.0
+        draws = np.asarray(sinr_samples(s, budget), dtype=np.longdouble)
+        vals = (1.0 + draws / (1.0 + rho)) ** (-n * rho)
+        mean = vals.mean()
+        se = float(vals.std(ddof=1) / math.sqrt(vals.size))
+        assert -float(np.log(mean)) / n - rho * rate == pytest.approx(mc.theta, rel=1e-9)
+        lo = -float(np.log(mean + 3 * se)) / n - rho * rate
+        hi = -float(np.log(mean - 3 * se)) / n - rho * rate
+        assert lo <= quad.theta <= hi
+
     # The search has no guard grid, so E0 must be concave in rho wherever it
     # runs: K 0..10, integer and non-integer m, 0..30 dB, n 1..2000, and both
     # laws. Rates run from 5 % to 120 % of E0'(0) = E[ln(1 + gamma)].

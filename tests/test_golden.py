@@ -53,6 +53,13 @@ GOLDEN = {
         {"command": "exponent", "seed": 1, "scenario": _scenario(3, 10)},
         "6ae654de0306a23859d4c984858e425bcb73c8bb3af30af4d0fb506fa2b6d048",
     ),
+    # three blocks of 2^14 Monte Carlo SINR draws and five more, joined
+    # into the one column that the exponent's search reads
+    "exponent_k3_m10_monte_carlo_blocks": (
+        {"command": "exponent", "seed": 1, "scenario": _scenario(3, 10),
+         "error_model": {"method": "monte_carlo", "sample_budget": 3 * 2 ** 14 + 5}},
+        "1312420762f1c2b126f41875582a88d29890ef3a78fe9f5561e31f964926f14e",
+    ),
     "exponent_k0": (
         {"command": "exponent", "seed": 1, "scenario": _scenario(0, 10)},
         "359b4ac9108b3f30f7b6591539e82af727a50fd70ccdbc37fd91f1e64d140ba7",
@@ -100,7 +107,7 @@ GOLDEN = {
     "sweep_fig4": (
         {"command": "sweep", "seed": 1,
          "params": {"figure": "fig4", "fig4_n_updates": 20000, "a_th_cu": 1500.0}},
-        "89d199517ecc9b936e1600171ab57093fc5035cc6c2b38ad8f6bef87b2b4be2a",
+        "92d8f73d95f2b1b38968c336246599ac7b670b06e1572a189f15b5d023e253f6",
     ),
     "sweep_fig5": (
         {"command": "sweep", "seed": 1,
@@ -109,7 +116,23 @@ GOLDEN = {
     ),
     "paoi_bound": (
         {"command": "paoi-bound", "seed": 1},
-        "8fce221bf73f4dad3c1f252078356af7711696e74f82d662adf3e7dd320dd7ef",
+        "4b7fdf0f502a1cacc98b6448cf3a7f80dff999c6d257e249596a571e69f0bea2",
+    ),
+    # a fixed theta inside the stable interval (0, 1/256), steady state
+    "paoi_bound_poisson_arq_theta": (
+        {"command": "paoi-bound", "seed": 1,
+         "params": {"theta": 0.002, "a_th_cu": 150000.0,
+                    "arrival": {"kind": "poisson", "rate": 1 / 256},
+                    "service": {"kind": "arq", "n": 64, "epsilon": 0.1}}},
+        "12c66a39d941b12166f4cf5bc88bade3dea1f9cfa186fef37ce11b9abcdb9ebb",
+    ),
+    # a fixed theta and the finite sum over 64 lags
+    "paoi_bound_det_fixed_u64": (
+        {"command": "paoi-bound", "seed": 1,
+         "params": {"theta": 0.01, "u": 64, "a_th_cu": 40000.0,
+                    "arrival": {"kind": "deterministic", "period": 80.0},
+                    "service": {"kind": "fixed", "n": 64}}},
+        "75651f1b75bae0d6b463dfbf1ea46bfe6ff632b886f3b81bc3e7db7c406a0741",
     ),
     "delay_bound": (
         {"command": "delay-bound", "seed": 1},

@@ -18,6 +18,7 @@ from stinqos.errors import DomainError, NumericError, StabilityError
 from stinqos.fbc import CodingSpec
 from stinqos.snc import (
     BitArrival,
+    _log_geometric_sum,
     _log_mellin_gap,
     _log_mellin_served,
     _log_mellin_service,
@@ -34,10 +35,10 @@ from trace_helper import whole_updates
 class TestInterarrivalTransform:
     def test_identity_at_one(self):
         for am in (ArrivalModel.poisson(1.0), ArrivalModel.deterministic(10.0)):
-            assert math.exp(3 * _log_mellin_gap(1.0, am)) == 1.0
+            assert math.exp(3 * _log_mellin_gap(0.0, am)) == 1.0
 
     def test_poisson_value(self):
-        assert math.exp(_log_mellin_gap(1.5, ArrivalModel.poisson(1.0))) == \
+        assert math.exp(_log_mellin_gap(0.5, ArrivalModel.poisson(1.0))) == \
             pytest.approx(2.0)
 
     def test_poisson_against_monte_carlo_mgf(self):
@@ -45,29 +46,29 @@ class TestInterarrivalTransform:
         rng = np.random.default_rng(0)
         gaps = rng.exponential(1.0, 1_000_000)
         mc = float(np.mean(np.exp(0.5 * gaps)))
-        assert math.exp(_log_mellin_gap(1.5, am)) == pytest.approx(mc, rel=0.01)
+        assert math.exp(_log_mellin_gap(0.5, am)) == pytest.approx(mc, rel=0.01)
 
     def test_deterministic_steps(self):
         am = ArrivalModel.deterministic(10.0)
-        assert math.exp(2 * _log_mellin_gap(1.1, am)) == pytest.approx(math.e ** 2,
+        assert math.exp(2 * _log_mellin_gap(0.1, am)) == pytest.approx(math.e ** 2,
                                                                        rel=1e-12)
 
     def test_divergence(self):
         with pytest.raises(DomainError):
-            _log_mellin_gap(2.1, ArrivalModel.poisson(1.0))
+            _log_mellin_gap(1.1, ArrivalModel.poisson(1.0))
 
 
 class TestServiceTransform:
     def test_identity_at_one(self):
-        assert math.exp(4 * _log_mellin_service(1.0, ServiceModel.arq(10, 0.2))) == 1.0
+        assert math.exp(4 * _log_mellin_service(0.0, ServiceModel.arq(10, 0.2))) == 1.0
 
     def test_fixed_value(self):
-        assert math.exp(_log_mellin_service(1.01, ServiceModel.fixed(100))) == \
+        assert math.exp(_log_mellin_service(0.01, ServiceModel.fixed(100))) == \
             pytest.approx(math.e, rel=1e-12)
 
     def test_arq_against_monte_carlo_mgf(self):
         sm = ServiceModel.arq(10, 0.1)
-        analytic = math.exp(_log_mellin_service(1.05, sm))
+        analytic = math.exp(_log_mellin_service(0.05, sm))
         formula = 0.9 * math.exp(0.5) / (1 - 0.1 * math.exp(0.5))
         assert analytic == pytest.approx(formula, rel=1e-12)
         u = np.random.default_rng(1).random(1_000_000)
@@ -78,7 +79,7 @@ class TestServiceTransform:
     def test_divergence(self):
         sm = ServiceModel.arq(10, 0.1)
         with pytest.raises(DomainError):
-            _log_mellin_service(1.0 + math.log(10.0) / 10.0 + 1e-9, sm)
+            _log_mellin_service(math.log(10.0) / 10.0 + 1e-9, sm)
 
     @pytest.mark.parametrize(
         "mellin,args",
@@ -89,7 +90,7 @@ class TestServiceTransform:
         ],
     )
     def test_log_convexity(self, mellin, args):
-        thetas = np.linspace(0.3, 1.3, 21)
+        thetas = np.linspace(-0.7, 0.3, 21)
         logs = np.array([mellin(t, *args) for t in thetas])
         assert np.all(np.diff(logs, 2) >= -1e-9)
 
@@ -98,7 +99,7 @@ class TestPaoiKernel:
     def test_single_update_is_two_factor_product(self):
         am, sm = ArrivalModel.deterministic(10.0), ServiceModel.fixed(4)
         k = math.exp(log_paoi_kernel(0.05, 1, am, sm))
-        expected = math.exp(_log_mellin_gap(1.05, am) + _log_mellin_service(1.05, sm))
+        expected = math.exp(_log_mellin_gap(0.05, am) + _log_mellin_service(0.05, sm))
         assert k == pytest.approx(expected, rel=1e-12)
 
     def test_hand_evaluated_three_terms(self):
@@ -136,7 +137,7 @@ class TestPaoiKernel:
 
     @pytest.mark.parametrize("period", [64.0, 64.0 * (1 + 1e-15)])
     def test_finite_sum_of_ratio_rounding_to_one(self, period):
-        # the flat sum: the lag ratio is 1 within 1e-14
+        # a lag ratio of 1 within 1e-14; exactly 1 takes the flat branch
         am, sm = ArrivalModel.deterministic(period), ServiceModel.fixed(64)
         want, log_ratio = self.mp_log_kernel(0.01, 1000, period, 64, 0.0)
         assert abs(log_ratio) < 1e-14
@@ -152,7 +153,8 @@ class TestPaoiKernel:
                                     ArrivalModel.deterministic(256.0)])
     @pytest.mark.parametrize("frac", [1e-6, 1e-3, 0.5])
     def test_steady_state_equals_long_finite_sum(self, am, frac):
-        # the finite-u value comes from the separate _log_geometric_sum path
+        # the steady state is the same series at u = inf, and r^(10^12)
+        # rounds to 0 against 1
         sm = ServiceModel.arq(64, 0.1)
         theta = frac * paoi_theta_interval(am, sm)[1]
         assert log_paoi_kernel(theta, None, am, sm) == log_paoi_kernel(
@@ -179,6 +181,55 @@ class TestPaoiKernel:
     def test_interval_empty_when_unstable(self):
         with pytest.raises(StabilityError):
             paoi_theta_interval(ArrivalModel.poisson(1 / 50), ServiceModel.arq(64, 0.2))
+
+    @staticmethod
+    def mp_lag_root(rate, n, eps):
+        """The positive root of the log lag ratio of Poisson gaps at ``rate``
+        and ARQ cycles of n at error eps, in 50-digit arithmetic, bracketed
+        around the heavy-traffic root 2(E[G] - E[S]) / (Var G + Var S)."""
+        with mpmath.workdps(50):
+            rate, eps = mpmath.mpf(rate), mpmath.mpf(eps)
+
+            def log_ratio(theta):
+                e = mpmath.exp(theta * n)
+                return mpmath.log((1 - eps) * e / (1 - eps * e) / (1 + theta / rate))
+
+            mean_s, var_s = n / (1 - eps), n * n * eps / (1 - eps) ** 2
+            guess = 2 * (1 / rate - mean_s) / (1 / rate ** 2 + var_s)
+            return float(mpmath.findroot(log_ratio, (guess / 2, 2 * guess),
+                                         solver="anderson"))
+
+    @pytest.mark.parametrize("gap, rel", [(1e-4, 1e-8), (1e-6, 1e-5), (1e-8, None),
+                                          (1e-10, None)])
+    def test_interval_edge_near_critical_load(self, gap, rel):
+        # at load 1 - gap; rel None asks for the root within a factor of 2
+        rate = (1.0 - gap) / 80.0  # arq(64, 0.2) takes 80 cu on average
+        edge = paoi_theta_interval(ArrivalModel.poisson(rate), ServiceModel.arq(64, 0.2))[1]
+        root = self.mp_lag_root(rate, 64, 0.2)
+        if rel is None:
+            assert 0.5 <= edge / root <= 2.0
+        else:
+            assert abs(edge / root - 1.0) <= rel
+
+
+class TestGeometricSum:
+    @pytest.mark.parametrize("log_r", [sign * size for sign in (1.0, -1.0)
+                                       for size in (1e-15, 1e-13, 1e-300, 0.5)])
+    @pytest.mark.parametrize("terms", [1, 1000, 10 ** 15, math.inf])
+    def test_against_mpmath(self, log_r, terms):
+        with mpmath.workdps(50):
+            big_l = mpmath.mpf(log_r)
+            exact = float(mpmath.log(mpmath.expm1(mpmath.mpf(terms) * big_l)
+                                     / mpmath.expm1(big_l)))
+        got = _log_geometric_sum(log_r, terms)
+        if math.isinf(exact):
+            assert got == exact
+        else:
+            assert abs(got - exact) <= 1e-12 * max(1.0, abs(exact))
+
+    def test_flat_series(self):
+        assert _log_geometric_sum(0.0, 1000) == math.log(1000)
+        assert _log_geometric_sum(0.0) == math.inf
 
 
 DEFAULT_AM = ArrivalModel.poisson(1 / 256)
