@@ -2,52 +2,54 @@
 blocklength coding: peak-AoI and delay violation bounds from Mellin-transform
 network calculus, error-rate QoS exponents, and the Monte Carlo simulators
 that cross-validate them.
+
+The public names below are resolved on first access, so ``import stinqos``
+loads no submodule and each command of the CLI loads only the layers it runs.
 """
 
 __version__ = "0.1.0"  # the one version source; pyproject.toml repeats it
 
-from .aoi import (
-    ArrivalModel,
-    ServiceModel,
-    trace_blocks,
-    trace_violation_frequency,
-    update_blocks,
-)
-from .channel import (
-    InterfererField,
-    LinkBudget,
-    Scenario,
-    ShadowedRicianParams,
-    pathloss_factor,
-    place_interferers,
-    sample_channel_gain,
-    shadowed_rician_pdf,
-    sinr,
-)
-from .errors import (
-    ConfigError,
-    DomainError,
-    NumericError,
-    StabilityError,
-    StinQosError,
-)
-from .fbc import (
-    CodingSpec,
-    ErrorModel,
-    average_error,
-    conditional_error,
-    error_exponent,
-    error_exponent_closed_form,
-    q_function,
-)
-from .experiments import SweepSpec, default_scenario, run_sweep
-from .reports import QoSReport
-from .snc import (
-    BitArrival,
-    delay_bound,
-    optimize_paoi_bound,
-    paoi_bound,
-    stability_check,
-)
+__all__ = [
+    "ArrivalModel", "BitArrival", "CodingSpec", "ConfigError", "DomainError",
+    "ErrorModel", "InterfererField", "LinkBudget", "NumericError", "QoSReport",
+    "Scenario", "ServiceModel", "ShadowedRicianParams", "StabilityError",
+    "StinQosError", "SweepSpec", "aoi", "average_error", "channel",
+    "conditional_error", "default_scenario", "delay_bound", "error_exponent",
+    "error_exponent_closed_form", "errors", "experiments", "fbc", "optimize",
+    "optimize_paoi_bound", "paoi_bound", "pathloss_factor", "place_interferers",
+    "q_function", "reports", "run_sweep", "sample_channel_gain",
+    "shadowed_rician_pdf", "sinr", "snc", "stability_check", "trace_blocks",
+    "trace_violation_frequency", "update_blocks",
+]
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The submodule of each public name that is not a submodule itself
+_SOURCE = {name: module for module, names in {
+    "aoi": ("ArrivalModel", "ServiceModel", "trace_blocks",
+            "trace_violation_frequency", "update_blocks"),
+    "channel": ("InterfererField", "LinkBudget", "Scenario", "ShadowedRicianParams",
+                "default_scenario", "pathloss_factor", "place_interferers",
+                "sample_channel_gain", "shadowed_rician_pdf", "sinr"),
+    "errors": ("ConfigError", "DomainError", "NumericError", "StabilityError",
+               "StinQosError"),
+    "experiments": ("SweepSpec", "run_sweep"),
+    "fbc": ("CodingSpec", "ErrorModel", "average_error", "conditional_error",
+            "error_exponent", "error_exponent_closed_form", "q_function"),
+    "reports": ("QoSReport",),
+    "snc": ("BitArrival", "delay_bound", "optimize_paoi_bound", "paoi_bound",
+            "stability_check"),
+}.items() for name in names}
+
+
+def __getattr__(name):
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    module = import_module(f"{__name__}.{_SOURCE.get(name, name)}")
+    value = getattr(module, name) if name in _SOURCE else module
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

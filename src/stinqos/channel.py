@@ -13,13 +13,13 @@ the SINR denominator is ``interference + 1``.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError, NumericError
 
@@ -206,6 +206,8 @@ def _panel_rule(p: ShadowedRicianParams, edges: np.ndarray) -> tuple[np.ndarray,
     """Nodes and density weights, each of shape (panels, _PANEL_NODES), of
     the Gauss-Legendre rule on each panel between consecutive ``edges``;
     weights that do not sum to unit mass are a NumericError."""
+    from numpy.polynomial.legendre import leggauss
+
     gl_x, gl_w = leggauss(_PANEL_NODES)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
@@ -293,11 +295,15 @@ def _gain_blocks(p: ShadowedRicianParams, rng: np.random.Generator, n: int, *dra
     def scatter(size, rng):
         return rng.normal(0.0, sd, size=size)
 
-    for amp, phi, re, im, *rest in _drawn_blocks(
-            rng, n, _BLOCK_ROWS, amplitude, phase, scatter, scatter, *draws):
+    def gain(amp, phi, re, im, *rest):
         re += amp * np.cos(phi)
         im += amp * np.sin(phi)
-        yield [re * re + im * im, *rest]
+        return [re * re + im * im, *rest]
+
+    # starmap holds no block once it is passed on, so the consumer's next
+    # draw finds only the blocks the consumer itself still holds
+    return itertools.starmap(gain, _drawn_blocks(
+        rng, n, _BLOCK_ROWS, amplitude, phase, scatter, scatter, *draws))
 
 
 def sample_channel_gain(p: ShadowedRicianParams, rng: np.random.Generator, size=None):
@@ -495,3 +501,49 @@ def tx_snr_db_for_avg_rx_snr(
     """Transmit SNR (dB) that yields the requested average received SNR."""
     phi = pathloss_factor(link)
     return target_db - 10.0 * math.log10(phi * fading.mean_power)
+
+
+# Default link geometry: 1000 km satellite downlink at 2 GHz with a 20 dBi
+# satellite antenna; interferers in the 2-10 km annulus.
+_DEFAULT_CARRIER_HZ = 2.0e9
+_DEFAULT_SAT_DISTANCE_M = 1.0e6
+_DEFAULT_SAT_GAIN_DBI = 20.0
+_DEFAULT_R_IN_M = 2.0e3
+_DEFAULT_R_OUT_M = 10.0e3
+_DEFAULT_FADING = dict(b=0.126, m=10.0, omega=0.835)
+
+
+def default_scenario(
+    k: int = 1,
+    avg_snr_db: float = 15.0,
+    inr_db: float = -3.0,
+    seed: int = 12345,
+    rx_antennas: int = 2,
+    fading: ShadowedRicianParams | None = None,
+) -> Scenario:
+    """Canonical scenario: requested average received SNR on the satellite
+    link and per-interferer INR at the annulus RMS distance."""
+    fading = fading or ShadowedRicianParams(**_DEFAULT_FADING)
+    sat = LinkBudget(
+        carrier_hz=_DEFAULT_CARRIER_HZ,
+        distance_m=_DEFAULT_SAT_DISTANCE_M,
+        gain_tx_dbi=_DEFAULT_SAT_GAIN_DBI,
+    )
+    sat = replace(sat, tx_snr_db=tx_snr_db_for_avg_rx_snr(sat, fading, avg_snr_db))
+    d_rms = math.sqrt(0.5 * (_DEFAULT_R_IN_M ** 2 + _DEFAULT_R_OUT_M ** 2))
+    phi_rms = pathloss_factor(
+        LinkBudget(carrier_hz=_DEFAULT_CARRIER_HZ, distance_m=d_rms))
+    interferers = InterfererField(
+        count=k,
+        r_inner_m=_DEFAULT_R_IN_M,
+        r_outer_m=_DEFAULT_R_OUT_M,
+        carrier_hz=_DEFAULT_CARRIER_HZ,
+        tx_snr_db=inr_db - 10.0 * math.log10(phi_rms),
+    )
+    return Scenario(
+        satellite=sat,
+        fading=fading,
+        interferers=interferers,
+        rx_antennas=rx_antennas,
+        seed=seed,
+    )

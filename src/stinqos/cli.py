@@ -15,13 +15,13 @@ import os
 import sys
 
 from . import channel, csvio
-from .aoi import TRACE_FIELDS, trace_blocks, update_blocks
 from .config import RunConfig, build_arrival, build_service, echo_params, parse_config
 from .errors import ConfigError, DomainError, NumericError, StabilityError
-from .experiments import SweepSpec, run_sweep
 from .fbc import average_error, error_exponent, error_exponent_closed_form
 from .reports import report_row
-from .snc import BitArrival, delay_bound, optimize_paoi_bound, paoi_bound
+
+# Each runner imports the layers only its command uses (aoi, snc, the sweep
+# layer), so a run loads no more than its command needs.
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -53,6 +53,8 @@ def _run_exponent(rc: RunConfig):
 
 
 def _run_aoi_sim(rc: RunConfig):
+    from .aoi import TRACE_FIELDS, trace_blocks, update_blocks
+
     am = build_arrival(rc.params.get("arrival"), rc.defaults_used)
     sm = build_service(rc.params.get("service"), rc.defaults_used, rc)
     updates = update_blocks(am, sm, rc.params["n_updates"],
@@ -61,6 +63,8 @@ def _run_aoi_sim(rc: RunConfig):
 
 
 def _run_paoi_bound(rc: RunConfig):
+    from .snc import optimize_paoi_bound, paoi_bound
+
     am = build_arrival(rc.params.get("arrival"), rc.defaults_used)
     sm = build_service(rc.params.get("service"), rc.defaults_used, rc)
     a_th, u, theta = rc.params["a_th_cu"], rc.params["u"], rc.params["theta"]
@@ -72,6 +76,8 @@ def _run_paoi_bound(rc: RunConfig):
 
 
 def _run_delay_bound(rc: RunConfig):
+    from .snc import BitArrival, delay_bound
+
     p = rc.params
     if p["arrival_kind"] == "constant_rate":
         arrival = BitArrival.constant_rate(p["alpha_bits"])
@@ -83,6 +89,8 @@ def _run_delay_bound(rc: RunConfig):
 
 
 def _run_sweep(rc: RunConfig):
+    from .experiments import SweepSpec, run_sweep
+
     spec = SweepSpec(**{k: tuple(v) if isinstance(v, list) else v
                         for k, v in rc.params.items()})
     return _table(run_sweep(spec))

@@ -7,17 +7,18 @@ the CSV comment header can echo the fully resolved configuration.
 """
 from __future__ import annotations
 
-import difflib
 import json
 import sys
 import typing
 from dataclasses import MISSING, dataclass, field, fields
 
-from .aoi import ArrivalModel, ServiceModel
-from .channel import InterfererField, LinkBudget, Scenario, ShadowedRicianParams
+from .channel import (InterfererField, LinkBudget, Scenario, ShadowedRicianParams,
+                      default_scenario)
 from .errors import ConfigError, StinQosError
-from .experiments import SweepSpec, default_scenario
 from .fbc import CodingSpec, ErrorModel, average_error
+
+if typing.TYPE_CHECKING:
+    from .aoi import ArrivalModel, ServiceModel
 
 COMMANDS = ("error", "exponent", "aoi-sim", "paoi-bound", "delay-bound", "sweep")
 
@@ -40,6 +41,36 @@ def _field_kinds(cls) -> dict:
     return kinds
 
 
+def _field_defaults(cls) -> dict:
+    """Defaults of the fields of dataclass ``cls``, a tuple as a list."""
+    return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+            for f in fields(cls) if f.default is not MISSING}
+
+
+class _CommandTable(dict):
+    """A table keyed by command whose "sweep" entry is read off SweepSpec on
+    its first lookup, by ``[]`` or ``get``, so that only a sweep imports the
+    sweep layer."""
+
+    def __init__(self, table: dict, sweep_entry):
+        super().__init__(table)
+        self._sweep_entry = sweep_entry
+
+    def __missing__(self, command):
+        if command != "sweep":
+            raise KeyError(command)
+        from .experiments import SweepSpec
+
+        entry = self[command] = self._sweep_entry(SweepSpec)
+        return entry
+
+    def get(self, command, default=None):
+        try:
+            return self[command]
+        except KeyError:
+            return default
+
+
 # Allowed value kinds of each key of a config block: a type (float and int
 # admit only numbers a finite float holds, no NaN, Infinity or integer
 # beyond the float range; no type admits a boolean unless it is bool), a
@@ -56,7 +87,8 @@ _ARRIVAL_KINDS = ({"kind": ("deterministic", "poisson"), "period": float,
                    "rate": float}, None)
 _SERVICE_KINDS = ({"kind": ("fixed", "arq"), "n": int, "epsilon": (float, None)},
                   None)
-_PARAM_KINDS = {
+# Kinds of each command's parameters; a sweep's are its SweepSpec's fields'.
+_PARAM_KINDS = _CommandTable({
     "error": {},
     "exponent": {},
     "aoi-sim": {"n_updates": int, "arrival": _ARRIVAL_KINDS,
@@ -66,18 +98,15 @@ _PARAM_KINDS = {
     "delay-bound": {"d_th_blocks": float,
                     "arrival_kind": ("constant_rate", "poisson_batch"),
                     "alpha_bits": float, "rate_per_block": float, "batch_bits": float},
-    "sweep": _field_kinds(SweepSpec),
-}
+}, _field_kinds)
 # Defaults of the command parameters; a sweep's are its SweepSpec's, and an
 # omitted arrival or service model is noted where it is built.
-_PARAM_DEFAULTS = {
+_PARAM_DEFAULTS = _CommandTable({
     "aoi-sim": {"n_updates": 10_000},
     "paoi-bound": {"a_th_cu": 150_000.0, "u": "inf", "theta": "optimize"},
     "delay-bound": {"d_th_blocks": 5.0, "arrival_kind": "constant_rate",
                     "alpha_bits": 28.0, "rate_per_block": 1.0, "batch_bits": 28.0},
-    "sweep": {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
-              for f in fields(SweepSpec) if f.default is not MISSING},
-}
+}, _field_defaults)
 # Mean gap of the arrival model an omitted arrival block stands for
 _DEFAULT_GAP_CU = 4096.0
 # Keys that each model kind refuses: they set the other kind of its block,
@@ -109,6 +138,8 @@ class RunConfig:
 def _check_keys(block: dict, allowed: set, context: str) -> None:
     for key in block:
         if key not in allowed:
+            import difflib
+
             hint = difflib.get_close_matches(key, sorted(allowed), n=1, cutoff=0.4)
             suffix = f"; nearest known key: {hint[0]!r}" if hint else ""
             raise ConfigError(f"unknown key {key!r} in {context}{suffix}")
@@ -184,7 +215,7 @@ def parse_config(text: str, overrides=(), output: str | None = None) -> RunConfi
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     raw = apply_overrides(raw, overrides)
-    if output:
+    if output is not None:
         raw["output"] = output
     return build_config(raw)
 
@@ -194,6 +225,8 @@ def build_config(raw: dict) -> RunConfig:
     _check_keys(raw, _TOP_KEYS, "config")
     command = _require(raw, "command", "config")
     if command not in COMMANDS:
+        import difflib
+
         hint = difflib.get_close_matches(str(command), COMMANDS, n=1)
         suffix = f"; nearest known command: {hint[0]!r}" if hint else ""
         raise ConfigError(f"unknown command {command!r}{suffix}")
@@ -302,6 +335,8 @@ def _build_error_model(block, defaults_used: list):
 
 
 def build_arrival(block, defaults_used: list) -> ArrivalModel:
+    from .aoi import ArrivalModel
+
     if block is None:
         defaults_used.append(f"arrival=poisson(rate=1/{_DEFAULT_GAP_CU:g} per cu)")
         return ArrivalModel.poisson(1.0 / _DEFAULT_GAP_CU)
@@ -313,6 +348,8 @@ def build_arrival(block, defaults_used: list) -> ArrivalModel:
 def build_service(block, defaults_used: list, rc: RunConfig) -> ServiceModel:
     """Service model; n defaults to coding.blocklength and an ARQ epsilon to
     the scenario's average error. A fixed service is ARQ at epsilon 0."""
+    from .aoi import ServiceModel
+
     given = block is not None
     if not given:
         block = {}

@@ -23,7 +23,7 @@ model once and loops over the blocklength grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,14 +37,7 @@ from .aoi import (
     trace_violation_frequency,
     update_blocks,
 )
-from .channel import (
-    InterfererField,
-    LinkBudget,
-    Scenario,
-    ShadowedRicianParams,
-    pathloss_factor,
-    tx_snr_db_for_avg_rx_snr,
-)
+from .channel import default_scenario
 from .errors import ConfigError, DomainError, NumericError
 from .fbc import (
     CodingSpec,
@@ -68,52 +61,6 @@ MAX_ERROR_DRAWS = 10 ** 8
 # about 3 s on a 2-CPU VM; the updates of all replications together fall
 # under aoi.MAX_UPDATES.
 MAX_REPLICATIONS = 10 ** 4
-
-# Default link geometry: 1000 km satellite downlink at 2 GHz with a 20 dBi
-# satellite antenna; interferers in the 2-10 km annulus.
-_DEFAULT_CARRIER_HZ = 2.0e9
-_DEFAULT_SAT_DISTANCE_M = 1.0e6
-_DEFAULT_SAT_GAIN_DBI = 20.0
-_DEFAULT_R_IN_M = 2.0e3
-_DEFAULT_R_OUT_M = 10.0e3
-_DEFAULT_FADING = dict(b=0.126, m=10.0, omega=0.835)
-
-
-def default_scenario(
-    k: int = 1,
-    avg_snr_db: float = 15.0,
-    inr_db: float = -3.0,
-    seed: int = 12345,
-    rx_antennas: int = 2,
-    fading: ShadowedRicianParams | None = None,
-) -> Scenario:
-    """Canonical scenario: requested average received SNR on the satellite
-    link and per-interferer INR at the annulus RMS distance."""
-    fading = fading or ShadowedRicianParams(**_DEFAULT_FADING)
-    sat = LinkBudget(
-        carrier_hz=_DEFAULT_CARRIER_HZ,
-        distance_m=_DEFAULT_SAT_DISTANCE_M,
-        gain_tx_dbi=_DEFAULT_SAT_GAIN_DBI,
-    )
-    sat = replace(sat, tx_snr_db=tx_snr_db_for_avg_rx_snr(sat, fading, avg_snr_db))
-    d_rms = math.sqrt(0.5 * (_DEFAULT_R_IN_M ** 2 + _DEFAULT_R_OUT_M ** 2))
-    phi_rms = pathloss_factor(
-        LinkBudget(carrier_hz=_DEFAULT_CARRIER_HZ, distance_m=d_rms))
-    interferers = InterfererField(
-        count=k,
-        r_inner_m=_DEFAULT_R_IN_M,
-        r_outer_m=_DEFAULT_R_OUT_M,
-        carrier_hz=_DEFAULT_CARRIER_HZ,
-        tx_snr_db=inr_db - 10.0 * math.log10(phi_rms),
-    )
-    return Scenario(
-        satellite=sat,
-        fading=fading,
-        interferers=interferers,
-        rx_antennas=rx_antennas,
-        seed=seed,
-    )
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -230,6 +177,7 @@ def _coupled_error_table(spec: SweepSpec) -> tuple[np.ndarray, np.ndarray]:
                 sums[0, ki, si] += np.sum(conditional_error(gam_sat, coding))
                 gam_ter = snr_ter[si] * h_ter / (1.0 + i_a)
                 sums[1, ki, si] += np.sum(conditional_error(gam_ter, coding))
+        del h_sat, e_gains, h_ter, i_a, gam_sat, gam_ter  # before the next draw
     eps_sat, eps_ter = sums / spec.error_draws
     return eps_sat, eps_ter
 

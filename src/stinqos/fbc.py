@@ -10,11 +10,11 @@ quantities are converted at module boundaries.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.laguerre import laggauss
 
 from . import channel
 from .channel import Scenario, logsumexp, srician_quad_nodes
@@ -155,7 +155,7 @@ def _sinr_blocks(s: Scenario, n_draws: int, stream_index: int = 0):
 
     blocks = channel._gain_blocks(s.fading, s.rng(channel.STREAM_CHANNEL, stream_index),
                                   n_draws, interference)
-    return (channel.sinr(s, gain, i_a) for gain, i_a in blocks)
+    return itertools.starmap(lambda gain, i_a: channel.sinr(s, gain, i_a), blocks)
 
 
 def sinr_samples(s: Scenario, n_draws: int, stream_index: int = 0) -> np.ndarray:
@@ -189,6 +189,8 @@ def _interference_nodes(coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarra
     Interferers are added one at a time: the rule so far times a
     Gauss-Laguerre rule in the new gain, reduced back to the same node count.
     """
+    from numpy.polynomial.laguerre import laggauss
+
     x, w = laggauss(_INTERFERENCE_NODES)
     i_a, iw = np.zeros(1), np.ones(1)
     for c in coefficients:
@@ -235,6 +237,7 @@ def average_error(s: Scenario, spec: CodingSpec, em: ErrorModel) -> ErrorResult:
             errs -= block_sum / size
             m2 += np.sum(np.square(errs, out=errs))
             total += block_sum
+            del gam, errs  # before the next block is drawn
         return ErrorResult(value=float(total / n),
                            std_error=math.sqrt(m2 / (n - 1)) / math.sqrt(n),
                            achieved_tol=None, method="monte_carlo")

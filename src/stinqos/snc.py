@@ -15,13 +15,15 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from .aoi import ArrivalModel, ServiceModel
 from .errors import DomainError, NumericError, StabilityError
-from .fbc import CodingSpec
 from .optimize import golden_section_min, grid_then_golden
 from .reports import QoSReport
+
+if TYPE_CHECKING:  # the bounds read these models' fields only
+    from .aoi import ArrivalModel, ServiceModel
+    from .fbc import CodingSpec
 
 # relative tolerance of the golden-section theta search, as a share of the
 # stable interval

@@ -296,6 +296,15 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert "category=config" in err and key in err
 
+    def test_empty_output_flag_config_exit_code(self, tmp_path, capsys):
+        # an empty --output is refused like an empty "output", not ignored
+        out = tmp_path / "p.csv"
+        cfg = {"command": "error", "seed": 1, "output": str(out)}
+        assert main([write_config(tmp_path, cfg), "--output", ""]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "category=config" in err and "output must be a nonempty path" in err
+
     @pytest.mark.parametrize("key", ["n_updates", "error_draws",
                                      "arrival_mean_gap_cu", "fig4_mean_gap_cu",
                                      "fig4_n_updates", "theta_grid", "n_grid",
@@ -658,14 +667,14 @@ class TestAtomicWrite:
         cfg = json.loads(json.dumps(AOI_SIM_DET))
         cfg["output"] = str(out)
         cfg["params"]["n_updates"] = 2 * channel._BLOCK_ROWS
-        trace_blocks = cli.trace_blocks
+        trace_blocks = aoi.trace_blocks
 
         def failing_blocks(updates):
             yield next(trace_blocks(updates))
             assert list(tmp_path.glob("*.tmp"))  # the first block is streaming
             raise DomainError("no second block")
 
-        monkeypatch.setattr(cli, "trace_blocks", failing_blocks)
+        monkeypatch.setattr(aoi, "trace_blocks", failing_blocks)
         assert main([write_config(tmp_path, cfg)]) == 3
         assert "category=domain no second block" in capsys.readouterr().err
         assert out.read_bytes() == b"earlier run\r\n"
@@ -850,24 +859,60 @@ class TestStartupImports:
             "params": {"arrival": {"kind": "deterministic", "period": 300.0}}}
 
     @staticmethod
-    def loaded_after(tmp_path, cfg=None) -> set:
-        """Of scipy and importlib.metadata, those loaded by a fresh process.
-
-        The process imports stinqos.cli and, given a config, runs it.
-        """
-        code = "import sys, stinqos.cli\n"
+    def modules_after(tmp_path, cfg=None, module="stinqos.cli") -> set:
+        """The modules loaded by a fresh process that imports ``module`` and,
+        given a config, runs it through stinqos.cli.main."""
+        code = f"import sys, {module}\n"
         argv = []
         if cfg is not None:
             cfg = dict(cfg, output=str(tmp_path / "out.csv"))
             argv = [write_config(tmp_path, cfg)]
             code += "assert stinqos.cli.main(sys.argv[1:]) == 0\n"
-        code += ("print(*(m for m in ('scipy', 'importlib.metadata')"
-                 " if m in sys.modules))")
+        code += "print(*sys.modules)"
         src = str(Path(stinqos.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
         res = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                              capture_output=True, text=True, check=True)
         return set(res.stdout.splitlines()[-1].split())
+
+    @classmethod
+    def loaded_after(cls, tmp_path, cfg=None) -> set:
+        """Of scipy and importlib.metadata, those loaded by a fresh process
+        that imports stinqos.cli and, given a config, runs it."""
+        return cls.modules_after(tmp_path, cfg) & {"scipy", "importlib.metadata"}
+
+    ARQ = {"kind": "arq", "n": 64, "epsilon": 0.1}
+
+    SUBMODULES = " ".join(f"stinqos.{p.stem}" for p in
+                          Path(stinqos.__file__).parent.glob("*.py")
+                          if p.stem != "__init__")
+
+    @pytest.mark.parametrize("module, cfg, absent", [
+        ("stinqos", None, SUBMODULES),
+        ("stinqos.cli", None, "stinqos.experiments stinqos.snc stinqos.aoi "
+                              "numpy.polynomial difflib scipy"),
+        ("stinqos.cli", dict(PAOI, params=dict(PAOI["params"], service=ARQ)),
+         "stinqos.experiments numpy.polynomial difflib scipy"),
+        ("stinqos.cli", {"command": "delay-bound", "seed": 1},
+         "stinqos.experiments stinqos.aoi"),
+        ("stinqos.cli", {"command": "error", "seed": 1},
+         "stinqos.experiments stinqos.snc stinqos.aoi"),
+        ("stinqos.cli", {"command": "exponent", "seed": 1},
+         "stinqos.experiments stinqos.snc stinqos.aoi"),
+        ("stinqos.cli", dict(AOI_SIM_DET, params=dict(AOI_SIM_DET["params"],
+                                                      n_updates=1000, service=ARQ)),
+         "stinqos.experiments stinqos.snc numpy.polynomial scipy"),
+    ], ids=["import-stinqos", "import-cli", "paoi-bound", "delay-bound", "error",
+            "exponent", "aoi-sim"])
+    def test_command_loads_only_its_layers(self, tmp_path, module, cfg, absent):
+        loaded = self.modules_after(tmp_path, cfg, module)
+        assert module in loaded
+        assert loaded.isdisjoint(absent.split())
+
+    def test_sweep_loads_the_sweep_layer(self, tmp_path):
+        cfg = {"command": "sweep", "seed": 1,
+               "params": {"figure": "fig5", "n_grid": [100]}}
+        assert "stinqos.experiments" in self.modules_after(tmp_path, cfg)
 
     @pytest.mark.parametrize("cfg", [
         None,

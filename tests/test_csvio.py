@@ -2,6 +2,7 @@
 import csv
 import io
 import math
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -203,3 +204,33 @@ def test_public_names_are_pinned():
         "shadowed_rician_pdf", "sinr", "snc", "stability_check", "trace_blocks",
         "trace_violation_frequency", "update_blocks",
     ]
+
+
+def test_public_names_resolve_to_their_submodules():
+    # each name is resolved on first access, to its submodule's own object
+    for name in stinqos.__all__:
+        value = getattr(stinqos, name)
+        if isinstance(value, type(stinqos)):
+            assert value.__name__ == f"stinqos.{name}"
+        else:
+            assert getattr(sys.modules[value.__module__], name) is value
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from stinqos import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == stinqos.__all__
+
+
+def test_dir_lists_public_names():
+    assert set(stinqos.__all__) <= set(dir(stinqos))
+
+
+def test_unknown_name_is_attribute_error():
+    with pytest.raises(AttributeError, match="'stinqos' has no attribute 'nonesuch'"):
+        stinqos.nonesuch
+
+
+def test_default_scenario_has_one_home():
+    assert stinqos.experiments.default_scenario is stinqos.channel.default_scenario
+    assert stinqos.default_scenario is stinqos.channel.default_scenario

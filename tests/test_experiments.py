@@ -154,6 +154,17 @@ class TestBatchedSweep:
                  for n in (1 << 15, 1 << 15, 1 << 17)]  # the first fills caches
         assert peaks[2] - peaks[1] < 0.5e6, peaks
 
+    def test_error_table_holds_one_block(self):
+        # a block of draws at k_max 10 is 15 columns of 2^14 float64 values
+        # (the interferer gains, amplitude, phase, two scatter columns and
+        # the relay gains); a block still held while the next is drawn would
+        # make the peak about twice that
+        spec = small_fig3_spec(k_grid=(0, 10), snr_points_db=(15.0,),
+                               error_draws=3 * channel._BLOCK_ROWS)
+        _coupled_error_table(spec)
+        peak = traced_peak(_coupled_error_table, spec)
+        assert peak < 1.6 * 15 * 8 * channel._BLOCK_ROWS, peak
+
     @pytest.mark.parametrize("figure", ["fig3", "stin_psn", "fig4", "fig5"])
     def test_workers_start_no_process_pool(self, tmp_path, monkeypatch, figure):
         # --workers is accepted and ignored: every figure runs in this

@@ -268,6 +268,17 @@ class TestBlockedMonteCarlo:
             assert abs(peaks[k][1] - peaks[k][0]) < 8 * BLOCK, peaks
         assert max(peaks[10]) - max(peaks[0]) <= 8 * BLOCK * 10, peaks
 
+    def test_one_block_live_at_a_time(self):
+        # a block of draws is K + 4 columns of 8 * BLOCK B (the interferer
+        # gains, amplitude, phase and two scatter columns); a block still
+        # held while the next is drawn would make the peak about twice that
+        k = 5
+        s = fading_scenario(k, 10)
+        average_error(s, MC_SPEC, ErrorModel("monte_carlo", sample_budget=1000))
+        peak = traced_peak(average_error, s, MC_SPEC,
+                           ErrorModel("monte_carlo", sample_budget=4 * BLOCK))
+        assert peak < 1.6 * (k + 4) * 8 * BLOCK, peak
+
 
 class TestGallagerE0:
     def test_zero_rho(self):
