@@ -9,21 +9,8 @@ loads no submodule and each command of the CLI loads only the layers it runs.
 
 __version__ = "0.1.0"  # the one version source; pyproject.toml repeats it
 
-__all__ = [
-    "ArrivalModel", "BitArrival", "CodingSpec", "ConfigError", "DomainError",
-    "ErrorModel", "InterfererField", "LinkBudget", "NumericError", "QoSReport",
-    "Scenario", "ServiceModel", "ShadowedRicianParams", "StabilityError",
-    "StinQosError", "SweepSpec", "aoi", "average_error", "channel",
-    "conditional_error", "default_scenario", "delay_bound", "error_exponent",
-    "error_exponent_closed_form", "errors", "experiments", "fbc", "optimize",
-    "optimize_paoi_bound", "paoi_bound", "pathloss_factor", "place_interferers",
-    "q_function", "reports", "run_sweep", "sample_channel_gain",
-    "shadowed_rician_pdf", "sinr", "snc", "stability_check", "trace_blocks",
-    "trace_violation_frequency", "update_blocks",
-]
-
-# The submodule of each public name that is not a submodule itself
-_SOURCE = {name: module for module, names in {
+# The public names of each submodule; the submodules are public names too
+_NAMES = {
     "aoi": ("ArrivalModel", "ServiceModel", "trace_blocks",
             "trace_violation_frequency", "update_blocks"),
     "channel": ("InterfererField", "LinkBudget", "Scenario", "ShadowedRicianParams",
@@ -34,10 +21,14 @@ _SOURCE = {name: module for module, names in {
     "experiments": ("SweepSpec", "run_sweep"),
     "fbc": ("CodingSpec", "ErrorModel", "average_error", "conditional_error",
             "error_exponent", "error_exponent_closed_form", "q_function"),
+    "optimize": (),
     "reports": ("QoSReport",),
     "snc": ("BitArrival", "delay_bound", "optimize_paoi_bound", "paoi_bound",
             "stability_check"),
-}.items() for name in names}
+}
+# The submodule of each public name that is not a submodule itself
+_SOURCE = {name: module for module, names in _NAMES.items() for name in names}
+__all__ = sorted([*_NAMES, *_SOURCE])
 
 
 def __getattr__(name):

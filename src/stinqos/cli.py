@@ -5,8 +5,7 @@ fields. Results are written as a single CSV whose '#' comment header echoes
 the fully resolved configuration, so (config, seed) -> output bytes is a
 pure function.
 
-Exit codes: 0 ok, 2 config error, 3 domain/stability error, 4 numeric
-error, 5 io error.
+A run exits 0; a failure exits with the code that ``_FAILURES`` gives it.
 """
 from __future__ import annotations
 
@@ -23,11 +22,13 @@ from .reports import report_row
 # Each runner imports the layers only its command uses (aoi, snc, the sweep
 # layer), so a run loads no more than its command needs.
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DOMAIN = 3
-EXIT_NUMERIC = 4
-EXIT_IO = 5
+# The category and exit code of each failure a run reports; the first
+# class that matches decides, and any other exception propagates
+_FAILURES = ((ConfigError, "config", 2),
+             (StabilityError, "stability", 3),
+             (DomainError, "domain", 3),
+             (NumericError, "numeric", 4),
+             (OSError, "io", 5))
 
 
 def _table(rows) -> tuple[list, list]:
@@ -147,34 +148,18 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    def fail(category: str, code: int, exc: Exception) -> int:
-        print(f"error: category={category} {exc}", file=sys.stderr)
-        return code
-
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        return fail("io", EXIT_IO, exc)
-
-    try:
-        rc = parse_config(text, args.overrides, args.output)
-    except ConfigError as exc:
-        return fail("config", EXIT_CONFIG, exc)
-
-    try:
+        with open(args.config, "rb") as fh:
+            rc = parse_config(fh.read(), args.overrides, args.output)
         path = dispatch(rc)
-    except ConfigError as exc:
-        return fail("config", EXIT_CONFIG, exc)
-    except (DomainError, StabilityError) as exc:
-        return fail("stability" if isinstance(exc, StabilityError) else "domain",
-                    EXIT_DOMAIN, exc)
-    except NumericError as exc:
-        return fail("numeric", EXIT_NUMERIC, exc)
-    except OSError as exc:
-        return fail("io", EXIT_IO, exc)
+    except Exception as exc:
+        for cls, category, code in _FAILURES:
+            if isinstance(exc, cls):
+                print(f"error: category={category} {exc}", file=sys.stderr)
+                return code
+        raise
     print(f"wrote {path}")
-    return EXIT_OK
+    return 0
 
 
 def run() -> None:

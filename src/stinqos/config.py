@@ -8,6 +8,7 @@ the CSV comment header can echo the fully resolved configuration.
 from __future__ import annotations
 
 import json
+import re
 import sys
 import typing
 from dataclasses import MISSING, dataclass, field, fields
@@ -47,30 +48,6 @@ def _field_defaults(cls) -> dict:
             for f in fields(cls) if f.default is not MISSING}
 
 
-class _CommandTable(dict):
-    """A table keyed by command whose "sweep" entry is read off SweepSpec on
-    its first lookup, by ``[]`` or ``get``, so that only a sweep imports the
-    sweep layer."""
-
-    def __init__(self, table: dict, sweep_entry):
-        super().__init__(table)
-        self._sweep_entry = sweep_entry
-
-    def __missing__(self, command):
-        if command != "sweep":
-            raise KeyError(command)
-        from .experiments import SweepSpec
-
-        entry = self[command] = self._sweep_entry(SweepSpec)
-        return entry
-
-    def get(self, command, default=None):
-        try:
-            return self[command]
-        except KeyError:
-            return default
-
-
 # Allowed value kinds of each key of a config block: a type (float and int
 # admit only numbers a finite float holds, no NaN, Infinity or integer
 # beyond the float range; no type admits a boolean unless it is bool), a
@@ -87,8 +64,8 @@ _ARRIVAL_KINDS = ({"kind": ("deterministic", "poisson"), "period": float,
                    "rate": float}, None)
 _SERVICE_KINDS = ({"kind": ("fixed", "arq"), "n": int, "epsilon": (float, None)},
                   None)
-# Kinds of each command's parameters; a sweep's are its SweepSpec's fields'.
-_PARAM_KINDS = _CommandTable({
+# Kinds of each command's parameters but a sweep's (see _param_schema)
+_PARAM_KINDS = {
     "error": {},
     "exponent": {},
     "aoi-sim": {"n_updates": int, "arrival": _ARRIVAL_KINDS,
@@ -98,15 +75,17 @@ _PARAM_KINDS = _CommandTable({
     "delay-bound": {"d_th_blocks": float,
                     "arrival_kind": ("constant_rate", "poisson_batch"),
                     "alpha_bits": float, "rate_per_block": float, "batch_bits": float},
-}, _field_kinds)
-# Defaults of the command parameters; a sweep's are its SweepSpec's, and an
-# omitted arrival or service model is noted where it is built.
-_PARAM_DEFAULTS = _CommandTable({
+}
+# Defaults of the same command parameters; an omitted arrival or service
+# model is noted where it is built.
+_PARAM_DEFAULTS = {
+    "error": {},
+    "exponent": {},
     "aoi-sim": {"n_updates": 10_000},
     "paoi-bound": {"a_th_cu": 150_000.0, "u": "inf", "theta": "optimize"},
     "delay-bound": {"d_th_blocks": 5.0, "arrival_kind": "constant_rate",
                     "alpha_bits": 28.0, "rate_per_block": 1.0, "batch_bits": 28.0},
-}, _field_defaults)
+}
 # Mean gap of the arrival model an omitted arrival block stands for
 _DEFAULT_GAP_CU = 4096.0
 # Keys that each model kind refuses: they set the other kind of its block,
@@ -117,6 +96,16 @@ _OTHER_KIND_KEYS = {"deterministic": ("rate",), "poisson": ("period",),
                     "poisson_batch": ("alpha_bits",)}
 _KIND_NAMES = {float: "finite number", int: "finite integer", str: "string",
                bool: "boolean"}
+
+
+def _param_schema(command: str) -> tuple[dict, dict]:
+    """The kinds and the defaults of a command's parameters; a sweep's are
+    read off the fields of SweepSpec, so only a sweep imports the sweep layer."""
+    if command != "sweep":
+        return _PARAM_KINDS[command], _PARAM_DEFAULTS[command]
+    from .experiments import SweepSpec
+
+    return _field_kinds(SweepSpec), _field_defaults(SweepSpec)
 
 
 @dataclass
@@ -208,9 +197,16 @@ def decode_json(text: str, what: str, bare_string: bool = False):
         raise ConfigError(f"{what} cannot be decoded: {exc}") from None
 
 
-def parse_config(text: str, overrides=(), output: str | None = None) -> RunConfig:
+def parse_config(text: str | bytes, overrides=(), output: str | None = None) -> RunConfig:
     """Parse and validate a JSON run configuration, after applying the
-    KEY=VALUE ``overrides`` and, if given, the ``output`` path to it."""
+    KEY=VALUE ``overrides`` and, if given, the ``output`` path to it. Bytes are
+    read as UTF-8 text with a text-mode file's line ends; a byte order mark
+    stays, for the JSON decoder to refuse."""
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config is not UTF-8 text: {exc}") from None
     raw = decode_json(text, "config")
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -244,6 +240,8 @@ def build_config(raw: dict) -> RunConfig:
     if "\n" in output or "\r" in output:
         # the path is echoed in a '#' comment line of the CSV it names
         raise ConfigError(f"output must not contain a line break, got {output!r}")
+    if re.search("[\0\ud800-\udfff]", output):  # no file name or UTF-8 header holds these
+        raise ConfigError(f"output must be UTF-8 text without a NUL, got {output!r}")
 
     scenario = coding = error_model = None
     if command == "sweep":
@@ -264,7 +262,8 @@ def build_config(raw: dict) -> RunConfig:
             raise ConfigError(str(exc)) from None
 
     params = raw.get("params", {})
-    _check_params(params, _PARAM_KINDS[command], "params")
+    kinds, defaults = _param_schema(command)
+    _check_params(params, kinds, "params")
     if command == "delay-bound":
         _refuse_other_kind(params, params.get("arrival_kind", "constant_rate"), "params")
     for key in ("arrival", "service"):
@@ -279,7 +278,7 @@ def build_config(raw: dict) -> RunConfig:
                 f"omit params.seed or give both the same value"
             )
         params = dict(params, seed=seed)
-    params = {**_PARAM_DEFAULTS.get(command, {}), **params}
+    params = {**defaults, **params}
 
     return RunConfig(
         command=command,

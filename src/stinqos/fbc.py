@@ -352,8 +352,6 @@ def error_exponent_closed_form(s: Scenario, spec: CodingSpec) -> QoSReport:
     b = 2.0 * n_r * p_t_sum + 1.0
     a = 2.0 * p_s * n_r + b
     denom = 4.0 - 2.0 * b / a
-    if denom <= 0.0:  # b <= a always, so denom >= 2 for valid SNRs
-        raise DomainError(f"closed-form denominator {denom} is not positive")
     excess = math.log(a / b) - spec.rate
     theta = excess ** 2 / denom if excess > 0.0 else 0.0
     return QoSReport(

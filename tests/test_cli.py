@@ -389,10 +389,12 @@ class TestDispatch:
         assert "category=config" in capsys.readouterr().err
 
     @pytest.mark.parametrize("route", ["config", "flag"])
-    @pytest.mark.parametrize("brk", ["\n", "\r"])
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\0", "\ud800", "\udcff"])
     def test_output_line_break_config_exit_code(self, tmp_path, capsys, route, brk):
         # the output path is echoed in a '#' comment line: a line break in
-        # it would start a line that a '#'-skipping reader takes as the header
+        # it would start a line that a '#'-skipping reader takes as the header.
+        # No file name holds a NUL, and the header is UTF-8 text, which holds
+        # neither a lone surrogate nor a byte that argv escaped to one
         out = str(tmp_path / f"a{brk}b.csv")
         cfg = {"command": "aoi-sim", "seed": 1, "params": {"n_updates": 3}}
         if route == "config":
@@ -402,7 +404,8 @@ class TestDispatch:
         assert main([write_config(tmp_path, cfg), *argv]) == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
         err = capsys.readouterr().err
-        assert "category=config" in err and "line break" in err
+        assert "category=config" in err
+        assert ("line break" if brk in "\n\r" else "UTF-8 text without a NUL") in err
 
     @pytest.mark.parametrize("text,argv,message", [
         ('{"command": "error", "seed": 1, "params": %s}'
@@ -413,11 +416,19 @@ class TestDispatch:
          [], "config cannot be decoded"),
         ('{"command": "error", "seed": 1', [], "config is not valid JSON"),
         ('[]', [], "config root must be a JSON object"),
-    ], ids=["deep-file", "deep-set", "long-integer", "truncated", "array-root"])
+        (b'{"command": "error", "seed": 1, "output": "\xff.csv"}', [],
+         "config is not UTF-8 text"),
+        ('{"command": "error", "seed": 1}'.encode("utf-16"), [],
+         "config is not UTF-8 text"),
+    ], ids=["deep-file", "deep-set", "long-integer", "truncated", "array-root",
+            "latin-1-bytes", "utf-16"])
     def test_undecodable_config_exit_code(self, tmp_path, capsys, text, argv,
                                           message):
         config = tmp_path / "run.json"
-        config.write_text(text, encoding="utf-8")
+        if isinstance(text, bytes):
+            config.write_bytes(text)
+        else:
+            config.write_text(text, encoding="utf-8")
         out = tmp_path / "e.csv"
         assert main([str(config), "--output", str(out), *argv]) == 2
         assert not out.exists()

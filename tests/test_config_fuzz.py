@@ -130,14 +130,15 @@ def configs(draw):
     scenario = {"none": {}, "preset": {}, "full": copy.deepcopy(FULL_SCENARIO)}
     if form != "none":
         cfg["scenario"] = scenario[form]
+    kinds, defaults = config._param_schema(cfg["command"])
     tables = {"seed": int,
               "scenario": (config._SCENARIO_FULL_KINDS if form == "full"
                            else config._SCENARIO_PRESET_KINDS),
               "coding": config._field_kinds(fbc.CodingSpec),
               "error_model": config._field_kinds(fbc.ErrorModel),
-              "params": config._PARAM_KINDS[cfg["command"]]}
+              "params": kinds}
     base = dict(BLOCK_BASES, seed=cfg["seed"], params={
-        **config._PARAM_DEFAULTS.get(cfg["command"], {}),
+        **defaults,
         **SMALL.get(cfg["command"], {}), **cfg["params"]})
     if form == "full":
         base["scenario"] = cfg["scenario"]
