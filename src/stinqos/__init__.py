@@ -22,9 +22,8 @@ _NAMES = {
     "fbc": ("CodingSpec", "ErrorModel", "average_error", "conditional_error",
             "error_exponent", "error_exponent_closed_form", "q_function"),
     "optimize": (),
-    "reports": ("QoSReport",),
-    "snc": ("BitArrival", "delay_bound", "optimize_paoi_bound", "paoi_bound",
-            "stability_check"),
+    "snc": ("BitArrival", "QoSReport", "delay_bound", "optimize_paoi_bound",
+            "paoi_bound", "stability_check"),
 }
 # The submodule of each public name that is not a submodule itself
 _SOURCE = {name: module for module, names in _NAMES.items() for name in names}

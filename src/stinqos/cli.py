@@ -17,7 +17,6 @@ from . import channel, csvio
 from .config import RunConfig, build_arrival, build_service, echo_params, parse_config
 from .errors import ConfigError, DomainError, NumericError, StabilityError
 from .fbc import average_error, error_exponent, error_exponent_closed_form
-from .reports import report_row
 
 # Each runner imports the layers only its command uses (aoi, snc, the sweep
 # layer), so a run loads no more than its command needs.
@@ -39,6 +38,14 @@ def _table(rows) -> tuple[list, list]:
                      for k in fields]]
 
 
+def _bound_table(report, seed):
+    """The one-row table of a peak-AoI or delay bound. A query with no
+    stable theta is refused, so every bound row is stable."""
+    return _table([{"kind": report.kind, "theta": report.theta,
+                    "threshold": report.threshold, "kernel": report.kernel_value,
+                    "bound": report.bound_value, "stable": True, "seed": seed}])
+
+
 def _run_error(rc: RunConfig):
     res = average_error(rc.scenario, rc.coding, rc.error_model)
     return _table([{"avg_error": res.value, "std_error": res.std_error,
@@ -46,11 +53,11 @@ def _run_error(rc: RunConfig):
 
 
 def _run_exponent(rc: RunConfig):
-    numeric = error_exponent(rc.scenario, rc.coding, rc.error_model)
+    theta, rho_star = error_exponent(rc.scenario, rc.coding, rc.error_model)
     closed = error_exponent_closed_form(rc.scenario, rc.coding)
     return _table([{"blocklength": rc.coding.blocklength, "rate_nats": rc.coding.rate,
-                    "theta_numeric": numeric.theta, "rho_star": numeric.params["rho_star"],
-                    "theta_closed_form": closed.theta}])
+                    "theta_numeric": theta, "rho_star": rho_star,
+                    "theta_closed_form": closed}])
 
 
 def _run_aoi_sim(rc: RunConfig):
@@ -73,7 +80,7 @@ def _run_paoi_bound(rc: RunConfig):
     n = rc.coding.blocklength
     report = (optimize_paoi_bound(a_th, n, u, am, sm) if theta == "optimize"
               else paoi_bound(float(theta), a_th, n, u, am, sm))
-    return _table([report_row(report, seed=rc.seed)])
+    return _bound_table(report, rc.seed)
 
 
 def _run_delay_bound(rc: RunConfig):
@@ -86,7 +93,7 @@ def _run_delay_bound(rc: RunConfig):
         arrival = BitArrival.poisson_batch(p["rate_per_block"], p["batch_bits"])
     eps = average_error(rc.scenario, rc.coding, rc.error_model).value
     report = delay_bound(p["d_th_blocks"], arrival, rc.coding, eps)
-    return _table([report_row(report, seed=rc.seed)])
+    return _bound_table(report, rc.seed)
 
 
 def _run_sweep(rc: RunConfig):
@@ -158,7 +165,10 @@ def main(argv=None) -> int:
                 print(f"error: category={category} {exc}", file=sys.stderr)
                 return code
         raise
-    print(f"wrote {path}")
+    # a character standard output cannot encode is written backslash-escaped,
+    # so a run that wrote its CSV still exits 0
+    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+    print(f"wrote {path}".encode(encoding, "backslashreplace").decode(encoding))
     return 0
 
 

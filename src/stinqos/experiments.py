@@ -347,11 +347,11 @@ def run_fig5(spec: SweepSpec) -> list[dict]:
     em = ErrorModel(method="quadrature", quad_tolerance=spec.quad_tolerance)
     codings = [CodingSpec(blocklength=n, code_size=spec.code_size, rate=rate)
                for n in spec.n_grid]
-    reports = [error_exponent(scen, coding, em) for coding in codings]
-    return [{"n": n, "theta_numeric": rep.theta,
-             "theta_closed_form": error_exponent_closed_form(scen, coding).theta,
-             "rho_star": rep.params["rho_star"], "rate_nats": rate}
-            for n, coding, rep in zip(spec.n_grid, codings, reports)]
+    exponents = [error_exponent(scen, coding, em) for coding in codings]
+    return [{"n": n, "theta_numeric": theta,
+             "theta_closed_form": error_exponent_closed_form(scen, coding),
+             "rho_star": rho_star, "rate_nats": rate}
+            for n, coding, (theta, rho_star) in zip(spec.n_grid, codings, exponents)]
 
 
 _RUNNERS = {"fig3": run_fig3, "fig4": run_fig4, "fig5": run_fig5,

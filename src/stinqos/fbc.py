@@ -20,7 +20,6 @@ from . import channel
 from .channel import Scenario, logsumexp, srician_quad_nodes
 from .errors import DomainError, NumericError
 from .optimize import golden_section_min
-from .reports import QoSReport
 
 # Nodes of the Gauss rule for the aggregate interference, at every K.
 _INTERFERENCE_NODES = 32
@@ -227,16 +226,17 @@ def average_error(s: Scenario, spec: CodingSpec, em: ErrorModel) -> ErrorResult:
     if em.method == "monte_carlo":
         # a sum of block sums, and squared deviations merged across blocks by
         # Chan et al.'s update: np.mean and np.std(ddof=1) for one block
-        n, total, m2 = em.sample_budget, 0.0, 0.0
-        for i, gam in enumerate(_sinr_blocks(s, n)):
+        n, total, m2, seen = em.sample_budget, 0.0, 0.0, 0
+        for gam in _sinr_blocks(s, n):
             errs = conditional_error(gam, spec)
-            block_sum, size, seen = np.sum(errs), errs.size, i * channel._BLOCK_ROWS
+            block_sum, size = np.sum(errs), errs.size
             if seen:
                 m2 += ((block_sum / size - total / seen) ** 2
                        * (seen * size / (seen + size)))
             errs -= block_sum / size
             m2 += np.sum(np.square(errs, out=errs))
             total += block_sum
+            seen += size
             del gam, errs  # before the next block is drawn
         return ErrorResult(value=float(total / n),
                            std_error=math.sqrt(m2 / (n - 1)) / math.sqrt(n),
@@ -301,8 +301,9 @@ def error_exponent_samples(
     return theta, rho_star
 
 
-def error_exponent(s: Scenario, spec: CodingSpec, em: ErrorModel) -> QoSReport:
-    """Error-rate QoS exponent sup_rho {E0(rho) - rho R*} for the scenario."""
+def error_exponent(s: Scenario, spec: CodingSpec, em: ErrorModel) -> tuple[float, float]:
+    """Error-rate QoS exponent sup_rho {E0(rho) - rho R*} for the scenario,
+    as (theta, rho_star)."""
     if em.method == "monte_carlo":
         if em.sample_budget > _MAX_EXPONENT_DRAWS:
             raise NumericError(f"{em.sample_budget} Monte Carlo draws exceed the cap "
@@ -326,20 +327,10 @@ def error_exponent(s: Scenario, spec: CodingSpec, em: ErrorModel) -> QoSReport:
                 "error exponent value not stable under quadrature refinement",
                 achieved=drift,
             )
-    return QoSReport(
-        kind="error",
-        theta=theta,
-        bound_value=theta,
-        params={
-            "rho_star": rho_star,
-            "blocklength": spec.blocklength,
-            "rate_nats": spec.rate,
-            "method": em.method,
-        },
-    )
+    return theta, rho_star
 
 
-def error_exponent_closed_form(s: Scenario, spec: CodingSpec) -> QoSReport:
+def error_exponent_closed_form(s: Scenario, spec: CodingSpec) -> float:
     """Closed-form exponent approximation from the link SNR budget.
 
     Uses the noise-normalized transmit SNRs of the satellite and of the K
@@ -353,16 +344,4 @@ def error_exponent_closed_form(s: Scenario, spec: CodingSpec) -> QoSReport:
     a = 2.0 * p_s * n_r + b
     denom = 4.0 - 2.0 * b / a
     excess = math.log(a / b) - spec.rate
-    theta = excess ** 2 / denom if excess > 0.0 else 0.0
-    return QoSReport(
-        kind="error",
-        theta=theta,
-        bound_value=theta,
-        params={
-            "rate_nats": spec.rate,
-            "p_s": p_s,
-            "p_t_sum": p_t_sum,
-            "rx_antennas": n_r,
-            "method": "closed_form",
-        },
-    )
+    return excess ** 2 / denom if excess > 0.0 else 0.0

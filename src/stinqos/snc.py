@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable
 
 from .errors import DomainError, NumericError, StabilityError
 from .optimize import golden_section_min, grid_then_golden
-from .reports import QoSReport
 
 if TYPE_CHECKING:  # the bounds read these models' fields only
     from .aoi import ArrivalModel, ServiceModel
@@ -28,6 +28,27 @@ if TYPE_CHECKING:  # the bounds read these models' fields only
 # relative tolerance of the golden-section theta search, as a share of the
 # stable interval
 _THETA_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class QoSReport:
+    """A peak-AoI ("aoi") or delay ("delay") violation bound with the
+    parameters producing it: ``bound_value`` is clamped to [0, 1] and
+    ``raw_bound`` is the unclamped Chernoff value. ``params`` is a read-only
+    copy of the mapping given; ``dataclasses.replace`` gives a new report.
+    """
+
+    kind: str
+    theta: float
+    bound_value: float
+    threshold: float
+    kernel_value: float
+    raw_bound: float
+    params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+
 
 # ---------------------------------------------------------------------------
 # Transforms of inter-arrival and service times (channel-use domain)
@@ -185,7 +206,6 @@ def paoi_bound(
         kernel_value=kernel,
         bound_value=min(1.0, raw),
         raw_bound=raw,
-        stability_ok=True,
         params={"n": n, "u": "inf" if u is None else u},
     )
 
@@ -332,7 +352,6 @@ def delay_bound(d_th: float, arrival: BitArrival, spec: CodingSpec, eps: float) 
         kernel_value=raw,
         bound_value=min(1.0, raw),
         raw_bound=raw,
-        stability_ok=True,
         params={
             "avg_error": eps,
             "bits_per_block": bits,

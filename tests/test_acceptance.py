@@ -233,7 +233,7 @@ def test_criterion_7_fig5_trends_and_point_check():
     theta_by_rate = [
         error_exponent_closed_form(
             s, CodingSpec(blocklength=100, code_size=2, rate=r)
-        ).theta
+        )
         for r in rates
     ]
     assert theta_by_rate[0] > theta_by_rate[1] > theta_by_rate[2]
@@ -251,13 +251,13 @@ def test_criterion_7_fig5_trends_and_point_check():
         )
 
     theta_by_ps = [
-        error_exponent_closed_form(snr_scenario(db), base).theta
+        error_exponent_closed_form(snr_scenario(db), base)
         for db in (8.0, 10.0, 12.0)
     ]
     assert theta_by_ps[0] < theta_by_ps[1] < theta_by_ps[2]
 
     # reference point: N_R=2, K=1, P_s=10, P_t=1, R*=1 nat
-    point = error_exponent_closed_form(snr_scenario(10.0), base).theta
+    point = error_exponent_closed_form(snr_scenario(10.0), base)
     expected = (math.log(9.0) - 1.0) ** 2 / (4.0 - 2.0 / 9.0)
     assert abs(point - expected) < 1e-12
     assert abs(point - 0.37942) < 1e-4

@@ -19,6 +19,7 @@ from stinqos.config import (
     apply_overrides, build_arrival, build_config, build_service, parse_config,
 )
 from stinqos.errors import ConfigError, DomainError
+from stinqos.snc import QoSReport
 from trace_helper import whole_trace, whole_updates
 
 
@@ -107,6 +108,14 @@ class TestDispatch:
         text = (tmp_path / "exp.csv").read_text()
         value = float(text.strip().split("\n")[-1].split(",")[-1])
         assert value == pytest.approx(0.37942, abs=1e-4)
+
+    def test_bound_row_field_order(self):
+        rep = QoSReport(kind="delay", theta=0.4, bound_value=0.01, threshold=5.0,
+                        kernel_value=0.01, raw_bound=0.01)
+        fields, [columns] = cli._bound_table(rep, 9)
+        assert fields == ["kind", "theta", "threshold", "kernel", "bound",
+                          "stable", "seed"]
+        assert [c[0] for c in columns] == ["delay", 0.4, 5.0, 0.01, 0.01, True, 9]
 
     def test_identical_runs_identical_bytes(self, tmp_path):
         cfg = dict(THEOREM_CONFIG, output=str(tmp_path / "a.csv"))
@@ -825,21 +834,50 @@ class TestAtomicWrite:
         ({"command": "error", "scenario": dict(THEOREM_CONFIG["scenario"], interferers=dict(
             THEOREM_CONFIG["scenario"]["interferers"], carrier_hz=1e-300))},
          3, "category=domain interferer power at carrier_hz=1e-300 overflows"),
+        ({"command": "error", "coding": {"blocklength": 0, "code_size": 256}},
+         2, "category=config blocklength must be >= 1"),
+        ({"command": "error", "coding": {"blocklength": 64, "code_size": 256,
+                                         "rate": -1.0}},
+         2, "category=config rate must be > 0"),
+        ({"command": "error", "scenario": dict(THEOREM_CONFIG["scenario"], interferers=dict(
+            THEOREM_CONFIG["scenario"]["interferers"], count=-1))},
+         2, "category=config interferer count must be >= 0"),
+        ({"command": "paoi-bound", "params": {"theta": 0.0}},
+         3, "category=domain theta must be > 0"),
+        ({"command": "paoi-bound", "params": {"theta": -0.001}},
+         3, "category=domain theta must be > 0"),
+        ({"command": "paoi-bound", "params": {"u": 0}},
+         3, "category=domain update index must be >= 1"),
     ], ids=["deterministic-period", "poisson-rate", "fig3-gap", "fig4-gap",
             "fading-decay", "annulus-radius", "pathloss", "pathloss-underflow",
-            "interferer-carrier-zero", "interferer-power"])
+            "interferer-carrier-zero", "interferer-power", "blocklength-zero",
+            "rate-negative", "interferer-count-negative", "theta-zero",
+            "theta-negative", "update-index-zero"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_typed_exit_code(self, tmp_path, capsys, cfg, code, message):
-        # each of these once ended in a traceback: arrival times beyond the
-        # float range, a fading decay rate that rounds to 0, an annulus
-        # radius whose square overflows, a pathloss factor that does, by an
-        # overflow or by a product carrier_hz * distance_m of 0, and an
-        # interferer carrier of 0 or one so low that its power overflows
+        # each of the first ten once ended in a traceback: arrival times
+        # beyond the float range, a fading decay rate that rounds to 0, an
+        # annulus radius whose square overflows, a pathloss factor that does,
+        # by an overflow or by a product carrier_hz * distance_m of 0, and an
+        # interferer carrier of 0 or one so low that its power overflows. The
+        # last six are refusals of the coding, interferer and peak-AoI models
+        # that a config reaches and no other test runs
         cfg = dict(cfg, seed=1, output=str(tmp_path / "t.csv"))
         assert main([write_config(tmp_path, cfg)]) == code
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+    def test_unencodable_output_path_printed_escaped(self, tmp_path, monkeypatch):
+        # main prints through whatever sys.stdout is, and changes nothing of it
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        out = tmp_path / "\u00e9.csv"
+        assert main([write_config(tmp_path, AOI_SIM_DET), "--output", str(out)]) == 0
+        assert out.exists() and (stdout.encoding, stdout.errors) == ("ascii", "strict")
+        stdout.flush()
+        assert stdout.buffer.getvalue() == (
+            f"wrote {str(out)[:-5]}\\xe9.csv\n".encode("ascii"))
 
     def test_missing_output_directory_io_exit_code(self, tmp_path, capsys):
         cfg = dict(AOI_SIM_DET, output=str(tmp_path / "missing" / "t.csv"))
@@ -969,6 +1007,19 @@ class TestProcessEntry:
         out.unlink()
         assert main([str(tmp_path / "run.json")]) == 0
         assert out.read_bytes() == spawned
+
+    def test_unencodable_output_path_printed_escaped(self, tmp_path):
+        # stdout's encoding cannot hold the path: the line is escaped, and
+        # the complete run still exits 0
+        out = tmp_path / "\u00e9.csv"
+        src = str(Path(stinqos.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="ascii")
+        res = subprocess.run([sys.executable, "-m", "stinqos",
+                              write_config(tmp_path, self.PAOI), "--output", str(out)],
+                             env=env, capture_output=True)
+        assert (res.returncode, res.stderr) == (0, b"")
+        assert res.stdout == f"wrote {str(out)[:-5]}\\xe9.csv\n".encode("ascii")
+        assert out.read_text().startswith("# build:")
 
     def test_run_without_stdout(self, tmp_path):
         # a process started with its stdout closed has sys.stdout None

@@ -347,7 +347,7 @@ class TestErrorExponent:
         thetas = []
         for rate in (0.1, 0.2, 0.4, 0.8):
             spec = CodingSpec(blocklength=200, code_size=2, rate=rate)
-            thetas.append(error_exponent(s, spec, em).theta)
+            thetas.append(error_exponent(s, spec, em)[0])
         assert all(thetas[i + 1] <= thetas[i] + 1e-12 for i in range(len(thetas) - 1))
 
     @pytest.mark.parametrize("k", [0, 1, 3])
@@ -356,20 +356,19 @@ class TestErrorExponent:
         # to the exponent, must hold the quadrature exponent
         s, n, rate, budget = scenario_at(15.0, k), 200, 0.2, 200_000
         spec = CodingSpec(blocklength=n, code_size=2, rate=rate)
-        quad = error_exponent(s, spec, ErrorModel(method="quadrature",
-                                                  quad_tolerance=1e-8))
-        mc = error_exponent(s, spec, ErrorModel(method="monte_carlo",
-                                                sample_budget=budget))
-        rho = mc.params["rho_star"]
+        quad_theta, _ = error_exponent(s, spec, ErrorModel(method="quadrature",
+                                                           quad_tolerance=1e-8))
+        mc_theta, rho = error_exponent(s, spec, ErrorModel(method="monte_carlo",
+                                                           sample_budget=budget))
         assert rho > 0.0
         draws = np.asarray(sinr_samples(s, budget), dtype=np.longdouble)
         vals = (1.0 + draws / (1.0 + rho)) ** (-n * rho)
         mean = vals.mean()
         se = float(vals.std(ddof=1) / math.sqrt(vals.size))
-        assert -float(np.log(mean)) / n - rho * rate == pytest.approx(mc.theta, rel=1e-9)
+        assert -float(np.log(mean)) / n - rho * rate == pytest.approx(mc_theta, rel=1e-9)
         lo = -float(np.log(mean + 3 * se)) / n - rho * rate
         hi = -float(np.log(mean - 3 * se)) / n - rho * rate
-        assert lo <= quad.theta <= hi
+        assert lo <= quad_theta <= hi
 
     # The search has no guard grid, so E0 must be concave in rho wherever it
     # runs: K 0..10, integer and non-integer m, 0..30 dB, n 1..2000, and both
@@ -496,7 +495,7 @@ class TestClosedForm:
         s = theorem_example_scenario()
         log_ratio = math.log((2 * 10 * 2 + 2 * 2 * 1 + 1) / (2 * 2 * 1 + 1))
         spec = CodingSpec(blocklength=100, code_size=2, rate=log_ratio)
-        assert error_exponent_closed_form(s, spec).theta == 0.0
+        assert error_exponent_closed_form(s, spec) == 0.0
 
     def test_reference_point(self):
         s = theorem_example_scenario()
@@ -504,10 +503,10 @@ class TestClosedForm:
         # independent high-precision evaluation of the same link budget
         num = (math.log(45.0 / 5.0) - 1.0) ** 2
         den = 4.0 - 2.0 * 5.0 / 45.0
-        assert error_exponent_closed_form(s, spec).theta == pytest.approx(
+        assert error_exponent_closed_form(s, spec) == pytest.approx(
             num / den, rel=1e-14
         )
-        assert error_exponent_closed_form(s, spec).theta == pytest.approx(
+        assert error_exponent_closed_form(s, spec) == pytest.approx(
             0.37942, abs=1e-4
         )
 
@@ -523,7 +522,7 @@ class TestClosedForm:
                 rx_antennas=2,
                 seed=0,
             )
-            thetas.append(error_exponent_closed_form(s, spec).theta)
+            thetas.append(error_exponent_closed_form(s, spec))
         assert all(thetas[i + 1] > thetas[i] for i in range(len(thetas) - 1))
 
     def test_decreasing_in_rate(self):
@@ -531,7 +530,7 @@ class TestClosedForm:
         thetas = [
             error_exponent_closed_form(
                 s, CodingSpec(blocklength=100, code_size=2, rate=r)
-            ).theta
+            )
             for r in (0.5, 1.0, 1.5, 2.0)
         ]
         assert all(thetas[i + 1] < thetas[i] for i in range(len(thetas) - 1))
@@ -543,16 +542,16 @@ class TestClosedForm:
         s = scenario_at(15.0, 1)
         for rate in (0.2, 0.5):
             spec = CodingSpec(blocklength=200, code_size=2, rate=rate)
-            numeric_by_rate.append(error_exponent(s, spec, em).theta)
-            closed_by_rate.append(error_exponent_closed_form(s, spec).theta)
+            numeric_by_rate.append(error_exponent(s, spec, em)[0])
+            closed_by_rate.append(error_exponent_closed_form(s, spec))
         assert numeric_by_rate[1] <= numeric_by_rate[0]
         assert closed_by_rate[1] <= closed_by_rate[0]
         spec = CodingSpec(blocklength=200, code_size=2, rate=0.2)
         numeric_by_snr = [
-            error_exponent(scenario_at(snr, 1), spec, em).theta for snr in (10.0, 20.0)
+            error_exponent(scenario_at(snr, 1), spec, em)[0] for snr in (10.0, 20.0)
         ]
         closed_by_snr = [
-            error_exponent_closed_form(scenario_at(snr, 1), spec).theta
+            error_exponent_closed_form(scenario_at(snr, 1), spec)
             for snr in (10.0, 20.0)
         ]
         assert numeric_by_snr[1] >= numeric_by_snr[0]

@@ -1,6 +1,7 @@
 """Network-calculus transform, kernel, and bound tests."""
 import math
 import zlib
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -18,6 +19,7 @@ from stinqos.errors import DomainError, NumericError, StabilityError
 from stinqos.fbc import CodingSpec
 from stinqos.snc import (
     BitArrival,
+    QoSReport,
     _log_geometric_sum,
     _log_mellin_gap,
     _log_mellin_served,
@@ -363,6 +365,28 @@ class TestServiceProcessTransform:
     def test_average_error_outside_unit_interval(self):
         with pytest.raises(DomainError):
             _log_mellin_served(0.1, BITS, 1.5)
+
+
+class TestReportParams:
+    def test_item_assignment_raises(self):
+        params = {"n": 64}
+        rep = QoSReport(kind="aoi", theta=0.1, bound_value=0.5, threshold=1.0,
+                        kernel_value=0.5, raw_bound=0.5, params=params)
+        with pytest.raises(TypeError):
+            rep.params["n"] = 128
+        params["n"] = 128  # the report keeps a copy of the mapping given
+        assert rep.params["n"] == 64
+
+    def test_replace_gives_new_read_only_params(self):
+        rep = optimize_paoi_bound(150_000.0, 64, None, ArrivalModel.poisson(1 / 4096),
+                                  ServiceModel.arq(64, 0.01))
+        assert rep.params["theta_interval"][0] == 0.0
+        with pytest.raises(TypeError):
+            rep.params["theta_interval"] = None
+        moved = replace(rep, params={**rep.params, "extra": 1})
+        assert moved.params["extra"] == 1 and "extra" not in rep.params
+        with pytest.raises(TypeError):
+            moved.params["extra"] = 2
 
 
 class TestBitArrival:
