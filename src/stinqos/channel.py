@@ -38,18 +38,13 @@ _STREAM_SWEEP_TRACE = 11
 # the Monte Carlo paths, and the quadrature adds interferers one at a time.
 MAX_INTERFERERS = 1000
 
-# Terms of the Kummer sum of an integer shadowing parameter m, refused before
-# its (nodes, m) term matrix exists: at the cap the finest fading rule takes
-# about 1 s and 0.7 GB on a 2-CPU VM.
-_MAX_KUMMER_TERMS = 10 ** 4
-
 
 # ---------------------------------------------------------------------------
 # log-sum-exp and the confluent hypergeometric function 1F1(m; 1; z)
 # ---------------------------------------------------------------------------
 
-def logsumexp(a, axis=None, b=None):
-    """log(sum(b * exp(a))) along ``axis`` (all axes for None).
+def logsumexp(a, b=None):
+    """log(sum(b * exp(a))) of a 1-D array ``a`` and weights ``b``.
 
     scipy.special.logsumexp's algorithm for real float64 input and weights
     b >= 0, bit for bit, without its per-call array-API dispatch: the max
@@ -58,60 +53,35 @@ def logsumexp(a, axis=None, b=None):
     where a is infinite. Where that value is not finite, the plain
     log(sum(b * exp(a))) is returned instead.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    if b is not None:
-        a, b = np.broadcast_arrays(a, np.asarray(b, dtype=float))
-    axis = tuple(range(a.ndim)) if axis is None else axis
+    a = np.asarray(a, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         terms = a if b is None else np.where(b == 0, -np.inf, a)
-        a_max = np.max(terms, axis=axis, keepdims=True, initial=-np.inf)
+        a_max = np.max(terms, initial=-np.inf)
         is_max = terms == a_max
         e = np.exp(np.where(is_max, -np.inf, terms) - a_max)
-        m = np.sum(is_max if b is None else b * is_max, axis=axis,
-                   keepdims=True, dtype=float)
-        s = np.sum(e if b is None else b * e, axis=axis, keepdims=True)
-        s = np.where(s == 0, s, s / m)
+        m = np.sum(is_max if b is None else b * is_max, dtype=float)
+        s = np.sum(e if b is None else b * e)
+        s = s if s == 0 else s / m
         out = np.log1p(s) + np.log(m) + a_max
-        finite = np.isfinite(out)
-        if not finite.all():
-            direct = np.exp(a) if b is None else b * np.exp(a)
-            out = np.where(finite, out,
-                           np.log(np.sum(direct, axis=axis, keepdims=True)))
-    out = np.squeeze(out, axis=axis)
-    return out[()] if out.ndim == 0 else out
+        if not np.isfinite(out):
+            out = np.log(np.sum(np.exp(a) if b is None else b * np.exp(a)))
+    return out
 
 
 def log_hyp1f1_integer(m: float, z):
-    """log of 1F1(m; 1; z), overflow-safe for large z (z >= 0).
+    """log of 1F1(m; 1; z) for every m > 0 and z >= 0, as z + log(1F1(1 - m;
+    1; -z)) by Kummer's transformation, so large z does not overflow.
 
     Raises:
-        NumericError: if integer m exceeds _MAX_KUMMER_TERMS, or non-integer
-            m overflows scipy's 1F1 (roughly m >= 50 with z > 1e4).
+        NumericError: if that is not finite (roughly m >= 50 with z > 1e4).
     """
-    from scipy.special import gammaln, hyp1f1
+    from scipy.special import hyp1f1
 
     z = np.asarray(z, dtype=float)
-    if float(m).is_integer() and m >= 1:
-        mi = int(m)
-        if mi > _MAX_KUMMER_TERMS:
-            raise NumericError(f"fading m={m:g} needs {mi} Kummer terms, above "
-                               f"the cap of {_MAX_KUMMER_TERMS}")
-        k = np.arange(mi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # log of C(m-1, k) z^k / k!; the k=0 term is exactly 1 even at z=0
-            log_terms = (
-                gammaln(mi) - gammaln(mi - k) - 2.0 * gammaln(k + 1)
-                + k * np.log(z[..., None])
-            )
-        log_terms = np.where(k == 0, 0.0, log_terms)
-        log_terms = np.where((z[..., None] == 0) & (k > 0), -np.inf, log_terms)
-        return z + logsumexp(log_terms, axis=-1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         out = z + np.log(hyp1f1(1.0 - m, 1.0, -z))
     if not np.all(np.isfinite(out)):
-        raise NumericError(
-            f"1F1(m={m}; 1; z) overflows for z up to {np.max(z):g}"
-        )
+        raise NumericError(f"1F1(m={m}; 1; z) overflows for z up to {np.max(z):g}")
     return out
 
 
@@ -149,8 +119,8 @@ class ShadowedRicianParams:
     @property
     def log_alpha(self) -> float:
         """log alpha, finite where alpha itself underflows (small b, large m)."""
-        two_bm = 2.0 * self.b * self.m
-        return self.m * math.log(two_bm / (two_bm + self.omega)) - math.log(2.0 * self.b)
+        return (-self.m * math.log1p(self.omega / (2.0 * self.b * self.m))
+                - math.log(2.0 * self.b))
 
     @property
     def beta(self) -> float:

@@ -10,6 +10,7 @@ A run exits 0; a failure exits with the code that ``_FAILURES`` gives it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -166,9 +167,11 @@ def main(argv=None) -> int:
                 return code
         raise
     # a character standard output cannot encode is written backslash-escaped,
-    # so a run that wrote its CSV still exits 0
+    # and a reader of standard output that has gone ends the output, so a
+    # run that wrote its CSV still exits 0
     encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
-    print(f"wrote {path}".encode(encoding, "backslashreplace").decode(encoding))
+    with contextlib.suppress(BrokenPipeError):
+        print(f"wrote {path}".encode(encoding, "backslashreplace").decode(encoding))
     return 0
 
 
@@ -179,13 +182,15 @@ def run() -> None:
     the process was started with), and ends the process with os._exit: a
     finished run has written and closed its CSV, so module teardown, the
     shutdown garbage collections and the library destructors would only cost
-    time. An exception out of main() or out of a flush (argparse's
-    SystemExit included) ends the process the ordinary way.
+    time. A flush to a reader that has gone ends that stream's output; any
+    other exception out of main() or out of a flush (argparse's SystemExit
+    included) ends the process the ordinary way.
     """
     code = main()
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:
-            stream.flush()
+            with contextlib.suppress(BrokenPipeError):
+                stream.flush()
     os._exit(code)
 
 

@@ -89,7 +89,8 @@ _PARAM_DEFAULTS = {
 # Mean gap of the arrival model an omitted arrival block stands for
 _DEFAULT_GAP_CU = 4096.0
 # Keys that each model kind refuses: they set the other kind of its block,
-# so they would be echoed in the header but never used.
+# so they would be echoed in the header but never used. A delay bound's
+# defaults of the other arrival kind are dropped for the same reason.
 _OTHER_KIND_KEYS = {"deterministic": ("rate",), "poisson": ("period",),
                     "fixed": ("epsilon",),
                     "constant_rate": ("rate_per_block", "batch_bits"),
@@ -265,7 +266,10 @@ def build_config(raw: dict) -> RunConfig:
     kinds, defaults = _param_schema(command)
     _check_params(params, kinds, "params")
     if command == "delay-bound":
-        _refuse_other_kind(params, params.get("arrival_kind", "constant_rate"), "params")
+        arrival_kind = params.get("arrival_kind", "constant_rate")
+        _refuse_other_kind(params, arrival_kind, "params")
+        defaults = {k: v for k, v in defaults.items()
+                    if k not in _OTHER_KIND_KEYS[arrival_kind]}
     for key in ("arrival", "service"):
         if isinstance(params.get(key), dict):
             _refuse_other_kind(params[key], params[key].get("kind"), f"params.{key}")

@@ -55,8 +55,7 @@ STRINGS = {"method": ["quadrature", "monte_carlo"],
            "figure": ["fig3", "fig4", "fig5", "stin_psn"]}
 
 # Size caps of the fuzz, each with the library's own cap above which a value
-# is refused before any work (None where a value is capped either way); an
-# integer fading m has m Kummer terms at each node of the fading rule.
+# is refused before any work (None where a value is capped either way).
 CAPS = {"n_updates": (2000, aoi.MAX_UPDATES),
         "fig4_n_updates": (2000, aoi.MAX_UPDATES),
         "error_draws": (20_000, experiments.MAX_ERROR_DRAWS),
@@ -65,7 +64,7 @@ CAPS = {"n_updates": (2000, aoi.MAX_UPDATES),
         "k": (12, channel.MAX_INTERFERERS),
         "count": (12, channel.MAX_INTERFERERS),
         "fig_k": (12, channel.MAX_INTERFERERS),
-        "m": (100, channel._MAX_KUMMER_TERMS)}
+        "m": (100, None)}
 GRIDS = ("k_grid", "snr_points_db", "theta_grid", "n_grid")
 
 

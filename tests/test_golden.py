@@ -12,6 +12,7 @@ import json
 import pytest
 
 from stinqos.cli import main
+from replay import header_config, replayed_lines
 
 
 def _scenario(k, m):
@@ -28,19 +29,19 @@ def _scenario(k, m):
 GOLDEN = {
     "error_k1_m10": (
         {"command": "error", "seed": 1, "scenario": _scenario(1, 10)},
-        "9bde01c07bd3e201f05198febf109d16e3f186cf4fedf934a777818b18224c83",
+        "a639d0a98551ee6813f6d0550e1c84c3b5b21fa5453b1a10a8d153911dc84be4",
     ),
     "error_k1_m10.5": (
         {"command": "error", "seed": 1, "scenario": _scenario(1, 10.5)},
-        "0693d098317abe98596f6643b25be9d9d002d5ee76db2d7684a059dcc7f68abb",
+        "e15f730be074a38e90626f955f1ca4446aa8eb6863b96889d82b67866e97796b",
     ),
     "error_k3_m10": (
         {"command": "error", "seed": 1, "scenario": _scenario(3, 10)},
-        "c0be7d5dbf5d8fb44eb78a91124de193bcabd975548dbf5c7ec1a69a52ff8c73",
+        "26af0ef48eac20f1ec3dbdfb3c7a3da3df2bee70bdfcb5232c949a00b8802f71",
     ),
     "error_k8_m10": (
         {"command": "error", "seed": 1, "scenario": _scenario(8, 10)},
-        "884bc3f6dd07769788182926d3eb8bd0f8f2b8f70d7f0cdc315b0e6b47b52a98",
+        "eb6113f63a81c711de298d7956f7085ffca18aa144f8b3e0557f13c7d59ba9bb",
     ),
     # three blocks of 2^14 Monte Carlo draws and five more, so the mean and
     # standard error are merged across block edges
@@ -51,7 +52,7 @@ GOLDEN = {
     ),
     "exponent_k3_m10": (
         {"command": "exponent", "seed": 1, "scenario": _scenario(3, 10)},
-        "6ae654de0306a23859d4c984858e425bcb73c8bb3af30af4d0fb506fa2b6d048",
+        "699f7ce60c13bb328b1e66e8e9e8a3559fba039f407799db780f98d4dfed46c2",
     ),
     # three blocks of 2^14 Monte Carlo SINR draws and five more, joined
     # into the one column that the exponent's search reads
@@ -112,7 +113,7 @@ GOLDEN = {
     "sweep_fig5": (
         {"command": "sweep", "seed": 1,
          "params": {"figure": "fig5", "n_grid": [100, 500]}},
-        "75361387780d59ad7fa14520101de6313fc9557638c1e61cf10bd6c296adab5b",
+        "81da78df14c750f5bdee728d4de3d623a9b52e603a5817c4948c4078db2721b0",
     ),
     "paoi_bound": (
         {"command": "paoi-bound", "seed": 1},
@@ -162,3 +163,20 @@ def test_data_rows_match_golden_hash(name, tmp_path):
     path.write_text(json.dumps(dict(config, output=str(out))), encoding="utf-8")
     assert main([str(path)]) == 0
     assert data_rows_sha256(out) == expected
+
+
+def run_csv(config, tmp_path, name) -> str:
+    """The CSV text that a run of ``config`` writes."""
+    out = tmp_path / f"{name}.csv"
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(dict(config, output=str(out))), encoding="utf-8")
+    assert main([str(path)]) == 0
+    return out.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_header_replays_to_same_lines(name, tmp_path):
+    # the header read back as a config runs to the same header and rows
+    text = run_csv(GOLDEN[name][0], tmp_path, "run")
+    replay = run_csv(header_config(text), tmp_path, "replay")
+    assert replayed_lines(replay) == replayed_lines(text)
