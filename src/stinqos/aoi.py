@@ -12,10 +12,10 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from .channel import _drawn_blocks
+from .channel import _drawn_blocks, _lazy_numpy
 from .errors import DomainError, NumericError
+
+np = _lazy_numpy()
 
 # Updates a run may draw. The draw and the trace hold one block whatever the
 # count, so the cap bounds time and output instead: at 4.8 us and 72 B per

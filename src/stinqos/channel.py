@@ -13,15 +13,38 @@ the SINR denominator is ``interference + 1``.
 from __future__ import annotations
 
 import copy
+import importlib.util
 import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-import numpy as np
-
 from .errors import DomainError, NumericError
+
+
+def _lazy_numpy():
+    """numpy as a module that loads on its first attribute access, so a
+    command that computes no array loads none of it.
+
+    A module already registered as "numpy", lazy or loaded, is returned as
+    it is; otherwise the lazy one is registered there, and a later import
+    of numpy loads it. Modules bind ``np`` through this, not by an import
+    statement, which reads ``__spec__`` and so loads a lazy module at once.
+    Before Python 3.12 the first load is not thread-safe: a caller that
+    starts threads should import numpy first.
+    """
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
 
 SPEED_OF_LIGHT = 3.0e8  # m/s, free-space value used throughout
 
@@ -339,7 +362,7 @@ def pathloss_factor(l: LinkBudget) -> float:
     """Free-space power attenuation (c / 4 pi f d)^2 times linearized gains;
     a factor that overflows a float is a DomainError."""
     try:
-        free_space = SPEED_OF_LIGHT / (4.0 * np.pi * l.carrier_hz * l.distance_m)
+        free_space = SPEED_OF_LIGHT / (4.0 * math.pi * l.carrier_hz * l.distance_m)
         factor = free_space ** 2 * _db_to_linear(l.gain_tx_dbi + l.gain_rx_dbi)
     except (OverflowError, ZeroDivisionError):
         factor = math.inf
@@ -392,7 +415,7 @@ class InterfererField:
         if not d.size:
             return np.zeros(0)
         with np.errstate(over="ignore"):
-            coef = ((SPEED_OF_LIGHT / (4.0 * np.pi * self.carrier_hz * d)) ** 2
+            coef = ((SPEED_OF_LIGHT / (4.0 * math.pi * self.carrier_hz * d)) ** 2
                     * _db_to_linear(self.gain_tx_dbi + self.gain_rx_dbi) * self.tx_snr)
         if not np.all(coef < math.inf):  # a power that overflows a float
             raise DomainError(f"interferer power at carrier_hz={self.carrier_hz} "

@@ -14,13 +14,12 @@ import contextlib
 import os
 import sys
 
-from . import channel, csvio
+from . import csvio
 from .config import RunConfig, build_arrival, build_service, echo_params, parse_config
 from .errors import ConfigError, DomainError, NumericError, StabilityError
-from .fbc import average_error, error_exponent, error_exponent_closed_form
 
-# Each runner imports the layers only its command uses (aoi, snc, the sweep
-# layer), so a run loads no more than its command needs.
+# Each runner imports the layers only its command uses (channel, fbc, aoi,
+# snc, the sweep layer), so a run loads no more than its command needs.
 
 # The category and exit code of each failure a run reports; the first
 # class that matches decides, and any other exception propagates
@@ -48,12 +47,16 @@ def _bound_table(report, seed):
 
 
 def _run_error(rc: RunConfig):
+    from .fbc import average_error
+
     res = average_error(rc.scenario, rc.coding, rc.error_model)
     return _table([{"avg_error": res.value, "std_error": res.std_error,
                     "achieved_tol": res.achieved_tol, "method": res.method}])
 
 
 def _run_exponent(rc: RunConfig):
+    from .fbc import error_exponent, error_exponent_closed_form
+
     theta, rho_star = error_exponent(rc.scenario, rc.coding, rc.error_model)
     closed = error_exponent_closed_form(rc.scenario, rc.coding)
     return _table([{"blocklength": rc.coding.blocklength, "rate_nats": rc.coding.rate,
@@ -63,11 +66,12 @@ def _run_exponent(rc: RunConfig):
 
 def _run_aoi_sim(rc: RunConfig):
     from .aoi import TRACE_FIELDS, trace_blocks, update_blocks
+    from .channel import STREAM_TRACE
 
     am = build_arrival(rc.params.get("arrival"), rc.defaults_used)
     sm = build_service(rc.params.get("service"), rc.defaults_used, rc)
     updates = update_blocks(am, sm, rc.params["n_updates"],
-                            rc.scenario.rng(channel.STREAM_TRACE))
+                            rc.scenario.rng(STREAM_TRACE))
     return TRACE_FIELDS, trace_blocks(updates)
 
 
@@ -85,6 +89,7 @@ def _run_paoi_bound(rc: RunConfig):
 
 
 def _run_delay_bound(rc: RunConfig):
+    from .fbc import average_error
     from .snc import BitArrival, delay_bound
 
     p = rc.params

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import os
 
-import numpy as np
-
 from . import __version__
 
 _CHUNK_ROWS = 1 << 12
@@ -44,15 +42,15 @@ def _quote(cell: str) -> str:
 
 
 def _cells(col):
-    """CSV cells of one column; ranges and numeric arrays skip the per-cell
-    dispatch."""
+    """CSV cells of one column; ranges and numeric arrays, known by their
+    dtype, skip the per-cell dispatch."""
     if isinstance(col, range):
         return map(str, col)
-    if isinstance(col, np.ndarray):
-        if col.dtype.kind == "f":
-            return map(repr, col.tolist())
-        if col.dtype.kind in "iu":
-            return map(str, col.tolist())
+    kind = col.dtype.kind if hasattr(col, "dtype") else None
+    if kind == "f":
+        return map(repr, col.tolist())
+    if kind in ("i", "u"):
+        return map(str, col.tolist())
     return [_quote(format_value(v)) for v in col]
 
 

@@ -14,12 +14,12 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import channel
-from .channel import Scenario, logsumexp, srician_quad_nodes
+from .channel import Scenario, _lazy_numpy, logsumexp, srician_quad_nodes
 from .errors import DomainError, NumericError
 from .optimize import golden_section_min
+
+np = _lazy_numpy()
 
 # Nodes of the Gauss rule for the aggregate interference, at every K.
 _INTERFERENCE_NODES = 32

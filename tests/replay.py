@@ -8,6 +8,8 @@ notes. ``coding.rate_nats`` is the config's ``coding.rate``.
 """
 import json
 
+from stinqos.cli import main
+
 _RENAMED = {"coding.rate_nats": "coding.rate"}
 
 
@@ -40,3 +42,12 @@ def header_config(text: str) -> dict:
 def replayed_lines(text: str) -> list[str]:
     """The lines of CSV ``text`` that a replay of its header must repeat."""
     return [line for line in text.splitlines() if _replayed(line)]
+
+
+def run_csv(config, tmp_path, name) -> str:
+    """The CSV text that a run of ``config`` writes."""
+    out = tmp_path / f"{name}.csv"
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(dict(config, output=str(out))), encoding="utf-8")
+    assert main([str(path)]) == 0
+    return out.read_text(encoding="utf-8")

@@ -979,6 +979,20 @@ class TestStartupImports:
     def test_error_run_loads_scipy(self, tmp_path):
         assert "scipy" in self.loaded_after(tmp_path, {"command": "error", "seed": 1})
 
+    # numpy._core marks a loaded numpy: the lazy module that stands for
+    # numpy until its first use is registered as "numpy" itself
+    @pytest.mark.parametrize("cfg", [
+        None,
+        dict(PAOI, params=dict(PAOI["params"], service=ARQ)),
+        dict(PAOI, params=dict(PAOI["params"], service={"kind": "fixed", "n": 64})),
+    ], ids=["import", "paoi-bound-epsilon", "paoi-bound-fixed"])
+    def test_no_numpy(self, tmp_path, cfg):
+        assert "numpy._core" not in self.modules_after(tmp_path, cfg)
+
+    def test_aoi_sim_run_loads_numpy(self, tmp_path):
+        cfg = dict(AOI_SIM_DET, params=dict(AOI_SIM_DET["params"], n_updates=1000))
+        assert "numpy._core" in self.modules_after(tmp_path, cfg)
+
 
 class TestProcessEntry:
     """``python -m stinqos`` ends through cli.run: flushed output, then

@@ -8,11 +8,16 @@ the hash.
 """
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stinqos
 from stinqos.cli import main
-from replay import header_config, replayed_lines
+from replay import header_config, replayed_lines, run_csv
 
 
 def _scenario(k, m):
@@ -165,18 +170,30 @@ def test_data_rows_match_golden_hash(name, tmp_path):
     assert data_rows_sha256(out) == expected
 
 
-def run_csv(config, tmp_path, name) -> str:
-    """The CSV text that a run of ``config`` writes."""
-    out = tmp_path / f"{name}.csv"
-    path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(dict(config, output=str(out))), encoding="utf-8")
-    assert main([str(path)]) == 0
-    return out.read_text(encoding="utf-8")
-
-
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_header_replays_to_same_lines(name, tmp_path):
     # the header read back as a config runs to the same header and rows
     text = run_csv(GOLDEN[name][0], tmp_path, "run")
     replay = run_csv(header_config(text), tmp_path, "replay")
     assert replayed_lines(replay) == replayed_lines(text)
+
+
+# One golden config of each command, and of the error command's Monte Carlo
+# blocks and the peak-AoI bound's fixed service, each run by ``python -m
+# stinqos`` in a fresh process. There stinqos loads numpy on first use; in
+# this process the tests have imported it already.
+FRESH_PROCESS = ("error_k1_m10", "error_k3_m10_monte_carlo_blocks", "exponent_k3_m10",
+                 "aoi_sim", "delay_bound", "paoi_bound", "paoi_bound_det_fixed_u64",
+                 "sweep_fig3")
+
+
+@pytest.mark.parametrize("name", FRESH_PROCESS)
+def test_fresh_process_matches_golden_hash(name, tmp_path):
+    config, expected = GOLDEN[name]
+    out = tmp_path / "out.csv"
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(dict(config, output=str(out))), encoding="utf-8")
+    src = str(Path(stinqos.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-m", "stinqos", str(path)], cwd=tmp_path,
+                   env=dict(os.environ, PYTHONPATH=src), capture_output=True, check=True)
+    assert data_rows_sha256(out) == expected

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from stinqos.config import build_config
+from replay import header_config, replayed_lines, run_csv
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -51,3 +52,12 @@ def test_cli_configs_found():
 def test_cli_config_builds(config):
     rc = build_config(config)
     assert rc.command == config["command"]
+
+
+@pytest.mark.parametrize("config", cli_configs(),
+                         ids=["minimal", "explicit", "sweep", "shorthand"])
+def test_cli_config_replays(config, tmp_path):
+    # the header read back as a config runs to the same header and rows
+    text = run_csv(config, tmp_path, "run")
+    replay = run_csv(header_config(text), tmp_path, "replay")
+    assert replayed_lines(replay) == replayed_lines(text)
