@@ -15,7 +15,7 @@ _NAMES = {
             "trace_violation_frequency", "update_blocks"),
     "channel": ("InterfererField", "LinkBudget", "Scenario", "ShadowedRicianParams",
                 "default_scenario", "pathloss_factor", "place_interferers",
-                "sample_channel_gain", "shadowed_rician_pdf", "sinr"),
+                "shadowed_rician_pdf", "sinr"),
     "errors": ("ConfigError", "DomainError", "NumericError", "StabilityError",
                "StinQosError"),
     "experiments": ("SweepSpec", "run_sweep"),

@@ -85,10 +85,6 @@ class ServiceModel:
             object.__setattr__(self, "epsilon", 0.0)
 
     @classmethod
-    def fixed(cls, n: int) -> "ServiceModel":
-        return cls.arq(n, 0.0)
-
-    @classmethod
     def arq(cls, n: int, epsilon: float) -> "ServiceModel":
         return cls(n=n, epsilon=epsilon)
 
@@ -289,5 +285,7 @@ def trace_violation_frequency(trace, a_th: float) -> float:
     for block in trace:
         count += np.count_nonzero(block[-1] > a_th)
         rows += len(block[-1])
+    if not rows:
+        raise DomainError("a trace with no rows has no violation frequency")
     return count / rows
 

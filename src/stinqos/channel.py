@@ -136,10 +136,6 @@ class ShadowedRicianParams:
             raise DomainError(f"fading omega must be >= 0, got {self.omega}")
 
     @property
-    def alpha(self) -> float:
-        return math.exp(self.log_alpha)
-
-    @property
     def log_alpha(self) -> float:
         """log alpha, finite where alpha itself underflows (small b, large m)."""
         return (-self.m * math.log1p(self.omega / (2.0 * self.b * self.m))
@@ -158,11 +154,6 @@ class ShadowedRicianParams:
     def mean_power(self) -> float:
         """E|h|^2 = omega + 2b."""
         return self.omega + 2.0 * self.b
-
-    @classmethod
-    def rayleigh(cls, mean_power: float = 1.0) -> "ShadowedRicianParams":
-        """Pure-scatter limit (no LOS): exponential power with the given mean."""
-        return cls(b=mean_power / 2.0, m=1.0, omega=0.0)
 
 
 def shadowed_rician_pdf(x, p: ShadowedRicianParams):
@@ -228,19 +219,6 @@ def srician_quad_nodes(p: ShadowedRicianParams,
     return x.ravel(), w.ravel()
 
 
-def srician_cdf_grid(p: ShadowedRicianParams,
-                     n_panels: int = 4096) -> tuple[np.ndarray, np.ndarray]:
-    """CDF of |h|^2 tabulated at panel edges.
-
-    Panel masses come from Gauss-Legendre quadrature of the density, so the
-    edge values carry only quadrature error; linear interpolation between
-    edges is accurate to O((x_max / n_panels)^2).
-    """
-    edges = np.linspace(0.0, _support_cut(p), n_panels + 1)
-    panel_mass = np.sum(_panel_rule(p, edges)[1], axis=1)
-    return edges, np.minimum(np.concatenate([[0.0], np.cumsum(panel_mass)]), 1.0)
-
-
 # Rows per block of the Monte Carlo SINR path. Blocks start at multiples of
 # this power of two: drawn one after another they give the draws of one big
 # draw, and a block's ``@`` adds in the order of the whole matrix's.
@@ -275,7 +253,13 @@ def _drawn_blocks(rng: np.random.Generator, n: int, rows: int, *draws):
 
 
 def _gain_blocks(p: ShadowedRicianParams, rng: np.random.Generator, n: int, *draws):
-    """_drawn_blocks of 2^14 rows of n draws of |h|^2, then of ``draws``."""
+    """_drawn_blocks of 2^14 rows of n draws of |h|^2, then of ``draws``.
+
+    h = A e^{j phi} + Z, with A Nakagami-m of spread omega (A^2 ~ Gamma(m,
+    omega/m)), phi uniform and Z complex Gaussian of per-dimension variance
+    b, so |h|^2 follows the shadowed-Rician density by construction. The
+    columns are drawn in the order gamma, uniform, normal, normal.
+    """
     sd = math.sqrt(p.b)
 
     def amplitude(size, rng):  # no draw without LOS
@@ -297,21 +281,6 @@ def _gain_blocks(p: ShadowedRicianParams, rng: np.random.Generator, n: int, *dra
     # draw finds only the blocks the consumer itself still holds
     return itertools.starmap(gain, _drawn_blocks(
         rng, n, _BLOCK_ROWS, amplitude, phase, scatter, scatter, *draws))
-
-
-def sample_channel_gain(p: ShadowedRicianParams, rng: np.random.Generator, size=None):
-    """Draw |h|^2 where h = A e^{j phi} + Z.
-
-    A is Nakagami-m with spread omega (A^2 ~ Gamma(m, omega/m)), phi uniform,
-    Z complex Gaussian with per-dimension variance b; the power gain then
-    follows the shadowed-Rician density by construction.
-
-    The draws come in the order gamma, uniform, normal, normal, each a whole
-    column; the gains are the _gain_blocks joined.
-    """
-    n = 1 if size is None else int(np.prod(size))
-    gain = _joined((block for block, in _gain_blocks(p, rng, n)), n)
-    return float(gain[0]) if size is None else gain.reshape(size)
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +435,6 @@ class Scenario:
     def satellite_coefficient(self) -> float:
         """phi_s * P_s: received satellite power per unit channel gain."""
         return pathloss_factor(self.satellite) * self.satellite.tx_snr
-
-    @property
-    def avg_rx_snr(self) -> float:
-        """Average received satellite SNR phi_s P_s E|h|^2 (linear)."""
-        return self.satellite_coefficient * self.fading.mean_power
 
 
 def _stream_rng(seed: int, stream: int, index: int = 0) -> np.random.Generator:

@@ -24,7 +24,10 @@ def build_identifier() -> str:
 
 
 def format_value(v) -> str:
-    """Canonical scalar formatting; floats use shortest round-trip repr."""
+    """Canonical scalar formatting; floats use shortest round-trip repr, and
+    booleans and None their JSON spelling, so a header value reads back."""
+    if v is None:
+        return "null"
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):

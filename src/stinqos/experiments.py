@@ -362,74 +362,3 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     """Run the spec's figure: its rows, each a dict keyed in column order."""
     return _RUNNERS[spec.figure](spec)
 
-
-# ---------------------------------------------------------------------------
-# Slotted bit-queue simulation for the delay bound cross-check
-# ---------------------------------------------------------------------------
-
-def _backlog(alpha_bits: float, served: np.ndarray) -> np.ndarray:
-    """Bits left after blocks 0..T of the slotted queue, starting empty.
-
-    The Lindley recursion q_t = max(0, q_{t-1} + alpha - s_t) in closed
-    form (Lindley 1952): q_t = L_t - min_{v<=t} L_v, where L is the running
-    sum of alpha - s from L_0 = 0. It is exact whenever alpha and the served
-    bits are integers, since then every sum is.
-    """
-    level = np.concatenate([[0.0], np.cumsum(alpha_bits - served)])
-    return level - np.minimum.accumulate(level)
-
-
-def simulate_delay_violation(
-    alpha_bits: float,
-    bits_per_block: float,
-    eps: float,
-    n_blocks: int,
-    d_th_list,
-    rng: np.random.Generator,
-) -> dict:
-    """Empirical violation frequency of the per-block FIFO delay.
-
-    Each block delivers bits_per_block with probability 1 - eps and nothing
-    otherwise; alpha_bits arrive at the start of every block. The delay of
-    block t counts the extra blocks until the service accumulated from t
-    onward covers the backlog present at t plus t's own arrivals. The
-    backlog recursion accounts for idle slots, which a raw cumulative
-    service comparison would wrongly bank.
-    """
-    if not 0.0 <= eps < 1.0:
-        raise DomainError(f"eps must be in [0, 1), got {eps}")
-    extra = int(max(d_th_list)) + 10
-    total = n_blocks + extra
-    served = bits_per_block * (rng.random(total) >= eps)
-    cpot = np.concatenate([[0.0], np.cumsum(served)])  # cpot[t] = service through block t
-    backlog = _backlog(alpha_bits, served[:n_blocks])  # bits left after block t
-    # work ahead of and including block t's arrivals, to be cleared by service
-    # starting at block t
-    targets = cpot[: n_blocks] + backlog[: n_blocks] + alpha_bits
-    tau = np.searchsorted(cpot, targets, side="left")  # first block index covering it
-    t_idx = np.arange(1, n_blocks + 1)
-    if np.any(tau > total):
-        raise DomainError(
-            "service never caught up with arrivals; system looks unstable"
-        )
-    delay = tau - t_idx
-    return {float(d): float(np.mean(delay > d)) for d in d_th_list}
-
-
-def queue_growth_ratio(
-    alpha_bits: float,
-    bits_per_block: float,
-    eps: float,
-    n_blocks: int,
-    rng: np.random.Generator,
-) -> float:
-    """Mean backlog of the second half over the first half of the horizon.
-
-    Near 1 for a stable queue; about 3 when the backlog grows linearly.
-    """
-    served = bits_per_block * (rng.random(n_blocks) >= eps)
-    backlog = _backlog(alpha_bits, served)[1:]
-    half = n_blocks // 2
-    first = float(np.mean(backlog[:half]))
-    second = float(np.mean(backlog[half:]))
-    return second / max(first, 1e-12)

@@ -200,16 +200,10 @@ def _interference_nodes(coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return i_a, iw
 
 
-def sinr_quadrature(
-    s: Scenario, n_panels: int = 96
-) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic (SINR node, weight) pairs for the scenario's fading law."""
-    return next(_sinr_rules(s, (n_panels,)))
-
-
 def _sinr_rules(s: Scenario, panel_counts):
-    """Yield sinr_quadrature(s, n) for each n of ``panel_counts`` in turn,
-    with the interference rule built once for all of them."""
+    """Yield the deterministic (SINR node, weight) pairs of the scenario's
+    law on n fading panels, for each n of ``panel_counts`` in turn, with the
+    interference rule built once for all of them."""
     i_a, iw = _interference_nodes(s.interferer_coefficients)
     for n_panels in panel_counts:
         x, w = srician_quad_nodes(s.fading, n_panels)

@@ -1,9 +1,19 @@
-"""Independent high-precision oracles for the library's analytic paths.
+"""Independent reference implementations of the library's paths.
 
-Each oracle forms its quantity from the defining formula in mpmath, at a
-working precision far above float64, and returns it as a float.
+The mpmath oracles form their quantity from the defining formula at a
+working precision far above float64 and return it as a float. The float64
+references are the whole-array channel sampler, the tabulated CDF of the
+channel gain and the slotted bit-queue simulation, which the tests compare
+the library's draws, density and delay bound against.
 """
+import math
+
 import mpmath
+import numpy as np
+
+from stinqos import channel
+from stinqos.channel import ShadowedRicianParams
+from stinqos.errors import DomainError
 
 
 def shadowed_rician_log_alpha(b: float, m: float, omega: float, dps: int = 50) -> float:
@@ -25,3 +35,97 @@ def shadowed_rician_pdf(x: float, b: float, m: float, omega: float,
         beta = 1 / (2 * b)
         delta = omega / (2 * b * (2 * b * m + omega))
         return float(alpha * mpmath.exp(-beta * x) * mpmath.hyp1f1(m, 1, delta * x))
+
+
+def unblocked_channel_gain(p: ShadowedRicianParams, rng, size=None):
+    """|h|^2 as one whole-array draw of each column: the oracle of
+    channel._gain_blocks, whose draws it gives bit for bit."""
+    a = (np.sqrt(rng.gamma(shape=p.m, scale=p.omega / p.m, size=size))
+         if p.omega > 0 else np.zeros(size if size is not None else ()))
+    phi = rng.uniform(0.0, 2.0 * np.pi, size=size)
+    sd = math.sqrt(p.b)
+    re = a * np.cos(phi) + rng.normal(0.0, sd, size=size)
+    im = a * np.sin(phi) + rng.normal(0.0, sd, size=size)
+    gain = re * re + im * im
+    return float(gain) if size is None else gain
+
+
+def srician_cdf_grid(p: ShadowedRicianParams,
+                     n_panels: int = 4096) -> tuple[np.ndarray, np.ndarray]:
+    """CDF of |h|^2 tabulated at panel edges.
+
+    Panel masses come from Gauss-Legendre quadrature of the density, so the
+    edge values carry only quadrature error; linear interpolation between
+    edges is accurate to O((x_max / n_panels)^2).
+    """
+    edges = np.linspace(0.0, channel._support_cut(p), n_panels + 1)
+    panel_mass = np.sum(channel._panel_rule(p, edges)[1], axis=1)
+    return edges, np.minimum(np.concatenate([[0.0], np.cumsum(panel_mass)]), 1.0)
+
+
+def _backlog(alpha_bits: float, served: np.ndarray) -> np.ndarray:
+    """Bits left after blocks 0..T of the slotted queue, starting empty.
+
+    The Lindley recursion q_t = max(0, q_{t-1} + alpha - s_t) in closed
+    form (Lindley 1952): q_t = L_t - min_{v<=t} L_v, where L is the running
+    sum of alpha - s from L_0 = 0. It is exact whenever alpha and the served
+    bits are integers, since then every sum is.
+    """
+    level = np.concatenate([[0.0], np.cumsum(alpha_bits - served)])
+    return level - np.minimum.accumulate(level)
+
+
+def simulate_delay_violation(
+    alpha_bits: float,
+    bits_per_block: float,
+    eps: float,
+    n_blocks: int,
+    d_th_list,
+    rng: np.random.Generator,
+) -> dict:
+    """Empirical violation frequency of the per-block FIFO delay.
+
+    Each block delivers bits_per_block with probability 1 - eps and nothing
+    otherwise; alpha_bits arrive at the start of every block. The delay of
+    block t counts the extra blocks until the service accumulated from t
+    onward covers the backlog present at t plus t's own arrivals. The
+    backlog recursion accounts for idle slots, which a raw cumulative
+    service comparison would wrongly bank.
+    """
+    if not 0.0 <= eps < 1.0:
+        raise DomainError(f"eps must be in [0, 1), got {eps}")
+    extra = int(max(d_th_list)) + 10
+    total = n_blocks + extra
+    served = bits_per_block * (rng.random(total) >= eps)
+    cpot = np.concatenate([[0.0], np.cumsum(served)])  # cpot[t] = service through block t
+    backlog = _backlog(alpha_bits, served[:n_blocks])  # bits left after block t
+    # work ahead of and including block t's arrivals, to be cleared by service
+    # starting at block t
+    targets = cpot[: n_blocks] + backlog[: n_blocks] + alpha_bits
+    tau = np.searchsorted(cpot, targets, side="left")  # first block index covering it
+    t_idx = np.arange(1, n_blocks + 1)
+    if np.any(tau > total):
+        raise DomainError(
+            "service never caught up with arrivals; system looks unstable"
+        )
+    delay = tau - t_idx
+    return {float(d): float(np.mean(delay > d)) for d in d_th_list}
+
+
+def queue_growth_ratio(
+    alpha_bits: float,
+    bits_per_block: float,
+    eps: float,
+    n_blocks: int,
+    rng: np.random.Generator,
+) -> float:
+    """Mean backlog of the second half over the first half of the horizon.
+
+    Near 1 for a stable queue; about 3 when the backlog grows linearly.
+    """
+    served = bits_per_block * (rng.random(n_blocks) >= eps)
+    backlog = _backlog(alpha_bits, served)[1:]
+    half = n_blocks // 2
+    first = float(np.mean(backlog[:half]))
+    second = float(np.mean(backlog[half:]))
+    return second / max(first, 1e-12)

@@ -12,21 +12,15 @@ import numpy as np
 import pytest
 
 from stinqos.aoi import departure_times_maxplus, trace_blocks, trace_violation_frequency
-from stinqos.channel import (
-    ShadowedRicianParams,
-    sample_channel_gain,
-    shadowed_rician_pdf,
-    srician_cdf_grid,
-)
+from stinqos import fbc
+from stinqos.channel import ShadowedRicianParams, shadowed_rician_pdf
 from stinqos.cli import main
 from stinqos.errors import StabilityError
 from stinqos.experiments import (
     SweepSpec,
     default_scenario,
     fig4_models,
-    queue_growth_ratio,
     run_fig3,
-    simulate_delay_violation,
 )
 from stinqos.fbc import (
     CodingSpec,
@@ -35,7 +29,6 @@ from stinqos.fbc import (
     error_exponent_closed_form,
     error_exponent_samples,
     gallager_e0_samples,
-    sinr_quadrature,
 )
 from stinqos.experiments import run_fig5
 from stinqos.snc import (
@@ -46,6 +39,12 @@ from stinqos.snc import (
     stability_check,
 )
 from scipy.integrate import quad
+from oracles import (
+    queue_growth_ratio,
+    simulate_delay_violation,
+    srician_cdf_grid,
+    unblocked_channel_gain,
+)
 from trace_helper import whole_trace, whole_updates
 
 
@@ -70,7 +69,7 @@ def test_criterion_1_channel_fidelity():
         mass, _ = quad(lambda x: shadowed_rician_pdf(x, p), 0, np.inf, limit=200)
         assert abs(mass - 1.0) < 1e-6, f"normalization off for m={m}"
         rng = np.random.default_rng(202 + m)
-        g = np.sort(sample_channel_gain(p, rng, size=n))
+        g = np.sort(unblocked_channel_gain(p, rng, size=n))
         edges, cdf_grid = srician_cdf_grid(p)
         cdf = np.interp(g, edges, cdf_grid, left=0.0, right=1.0)
         steps = np.arange(1, n + 1) / n
@@ -277,7 +276,7 @@ def test_criterion_8_gallager_structure():
     ]
     rhos = np.linspace(0.0, 1.0, 21)
     for s in scenarios:
-        gam, wts = sinr_quadrature(s)
+        gam, wts = next(fbc._sinr_rules(s, (96,)))
         e0 = np.array([gallager_e0_samples(r, gam, 300, wts) for r in rhos])
         assert np.all(np.diff(e0) >= -1e-8), "E0 not nondecreasing"
         assert np.all(np.diff(e0, 2) <= 1e-8), "E0 not concave"

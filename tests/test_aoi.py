@@ -129,7 +129,7 @@ class TestDepartures:
 
     def test_work_conservation(self):
         rng = np.random.default_rng(2)
-        tr = simulated_trace(ArrivalModel.poisson(0.05), ServiceModel.fixed(10),
+        tr = simulated_trace(ArrivalModel.poisson(0.05), ServiceModel.arq(10, 0.0),
                              500, rng)
         assert np.sum(tr["service"]) <= (
             tr["departure"][-1] - tr["arrival"][0] + tr["service"][0] + 1e-9
@@ -209,9 +209,9 @@ class TestTraceColumns:
 
 MODEL_PAIRS = [
     (ArrivalModel.poisson(1 / 250.0), ServiceModel.arq(64, 0.3)),
-    (ArrivalModel.poisson(1 / 250.0), ServiceModel.fixed(64)),
+    (ArrivalModel.poisson(1 / 250.0), ServiceModel.arq(64, 0.0)),
     (ArrivalModel.deterministic(80.0), ServiceModel.arq(64, 0.3)),
-    (ArrivalModel.deterministic(80.0), ServiceModel.fixed(64)),
+    (ArrivalModel.deterministic(80.0), ServiceModel.arq(64, 0.0)),
 ]
 
 
@@ -334,7 +334,7 @@ class TestSojournAndPeak:
 
     def test_idle_system_sojourn_is_service(self):
         tr = simulated_trace(
-            ArrivalModel.deterministic(100.0), ServiceModel.fixed(4), 50,
+            ArrivalModel.deterministic(100.0), ServiceModel.arq(4, 0.0), 50,
             np.random.default_rng(0),
         )
         np.testing.assert_array_equal(tr["sojourn"][1:], np.full(49, 4.0))
@@ -353,7 +353,7 @@ class TestSojournAndPeak:
 
     def test_deterministic_peak(self):
         tr = simulated_trace(
-            ArrivalModel.deterministic(10.0), ServiceModel.fixed(4), 20,
+            ArrivalModel.deterministic(10.0), ServiceModel.arq(4, 0.0), 20,
             np.random.default_rng(0),
         )
         np.testing.assert_allclose(tr["peak_aoi"][1:], np.full(19, 14.0))
@@ -368,7 +368,7 @@ class TestSojournAndPeak:
 class TestSimulateTrace:
     def test_deterministic_columns(self):
         tr = simulated_trace(
-            ArrivalModel.deterministic(10.0), ServiceModel.fixed(4), 5,
+            ArrivalModel.deterministic(10.0), ServiceModel.arq(4, 0.0), 5,
             np.random.default_rng(0),
         )
         np.testing.assert_allclose(tr["arrival"], [10, 20, 30, 40, 50])
@@ -376,7 +376,7 @@ class TestSimulateTrace:
 
     def test_poisson_gap_moment(self):
         arrivals, _ = whole_updates(
-            ArrivalModel.poisson(0.2), ServiceModel.fixed(1), 1_000_000,
+            ArrivalModel.poisson(0.2), ServiceModel.arq(1, 0.0), 1_000_000,
             np.random.default_rng(6),
         )
         gaps = np.diff(arrivals, prepend=0.0)
@@ -413,7 +413,7 @@ class TestSimulateTrace:
         assert np.array_equal(services, 64.0 * att)
 
     @pytest.mark.parametrize("n", [1, BLOCK, 3 * BLOCK + 17])
-    @pytest.mark.parametrize("sm", [ServiceModel.arq(64, 0.3), ServiceModel.fixed(64)])
+    @pytest.mark.parametrize("sm", [ServiceModel.arq(64, 0.3), ServiceModel.arq(64, 0.0)])
     def test_services_drawn_in_blocks_equal_one_draw(self, sm, n):
         rng, ref_rng = np.random.default_rng(15), np.random.default_rng(15)
         got = sm.sample_services(n, rng)
@@ -434,7 +434,7 @@ class TestSimulateTrace:
         with pytest.raises(DomainError):
             ServiceModel.arq(4, 1.0)
         with pytest.raises(DomainError):
-            ServiceModel.fixed(0)
+            ServiceModel.arq(0, 0.0)
 
     def test_subnormal_epsilon_is_zero(self):
         u = np.random.default_rng(4).random(1000)
@@ -454,7 +454,7 @@ class TestEmpiricalViolation:
 
     def test_strict_inequality(self):
         times = whole_updates(
-            ArrivalModel.deterministic(10.0), ServiceModel.fixed(4), 100,
+            ArrivalModel.deterministic(10.0), ServiceModel.arq(4, 0.0), 100,
             np.random.default_rng(0),
         )
         trace = list(trace_blocks([times]))
@@ -465,6 +465,12 @@ class TestEmpiricalViolation:
     def test_refuses_negative_threshold(self):
         with pytest.raises(DomainError):
             trace_violation_frequency(trace_blocks([EXAMPLE]), -1.0)
+
+    # no blocks, and one block of no rows
+    @pytest.mark.parametrize("trace", [[], [[np.zeros(0)]]])
+    def test_refuses_trace_without_rows(self, trace):
+        with pytest.raises(DomainError, match="a trace with no rows"):
+            trace_violation_frequency(trace, 1.0)
 
 
 class TestTraceCsv:

@@ -1,5 +1,6 @@
 """Config fuzz: mutated configs of every command and figure, run through
-cli.main in-process, end in a typed exit code and leave no partial output.
+cli.main in-process, end in a typed exit code and leave no partial output;
+a config that runs writes a header that replays to the same lines.
 
 The strategy follows the schema: the paths it mutates and the values it
 draws come from the kinds tables that config._check_params reads. Sizes are
@@ -16,6 +17,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from stinqos import aoi, channel, config, experiments, fbc
 from stinqos.cli import main
+from replay import header_config, replayed_lines, run_csv
 
 # Valid configs the mutations start from, one per command and figure
 BASES = [{"command": command} for command in config.COMMANDS if command != "sweep"] + [
@@ -178,6 +180,13 @@ RADIUS_OVERFLOW = {"command": "error", "seed": 1,
 PATHLOSS_OVERFLOW = {"command": "exponent", "seed": 1,
                      "scenario": dict(FULL_SCENARIO, satellite={
                          "carrier_hz": 4817.0, "distance_m": 5.8e-249})}
+# Each null the schema admits, which the header echoes and must read back
+EXPLICIT_NULLS = [
+    {"command": "aoi-sim", "seed": 1, "params": {"n_updates": 200, "arrival": None}},
+    {"command": "paoi-bound", "seed": 1, "params": {"service": None}},
+    {"command": "aoi-sim", "seed": 1,
+     "params": {"n_updates": 200, "service": {"kind": "arq", "n": 64, "epsilon": None}}},
+]
 
 
 @settings(max_examples=300, deadline=None,
@@ -190,6 +199,9 @@ PATHLOSS_OVERFLOW = {"command": "exponent", "seed": 1,
 @example(cfg=ZERO_DECAY)
 @example(cfg=RADIUS_OVERFLOW)
 @example(cfg=PATHLOSS_OVERFLOW)
+@example(cfg=EXPLICIT_NULLS[0])
+@example(cfg=EXPLICIT_NULLS[1])
+@example(cfg=EXPLICIT_NULLS[2])
 def test_mutated_config_exits_typed(tmp_path, cfg):
     run = Path(tempfile.mkdtemp(dir=tmp_path))
     out = run / "out.csv"
@@ -199,3 +211,7 @@ def test_mutated_config_exits_typed(tmp_path, cfg):
     assert code in (0, 2, 3, 4, 5)
     if code:
         assert sorted(p.name for p in run.iterdir()) == ["run.json"]
+    else:
+        text = out.read_text(encoding="utf-8")
+        replay = run_csv(header_config(text), run, "replay")
+        assert replayed_lines(replay) == replayed_lines(text)

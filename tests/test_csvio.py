@@ -200,7 +200,7 @@ def test_public_names_are_pinned():
         "conditional_error", "default_scenario", "delay_bound", "error_exponent",
         "error_exponent_closed_form", "errors", "experiments", "fbc", "optimize",
         "optimize_paoi_bound", "paoi_bound", "pathloss_factor", "place_interferers",
-        "q_function", "run_sweep", "sample_channel_gain",
+        "q_function", "run_sweep",
         "shadowed_rician_pdf", "sinr", "snc", "stability_check", "trace_blocks",
         "trace_violation_frequency", "update_blocks",
     ]

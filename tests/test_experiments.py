@@ -15,19 +15,17 @@ from stinqos.aoi import geometric_attempts, trace_blocks, trace_violation_freque
 from stinqos.experiments import (
     _SYSTEMS,
     SweepSpec,
-    _backlog,
     _coupled_error_table,
     _sweep_means,
     default_scenario,
     fig4_models,
-    queue_growth_ratio,
     run_fig3,
     run_fig4,
     run_fig5,
     run_sweep,
     compare_stin_psn,
-    simulate_delay_violation,
 )
+from oracles import _backlog, queue_growth_ratio, simulate_delay_violation
 from trace_helper import (block_mean, traced_peak, whole_error_table,
                           whole_rep_draws, whole_trace, whole_updates)
 
@@ -292,7 +290,8 @@ class TestSweepSpecValidation:
 class TestDefaultScenario:
     def test_received_snr_calibration(self):
         s = default_scenario(k=2, avg_snr_db=12.0, seed=3)
-        assert 10 * math.log10(s.avg_rx_snr) == pytest.approx(12.0, abs=1e-9)
+        avg_rx_snr = s.satellite_coefficient * s.fading.mean_power
+        assert 10 * math.log10(avg_rx_snr) == pytest.approx(12.0, abs=1e-9)
 
     def test_interferer_count(self):
         assert default_scenario(k=4).interferers.count == 4

@@ -26,9 +26,9 @@ from stinqos.fbc import (
     error_exponent_samples,
     gallager_e0_samples,
     q_function,
-    sinr_quadrature,
     sinr_samples,
 )
+from oracles import unblocked_channel_gain
 from trace_helper import block_mean, traced_peak
 
 
@@ -161,7 +161,7 @@ class TestAverageError:
             fading=ShadowedRicianParams(b=0.01, m=20, omega=2.0),
         )
         spec = CodingSpec(blocklength=10 ** 6, code_size=2, rate=0.05)
-        gam, wts = sinr_quadrature(s)
+        gam, wts = next(fbc._sinr_rules(s, (96,)))
         below = wts[np.log1p(gam) <= spec.rate].sum()
         assert below < 1e-6  # failure mass is negligible at this rate
         res = average_error(s, spec, ErrorModel(method="quadrature",
@@ -182,18 +182,6 @@ class TestAverageError:
             ErrorModel(quad_tolerance=0.5)
         with pytest.raises(DomainError):
             ErrorModel(method="bogus")
-
-
-def unblocked_channel_gain(p: ShadowedRicianParams, rng, size=None):
-    """sample_channel_gain as one whole-array draw: the oracle of the blocks."""
-    a = (np.sqrt(rng.gamma(shape=p.m, scale=p.omega / p.m, size=size))
-         if p.omega > 0 else np.zeros(size if size is not None else ()))
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=size)
-    sd = math.sqrt(p.b)
-    re = a * np.cos(phi) + rng.normal(0.0, sd, size=size)
-    im = a * np.sin(phi) + rng.normal(0.0, sd, size=size)
-    gain = re * re + im * im
-    return float(gain) if size is None else gain
 
 
 def unblocked_sinr_samples(s: Scenario, n_draws: int) -> np.ndarray:
@@ -218,29 +206,37 @@ def fading_scenario(k: int, m: float) -> Scenario:
                             fading=ShadowedRicianParams(b=0.126, m=m, omega=0.835))
 
 
+# The default law at integer and non-integer m, a weak line of sight, and
+# none, which is the no-LOS np.zeros branch of channel._gain_blocks
+FADING_LAWS = [pytest.param(ShadowedRicianParams(0.126, 10, 0.835), id="10"),
+               pytest.param(ShadowedRicianParams(0.126, 10.5, 0.835), id="10.5"),
+               pytest.param(ShadowedRicianParams(0.063, 2.5, 0.000897), id="weak-los"),
+               pytest.param(ShadowedRicianParams(0.4, 1, 0.0), id="no-los")]
+
+
 class TestBlockedMonteCarlo:
     """The Monte Carlo SINR path runs in blocks of rows and gives the bits of
     the whole-array formulas."""
 
+    # the gains alone, from a generator the test holds, so that the draws
+    # each side consumed are compared too
     @pytest.mark.parametrize("size", [None, (3, 5), 1000, 3 * BLOCK + 17])
     @pytest.mark.parametrize("p", [ShadowedRicianParams(0.126, 10, 0.835),
                                    ShadowedRicianParams(0.063, 2.5, 0.000897),
                                    ShadowedRicianParams(0.4, 1, 0.0)])
     def test_channel_gain_draws(self, p, size):
+        n = int(np.prod(size or 1))
         rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
-        got = channel.sample_channel_gain(p, rng, size=size)
+        got = channel._joined((gain for gain, in channel._gain_blocks(p, rng, n)), n)
         want = unblocked_channel_gain(p, ref_rng, size=size)
-        if size is None:
-            assert isinstance(got, float) and got == want
-        else:
-            assert got.shape == want.shape and np.array_equal(got, want)
+        assert np.array_equal(got, np.ravel(want))
         assert rng.random() == ref_rng.random()  # same draws consumed
 
     @pytest.mark.parametrize("n", [1000, BLOCK, 3 * BLOCK + 17])
-    @pytest.mark.parametrize("m", [10, 10.5])
+    @pytest.mark.parametrize("fading", FADING_LAWS)
     @pytest.mark.parametrize("k", [0, 1, 3, 8, 10])
-    def test_sinr_and_average_error(self, k, m, n):
-        s = fading_scenario(k, m)
+    def test_sinr_and_average_error(self, k, fading, n):
+        s = default_scenario(k=k, seed=7, fading=fading)
         gam = unblocked_sinr_samples(s, n)
         assert np.array_equal(sinr_samples(s, n), gam)
         errs = conditional_error(gam, MC_SPEC)
@@ -299,7 +295,7 @@ class TestGallagerE0:
     def test_against_extended_precision_monte_carlo(self):
         s = scenario_at(15.0, 1)
         rho, n = 0.5, 200
-        gam, wts = sinr_quadrature(s, n_panels=192)
+        gam, wts = next(fbc._sinr_rules(s, (192,)))
         e0 = gallager_e0_samples(rho, gam, n, wts)
         draws = np.concatenate([
             np.asarray(sinr_samples(s, 100_000, stream_index=i), dtype=np.longdouble)
@@ -317,7 +313,7 @@ class TestGallagerE0:
     def test_quadrature_grid_concave_nondecreasing(self):
         s = scenario_at(15.0, 1)
         em = ErrorModel(method="quadrature", quad_tolerance=1e-9)
-        gam, wts = sinr_quadrature(s)
+        gam, wts = next(fbc._sinr_rules(s, (96,)))
         rhos = np.linspace(0.0, 1.0, 21)
         e0 = np.array([gallager_e0_samples(r, gam, 300, wts) for r in rhos])
         d1 = np.diff(e0)
@@ -382,7 +378,7 @@ class TestErrorExponent:
         fading = ShadowedRicianParams(b=0.126, m=m, omega=0.835)
         s = default_scenario(k=k, avg_snr_db=snr_db, seed=7, fading=fading)
         if method == "quadrature":
-            gam, wts = sinr_quadrature(s)
+            gam, wts = next(fbc._sinr_rules(s, (96,)))
         else:
             gam, wts = sinr_samples(s, 20_000), None
         rhos = np.linspace(0.0, 1.0, 201)

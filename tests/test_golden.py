@@ -4,11 +4,14 @@ Each config's data rows (the lines that do not start with '#') must hash to
 the committed SHA-256. The '#' header is left out because it carries the
 build identifier, which depends on whether the package is installed. A
 change that moves any of these numbers must say by how much and re-record
-the hash.
+the hash. Together the configs run every public function of the library.
 """
 import hashlib
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -197,3 +200,51 @@ def test_fresh_process_matches_golden_hash(name, tmp_path):
     subprocess.run([sys.executable, "-m", "stinqos", str(path)], cwd=tmp_path,
                    env=dict(os.environ, PYTHONPATH=src), capture_output=True, check=True)
     assert data_rows_sha256(out) == expected
+
+
+# Public names no golden run calls: the max-plus departure oracle, which the
+# benchmark's trace check imports, and the process entry around cli.main
+UNREACHED = {"aoi.departure_times_maxplus", "cli.run"}
+
+
+def public_code(module) -> dict:
+    """The code object of each public function that ``module`` defines, and
+    of each public method, classmethod, staticmethod and property getter of
+    its classes, by dotted name within the package."""
+    prefix = module.__name__.removeprefix("stinqos.")
+    found = {}
+    for name, value in vars(module).items():
+        if name.startswith("_") or getattr(value, "__module__", None) != module.__name__:
+            continue
+        members = vars(value).items() if inspect.isclass(value) else [(None, value)]
+        for attr, member in members:
+            if attr is not None and attr.startswith("_"):
+                continue
+            # a classmethod or staticmethod, a property, a cached_property
+            for unwrap in ("__func__", "fget", "func"):
+                member = getattr(member, unwrap, member)
+            if inspect.isfunction(member):
+                found[".".join(filter(None, (prefix, name, attr)))] = member.__code__
+    return found
+
+
+def test_golden_runs_reach_every_public_function(tmp_path):
+    # a public function that only tests call belongs in tests/
+    candidates = {}
+    for info in pkgutil.iter_modules(stinqos.__path__):
+        if not info.name.startswith("_"):
+            candidates.update(public_code(
+                importlib.import_module(f"stinqos.{info.name}")))
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        for name, (config, _) in GOLDEN.items():
+            run_csv(config, tmp_path, name)
+    finally:
+        sys.setprofile(None)
+    assert {name for name, code in candidates.items() if code not in called} == UNREACHED

@@ -65,7 +65,7 @@ class TestServiceTransform:
         assert math.exp(4 * _log_mellin_service(0.0, ServiceModel.arq(10, 0.2))) == 1.0
 
     def test_fixed_value(self):
-        assert math.exp(_log_mellin_service(0.01, ServiceModel.fixed(100))) == \
+        assert math.exp(_log_mellin_service(0.01, ServiceModel.arq(100, 0.0))) == \
             pytest.approx(math.e, rel=1e-12)
 
     def test_arq_against_monte_carlo_mgf(self):
@@ -88,7 +88,7 @@ class TestServiceTransform:
         [
             (_log_mellin_gap, (ArrivalModel.poisson(0.5),)),
             (_log_mellin_service, (ServiceModel.arq(5, 0.2),)),
-            (_log_mellin_service, (ServiceModel.fixed(7),)),
+            (_log_mellin_service, (ServiceModel.arq(7, 0.0),)),
         ],
     )
     def test_log_convexity(self, mellin, args):
@@ -99,13 +99,13 @@ class TestServiceTransform:
 
 class TestPaoiKernel:
     def test_single_update_is_two_factor_product(self):
-        am, sm = ArrivalModel.deterministic(10.0), ServiceModel.fixed(4)
+        am, sm = ArrivalModel.deterministic(10.0), ServiceModel.arq(4, 0.0)
         k = math.exp(log_paoi_kernel(0.05, 1, am, sm))
         expected = math.exp(_log_mellin_gap(0.05, am) + _log_mellin_service(0.05, sm))
         assert k == pytest.approx(expected, rel=1e-12)
 
     def test_hand_evaluated_three_terms(self):
-        am, sm = ArrivalModel.deterministic(10.0), ServiceModel.fixed(4)
+        am, sm = ArrivalModel.deterministic(10.0), ServiceModel.arq(4, 0.0)
         hand = math.exp(0.5) * (
             math.exp(0.05 * 12) * math.exp(-0.05 * 20)
             + math.exp(0.05 * 8) * math.exp(-0.05 * 10)
@@ -140,7 +140,7 @@ class TestPaoiKernel:
     @pytest.mark.parametrize("period", [64.0, 64.0 * (1 + 1e-15)])
     def test_finite_sum_of_ratio_rounding_to_one(self, period):
         # a lag ratio of 1 within 1e-14; exactly 1 takes the flat branch
-        am, sm = ArrivalModel.deterministic(period), ServiceModel.fixed(64)
+        am, sm = ArrivalModel.deterministic(period), ServiceModel.arq(64, 0.0)
         want, log_ratio = self.mp_log_kernel(0.01, 1000, period, 64, 0.0)
         assert abs(log_ratio) < 1e-14
         assert log_paoi_kernel(0.01, 1000, am, sm) == pytest.approx(want, rel=1e-12)
@@ -266,14 +266,14 @@ class TestDeterministicCorner:
     def test_fixed_service_deterministic_gaps(self):
         # peak AoI is exactly gap + service here, so the bound pair
         # (threshold below, threshold above) must straddle the atom
-        am, sm = ArrivalModel.deterministic(100.0), ServiceModel.fixed(20)
+        am, sm = ArrivalModel.deterministic(100.0), ServiceModel.arq(20, 0.0)
         below = optimize_paoi_bound(100.0, 20, None, am, sm)
         above = optimize_paoi_bound(5000.0, 20, None, am, sm)
         assert below.bound_value == 1.0  # true violation probability is 1
         assert above.bound_value <= 1e-12  # true violation probability is 0
 
     def test_kernel_overflow_keeps_bound_finite(self):
-        am, sm = ArrivalModel.deterministic(100.0), ServiceModel.fixed(20)
+        am, sm = ArrivalModel.deterministic(100.0), ServiceModel.arq(20, 0.0)
         rep = paoi_bound(30.0, 1_000_000.0, 20, None, am, sm)
         assert math.isinf(rep.kernel_value)
         assert rep.raw_bound == 0.0 and rep.bound_value == 0.0
@@ -537,7 +537,7 @@ update_arrivals = st.one_of(
     st.builds(ArrivalModel.deterministic, st.floats(4.0, 400.0)),
 )
 update_services = st.one_of(
-    st.builds(ServiceModel.fixed, st.integers(1, 128)),
+    st.builds(ServiceModel.arq, st.integers(1, 128), st.just(0.0)),
     st.builds(ServiceModel.arq, st.integers(1, 128), st.floats(0.0, 0.5)),
 )
 

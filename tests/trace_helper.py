@@ -7,6 +7,7 @@ import numpy as np
 from stinqos import aoi, channel, experiments
 from stinqos.aoi import TRACE_FIELDS, ArrivalModel, trace_blocks
 from stinqos.fbc import CodingSpec, conditional_error
+from oracles import unblocked_channel_gain
 
 
 def whole_updates(am, sm, n, rng):
@@ -66,7 +67,7 @@ def whole_error_table(spec):
     coeff = base.interferer_coefficients
     rng = base.rng(channel._STREAM_SWEEP_EPS)
     draws = spec.error_draws
-    h_sat = channel.sample_channel_gain(base.fading, rng, size=draws)
+    h_sat = unblocked_channel_gain(base.fading, rng, size=draws)
     e_gains = rng.exponential(1.0, size=(draws, k_max))
     h_ter = rng.exponential(1.0, size=draws)
     coding = CodingSpec(blocklength=spec.blocklength, code_size=spec.code_size)
