@@ -63,33 +63,8 @@ MAX_INTERFERERS = 1000
 
 
 # ---------------------------------------------------------------------------
-# log-sum-exp and the confluent hypergeometric function 1F1(m; 1; z)
+# The confluent hypergeometric function 1F1(m; 1; z)
 # ---------------------------------------------------------------------------
-
-def logsumexp(a, b=None):
-    """log(sum(b * exp(a))) of a 1-D array ``a`` and weights ``b``.
-
-    scipy.special.logsumexp's algorithm for real float64 input and weights
-    b >= 0, bit for bit, without its per-call array-API dispatch: the max
-    terms are split off, the rest is summed as exp(a - a_max) / m, and the
-    log is log1p(s) + log(m) + a_max. A weight of 0 drops its term even
-    where a is infinite. Where that value is not finite, the plain
-    log(sum(b * exp(a))) is returned instead.
-    """
-    a = np.asarray(a, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        terms = a if b is None else np.where(b == 0, -np.inf, a)
-        a_max = np.max(terms, initial=-np.inf)
-        is_max = terms == a_max
-        e = np.exp(np.where(is_max, -np.inf, terms) - a_max)
-        m = np.sum(is_max if b is None else b * is_max, dtype=float)
-        s = np.sum(e if b is None else b * e)
-        s = s if s == 0 else s / m
-        out = np.log1p(s) + np.log(m) + a_max
-        if not np.isfinite(out):
-            out = np.log(np.sum(np.exp(a) if b is None else b * np.exp(a)))
-    return out
-
 
 def log_hyp1f1_integer(m: float, z):
     """log of 1F1(m; 1; z) for every m > 0 and z >= 0, as z + log(1F1(1 - m;

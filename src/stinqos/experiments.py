@@ -325,13 +325,15 @@ def fig4_models(spec: SweepSpec) -> tuple[ArrivalModel, ServiceModel, float]:
 def run_fig4(spec: SweepSpec) -> list[dict]:
     """Analytic peak-AoI violation bound vs empirical frequency over the
     exponent grid at a fixed threshold. The models and the simulated
-    violation frequency are computed once; only the bound depends on theta."""
+    violation frequency are computed once; only the bound depends on theta.
+    The bounds come first, so a theta that has none is refused before any
+    update is drawn."""
     am, sm, eps = fig4_models(spec)
+    reports = [paoi_bound(theta, spec.a_th_cu, spec.blocklength, None, am, sm)
+               for theta in spec.theta_grid]
     rng = channel._stream_rng(spec.seed, channel._STREAM_SWEEP_TRACE)
     trace = trace_blocks(update_blocks(am, sm, spec.fig4_n_updates, rng))
     empirical = trace_violation_frequency(trace, spec.a_th_cu)
-    reports = [paoi_bound(theta, spec.a_th_cu, spec.blocklength, None, am, sm)
-               for theta in spec.theta_grid]
     return [{"theta": theta, "bound": rep.bound_value, "empirical": empirical,
              "a_th": spec.a_th_cu, "kernel": rep.kernel_value, "eps": eps}
             for theta, rep in zip(spec.theta_grid, reports)]

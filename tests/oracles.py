@@ -24,17 +24,69 @@ def shadowed_rician_log_alpha(b: float, m: float, omega: float, dps: int = 50) -
         return float(m * mpmath.log(2 * b * m / (2 * b * m + omega)) - mpmath.log(2 * b))
 
 
+def _srician_density(b: float, m: float, omega: float):
+    """x -> alpha e^{-beta x} 1F1(m; 1; delta x) as an mpf at the working
+    precision, with alpha = (2bm / (2bm + omega))^m / (2b), beta = 1 / (2b)
+    and delta = omega / (2b (2bm + omega)); call it inside the workdps that
+    it was made in."""
+    b, m, omega = (mpmath.mpf(v) for v in (b, m, omega))
+    alpha = (2 * b * m / (2 * b * m + omega)) ** m / (2 * b)
+    beta = 1 / (2 * b)
+    delta = omega / (2 * b * (2 * b * m + omega))
+    return lambda x: alpha * mpmath.exp(-beta * x) * mpmath.hyp1f1(m, 1, delta * x)
+
+
 def shadowed_rician_pdf(x: float, b: float, m: float, omega: float,
                         dps: int = 30) -> float:
-    """The shadowed-Rician density alpha e^{-beta x} 1F1(m; 1; delta x) of the
-    power gain |h|^2, with alpha = (2bm / (2bm + omega))^m / (2b),
-    beta = 1 / (2b) and delta = omega / (2b (2bm + omega))."""
+    """The shadowed-Rician density of the power gain |h|^2 at x."""
     with mpmath.workdps(dps):
-        x, b, m, omega = (mpmath.mpf(v) for v in (x, b, m, omega))
-        alpha = (2 * b * m / (2 * b * m + omega)) ** m / (2 * b)
-        beta = 1 / (2 * b)
-        delta = omega / (2 * b * (2 * b * m + omega))
-        return float(alpha * mpmath.exp(-beta * x) * mpmath.hyp1f1(m, 1, delta * x))
+        return float(_srician_density(b, m, omega)(mpmath.mpf(x)))
+
+
+def gallager_log_mean(rho: float, gammas, n: int, weights=None, dps: int = 40) -> float:
+    """log E[(1 + gamma/(1+rho))^(-n rho)], the -n E0(rho) of a discrete
+    law: each float64 node gamma_i with its weight w_i (1 for all when
+    ``weights`` is None), summed at ``dps`` digits. A weight of 0 drops its
+    term."""
+    weights = np.ones(len(gammas)) if weights is None else weights
+    with mpmath.workdps(dps):
+        rho = mpmath.mpf(rho)
+        terms = [mpmath.mpf(w) * (1 + mpmath.mpf(g) / (1 + rho)) ** (-n * rho)
+                 for g, w in zip(gammas, weights) if w != 0]
+        return float(mpmath.log(mpmath.fsum(terms) / mpmath.fsum(weights)))
+
+
+def _fading_integral(s, integrand):
+    """E[integrand(gamma)] over the SINR law of a scenario without
+    interferers, gamma = c |h|^2, at the working precision: mpmath.quad of
+    the density times the integrand, with breakpoints at 0, the decades
+    1e-14..1e2 and 4 times the support cut of the library's fading rules."""
+    p = s.fading
+    end = 4 * channel._support_cut(p)
+    density, c = _srician_density(p.b, p.m, p.omega), mpmath.mpf(s.satellite_coefficient)
+    points = [0] + [mpmath.mpf(10) ** e for e in range(-14, 3) if 10.0 ** e < end]
+    return mpmath.quad(lambda x: density(x) * integrand(c * x), points + [end])
+
+
+def average_error_k0(s, n: int, rate: float, dps: int = 30) -> float:
+    """E[Q((C - R) / sqrt(V / n))] with C = ln(1 + gamma) and
+    V = 1 - (1 + gamma)^-2 = gamma (2 + gamma) / (1 + gamma)^2, over the
+    SINR law of a scenario without interferers."""
+    def q(g):
+        arg = (mpmath.log1p(g) - rate) / mpmath.sqrt(g * (2 + g) / n) * (1 + g)
+        return mpmath.erfc(arg / mpmath.sqrt(2)) / 2
+
+    with mpmath.workdps(dps):
+        return float(_fading_integral(s, q))
+
+
+def gallager_e0_k0(rho: float, s, n: int, dps: int = 30) -> float:
+    """E0(rho) = -(1/n) ln E[(1 + gamma/(1+rho))^(-n rho)] over the SINR law
+    of a scenario without interferers."""
+    with mpmath.workdps(dps):
+        rho = mpmath.mpf(rho)
+        mean = _fading_integral(s, lambda g: (1 + g / (1 + rho)) ** (-n * rho))
+        return float(-mpmath.log(mean) / n)
 
 
 def unblocked_channel_gain(p: ShadowedRicianParams, rng, size=None):

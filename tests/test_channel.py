@@ -5,10 +5,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
-from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.integrate import quad
-from scipy.special import logsumexp as scipy_logsumexp
 
 from stinqos import channel
 from stinqos.channel import (
@@ -20,7 +17,6 @@ from stinqos.channel import (
     SPEED_OF_LIGHT,
     STREAM_PLACEMENT,
     log_hyp1f1_integer,
-    logsumexp,
     pathloss_factor,
     place_interferers,
     shadowed_rician_pdf,
@@ -41,38 +37,6 @@ def hyp1f1_series_oracle(m: float, z: float, terms: int = 200) -> float:
         total += term
         term *= (m + k) * z / ((k + 1) ** 2)
     return total
-
-
-# Small integers give ties at the max; weights hold exact zeros.
-_LSE_TERMS = st.one_of(st.integers(-3, 3).map(float), st.floats(-700.0, 700.0),
-                       st.just(-math.inf))
-_LSE_WEIGHTS = st.one_of(st.just(0.0), st.integers(1, 3).map(float),
-                         st.floats(0.0, 1e3))
-
-
-@st.composite
-def logsumexp_cases(draw):
-    """(a, b): a 1-D input and, or not, its weights."""
-    shape = draw(array_shapes(min_dims=1, max_dims=1, max_side=8))
-    a = draw(arrays(float, shape, elements=_LSE_TERMS))
-    b = draw(st.none() | arrays(float, shape, elements=_LSE_WEIGHTS))
-    return a, b
-
-
-class TestLogSumExp:
-    @settings(max_examples=500, deadline=None)
-    @given(logsumexp_cases())
-    @example((np.array([-np.inf, -np.inf]), np.array([2.0, 0.0])))
-    @example((np.array([1.0, 1.0]), np.array([0.0, 3.0])))
-    @example((np.array([2.0, 2.0, -np.inf, 0.5]), None))
-    def test_matches_scipy_bit_for_bit(self, case):
-        a, b = case
-        got = logsumexp(a, b=b)
-        with np.errstate(over="ignore"):  # s / m past the float range
-            want = scipy_logsumexp(a, b=b)
-        assert type(got) is type(want)
-        assert np.shape(got) == np.shape(want)
-        assert np.array_equal(got, want)
 
 
 class TestHyp1f1:

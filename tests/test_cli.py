@@ -242,6 +242,15 @@ class TestDispatch:
         assert not out.exists()
         assert "category=numeric" in capsys.readouterr().err
 
+    def test_unreached_quadrature_tolerance_numeric_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "e.csv"
+        cfg = {"command": "error", "seed": 1, "output": str(out),
+               "scenario": {"k": 3}, "error_model": {"quad_tolerance": 1e-300}}
+        assert main([write_config(tmp_path, cfg)]) == 4
+        assert not out.exists()
+        assert "category=numeric SINR quadrature did not reach tolerance 1e-300" \
+            in capsys.readouterr().err
+
     def test_sweep_seed_conflict_config_exit_code(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
         cfg = {"command": "sweep", "seed": 11, "output": str(out),
@@ -778,7 +787,7 @@ class TestAtomicWrite:
     @pytest.mark.parametrize("budget", [10 ** 7 + 1, 10 ** 8])
     def test_exponent_draws_above_cap_numeric_exit_code(self, tmp_path, capsys,
                                                         monkeypatch, budget):
-        # the exponent holds every draw at once: 352 MB of RSS at 10^7
+        # the exponent holds every draw at once: 341 MB of RSS at 10^7
         monkeypatch.setattr(fbc, "sinr_samples",
                             lambda *args: pytest.fail("the exponent drew"))
         cfg = {"command": "exponent", "seed": 1, "output": str(tmp_path / "t.csv"),
@@ -816,8 +825,10 @@ class TestAtomicWrite:
         ({"command": "sweep", "params": {"figure": "fig3", "arrival_mean_gap_cu": 1e308,
                                          "n_updates": 200, "error_draws": 1000}},
          3, "category=domain arrival times must be finite"),
+        # a theta below the arrival rate 1e-308, so that the bound is not
+        # refused before the trace is drawn
         ({"command": "sweep", "params": {"figure": "fig4", "fig4_mean_gap_cu": 1e308,
-                                         "fig4_n_updates": 200}},
+                                         "fig4_n_updates": 200, "theta_grid": [1e-310]}},
          3, "category=domain arrival times must be finite"),
         ({"command": "error", "scenario": dict(THEOREM_CONFIG["scenario"], fading={
             "b": 0.126, "m": 10, "omega": 1e17})},

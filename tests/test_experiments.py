@@ -242,6 +242,15 @@ class TestFig4:
         assert want > 0
         assert run_fig4(spec)[0]["empirical"] == want
 
+    def test_unbounded_theta_refused_before_any_draw(self, monkeypatch):
+        # theta = 1 lies past the stable interval of the default models
+        drawn, update_blocks = [], experiments.update_blocks
+        monkeypatch.setattr(experiments, "update_blocks",
+                            lambda *args: drawn.append(args) or update_blocks(*args))
+        with pytest.raises(DomainError, match="service transform diverges"):
+            run_fig4(SweepSpec(figure="fig4", theta_grid=(0.002, 1.0)))
+        assert drawn == []
+
 
 class TestFig5:
     def test_columns_and_trends(self):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial.laguerre import laggauss
 
 from stinqos import channel, fbc
@@ -13,7 +13,7 @@ from stinqos.channel import (
     Scenario,
     ShadowedRicianParams,
 )
-from stinqos.errors import DomainError
+from stinqos.errors import DomainError, NumericError
 from stinqos.experiments import SweepSpec, default_scenario, run_fig5
 from stinqos.fbc import (
     _interference_nodes,
@@ -28,6 +28,7 @@ from stinqos.fbc import (
     q_function,
     sinr_samples,
 )
+import oracles
 from oracles import unblocked_channel_gain
 from trace_helper import block_mean, traced_peak
 
@@ -107,7 +108,9 @@ class TestConditionalError:
         gammas = np.linspace(0.0, 5.0, 200)
         errs = conditional_error(gammas, spec)
         assert np.all(np.diff(errs) <= 1e-15)
-        assert np.all((errs >= 0) & (errs <= 1))
+        extremes = conditional_error(np.array([0.0, 5e-324, 1e-300, 1e300, np.inf]), spec)
+        both = np.concatenate([errs, extremes])
+        assert np.all((both >= 0) & (both <= 1))
         lo = CodingSpec(blocklength=200, code_size=2, rate=0.1)
         hi = CodingSpec(blocklength=200, code_size=2, rate=0.3)
         assert np.all(
@@ -174,6 +177,15 @@ class TestAverageError:
         res = average_error(s, spec, ErrorModel(method="monte_carlo",
                                                 sample_budget=5000))
         assert res.method == "monte_carlo" and res.std_error > 0
+
+    def test_quadrature_refusal_reports_last_difference(self):
+        s, spec = default_scenario(k=3, seed=1), CodingSpec(64, 2 ** 32)
+        with pytest.raises(NumericError,
+                           match="did not reach tolerance 1e-300") as refused:
+            average_error(s, spec, ErrorModel(quad_tolerance=1e-300))
+        v216, v324 = (float(np.sum(w * conditional_error(g, spec)))
+                      for g, w in fbc._sinr_rules(s, (216, 324)))
+        assert refused.value.achieved == abs(v324 - v216) > 1e-300
 
     def test_model_validation(self):
         with pytest.raises(DomainError):
@@ -276,7 +288,57 @@ class TestBlockedMonteCarlo:
         assert peak < 1.6 * (k + 4) * 8 * BLOCK, peak
 
 
+def seed1_scenario(k: int, snr_db: float, m: float) -> Scenario:
+    """A seed-1 scenario whose fading is the default law at shadowing m."""
+    return default_scenario(k=k, avg_snr_db=snr_db, seed=1,
+                            fading=ShadowedRicianParams(b=0.126, m=m, omega=0.835))
+
+
+# Discrete laws for the E0 oracle: ("rule", K, SNR dB, m), the 96-panel
+# quadrature rule of seed1_scenario (768 nodes at K = 0, 24,576 at K >= 1),
+# or ("law", nodes, weights) with tied nodes and zero weights
+_E0_NODES = st.one_of(st.sampled_from([0.0, 1.0, 2.0]), st.floats(0.0, 1e3))
+_E0_WEIGHTS = st.one_of(st.just(0.0), st.integers(1, 3).map(float),
+                        st.floats(1e-3, 1e3))
+_E0_LAWS = st.one_of(
+    st.tuples(st.just("rule"), st.integers(0, 1), st.floats(0.0, 30.0),
+              st.sampled_from([2.0, 10.0, 10.5])),
+    st.lists(st.tuples(_E0_NODES, _E0_WEIGHTS), min_size=1, max_size=8)
+    .filter(lambda pairs: any(w for _, w in pairs))
+    .map(lambda pairs: ("law", *zip(*pairs))),
+    st.lists(_E0_NODES, min_size=1, max_size=8).map(lambda g: ("law", g, None)),
+)
+
+
+def e0_law(law):
+    """The (nodes, weights) arrays of a law drawn from _E0_LAWS."""
+    if law[0] == "rule":
+        return next(fbc._sinr_rules(seed1_scenario(*law[1:]), (96,)))
+    return np.array(law[1]), None if law[2] is None else np.array(law[2])
+
+
 class TestGallagerE0:
+    # the log of the inner mean, against a 40-digit sum of the same float64
+    # nodes and weights, within 4 ulp of its own size and of the largest
+    # term's exponent t_max
+    @settings(max_examples=40, deadline=None)
+    @given(_E0_LAWS, st.integers(1, 5000), st.floats(1e-8, 1.0))
+    @example(("rule", 3, 15.0, 10.0), 100, 1e-6)  # default_scenario(k=3, seed=1)
+    def test_log_mean_against_mpmath(self, law, n, rho):
+        gam, wts = e0_law(law)
+        want = oracles.gallager_log_mean(rho, gam, n, wts)
+        live = gam if wts is None else gam[wts > 0]
+        t_max = n * rho * math.log1p(live.min() / (1.0 + rho))
+        got = -n * gallager_e0_samples(rho, gam, n, wts)
+        assert abs(got - want) <= 4 * 2.0 ** -52 * (1.0 + t_max + abs(want))
+
+    def test_zero_weight_drops_its_term(self):
+        # the dropped node holds the largest term; kept, every other term
+        # underflows against it and the mean is log(0)
+        kept = gallager_e0_samples(1.0, [1.0, 2.0], 2000, [1.0, 1.0])
+        assert math.isfinite(kept)
+        assert gallager_e0_samples(1.0, [1e-9, 1.0, 2.0], 2000, [0.0, 1.0, 1.0]) == kept
+
     def test_zero_rho(self):
         assert gallager_e0_samples(0.0, [1.0, 2.0], 100) == 0.0
 
@@ -320,6 +382,23 @@ class TestGallagerE0:
         d2 = np.diff(e0, 2)
         assert np.all(d1 >= -1e-8)
         assert np.all(d2 <= 1e-8)
+
+
+class TestFadingIntegrals:
+    # n, average SNR (dB), m and rho at K = 0, where the average error and
+    # E0 are one-dimensional integrals over the fading density
+    @pytest.mark.parametrize("n, snr_db, m, rho", [
+        (100, 0.0, 10.0, 1.0), (100, 15.0, 10.5, 0.25), (500, 5.0, 10.5, 0.5),
+        (500, 15.0, 10.0, 1e-3), (2000, 0.0, 10.5, 0.9), (2000, 10.0, 10.0, 0.1)])
+    def test_against_mpmath_quad(self, n, snr_db, m, rho):
+        s, spec = seed1_scenario(0, snr_db, m), CodingSpec(n, 2 ** 32)
+        got = average_error(s, spec, ErrorModel()).value
+        want = oracles.average_error_k0(s, n, spec.rate)
+        assert abs(got - want) <= 1e-12 * want
+        gam, wts = next(fbc._sinr_rules(s, (96,)))
+        got = gallager_e0_samples(rho, gam, n, wts)
+        want = oracles.gallager_e0_k0(rho, s, n)
+        assert abs(got - want) <= 1e-12 * want
 
 
 class TestErrorExponent:

@@ -60,7 +60,7 @@ GOLDEN = {
     ),
     "exponent_k3_m10": (
         {"command": "exponent", "seed": 1, "scenario": _scenario(3, 10)},
-        "699f7ce60c13bb328b1e66e8e9e8a3559fba039f407799db780f98d4dfed46c2",
+        "babc519b6e6c7a0f459972229d44197f00bce1a349e8c84561d6c555da9b7c04",
     ),
     # three blocks of 2^14 Monte Carlo SINR draws and five more, joined
     # into the one column that the exponent's search reads
@@ -71,7 +71,7 @@ GOLDEN = {
     ),
     "exponent_k0": (
         {"command": "exponent", "seed": 1, "scenario": _scenario(0, 10)},
-        "359b4ac9108b3f30f7b6591539e82af727a50fd70ccdbc37fd91f1e64d140ba7",
+        "d86098d9bfb02c749459db419cda302930c52c352373ca7821d467f9819093fc",
     ),
     "aoi_sim": (
         {"command": "aoi-sim", "seed": 1, "params": {"n_updates": 2000}},
@@ -121,7 +121,7 @@ GOLDEN = {
     "sweep_fig5": (
         {"command": "sweep", "seed": 1,
          "params": {"figure": "fig5", "n_grid": [100, 500]}},
-        "81da78df14c750f5bdee728d4de3d623a9b52e603a5817c4948c4078db2721b0",
+        "673f4bfcef4ab5d2f88cb536c67c300aabf29af66434afef21d21f736aa4e7b0",
     ),
     "paoi_bound": (
         {"command": "paoi-bound", "seed": 1},
