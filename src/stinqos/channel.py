@@ -23,28 +23,56 @@ from functools import cached_property
 from .errors import DomainError, NumericError
 
 
-def _lazy_numpy():
-    """numpy as a module that loads on its first attribute access, so a
-    command that computes no array loads none of it.
+def _lazy_module(name: str):
+    """The module ``name`` as one that loads on its first attribute access,
+    so a command that never uses it loads none of it; None if there is no
+    such module.
 
-    A module already registered as "numpy", lazy or loaded, is returned as
-    it is; otherwise the lazy one is registered there, and a later import
-    of numpy loads it. Modules bind ``np`` through this, not by an import
+    A module already registered under ``name``, lazy or loaded, is returned
+    as it is; otherwise the lazy one is registered there, and a later import
+    of ``name`` loads it. Modules bind ``np`` through this, not by an import
     statement, which reads ``__spec__`` and so loads a lazy module at once.
     Before Python 3.12 the first load is not thread-safe: a caller that
-    starts threads should import numpy first.
+    starts threads should import numpy and scipy.special first, and stinqos
+    then makes nothing lazy.
     """
-    if "numpy" in sys.modules:
-        return sys.modules["numpy"]
-    spec = importlib.util.find_spec("numpy")
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    if spec is None:
+        return None
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
-    sys.modules["numpy"] = module
+    sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
 
 
-np = _lazy_numpy()
+np = _lazy_module("numpy")
+
+# numpy submodules stinqos never imports. numpy 2 loads each on first
+# attribute access, and scipy's array-API shim asks numpy for every name in
+# dir(numpy), so importing scipy.special would execute them all (f2py alone
+# some 30 ms) unless they stand there as lazy modules.
+_UNUSED_NUMPY_SUBMODULES = ("f2py", "testing", "ma", "ctypeslib", "rec", "char",
+                            "strings", "typing")
+
+
+def _special():
+    """scipy.special. Before its first import, each of numpy's
+    _UNUSED_NUMPY_SUBMODULES that numpy would load on access is set on numpy
+    as a lazy module, which runs its code only when it is first used."""
+    if "scipy.special" not in sys.modules:
+        for name in _UNUSED_NUMPY_SUBMODULES:
+            # only a submodule numpy lists but has not loaded; vars, not
+            # hasattr, which would load it
+            if name not in vars(np) and name in dir(np):
+                module = _lazy_module(f"numpy.{name}")
+                if module is not None:
+                    setattr(np, name, module)
+    import scipy.special
+    return scipy.special
+
 
 SPEED_OF_LIGHT = 3.0e8  # m/s, free-space value used throughout
 
@@ -73,11 +101,9 @@ def log_hyp1f1_integer(m: float, z):
     Raises:
         NumericError: if that is not finite (roughly m >= 50 with z > 1e4).
     """
-    from scipy.special import hyp1f1
-
     z = np.asarray(z, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        out = z + np.log(hyp1f1(1.0 - m, 1.0, -z))
+        out = z + np.log(_special().hyp1f1(1.0 - m, 1.0, -z))
     if not np.all(np.isfinite(out)):
         raise NumericError(f"1F1(m={m}; 1; z) overflows for z up to {np.max(z):g}")
     return out

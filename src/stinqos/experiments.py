@@ -51,8 +51,8 @@ from .snc import paoi_bound
 
 # Error draws a fig3 or stin_psn sweep may take. The error table holds one
 # block of 2^14 draws of each gain whatever the count, so the cap bounds
-# time: at the default grids it takes about 0.25 s per 10^5 draws on a
-# 2-CPU VM, so about 4 minutes at the cap.
+# time: at the default grids it takes about 0.11 s per 10^5 draws on one
+# CPU of a 2-CPU VM, so about 2 minutes at the cap.
 MAX_ERROR_DRAWS = 10 ** 8
 
 # Replications a fig3 or stin_psn sweep may run. Each adds one float per
@@ -244,8 +244,10 @@ def _sweep_means(spec: SweepSpec, eps_sat: np.ndarray, eps_ter: np.ndarray) -> n
 
 def _sweep_points(spec: SweepSpec):
     """Each (K, SNR) grid point, K outer, as (k, snr_db, eps_sat, eps_ter,
-    mean, half): the mean peak AoI over replications and its 95 % half-width,
-    each a pair ordered as _SYSTEMS."""
+    mean, half): the mean peak AoI over r replications and 1.96 standard
+    errors of that mean (1.96 s / sqrt(r), 0 for r = 1), each a pair ordered
+    as _SYSTEMS. The half-width is a normal one: at the default r = 3 the
+    interval covers the mean about 80 % of the time, not 95 %."""
     # refuse before any work
     if spec.replications > MAX_REPLICATIONS:
         raise NumericError(f"{spec.replications} replications exceed the cap of "

@@ -15,11 +15,11 @@ import math
 from dataclasses import dataclass
 
 from . import channel
-from .channel import Scenario, _lazy_numpy, srician_quad_nodes
+from .channel import Scenario, _lazy_module, _special, srician_quad_nodes
 from .errors import DomainError, NumericError
 from .optimize import golden_section_min
 
-np = _lazy_numpy()
+np = _lazy_module("numpy")
 
 # Nodes of the Gauss rule for the aggregate interference, at every K.
 _INTERFERENCE_NODES = 32
@@ -29,8 +29,8 @@ _RHO_TOL = 1e-6
 
 # Monte Carlo SINR draws a run may take, refused before any draw. The error
 # path holds one block of draws whatever the count, so the cap bounds its
-# time: about 0.4 s per 10^6 draws at K = 5 on a 2-CPU VM, some 40 s at the
-# cap.
+# time: about 0.15 s per 10^6 draws at K = 5 on one CPU of a 2-CPU VM, some
+# 15 s at the cap.
 MAX_SAMPLE_BUDGET = 10 ** 8
 # The exponent path holds its whole SINR column and its Gallager terms, 32 B
 # per draw by tracemalloc, so its own cap bounds its memory: 341 MB of peak
@@ -104,10 +104,8 @@ class ErrorResult:
 
 def q_function(x):
     """Gaussian tail probability Q(x) = erfc(x / sqrt(2)) / 2."""
-    from scipy.special import erfc
-
     x = np.asarray(x, dtype=float)
-    out = 0.5 * erfc(x / math.sqrt(2.0))
+    out = 0.5 * _special().erfc(x / math.sqrt(2.0))
     return float(out) if out.ndim == 0 else out
 
 

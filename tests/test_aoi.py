@@ -435,6 +435,8 @@ class TestSimulateTrace:
             ServiceModel.arq(4, 1.0)
         with pytest.raises(DomainError):
             ServiceModel.arq(0, 0.0)
+        with pytest.raises(DomainError, match="^unknown arrival model kind 'bursty'$"):
+            ArrivalModel("bursty")
 
     def test_subnormal_epsilon_is_zero(self):
         u = np.random.default_rng(4).random(1000)

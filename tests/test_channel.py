@@ -149,6 +149,11 @@ class TestShadowedRicianPdf:
         with pytest.raises(DomainError):
             ShadowedRicianParams(b=0.5, m=1, omega=-0.1)
 
+    def test_refuses_negative_gain(self):
+        p = ShadowedRicianParams(b=0.126, m=10, omega=0.835)
+        with pytest.raises(DomainError, match="^channel power gain must be >= 0$"):
+            shadowed_rician_pdf([1.0, -1e-300], p)
+
 
 class TestSampling:
     def test_no_los_is_exponential(self):
@@ -344,6 +349,11 @@ class TestSinr:
         np.testing.assert_array_equal(
             s1.interferer_coefficients, s2.interferer_coefficients
         )
+
+    @pytest.mark.parametrize("h_gain, i_a", [(-1.0, 0.0), (1.0, [0.0, -1e-300])])
+    def test_refuses_negative_gain_or_interference(self, h_gain, i_a):
+        with pytest.raises(DomainError, match="^h_gain and i_a must be >= 0$"):
+            sinr(_scenario(), h_gain, i_a)
 
     # config refuses such a seed first, so no command reaches this refusal
     @pytest.mark.parametrize("seed", [-1, 2 ** 64])

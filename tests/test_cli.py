@@ -922,7 +922,15 @@ class TestStartupImports:
             "params": {"arrival": {"kind": "deterministic", "period": 300.0}}}
 
     @staticmethod
-    def modules_after(tmp_path, cfg=None, module="stinqos.cli") -> set:
+    def fresh_stdout(code, *argv) -> str:
+        """The standard output of a fresh process that runs ``code``."""
+        src = str(Path(stinqos.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                              capture_output=True, text=True, check=True).stdout
+
+    @classmethod
+    def modules_after(cls, tmp_path, cfg=None, module="stinqos.cli") -> set:
         """The modules loaded by a fresh process that imports ``module`` and,
         given a config, runs it through stinqos.cli.main."""
         code = f"import sys, {module}\n"
@@ -932,11 +940,7 @@ class TestStartupImports:
             argv = [write_config(tmp_path, cfg)]
             code += "assert stinqos.cli.main(sys.argv[1:]) == 0\n"
         code += "print(*sys.modules)"
-        src = str(Path(stinqos.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        res = subprocess.run([sys.executable, "-c", code, *argv], env=env,
-                             capture_output=True, text=True, check=True)
-        return set(res.stdout.splitlines()[-1].split())
+        return set(cls.fresh_stdout(code, *argv).splitlines()[-1].split())
 
     @classmethod
     def loaded_after(cls, tmp_path, cfg=None) -> set:
@@ -989,6 +993,44 @@ class TestStartupImports:
 
     def test_error_run_loads_scipy(self, tmp_path):
         assert "scipy" in self.loaded_after(tmp_path, {"command": "error", "seed": 1})
+
+    # A lazy numpy submodule is registered under its own name but never run,
+    # so each is marked by a module that only running it loads.
+    UNUSED_NUMPY = ("numpy.f2py.f2py2e numpy.testing._private.utils numpy.ma.core "
+                    "charset_normalizer")
+
+    @pytest.mark.parametrize("cfg", [
+        {"command": "error", "seed": 1},
+        {"command": "exponent", "seed": 1},
+        {"command": "delay-bound", "seed": 1},
+        {"command": "sweep", "seed": 1, "params": {"figure": "fig5", "n_grid": [100]}},
+    ], ids=["error", "exponent", "delay-bound", "sweep-fig5"])
+    def test_scipy_runs_skip_unused_numpy_submodules(self, tmp_path, cfg):
+        loaded = self.modules_after(tmp_path, cfg)
+        assert "scipy.special" in loaded
+        assert loaded.isdisjoint(self.UNUSED_NUMPY.split())
+
+    def test_unused_numpy_submodules_work_on_first_use(self):
+        out = self.fresh_stdout(
+            "import os, sys\n"
+            "from stinqos import channel\n"
+            "channel._special()\n"
+            "assert 'numpy.ma.core' not in sys.modules\n"
+            "import numpy\n"
+            "print(numpy.ma.masked_array([1., 2.], mask=[0, 1]).sum())\n"
+            "numpy.testing.assert_equal(numpy.arange(2), [0, 1])\n"
+            "print(os.path.isdir(numpy.f2py.get_include()))\n")
+        assert out.split() == ["1.0", "True"]
+
+    def test_special_touches_nothing_once_scipy_is_loaded(self, monkeypatch):
+        import numpy
+        import scipy.special
+
+        monkeypatch.delattr(numpy, "ma")
+        modules = dict(sys.modules)
+        assert channel._special() is scipy.special
+        assert "ma" not in vars(numpy)
+        assert sys.modules == modules
 
     # numpy._core marks a loaded numpy: the lazy module that stands for
     # numpy until its first use is registered as "numpy" itself

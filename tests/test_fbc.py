@@ -88,6 +88,11 @@ class TestConditionalError:
         spec = CodingSpec(blocklength=100, code_size=2, rate=0.5)
         assert conditional_error(0.0, spec) == 1.0
 
+    def test_refuses_negative_sinr(self):
+        spec = CodingSpec(blocklength=100, code_size=2, rate=0.5)
+        with pytest.raises(DomainError, match="^SINR must be >= 0$"):
+            conditional_error([1.0, -1e-300], spec)
+
     def test_array_with_zero_sinr_matches_scalars(self):
         spec = CodingSpec(blocklength=100, code_size=2, rate=0.5)
         gammas = np.array([0.0, 1.0, 0.0, 3.0, 1e-3])
@@ -341,6 +346,11 @@ class TestGallagerE0:
 
     def test_zero_rho(self):
         assert gallager_e0_samples(0.0, [1.0, 2.0], 100) == 0.0
+
+    @pytest.mark.parametrize("rho", [-1e-300, 1.0 + 2.0 ** -52, math.nan])
+    def test_refuses_rho_outside_unit_interval(self, rho):
+        with pytest.raises(DomainError, match=r"^rho must be in \[0, 1\], got "):
+            gallager_e0_samples(rho, [1.0, 2.0], 100)
 
     def test_point_mass_collapse(self):
         # expectation collapses for a deterministic SINR

@@ -257,6 +257,14 @@ class TestPaoiBound:
             rep = paoi_bound(0.0025, a_th, 64, None, DEFAULT_AM, DEFAULT_SM)
             assert rep.bound_value >= emp - 3 * se
 
+    def test_refuses_negative_threshold(self):
+        with pytest.raises(DomainError, match="^a_th must be >= 0, got -1e-300$"):
+            paoi_bound(0.002, -1e-300, 64, None, DEFAULT_AM, DEFAULT_SM)
+
+    def test_refuses_blocklength_below_one(self):
+        with pytest.raises(DomainError, match="^blocklength must be >= 1, got 0$"):
+            paoi_bound(0.002, 1000.0, 0, None, DEFAULT_AM, DEFAULT_SM)
+
     def test_clamped_and_raw(self):
         rep = paoi_bound(0.0005, 1000.0, 64, None, DEFAULT_AM, DEFAULT_SM)
         assert rep.bound_value == 1.0 and rep.raw_bound > 1.0
