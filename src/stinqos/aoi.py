@@ -18,9 +18,9 @@ from .errors import DomainError, NumericError
 np = _lazy_module("numpy")
 
 # Updates a run may draw. The draw and the trace hold one block whatever the
-# count, so the cap bounds time and output instead: at 4.8 us and 72 B per
-# row on a 2-CPU VM, an aoi-sim run at the cap takes about 80 minutes and
-# writes about 72 GB of CSV.
+# count, so the cap bounds time and output instead: at 1.7 us and 72 B per
+# row (default models, one CPU of a 2-CPU VM), an aoi-sim run at the cap
+# takes about half an hour and writes about 72 GB of CSV.
 MAX_UPDATES = 10 ** 9
 
 # Rows per block of drawn updates and of their trace: the CSV writer's chunk.
@@ -154,14 +154,9 @@ def departure_rows(arrivals: np.ndarray, services: np.ndarray,
     _check_block(arrivals, services, arr_prev)
     if dep_prev is None:
         dep_prev = np.full(len(services), -math.inf)
-    if len(services) == 1:  # Python floats: numpy scalar indexing costs more
-        # than the recursion, and the conditional is max(prev, a) without a call
-        prev, row = float(dep_prev[0]), []
-        for a, s in zip(arrivals.tolist(), services[0].tolist()):
-            prev = (a if a > prev else prev) + s
-            row.append(prev)
-        services[0] = row
-        dep_prev[0] = prev
+    if len(services) == 1:
+        services[0], dep_prev[0] = _departure_row(arrivals, services[0],
+                                                  float(dep_prev[0]))
         return services
     buf = np.empty_like(dep_prev)
     prev = dep_prev
@@ -171,6 +166,51 @@ def departure_rows(arrivals: np.ndarray, services: np.ndarray,
         prev = col
     dep_prev[:] = prev
     return services
+
+
+def _departure_row(arrivals: np.ndarray, services: np.ndarray, prev: float):
+    """The departures of one row after the departure ``prev``, and the last.
+
+    Where no update waits, D[u] = A[u] + S[u], which is computed for the
+    whole block at once. An update waits where D[u-1] >= A[u]; a tie takes
+    the branch D[u-1] + S[u] too. As D[u-1] >= A[u-1] + S[u-1], it can wait
+    only at a start, where A[u-1] + S[u-1] >= A[u], or right after a wait.
+    So the max-then-add runs from each start until an update finds the
+    server idle, and every other departure keeps the A + S of the same add.
+
+    A start is read through memoryviews, and a stretch that goes on past it
+    is walked by zip over memoryview slices, in Python floats. A start costs
+    several times what one row of a list loop over the whole block costs,
+    so where at least a quarter of the updates are starts, that list loop
+    runs instead; its conditional is max(prev, a) without a call.
+    """
+    dep = arrivals + services
+    waits = arrivals[1:] <= dep[:-1]
+    first = len(dep) > 0 and not arrivals[0] > prev
+    if 4 * (np.count_nonzero(waits) + first) >= len(dep):
+        row = [prev := (a if a > prev else prev) + s
+               for a, s in zip(arrivals.tolist(), services.tolist())]
+        return row, prev
+    starts = (np.flatnonzero(waits) + 1).tolist()
+    if first:
+        starts.insert(0, 0)
+    a, s, d = memoryview(arrivals), memoryview(services), memoryview(dep)
+    n, end = len(d), 0
+    for u in starts:
+        if u < end:  # inside the stretch of an earlier start
+            continue
+        p = (d[u - 1] if u else prev) + s[u]  # a start waits
+        d[u] = p
+        u += 1
+        if u < n and not a[u] > p:  # so does the next update
+            for x, y in zip(a[u:], s[u:]):
+                if x > p:
+                    break
+                p += y
+                d[u] = p
+                u += 1
+        end = u
+    return dep, d[-1]
 
 
 def departure_times_maxplus(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:

@@ -9,6 +9,14 @@ earlier blocks are written. Each block is formatted column by column, in
 slices of at most _CHUNK_ROWS rows, into a temp file next to the target,
 which is moved into place only once every row is written: a failing run
 leaves no partial CSV and an earlier file at the target untouched.
+
+Floats are written as their shortest round-trip repr, which is most of the
+cost of a trace. A float slice calls repr once per distinct bit pattern, and
+maps the strings back to its rows, where at most half its values are
+distinct: the service and sojourn columns of a trace, and its peak-AoI
+column under deterministic arrivals. A strictly increasing slice, such as a
+time column, calls repr on each cell at once; any other slice is told by
+one sort of its bit patterns, about 1 % of the cost of its repr calls.
 """
 from __future__ import annotations
 
@@ -50,11 +58,37 @@ def _cells(col):
     if isinstance(col, range):
         return map(str, col)
     kind = col.dtype.kind if hasattr(col, "dtype") else None
-    if kind == "f":
+    if kind == "f" and col.dtype.itemsize <= 8:
+        return _float_cells(col)
+    if kind == "f":  # longdouble, which float64 keys would round
         return map(repr, col.tolist())
     if kind in ("i", "u"):
         return map(str, col.tolist())
     return [_quote(format_value(v)) for v in col]
+
+
+def _float_cells(col):
+    """repr of each float of a float16, 32 or 64 column, called once per
+    distinct value where at most half the values are distinct.
+
+    Values are told apart by their float64 bit patterns, so -0.0 and 0.0,
+    and NaNs of each sign and payload, keep their own strings, as repr on
+    each cell gives them.
+    """
+    import numpy as np  # loaded already, as col is an array
+
+    values = col.astype(np.float64)
+    if np.all(values[1:] > values[:-1]):  # increasing: every value distinct
+        return map(repr, col.tolist())
+    keys = values.view(np.int64)
+    keys.sort()
+    new = keys[1:] != keys[:-1]
+    if 2 * (np.count_nonzero(new) + 1) > len(keys):
+        return map(repr, col.tolist())
+    distinct = keys[np.concatenate(([True], new))]
+    strings = list(map(repr, distinct.view(np.float64).tolist()))
+    rows = distinct.searchsorted(col.astype(np.float64).view(np.int64))
+    return map(strings.__getitem__, rows.tolist())
 
 
 def _write_block(fh, n_fields: int, columns) -> None:

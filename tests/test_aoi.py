@@ -244,6 +244,77 @@ class TestUpdateBlocks:
         assert rng.bit_generator.state == state
 
 
+def loaded_queue(load, n, rng):
+    """Arrivals and services of n updates at ``load``: Poisson arrivals and
+    services of 64 cu on average, some of 0 or 128, of which one update in
+    128 arrives just as the one before departs, a tie A[u] == D[u-1]. At
+    load 0, gaps of 100 cu against services of 0 or 64: no update waits."""
+    services = rng.choice([0.0, 64.0, 64.0, 128.0], n) if load else rng.choice([0.0, 64.0], n)
+    gaps = rng.exponential(64.0 / load, n) if load else np.full(n, 100.0)
+    arrivals, a, d = np.empty(n), 0.0, -math.inf
+    for u in range(n):
+        a += gaps[u]
+        if load and u % 128 == 5 and d > arrivals[u - 1]:
+            a = d
+        arrivals[u] = a
+        d = max(d, a) + services[u]
+    return arrivals, services
+
+
+class TestSingleRowDepartures:
+    """The one-row departures of trace_blocks, block by block with the
+    departure and the arrival before each block carried, at loads from no
+    wait to saturation: the list recursion and the max-plus form exactly."""
+
+    @pytest.mark.parametrize("load, waiting", [
+        (0.0, (0.0, 0.0)), (0.03, (0.01, 0.06)), (0.5, (0.35, 0.65)),
+        (1.2, (0.95, 1.0))])
+    def test_equal_to_list_recursion_and_maxplus(self, load, waiting):
+        n = 2 * TRACE_BLOCK + 100
+        arrivals, services = loaded_queue(load, n, np.random.default_rng(31))
+        want = departures_whole_list(arrivals, services)
+        waits = np.flatnonzero(arrivals[1:] <= want[:-1]) + 1
+        assert waiting[0] <= len(waits) / n <= waiting[1]
+        if load:
+            assert np.any(arrivals[waits] == want[waits - 1])  # ties
+        assert np.any(services[waits if load else slice(None)] == 0.0)
+        dep_prev, blocks = np.full(1, -math.inf), []
+        for start in range(0, n, TRACE_BLOCK):
+            cols = slice(start, start + TRACE_BLOCK)
+            arr_prev = arrivals[start - 1] if start else 0.0
+            blocks.append(departure_rows(arrivals[cols], services[np.newaxis, cols].copy(),
+                                         dep_prev, arr_prev)[0])
+            assert dep_prev[0] == blocks[-1][-1]
+        got = np.concatenate(blocks)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(got, departure_times_maxplus(arrivals, services))
+
+    def test_backlog_across_block_edge(self):
+        # gaps of 65 cu against services of 64, but for one service of 6400
+        # in 2000: few updates start a wait, and each backlog drains by 1 cu
+        # an update, so it outlasts the block it starts in
+        n = 3 * TRACE_BLOCK
+        arrivals = np.arange(1, n + 1) * 65.0
+        services = np.where(np.arange(n) % 2000 == 7, 6400.0, 64.0)
+        want = departures_whole_list(arrivals, services)
+        got = np.concatenate([block[3] for block in trace_blocks(
+            column_blocks(arrivals, services))])
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(got, departure_times_maxplus(arrivals, services))
+        assert np.count_nonzero(arrivals[1:] <= want[:-1]) > n // 2
+
+    @pytest.mark.parametrize("n", [2, 40])
+    def test_signed_zero_tie_takes_departure_branch(self, n):
+        # A[1] == D[0] as 0.0 == -0.0: D[1] = D[0] + S[1] = -0.0, where
+        # A[1] + S[1] would be 0.0; at n = 40 the other updates never wait
+        arrivals = np.concatenate(([-0.0, 0.0], np.arange(1.0, n - 1.0)))
+        services = np.concatenate(([-0.0, -0.0], np.full(n - 2, 0.5)))
+        got = departure_rows(arrivals, services[np.newaxis].copy())[0]
+        want = departures_whole_list(arrivals, services)
+        assert math.copysign(1.0, want[1]) == -1.0
+        assert got.tobytes() == want.tobytes()
+
+
 class TestDepartureRows:
     @settings(max_examples=300, deadline=None)
     @given(queue_rows())

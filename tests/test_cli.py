@@ -423,6 +423,23 @@ class TestDispatch:
         assert main([path]) == 2
         assert "category=config" in capsys.readouterr().err
 
+    def test_uncategorised_error_propagates(self, tmp_path, capsys, monkeypatch):
+        # an exception of no failure category is a fault of the program, not
+        # of the run: it leaves main as raised, with no category line and
+        # no CSV
+        fault = RuntimeError("not a run failure")
+
+        def failing_dispatch(rc):
+            raise fault
+
+        monkeypatch.setattr(cli, "dispatch", failing_dispatch)
+        cfg = dict(AOI_SIM_DET, output=str(tmp_path / "t.csv"))
+        with pytest.raises(RuntimeError) as raised:
+            main([write_config(tmp_path, cfg)])
+        assert raised.value is fault
+        assert "error: category=" not in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
     @pytest.mark.parametrize("route", ["config", "flag"])
     @pytest.mark.parametrize("brk", ["\n", "\r", "\0", "\ud800", "\udcff"])
     def test_output_line_break_config_exit_code(self, tmp_path, capsys, route, brk):

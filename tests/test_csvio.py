@@ -2,12 +2,14 @@
 import csv
 import io
 import math
+import struct
 import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import stinqos
 from stinqos import aoi, channel, csvio
@@ -145,6 +147,62 @@ def test_mixed_type_columns(tmp_path, monkeypatch, chunk_rows):
         np.array([1.0, "", None, True, 2, "a,b", 0.5], dtype=object),
     ]
     assert written(tmp_path, fields, [columns]) == reference_csv(fields, columns)
+
+
+def _nan(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# values whose bit patterns differ where they compare equal, or whose repr is
+# the same for several bit patterns: both zeros, NaNs of either sign and of
+# another payload, the infinities, subnormals of either sign, and values
+# that turn subnormal or infinite as float32
+SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, _nan(0x7FF8000000000001),
+                  _nan(0xFFF0000000000001), math.inf, -math.inf, 5e-324, -5e-324,
+                  1e-310, 1e-40, -1e-45, 3.5e38, 64.0, 0.1, 1.3]
+
+
+@st.composite
+def float_columns(draw):
+    """One to three float columns of one length, each float64, float32, or
+    a strided or reversed view of a float64 array; the values come either
+    from a pool of one to five (most chunks repeat values) or from any
+    float (most chunks are distinct)."""
+    n = draw(st.integers(0, 60))
+    pool = draw(st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(),
+                         min_size=1, max_size=5))
+    values = st.sampled_from(pool) if draw(st.booleans()) else st.floats()
+    columns = []
+    for _ in range(draw(st.integers(1, 3))):
+        col = np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=np.float64)
+        layout = draw(st.sampled_from(["f8", "f4", "strided", "reversed"]))
+        if layout == "f4":
+            with np.errstate(over="ignore", invalid="ignore"):  # a signalling NaN
+                col = col.astype(np.float32)
+        elif layout == "strided":
+            col = np.repeat(col, 3)[::3]
+        elif layout == "reversed":
+            col = col[::-1].copy()[::-1]
+        columns.append(col)
+    return columns
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(columns=float_columns(), chunk_rows=st.integers(1, 64))
+@example(columns=[np.array([0.0, -0.0, -0.0, 0.0, math.nan, -math.nan])], chunk_rows=4)
+@example(columns=[np.zeros(0)], chunk_rows=1)
+@example(columns=[np.array([-0.0], dtype=np.float32)], chunk_rows=1)
+def test_float_cells_equal_per_cell_repr(tmp_path, monkeypatch, columns, chunk_rows):
+    # repeats cross chunk edges, or a chunk holds the whole column; the
+    # strings written once per distinct bit pattern are those of repr on
+    # each cell
+    monkeypatch.setattr(csvio, "_CHUNK_ROWS", chunk_rows)
+    fields = [f"c{i}" for i in range(len(columns))]
+    rows = zip(*(map(repr, col.tolist()) for col in columns))
+    want = "".join(f"{','.join(row)}\n" for row in rows)
+    got = written(tmp_path, fields, [columns])
+    assert got == ",".join(fields) + "\n" + want
 
 
 def test_float_list_with_empty_cell_takes_per_cell_path(tmp_path):
