@@ -58,10 +58,36 @@ _UNUSED_NUMPY_SUBMODULES = ("f2py", "testing", "ma", "ctypeslib", "rec", "char",
                             "strings", "typing")
 
 
+class _UnparsedDoc:
+    """Stands in for scipy's numpydoc parser, FunctionDoc, while
+    scipy.special imports. scipy's xp_capabilities decorator parses the
+    docstring of each special function it registers (94 in scipy 1.17) to
+    append an array-API support note; this parses nothing, takes the note
+    into a throwaway list and gives back the docstring as it was."""
+
+    def __init__(self, func):
+        self._func = func
+
+    def __getitem__(self, section):
+        return []
+
+    def __str__(self):
+        # a signature line, which the decorator drops, then the docstring
+        return f"{self._func.__name__}\n{self._func.__doc__ or ''}"
+
+
 def _special():
     """scipy.special. Before its first import, each of numpy's
     _UNUSED_NUMPY_SUBMODULES that numpy would load on access is set on numpy
-    as a lazy module, which runs its code only when it is first used."""
+    as a lazy module, which runs its code only when it is first used.
+
+    That first import also runs with _UnparsedDoc in place of the FunctionDoc
+    of scipy._lib._array_api, restored once it ends, so the special
+    functions keep their own docstrings without scipy's array-API note; the
+    functions and scipy's capabilities table are as without it. Should the
+    import fail that way, it runs again with scipy's own parser. A scipy
+    without that FunctionDoc imports as it is.
+    """
     if "scipy.special" not in sys.modules:
         for name in _UNUSED_NUMPY_SUBMODULES:
             # only a submodule numpy lists but has not loaded; vars, not
@@ -70,6 +96,23 @@ def _special():
                 module = _lazy_module(f"numpy.{name}")
                 if module is not None:
                     setattr(np, name, module)
+        # after the loop: this import runs scipy's array-API shim, which
+        # would otherwise load the submodules the loop leaves lazy
+        try:
+            from scipy._lib import _array_api
+        except ImportError:
+            _array_api = None
+        parser = getattr(_array_api, "FunctionDoc", None)
+        if parser is not None:
+            _array_api.FunctionDoc = _UnparsedDoc
+            try:
+                import scipy.special
+            except Exception:
+                # a scipy whose decorator needs more of the parser: the
+                # plain import below, at the cost of the parse
+                pass
+            finally:
+                _array_api.FunctionDoc = parser
     import scipy.special
     return scipy.special
 

@@ -54,16 +54,17 @@ def _quote(cell: str) -> str:
 
 def _cells(col):
     """CSV cells of one column; ranges and numeric arrays, known by their
-    dtype, skip the per-cell dispatch."""
+    dtype, skip the per-cell dispatch. Integers, Python ints by then, go
+    through repr: str's text, without the call through the str type."""
     if isinstance(col, range):
-        return map(str, col)
+        return map(repr, col)
     kind = col.dtype.kind if hasattr(col, "dtype") else None
     if kind == "f" and col.dtype.itemsize <= 8:
         return _float_cells(col)
     if kind == "f":  # longdouble, which float64 keys would round
         return map(repr, col.tolist())
     if kind in ("i", "u"):
-        return map(str, col.tolist())
+        return map(repr, col.tolist())
     return [_quote(format_value(v)) for v in col]
 
 

@@ -1049,6 +1049,99 @@ class TestStartupImports:
         assert "ma" not in vars(numpy)
         assert sys.modules == modules
 
+    # scipy's xp_capabilities parses the docstring of each special function
+    # it registers with scipy._lib._array_api.FunctionDoc, a numpydoc parser
+    # that stinqos swaps out for its first import of scipy.special. The
+    # printed check holds once the parser is scipy's own again, or where
+    # scipy (before 1.16) has none there to swap.
+    PARSER_RESTORED = ("from scipy._lib import _array_api, _docscrape\n"
+                       "print(getattr(_array_api, 'FunctionDoc', _docscrape.FunctionDoc)"
+                       " is _docscrape.FunctionDoc)\n")
+
+    def test_error_run_parses_no_docstring(self, tmp_path):
+        cfg = {"command": "error", "seed": 1, "output": str(tmp_path / "out.csv")}
+        out = self.fresh_stdout(
+            "import sys, stinqos.cli\n"
+            "from scipy._lib import _docscrape\n"
+            "parses = []\n"
+            "init = _docscrape.FunctionDoc.__init__\n"
+            "def counted(self, *args, **kwargs):\n"
+            "    parses.append(args)\n"
+            "    init(self, *args, **kwargs)\n"
+            "_docscrape.FunctionDoc.__init__ = counted\n"
+            "assert stinqos.cli.main(sys.argv[1:]) == 0\n"
+            "print(len(parses))\n" + self.PARSER_RESTORED, write_config(tmp_path, cfg))
+        assert out.split()[-2:] == ["0", "True"]
+
+    def test_scipy_loaded_first_takes_the_plain_import(self, tmp_path):
+        # a process that imported scipy.special itself: stinqos touches
+        # nothing, and the run writes the same rows as through the swap
+        cfg = {"command": "error", "seed": 1}
+        plain, swapped = tmp_path / "plain.csv", tmp_path / "swapped.csv"
+        out = self.fresh_stdout(
+            "import sys, scipy.special\n"
+            "from stinqos import channel, cli\n"
+            "modules, doc = dict(sys.modules), scipy.special.erfc.__doc__\n"
+            "assert channel._special() is scipy.special\n"
+            "assert sys.modules == modules and scipy.special.erfc.__doc__ == doc\n"
+            "assert cli.main(sys.argv[1:]) == 0\n" + self.PARSER_RESTORED,
+            write_config(tmp_path, dict(cfg, output=str(plain))))
+        assert out.split()[-1] == "True"
+        self.fresh_stdout("import sys, stinqos.cli\n"
+                          "assert stinqos.cli.main(sys.argv[1:]) == 0\n",
+                          write_config(tmp_path, dict(cfg, output=str(swapped))))
+
+        def rows(path):
+            return [line for line in path.read_text().splitlines()
+                    if not line.startswith("#")]
+
+        assert rows(plain) == rows(swapped)
+        assert len(rows(plain)) == 2
+
+    def test_failing_swap_falls_back_to_plain_import(self):
+        out = self.fresh_stdout(
+            "from stinqos import channel\n"
+            "def fail(self, func):\n"
+            "    raise RuntimeError('needs the parser')\n"
+            "channel._UnparsedDoc.__init__ = fail\n"
+            "print(channel._special().erfc(0.0) == 1.0)\n" + self.PARSER_RESTORED)
+        assert out.split() == ["True", "True"]
+
+    # the special functions stinqos calls, and scipy's capabilities table
+    SPECIAL_STATE = (
+        "from scipy._lib import _array_api\n"
+        "table = getattr(_array_api, 'xp_capabilities_table', {})\n"
+        "print(special.erfc is special._ufuncs.erfc,"
+        " special.hyp1f1 is special._ufuncs.hyp1f1, special.erfc in table,"
+        " sorted(f.__name__ for f in table))\n")
+
+    def test_swap_keeps_ufuncs_and_capabilities_table(self):
+        # all as a plain import gives them, but for scipy's array-API note,
+        # which the swap leaves out of each docstring
+        plain = self.fresh_stdout("import scipy.special as special\n" + self.SPECIAL_STATE)
+        swapped = self.fresh_stdout(
+            "from stinqos import channel\n"
+            "special = channel._special()\n" + self.SPECIAL_STATE +
+            "print('Array API Standard Support' in special.erfc.__doc__)\n")
+        assert swapped.splitlines() == [plain.rstrip("\n"), "False"]
+        assert swapped.startswith("True True ")
+
+    def test_stand_in_gives_back_the_docstring(self):
+        # as xp_capabilities uses the parser: the Notes section takes the
+        # note, and the text after the signature line becomes the docstring
+        def func():
+            """Summary.
+
+            Notes
+            -----
+            Kept as written.
+            """
+
+        for f in (func, lambda: None):
+            doc = channel._UnparsedDoc(f)
+            doc["Notes"].append("note")
+            assert str(doc).split("\n", 1)[1] == (f.__doc__ or "")
+
     # numpy._core marks a loaded numpy: the lazy module that stands for
     # numpy until its first use is registered as "numpy" itself
     @pytest.mark.parametrize("cfg", [

@@ -134,19 +134,44 @@ MIXED = {
 }
 
 
+def integer_columns():
+    """A range across a power of ten, and an array of each integer dtype
+    holding 0, negatives where the dtype has them, and its extremes."""
+    columns = {"range": range(10 ** 6 - 3, 10 ** 6 + 4)}
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        info = np.iinfo(dtype)
+        columns[dtype.__name__] = np.array([0, -1, info.min, info.max, info.min + 1, 9, -10],
+                                           dtype)
+    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+        info = np.iinfo(dtype)
+        columns[dtype.__name__] = np.array([0, 1, info.max, info.max - 1, 9, 10, 99], dtype)
+    return columns
+
+
 @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 7, 16384])
 def test_mixed_type_columns(tmp_path, monkeypatch, chunk_rows):
     monkeypatch.setattr(csvio, "_CHUNK_ROWS", chunk_rows)
-    fields = list(MIXED) + ["f_arr", "f32_arr", "i_arr", "u_arr", "b_arr", "o_arr"]
+    integers = integer_columns()
+    bools = np.arange(7) % 2 == 0
+    fields = list(MIXED) + ["f_arr", "f32_arr", "i_arr", "u_arr", "b_arr", "o_arr",
+                            *integers]
     columns = list(MIXED.values()) + [
         np.linspace(-1.0, 1.0, 7) / 3.0,
         np.linspace(0.0, 1.0, 7, dtype=np.float32),
         np.arange(-3, 4, dtype=np.int32),
         np.arange(7, dtype=np.uint64) * 2 ** 60,
-        np.arange(7) % 2 == 0,
+        bools,
         np.array([1.0, "", None, True, 2, "a,b", 0.5], dtype=object),
+        *integers.values(),
     ]
     assert written(tmp_path, fields, [columns]) == reference_csv(fields, columns)
+    # integer cells are str of each value, and bool cells their JSON spelling
+    got = written(tmp_path, [*integers, "b_arr"], [[*integers.values(), bools]])
+    rows = [line.split(",") for line in got.splitlines()[1:]]
+    assert len(rows) == len(bools)
+    for i, row in enumerate(rows):
+        assert row == [str(int(c[i])) for c in integers.values()] + [
+            "true" if bools[i] else "false"]
 
 
 def _nan(bits):
