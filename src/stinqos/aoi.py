@@ -131,45 +131,11 @@ def geometric_attempts(u, epsilon: float) -> np.ndarray:
     return att
 
 
-def departure_rows(arrivals: np.ndarray, services: np.ndarray,
-                   dep_prev: np.ndarray | None = None,
-                   arr_prev: float = 0.0) -> np.ndarray:
-    """FCFS departures D[u] = max(D[u-1], A[u]) + S[u] of every row of a
-    (rows, N) service matrix at once; trace_blocks runs it on one row.
-
-    All rows share one arrival column. The float64 matrix is overwritten
-    with the departures and returned, so a caller can reuse one buffer.
-    Every element gets the same max-then-add, so each row equals the
-    one-row result bit for bit.
-
-    The columns may be one block of longer ones. ``dep_prev`` then holds
-    each row's departure before the block and is overwritten with the
-    block's last departures, and the input checks compare the first
-    arrival with ``arr_prev``, the arrival before the block.
-    """
-    arrivals = np.asarray(arrivals, dtype=float)
-    if not (isinstance(services, np.ndarray) and services.ndim == 2
-            and services.dtype == np.float64):
-        raise ValueError("services must be a 2-D float64 array")
-    _check_block(arrivals, services, arr_prev)
-    if dep_prev is None:
-        dep_prev = np.full(len(services), -math.inf)
-    if len(services) == 1:
-        services[0], dep_prev[0] = _departure_row(arrivals, services[0],
-                                                  float(dep_prev[0]))
-        return services
-    buf = np.empty_like(dep_prev)
-    prev = dep_prev
-    for a, col in zip(arrivals.tolist(), services.T):
-        np.maximum(prev, a, out=buf)
-        np.add(buf, col, out=col)
-        prev = col
-    dep_prev[:] = prev
-    return services
-
-
-def _departure_row(arrivals: np.ndarray, services: np.ndarray, prev: float):
-    """The departures of one row after the departure ``prev``, and the last.
+def departure_row(arrivals: np.ndarray, services: np.ndarray, prev: float):
+    """FCFS departures D[u] = max(D[u-1], A[u]) + S[u] of one block of
+    updates after the departure ``prev`` (-inf before the first update), as
+    a new array, and the block's last departure (``prev`` if it is empty).
+    The 1-D float64 columns, which _check_block has passed, are not written.
 
     Where no update waits, D[u] = A[u] + S[u], which is computed for the
     whole block at once. An update waits where D[u-1] >= A[u]; a tie takes
@@ -182,15 +148,17 @@ def _departure_row(arrivals: np.ndarray, services: np.ndarray, prev: float):
     is walked by zip over memoryview slices, in Python floats. A start costs
     several times what one row of a list loop over the whole block costs,
     so where at least a quarter of the updates are starts, that list loop
-    runs instead; its conditional is max(prev, a) without a call.
+    fills the array instead; its conditional is max(prev, a) without a call.
+    Every path gives each element the same max-then-add, so the departures
+    are the same bits either way.
     """
     dep = arrivals + services
     waits = arrivals[1:] <= dep[:-1]
     first = len(dep) > 0 and not arrivals[0] > prev
     if 4 * (np.count_nonzero(waits) + first) >= len(dep):
-        row = [prev := (a if a > prev else prev) + s
-               for a, s in zip(arrivals.tolist(), services.tolist())]
-        return row, prev
+        dep[:] = [prev := (a if a > prev else prev) + s
+                  for a, s in zip(arrivals.tolist(), services.tolist())]
+        return dep, prev
     starts = (np.flatnonzero(waits) + 1).tolist()
     if first:
         starts.insert(0, 0)
@@ -301,11 +269,12 @@ def trace_blocks(updates):
     a whole-column pass bit for bit while only one block exists. Each
     block's input checks run before its rows, against the carried arrival.
     """
-    dep_prev, arr_prev, start = np.full(1, -math.inf), 0.0, 0
+    dep_prev, arr_prev, start = -math.inf, 0.0, 0
     for arr, serv in updates:
         arr = np.asarray(arr, dtype=float)
         serv = np.asarray(serv, dtype=float)
-        dep = departure_rows(arr, serv[np.newaxis].copy(), dep_prev, arr_prev)[0]
+        _check_block(arr, serv[np.newaxis], arr_prev)
+        dep, dep_prev = departure_row(arr, serv, dep_prev)
         if not arr.size:
             continue
         soj = dep - arr

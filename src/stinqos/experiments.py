@@ -14,11 +14,12 @@ Random streams derive from the sweep seed and fixed stream labels. Every
 figure runs in the calling process and computes its shared inputs once per
 sweep: fig3 and stin_psn draw their error gains and each replication's
 updates one block at a time, so their memory does not grow with
-error_draws or n_updates, and run one batched departure pass per block of
-updates over one buffer of 2 * len(k_grid) * len(snr_points_db) x 2^12
-float64 values; fig4 computes its models and the simulated violation
-frequency once and loops over theta; fig5 builds its scenario and error
-model once and loops over the blocklength grid.
+error_draws or n_updates, and run the trace's departure recursion,
+aoi.departure_row, on each service row of a block of updates in one buffer
+of 2 * len(k_grid) * len(snr_points_db) x 2^12 float64 values; fig4
+computes its models and the simulated violation frequency once and loops
+over theta; fig5 builds its scenario and error model once and loops over
+the blocklength grid.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from . import aoi, channel
 from .aoi import (
     ArrivalModel,
     ServiceModel,
-    departure_rows,
+    departure_row,
     geometric_attempts,
     trace_blocks,
     trace_violation_frequency,
@@ -131,7 +132,7 @@ class SweepSpec:
 
 
 # ---------------------------------------------------------------------------
-# fig3 and stin_psn: coupled decoding errors and one batched pass per
+# fig3 and stin_psn: coupled decoding errors and one block buffer per
 # replication over the (K, SNR) grid
 # ---------------------------------------------------------------------------
 
@@ -194,13 +195,15 @@ def _sweep_means(spec: SweepSpec, eps_sat: np.ndarray, eps_ter: np.ndarray) -> n
     _SYSTEMS. A replication draws its arrival times and its two per-update
     uniform streams, which drive the ARQ attempts everywhere and the relay
     decision, one block of 2^12 updates at a time in the stream order of
-    one whole draw of each. Each block is one pass of departure_rows over a
-    (2 * points, block) buffer that holds the hybrid and satellite-only
-    service rows of every grid point, carrying each row's departure and the
+    one whole draw of each. A block fills a (2 * points, block) buffer with
+    the hybrid and satellite-only service rows of every grid point, checks
+    it once against the arrivals, and replaces each row with its
+    aoi.departure_row departures, carrying each row's departure and the
     last arrival across block edges; one buffer serves the whole sweep. The
     peak AoI of each row equals the peak_aoi column of trace_blocks on that
-    row, bit for bit, and its mean is the sum of its per-block sums in
-    block order over n_updates, which for one block is np.mean of the row.
+    row, bit for bit, as both run the same routine, and its mean is the sum
+    of its per-block sums in block order over n_updates, which for one block
+    is np.mean of the row.
     """
     points = list(np.ndindex(eps_sat.shape))
     for ki, si in points:  # refuse before allocating
@@ -219,7 +222,7 @@ def _sweep_means(spec: SweepSpec, eps_sat: np.ndarray, eps_ter: np.ndarray) -> n
     sums = np.zeros((len(buf), spec.replications))
     for rep in range(spec.replications):
         rng = channel._stream_rng(spec.seed, channel._STREAM_SWEEP_TRACE, rep)
-        dep_prev, arr_prev = np.full(len(buf), -math.inf), 0.0
+        dep_prev, arr_prev = [-math.inf] * len(buf), 0.0
         for arrivals, u_att, v_route in aoi._arrival_blocks(arrival, n, rng,
                                                             _uniforms, _uniforms):
             rows = buf[:, :len(arrivals)]
@@ -234,7 +237,9 @@ def _sweep_means(spec: SweepSpec, eps_sat: np.ndarray, eps_ter: np.ndarray) -> n
                 )
                 np.multiply(slot_cu, att_stin, out=rows[2 * p])
                 np.multiply(slot_cu, att_psn, out=rows[2 * p + 1])
-            departure_rows(arrivals, rows, dep_prev, arr_prev)
+            aoi._check_block(arrivals, rows, arr_prev)
+            for r, row in enumerate(rows):
+                row[:], dep_prev[r] = departure_row(arrivals, row, dep_prev[r])
             rows -= arrivals  # sojourns
             rows += np.diff(arrivals, prepend=arr_prev)  # peak AoI: gap plus sojourn
             sums[:, rep] += rows.sum(axis=1)

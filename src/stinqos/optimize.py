@@ -40,9 +40,7 @@ def golden_section_min(
 def grid_then_golden(
     f: Callable[[float], float], lo: float, hi: float, tol: float
 ) -> tuple[float, float]:
-    """Coarse-grid bracketing followed by golden-section refinement."""
-    if not hi > lo:
-        raise ValueError(f"empty search interval [{lo}, {hi}]")
+    """Coarse-grid bracketing on lo < hi followed by golden-section refinement."""
     xs = [lo + (hi - lo) * i / (_N_GRID - 1) for i in range(_N_GRID)]
     fs = [f(x) for x in xs]
     i = min(range(_N_GRID), key=fs.__getitem__)

@@ -9,7 +9,7 @@ from stinqos import aoi, channel
 from stinqos.aoi import (
     ArrivalModel,
     ServiceModel,
-    departure_rows,
+    departure_row,
     departure_times_maxplus,
     geometric_attempts,
     trace_blocks,
@@ -143,13 +143,14 @@ _TIME = st.one_of(st.integers(0, 6).map(float),
 
 @st.composite
 def queue_rows(draw):
-    """One arrival column and a (rows, N) service matrix."""
+    """One arrival column, a (rows, N) service matrix and a column 0..N at
+    which to split them into two blocks."""
     n = draw(st.integers(1, 40))
     rows = draw(st.integers(1, 5))
     gaps = draw(st.lists(_TIME, min_size=n, max_size=n))
     services = draw(st.lists(st.lists(_TIME, min_size=n, max_size=n),
                              min_size=rows, max_size=rows))
-    return np.cumsum(gaps), np.array(services, dtype=float)
+    return np.cumsum(gaps), np.array(services, dtype=float), draw(st.integers(0, n))
 
 
 class TestBlockedDepartures:
@@ -278,13 +279,12 @@ class TestSingleRowDepartures:
         if load:
             assert np.any(arrivals[waits] == want[waits - 1])  # ties
         assert np.any(services[waits if load else slice(None)] == 0.0)
-        dep_prev, blocks = np.full(1, -math.inf), []
+        prev, blocks = -math.inf, []
         for start in range(0, n, TRACE_BLOCK):
             cols = slice(start, start + TRACE_BLOCK)
-            arr_prev = arrivals[start - 1] if start else 0.0
-            blocks.append(departure_rows(arrivals[cols], services[np.newaxis, cols].copy(),
-                                         dep_prev, arr_prev)[0])
-            assert dep_prev[0] == blocks[-1][-1]
+            dep, prev = departure_row(arrivals[cols], services[cols], prev)
+            assert prev == dep[-1]
+            blocks.append(dep)
         got = np.concatenate(blocks)
         assert got.tobytes() == want.tobytes()
         assert np.array_equal(got, departure_times_maxplus(arrivals, services))
@@ -309,45 +309,53 @@ class TestSingleRowDepartures:
         # A[1] + S[1] would be 0.0; at n = 40 the other updates never wait
         arrivals = np.concatenate(([-0.0, 0.0], np.arange(1.0, n - 1.0)))
         services = np.concatenate(([-0.0, -0.0], np.full(n - 2, 0.5)))
-        got = departure_rows(arrivals, services[np.newaxis].copy())[0]
+        got, _ = departure_row(arrivals, services, -math.inf)
         want = departures_whole_list(arrivals, services)
         assert math.copysign(1.0, want[1]) == -1.0
         assert got.tobytes() == want.tobytes()
 
 
 class TestDepartureRows:
+    """departure_row on each service row of a matrix, whole and split in two
+    blocks with the departure before the second carried, against the
+    departure column of the whole trace."""
+
     @settings(max_examples=300, deadline=None)
     @given(queue_rows())
     # A[1] == D[0] and A[2] == D[1]: both ties; then zero services
-    @example((np.array([0.0, 4.0, 8.0]), np.array([[4.0, 4.0, 0.0], [0.0, 0.0, 0.0]])))
-    @example((np.array([2.5]), np.array([[1.5]])))
+    @example((np.array([0.0, 4.0, 8.0]), np.array([[4.0, 4.0, 0.0], [0.0, 0.0, 0.0]]), 2))
+    @example((np.array([2.5]), np.array([[1.5]]), 0))
     def test_rows_equal_departure_times(self, case):
-        arrivals, services = case
-        expected = [whole_trace(arrivals, row)["departure"] for row in services]
-        out = departure_rows(arrivals, services.copy())
-        for row, exp in zip(out, expected):
-            assert np.array_equal(row, exp)
-
-    def test_overwrites_buffer(self):
-        buf = np.array([[4.0, 4.0, 4.0]])
-        assert departure_rows(np.array([0.0, 3.0, 5.0]), buf) is buf
-        np.testing.assert_array_equal(buf, [[4.0, 8.0, 12.0]])
+        arrivals, services, split = case
+        kept = arrivals.copy(), services.copy()
+        for row in services:
+            want = whole_trace(arrivals, row)["departure"]
+            got, last = departure_row(arrivals, row, -math.inf)
+            assert got.tobytes() == want.tobytes() and last == want[-1]
+            head, prev = departure_row(arrivals[:split], row[:split], -math.inf)
+            tail, last = departure_row(arrivals[split:], row[split:], prev)
+            assert prev == (want[split - 1] if split else -math.inf)
+            assert np.concatenate([head, tail]).tobytes() == want.tobytes()
+            assert last == want[-1]
+        # neither column is written
+        assert np.array_equal(arrivals, kept[0]) and np.array_equal(services, kept[1])
 
     def test_blocks_carry_departures_and_arrival(self):
+        # the trace of blocks of 17, 1 and 32 rows against one block
         rng = np.random.default_rng(21)
         arrivals = np.cumsum(rng.exponential(10.0, 50))
-        services = rng.exponential(9.0, (3, 50))
-        whole = departure_rows(arrivals, services.copy())
-        dep_prev, blocks = np.full(3, -math.inf), []
-        for cols in (slice(0, 17), slice(17, 18), slice(18, 50)):
-            arr_prev = arrivals[cols.start - 1] if cols.start else 0.0
-            blocks.append(departure_rows(arrivals[cols], services[:, cols].copy(),
-                                         dep_prev, arr_prev))
-            assert np.array_equal(dep_prev, blocks[-1][:, -1])
-        assert np.array_equal(np.concatenate(blocks, axis=1), whole)
+        services = rng.exponential(9.0, 50)
+        blocks = [(arrivals[cols], services[cols])
+                  for cols in (slice(0, 17), slice(17, 18), slice(18, 50))]
+        joined = [np.concatenate(col) for col in zip(*trace_blocks(blocks))]
+        for got, want in zip(joined, whole_trace(arrivals, services).values()):
+            assert got.tobytes() == want.tobytes()
+        early = arrivals[17:].copy()
+        early[0] = arrivals[16] - 1.0
+        trace = trace_blocks([blocks[0], (early, services[17:])])
+        next(trace)
         with pytest.raises(ValueError):  # below the arrival before the block
-            departure_rows(arrivals[17:], services[:, 17:].copy(), dep_prev,
-                           arrivals[17] + 1.0)
+            next(trace)
 
     @pytest.mark.parametrize("arrivals, services", [
         ([0.0, 2.0, 1.0], [1.0, 1.0, 1.0]),  # decreasing arrivals
@@ -365,8 +373,6 @@ class TestDepartureRows:
         arrivals, services = np.array(arrivals), np.array(services)
         with pytest.raises(ValueError):
             next(trace_blocks([(arrivals, services)]))
-        with pytest.raises(ValueError):
-            departure_rows(arrivals, np.array([services, services]))
 
     @pytest.mark.parametrize("column, value", [
         ("arrivals", math.nan), ("arrivals", math.inf),
@@ -376,18 +382,10 @@ class TestDepartureRows:
         times[column][BLOCK + 1] = value
         with pytest.raises(ValueError, match="finite"):
             list(trace_blocks(column_blocks(times["arrivals"], times["services"])))
-        with pytest.raises(ValueError, match="finite"):
-            departure_rows(times["arrivals"], times["services"][np.newaxis].copy())
 
     def test_trace_columns_refuses_service_matrix(self):
         with pytest.raises(ValueError):
             next(trace_blocks([(np.array([0.0, 1.0]), np.ones((2, 2)))]))
-
-    def test_requires_float64_matrix(self):
-        with pytest.raises(ValueError):
-            departure_rows(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
-        with pytest.raises(ValueError):
-            departure_rows(np.array([0.0, 1.0]), np.array([[1, 1]]))
 
 
 class TestSojournAndPeak:

@@ -850,6 +850,9 @@ class TestAtomicWrite:
         ({"command": "error", "scenario": dict(THEOREM_CONFIG["scenario"], fading={
             "b": 0.126, "m": 10, "omega": 1e17})},
          4, "category=numeric fading decay rate beta - delta = 0"),
+        ({"command": "error", "scenario": dict(THEOREM_CONFIG["scenario"], fading={
+            "b": 1e-3, "m": 50, "omega": 1.0})},
+         4, "category=numeric fading quadrature captured mass"),
         ({"command": "error", "scenario": dict(THEOREM_CONFIG["scenario"], interferers=dict(
             THEOREM_CONFIG["scenario"]["interferers"], r_outer_m=1e155))},
          2, "category=config r_outer_m=1e+155 squared overflows"),
@@ -880,19 +883,21 @@ class TestAtomicWrite:
         ({"command": "paoi-bound", "params": {"u": 0}},
          3, "category=domain update index must be >= 1"),
     ], ids=["deterministic-period", "poisson-rate", "fig3-gap", "fig4-gap",
-            "fading-decay", "annulus-radius", "pathloss", "pathloss-underflow",
+            "fading-decay", "fading-mass", "annulus-radius", "pathloss", "pathloss-underflow",
             "interferer-carrier-zero", "interferer-power", "blocklength-zero",
             "rate-negative", "interferer-count-negative", "theta-zero",
             "theta-negative", "update-index-zero"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_typed_exit_code(self, tmp_path, capsys, cfg, code, message):
-        # each of the first ten once ended in a traceback: arrival times
-        # beyond the float range, a fading decay rate that rounds to 0, an
-        # annulus radius whose square overflows, a pathloss factor that does,
-        # by an overflow or by a product carrier_hz * distance_m of 0, and an
-        # interferer carrier of 0 or one so low that its power overflows. The
-        # last six are refusals of the coding, interferer and peak-AoI models
-        # that a config reaches and no other test runs
+        # each of the first eleven but fading-mass once ended in a traceback:
+        # arrival times beyond the float range, a fading decay rate that
+        # rounds to 0, an annulus radius whose square overflows, a pathloss
+        # factor that does, by an overflow or by a product carrier_hz *
+        # distance_m of 0, and an interferer carrier of 0 or one so low that
+        # its power overflows. fading-mass is a strong-LOS law whose support
+        # cut leaves the quadrature 2.7 % of its mass short. The last six are
+        # refusals of the coding, interferer and peak-AoI models that a config
+        # reaches and no other test runs
         cfg = dict(cfg, seed=1, output=str(tmp_path / "t.csv"))
         assert main([write_config(tmp_path, cfg)]) == code
         err = capsys.readouterr().err

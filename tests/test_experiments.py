@@ -98,18 +98,36 @@ class TestFig3:
         assert w_hi / w_lo == pytest.approx(0.5, rel=0.2)
 
 
+def block_start_shares(arrivals, services, departures, block=aoi._TRACE_ROWS):
+    """The share of each block's updates that start a wait, as
+    aoi.departure_row counts them: the first update where it arrives no
+    later than the departure before the block, any other where it arrives
+    no later than the one before it would depart unqueued. The routine runs
+    one loop over a block where the share is at least a quarter, and walks
+    the waiting stretches otherwise."""
+    starts = np.concatenate(([False], arrivals[1:] <= arrivals[:-1] + services[:-1]))
+    edges = np.arange(block, len(arrivals), block)
+    starts[edges] = arrivals[edges] <= departures[edges - 1]
+    return [np.mean(starts[i:i + block]) for i in range(0, len(arrivals), block)]
+
+
 class TestBatchedSweep:
-    @pytest.mark.parametrize("slot_scaling", [True, False])
-    def test_means_equal_one_trace_per_row(self, slot_scaling):
-        # the per-row path the batched pass replaces, kept as its oracle, on
-        # whole drawn columns over two trace blocks and five rows; each mean
-        # adds its per-block sums in block order
+    @pytest.mark.parametrize("slot_scaling, gap_cu", [
+        pytest.param(True, None, id="True"), pytest.param(False, None, id="False"),
+        # gaps short enough that some rows' blocks reach a quarter of starts
+        pytest.param(True, 300.0, id="short-gap")])
+    def test_means_equal_one_trace_per_row(self, slot_scaling, gap_cu):
+        # one whole trace per row, the oracle of the sweep's block-by-block
+        # departures, on whole drawn columns over two trace blocks and five
+        # rows; each mean adds its per-block sums in block order
+        gap = {} if gap_cu is None else {"arrival_mean_gap_cu": gap_cu}
         spec = small_fig3_spec(k_grid=(0, 2, 5), n_updates=2 * aoi._TRACE_ROWS + 5,
-                               relay_prob=0.3, slot_scaling=slot_scaling)
+                               relay_prob=0.3, slot_scaling=slot_scaling, **gap)
         eps_sat, eps_ter = _coupled_error_table(spec)
         batched = _sweep_means(spec, eps_sat, eps_ter)
         n_snr = len(spec.snr_points_db)
         assert batched.shape == (len(spec.k_grid) * n_snr, 2, spec.replications)
+        shares = []
         for rep in range(spec.replications):
             arrivals, u_att, v_route = whole_rep_draws(spec, rep)
             for ki, k in enumerate(spec.k_grid):
@@ -125,6 +143,10 @@ class TestBatchedSweep:
                         row = batched[ki * n_snr + si, _SYSTEMS.index(system)]
                         assert row[rep] == block_mean(trace["peak_aoi"],
                                                       aoi._TRACE_ROWS)
+                        shares += block_start_shares(arrivals, trace["service"],
+                                                     trace["departure"])
+        if gap_cu is not None:  # both sides of the quarter-of-starts rule
+            assert min(shares) < 0.25 <= max(shares)
 
     def test_error_table_equals_whole_draws(self):
         # two blocks of channel._BLOCK_ROWS draws and five more

@@ -1,10 +1,13 @@
 """The README's examples run against the package as it is."""
+import importlib
 import json
+import pkgutil
 import re
 from pathlib import Path
 
 import pytest
 
+import stinqos
 from stinqos.config import build_config
 from replay import header_config, replayed_lines, run_csv
 
@@ -61,3 +64,19 @@ def test_cli_config_replays(config, tmp_path):
     text = run_csv(config, tmp_path, "run")
     replay = run_csv(header_config(text), tmp_path, "replay")
     assert replayed_lines(replay) == replayed_lines(text)
+
+
+def module_names() -> list:
+    """Every backticked `module.name` of README whose module is a submodule
+    of stinqos, as (module, name) pairs."""
+    modules = "|".join(m.name for m in pkgutil.iter_modules(stinqos.__path__))
+    text = README.read_text(encoding="utf-8")
+    return sorted(set(re.findall(rf"`({modules})\.(\w+)`", text)))
+
+
+def test_module_names_resolve():
+    names = module_names()
+    assert ("aoi", "departure_row") in names and ("cli", "run") in names
+    missing = [f"{mod}.{name}" for mod, name in names
+               if not hasattr(importlib.import_module(f"stinqos.{mod}"), name)]
+    assert not missing, missing
