@@ -12,10 +12,9 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .channel import _drawn_blocks, _lazy_module
+from ._startup import np
+from .channel import _drawn_blocks
 from .errors import DomainError, NumericError
-
-np = _lazy_module("numpy")
 
 # Updates a run may draw. The draw and the trace hold one block whatever the
 # count, so the cap bounds time and output instead: at 1.7 us and 72 B per

@@ -23,6 +23,7 @@ from __future__ import annotations
 import os
 
 from . import __version__
+from ._startup import np
 
 _CHUNK_ROWS = 1 << 12
 
@@ -76,8 +77,6 @@ def _float_cells(col):
     and NaNs of each sign and payload, keep their own strings, as repr on
     each cell gives them.
     """
-    import numpy as np  # loaded already, as col is an array
-
     values = col.astype(np.float64)
     if np.all(values[1:] > values[:-1]):  # increasing: every value distinct
         return map(repr, col.tolist())

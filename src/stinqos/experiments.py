@@ -26,9 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import aoi, channel
+from ._startup import np
 from .aoi import (
     ArrivalModel,
     ServiceModel,
@@ -62,6 +61,13 @@ MAX_ERROR_DRAWS = 10 ** 8
 # about 3 s on a 2-CPU VM; the updates of all replications together fall
 # under aoi.MAX_UPDATES.
 MAX_REPLICATIONS = 10 ** 4
+
+# (K, SNR) grid points, len(k_grid) * len(snr_points_db), a fig3 or
+# stin_psn sweep may hold: about 45 times the default 22. _sweep_means'
+# buffer holds two service rows of 2^12 float64 values per point, 62.5 MiB
+# at the cap, and the error table's time grows with the points too.
+MAX_GRID_POINTS = 1000
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -261,6 +267,10 @@ def _sweep_points(spec: SweepSpec):
     if spec.error_draws > MAX_ERROR_DRAWS:
         raise NumericError(f"{spec.error_draws} error draws exceed the cap of "
                            f"{MAX_ERROR_DRAWS} per sweep")
+    points = len(spec.k_grid) * len(spec.snr_points_db)
+    if points > MAX_GRID_POINTS:
+        raise NumericError(f"{points} grid points (k_grid times snr_points_db) "
+                           f"exceed the cap of {MAX_GRID_POINTS} per sweep")
     eps_sat, eps_ter = _coupled_error_table(spec)
     reps = _sweep_means(spec, eps_sat, eps_ter)
     mean = reps.mean(axis=2)

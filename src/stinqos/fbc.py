@@ -15,11 +15,10 @@ import math
 from dataclasses import dataclass
 
 from . import channel
-from .channel import Scenario, _lazy_module, _special, srician_quad_nodes
+from ._startup import _special, np
+from .channel import Scenario, srician_quad_nodes
 from .errors import DomainError, NumericError
 from .optimize import golden_section_min
-
-np = _lazy_module("numpy")
 
 # Nodes of the Gauss rule for the aggregate interference, at every K.
 _INTERFERENCE_NODES = 32

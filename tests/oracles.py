@@ -4,7 +4,9 @@ The mpmath oracles form their quantity from the defining formula at a
 working precision far above float64 and return it as a float. The float64
 references are the whole-array channel sampler, the tabulated CDF of the
 channel gain and the slotted bit-queue simulation, which the tests compare
-the library's draws, density and delay bound against.
+the library's draws, density and delay bound against, and two exact queue
+laws: the M/G/1 mean peak AoI of the sweeps and the stationary delay tail
+of the bit queue.
 """
 import math
 
@@ -135,7 +137,23 @@ def simulate_delay_violation(
     d_th_list,
     rng: np.random.Generator,
 ) -> dict:
-    """Empirical violation frequency of the per-block FIFO delay.
+    """Empirical violation frequency of the per-block FIFO delay, over the
+    block_delays of a run long enough for the largest threshold."""
+    delay = block_delays(alpha_bits, bits_per_block, eps, n_blocks,
+                         int(max(d_th_list)) + 10, rng)
+    return {float(d): float(np.mean(delay > d)) for d in d_th_list}
+
+
+def block_delays(
+    alpha_bits: float,
+    bits_per_block: float,
+    eps: float,
+    n_blocks: int,
+    extra: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """The delay of each of n_blocks blocks of the slotted bit queue, with
+    ``extra`` more blocks of service drawn to clear the last of them.
 
     Each block delivers bits_per_block with probability 1 - eps and nothing
     otherwise; alpha_bits arrive at the start of every block. The delay of
@@ -146,7 +164,6 @@ def simulate_delay_violation(
     """
     if not 0.0 <= eps < 1.0:
         raise DomainError(f"eps must be in [0, 1), got {eps}")
-    extra = int(max(d_th_list)) + 10
     total = n_blocks + extra
     served = bits_per_block * (rng.random(total) >= eps)
     cpot = np.concatenate([[0.0], np.cumsum(served)])  # cpot[t] = service through block t
@@ -160,8 +177,7 @@ def simulate_delay_violation(
         raise DomainError(
             "service never caught up with arrivals; system looks unstable"
         )
-    delay = tau - t_idx
-    return {float(d): float(np.mean(delay > d)) for d in d_th_list}
+    return tau - t_idx
 
 
 def queue_growth_ratio(
@@ -181,3 +197,67 @@ def queue_growth_ratio(
     first = float(np.mean(backlog[:half]))
     second = float(np.mean(backlog[half:]))
     return second / max(first, 1e-12)
+
+
+def mg1_mean_peak_aoi(rate: float, slot: float, eps_branches) -> float:
+    """Mean peak AoI of an FCFS M/G/1 queue with Poisson arrivals at
+    ``rate`` and service S = slot * A, by Pollaczek-Khinchine:
+    E[peak] = 1/lambda + E[S] + lambda E[S^2] / (2 (1 - lambda E[S])).
+
+    A is an ARQ attempt count, geometric on {1, 2, ...}; with failure
+    probability eps it has E[A] = 1/(1 - eps) and E[A^2] = (1 + eps)/(1 - eps)^2.
+    ``eps_branches`` lists (probability, eps) pairs of a mixture of such
+    counts (Kleinrock, Queueing Systems, vol. 1, 1975, ch. 5; Costa,
+    Codreanu and Ephremides, IEEE Trans. Inf. Theory 2016)."""
+    mean_a = sum(p / (1.0 - eps) for p, eps in eps_branches)
+    mean_a2 = sum(p * (1.0 + eps) / (1.0 - eps) ** 2 for p, eps in eps_branches)
+    mean_s, mean_s2 = slot * mean_a, slot * slot * mean_a2
+    load = rate * mean_s
+    if not load < 1.0:
+        raise DomainError(f"load {load} >= 1: the queue has no stationary law")
+    return 1.0 / rate + mean_s + rate * mean_s2 / (2.0 * (1.0 - load))
+
+
+def delay_backlog_law(alpha_bits: int, bits_per_block: int, eps: float,
+                      n_states: int = 2000, tol: float = 1e-15) -> np.ndarray:
+    """Stationary law of the backlog after a block, in units of g =
+    gcd(alpha, bits), of q' = max(0, q + alpha/g - (bits/g) B) with
+    B ~ Bernoulli(1 - eps): power iteration of the chain truncated to
+    ``n_states`` states, whose top state keeps what would pass it, until
+    no state's mass moves by more than ``tol`` relative to it."""
+    g = math.gcd(alpha_bits, bits_per_block)
+    up, down = alpha_bits // g, bits_per_block // g
+    if not up < (1.0 - eps) * down:
+        raise DomainError("mean arrival >= mean service: no stationary law")
+    top = n_states - 1
+    states = np.arange(n_states)
+    fail = np.minimum(states + up, top)  # B = 0: nothing served
+    served = np.clip(states + up - down, 0, top)  # B = 1
+    pi = np.zeros(n_states)
+    pi[0] = 1.0
+    for _ in range(100_000):
+        nxt = (np.bincount(fail, weights=eps * pi, minlength=n_states)
+               + np.bincount(served, weights=(1.0 - eps) * pi, minlength=n_states))
+        done = np.all(np.abs(nxt - pi) <= tol * np.maximum(nxt, 1e-300))
+        pi = nxt
+        if done:
+            return pi / pi.sum()
+    raise DomainError("power iteration did not converge")
+
+
+def delay_violation_exact(alpha_bits: int, bits_per_block: int, eps: float,
+                          d: int, pi=None) -> float:
+    """P(delay > d) of the slotted bit queue that simulate_delay_violation
+    runs, at its stationary law: a block's delay exceeds d exactly when the
+    next d + 1 services fall short of the backlog before it plus its own
+    arrival, Σ_q π(q) P(bits Bin(d + 1, 1 - eps) < g q + alpha)."""
+    if pi is None:
+        pi = delay_backlog_law(alpha_bits, bits_per_block, eps)
+    g = math.gcd(alpha_bits, bits_per_block)
+    n = d + 1
+    # P(Bin(n, 1 - eps) = j) for j = 0..n, and the work each state waits on
+    pmf = np.array([math.comb(n, j) * (1.0 - eps) ** j * eps ** (n - j)
+                    for j in range(n + 1)])
+    work = g * np.arange(len(pi)) + alpha_bits
+    short = bits_per_block * np.arange(n + 1)[None, :] < work[:, None]
+    return float(np.sum(pi * (short @ pmf)))

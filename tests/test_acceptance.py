@@ -40,6 +40,9 @@ from stinqos.snc import (
 )
 from scipy.integrate import quad
 from oracles import (
+    block_delays,
+    delay_backlog_law,
+    delay_violation_exact,
     queue_growth_ratio,
     simulate_delay_violation,
     srician_cdf_grid,
@@ -189,6 +192,51 @@ def test_criterion_5_delay_bound_dominance():
     _announce(5, f"delay bound dominates simulation at 10 thresholds and the "
                  f"stability margin separates the divergent regime "
                  f"(growth {g_stable:.2f} vs {g_unstable:.2f}, {elapsed:.1f} s)")
+
+
+def test_criterion_5_delay_bound_against_exact_tail():
+    # criterion 5's model and stream against the queue's exact stationary
+    # tail, which the 10^5-block simulation sees as 0 from D = 2 on
+    spec = SweepSpec(figure="fig4")
+    _, _, eps = fig4_models(spec)
+    coding = CodingSpec(blocklength=spec.blocklength, code_size=spec.code_size)
+    alpha, bits = 28, int(coding.bits_per_block)
+    arrival = BitArrival.constant_rate(float(alpha))
+    pi = delay_backlog_law(alpha, bits, eps)
+    d_grid = list(range(10))
+    exact = [delay_violation_exact(alpha, bits, eps, d, pi) for d in d_grid]
+    bound = [delay_bound(float(d), arrival, coding, eps).raw_bound for d in d_grid]
+    for d in d_grid:
+        assert exact[d] > 0.0
+        assert min(1.0, bound[d]) >= exact[d], f"bound below the exact tail at D={d}"
+    # the bound decays per block as the exact tail does
+    bound_decay = math.log(bound[3] / bound[4])
+    exact_decay = math.log(exact[3] / exact[4])
+    assert abs(bound_decay - exact_decay) <= 0.05 * exact_decay
+
+    def stream():
+        return np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(13,)))
+
+    n_blocks, batches = 100_000, 20
+    emp = simulate_delay_violation(float(alpha), float(bits), eps, n_blocks, d_grid,
+                                   stream())
+    delays = block_delays(float(alpha), float(bits), eps, n_blocks, max(d_grid) + 10,
+                          stream())
+    checked = 0
+    for d in d_grid:
+        hits = delays > d
+        assert np.mean(hits) == emp[float(d)]
+        if np.count_nonzero(hits) < 100:
+            continue
+        # violations cluster, so the standard error is of batch means
+        se = np.std(hits.reshape(batches, -1).mean(axis=1), ddof=1) / math.sqrt(batches)
+        assert abs(emp[float(d)] - exact[d]) <= 3.0 * se, f"simulation off at D={d}"
+        checked += 1
+    assert checked >= 1
+    tightness = ", ".join(f"{math.log10(b / e):.1f}" for b, e in zip(bound, exact))
+    _announce(5, f"delay bound above the exact stationary tail at D = 0..9 "
+                 f"(log10 raw bound/exact: {tightness}), decay per block "
+                 f"{bound_decay:.2f} vs exact {exact_decay:.2f}")
 
 
 def test_criterion_6_fig3_trends():

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import stinqos
-from stinqos import aoi, channel, cli, csvio, experiments, fbc
+from stinqos import _startup, aoi, channel, cli, csvio, experiments, fbc
 from stinqos.aoi import TRACE_FIELDS
 from stinqos.cli import main
 from stinqos.config import (
@@ -787,6 +787,20 @@ class TestAtomicWrite:
         assert "category=numeric" in err and f"cap of {cap}" in err
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
+    @pytest.mark.parametrize("figure", ["fig3", "stin_psn"])
+    def test_grid_above_cap_numeric_exit_code(self, tmp_path, capsys, monkeypatch,
+                                              figure):
+        # 101 x 10 points, refused before the error table is built
+        monkeypatch.setattr(experiments, "_coupled_error_table", None)
+        cfg = {"command": "sweep", "seed": 1, "output": str(tmp_path / "t.csv"),
+               "params": {"figure": figure, "k_grid": list(range(101)),
+                          "snr_points_db": [float(s) for s in range(10)]}}
+        assert main([write_config(tmp_path, cfg)]) == 4
+        err = capsys.readouterr().err
+        assert "category=numeric 1010 grid points" in err
+        assert f"cap of {experiments.MAX_GRID_POINTS}" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
     @pytest.mark.parametrize("command", ["error", "exponent"])
     @pytest.mark.parametrize("budget", [fbc.MAX_SAMPLE_BUDGET + 1, 10 ** 11])
     def test_sample_budget_above_cap_numeric_exit_code(self, tmp_path, capsys,
@@ -1035,8 +1049,8 @@ class TestStartupImports:
     def test_unused_numpy_submodules_work_on_first_use(self):
         out = self.fresh_stdout(
             "import os, sys\n"
-            "from stinqos import channel\n"
-            "channel._special()\n"
+            "from stinqos import _startup\n"
+            "_startup._special()\n"
             "assert 'numpy.ma.core' not in sys.modules\n"
             "import numpy\n"
             "print(numpy.ma.masked_array([1., 2.], mask=[0, 1]).sum())\n"
@@ -1050,7 +1064,7 @@ class TestStartupImports:
 
         monkeypatch.delattr(numpy, "ma")
         modules = dict(sys.modules)
-        assert channel._special() is scipy.special
+        assert _startup._special() is scipy.special
         assert "ma" not in vars(numpy)
         assert sys.modules == modules
 
@@ -1085,9 +1099,9 @@ class TestStartupImports:
         plain, swapped = tmp_path / "plain.csv", tmp_path / "swapped.csv"
         out = self.fresh_stdout(
             "import sys, scipy.special\n"
-            "from stinqos import channel, cli\n"
+            "from stinqos import _startup, cli\n"
             "modules, doc = dict(sys.modules), scipy.special.erfc.__doc__\n"
-            "assert channel._special() is scipy.special\n"
+            "assert _startup._special() is scipy.special\n"
             "assert sys.modules == modules and scipy.special.erfc.__doc__ == doc\n"
             "assert cli.main(sys.argv[1:]) == 0\n" + self.PARSER_RESTORED,
             write_config(tmp_path, dict(cfg, output=str(plain))))
@@ -1105,11 +1119,11 @@ class TestStartupImports:
 
     def test_failing_swap_falls_back_to_plain_import(self):
         out = self.fresh_stdout(
-            "from stinqos import channel\n"
+            "from stinqos import _startup\n"
             "def fail(self, func):\n"
             "    raise RuntimeError('needs the parser')\n"
-            "channel._UnparsedDoc.__init__ = fail\n"
-            "print(channel._special().erfc(0.0) == 1.0)\n" + self.PARSER_RESTORED)
+            "_startup._UnparsedDoc.__init__ = fail\n"
+            "print(_startup._special().erfc(0.0) == 1.0)\n" + self.PARSER_RESTORED)
         assert out.split() == ["True", "True"]
 
     # the special functions stinqos calls, and scipy's capabilities table
@@ -1125,8 +1139,8 @@ class TestStartupImports:
         # which the swap leaves out of each docstring
         plain = self.fresh_stdout("import scipy.special as special\n" + self.SPECIAL_STATE)
         swapped = self.fresh_stdout(
-            "from stinqos import channel\n"
-            "special = channel._special()\n" + self.SPECIAL_STATE +
+            "from stinqos import _startup\n"
+            "special = _startup._special()\n" + self.SPECIAL_STATE +
             "print('Array API Standard Support' in special.erfc.__doc__)\n")
         assert swapped.splitlines() == [plain.rstrip("\n"), "False"]
         assert swapped.startswith("True True ")
@@ -1143,7 +1157,7 @@ class TestStartupImports:
             """
 
         for f in (func, lambda: None):
-            doc = channel._UnparsedDoc(f)
+            doc = _startup._UnparsedDoc(f)
             doc["Notes"].append("note")
             assert str(doc).split("\n", 1)[1] == (f.__doc__ or "")
 
@@ -1156,6 +1170,12 @@ class TestStartupImports:
     ], ids=["import", "paoi-bound-epsilon", "paoi-bound-fixed"])
     def test_no_numpy(self, tmp_path, cfg):
         assert "numpy._core" not in self.modules_after(tmp_path, cfg)
+
+    def test_importing_every_layer_loads_no_numpy(self, tmp_path):
+        loaded = self.modules_after(
+            tmp_path, module="stinqos.cli, stinqos.aoi, stinqos.snc, stinqos.experiments")
+        assert "stinqos.experiments" in loaded
+        assert loaded.isdisjoint({"numpy._core", "scipy"})
 
     def test_aoi_sim_run_loads_numpy(self, tmp_path):
         cfg = dict(AOI_SIM_DET, params=dict(AOI_SIM_DET["params"], n_updates=1000))

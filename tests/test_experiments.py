@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from stinqos.cli import main
 from stinqos.csvio import write_csv
-from stinqos.errors import ConfigError, DomainError
+from stinqos.errors import ConfigError, DomainError, NumericError
 from stinqos import aoi, channel, experiments
 from stinqos.aoi import geometric_attempts, trace_blocks, trace_violation_frequency
 from stinqos.experiments import (
@@ -25,7 +25,8 @@ from stinqos.experiments import (
     run_sweep,
     compare_stin_psn,
 )
-from oracles import _backlog, queue_growth_ratio, simulate_delay_violation
+from oracles import (_backlog, mg1_mean_peak_aoi, queue_growth_ratio,
+                     simulate_delay_violation)
 from trace_helper import (block_mean, traced_peak, whole_error_table,
                           whole_rep_draws, whole_trace, whole_updates)
 
@@ -241,6 +242,31 @@ class TestStinPsn:
             assert by[(k, 5.0)]["advantage_cu"] >= by[(k, 15.0)]["advantage_cu"]
 
 
+class TestMG1Mean:
+    def test_rows_against_exact_mean(self):
+        # each (K, SNR, system) point is an M/G/1 FCFS queue: Poisson
+        # arrivals and ARQ service with the row's own decoding errors, so
+        # its mean peak AoI is Pollaczek-Khinchine's; the points share their
+        # streams, so the bound on |z| is a family-wise one
+        spec = SweepSpec(figure="fig3", replications=20)
+        rate = 1.0 / spec.arrival_mean_gap_cu
+        rows = run_fig3(spec)
+        assert len(rows) == 44
+        for row in rows:
+            k = row["k"]
+            slot = spec.blocklength * (max(k, 1) if spec.slot_scaling else 1)
+            p_relay = spec.relay_prob if row["system"] == "stin" and k >= 1 else 0.0
+            exact = mg1_mean_peak_aoi(rate, slot, [(p_relay, row["eps_ter"]),
+                                                   (1.0 - p_relay, row["eps_sat"])])
+            z = (row["mean_paoi_cu"] - exact) / (row["ci_half_width_cu"] / 1.96)
+            assert abs(z) <= 4.5, f"{row['system']} at K={k}, {row['snr_db']} dB: z={z:.2f}"
+        # stin_psn reports the same means, so the same check holds for it
+        by = table_lookup(rows, ("k", "snr_db", "system"))
+        for r in compare_stin_psn(replace(spec, figure="stin_psn")):
+            assert r["mean_paoi_stin_cu"] == by[(r["k"], r["snr_db"], "stin")]["mean_paoi_cu"]
+            assert r["mean_paoi_psn_cu"] == by[(r["k"], r["snr_db"], "psn")]["mean_paoi_cu"]
+
+
 class TestFig4:
     def test_columns_and_trends(self):
         tab = run_fig4(SweepSpec(figure="fig4"))
@@ -272,6 +298,35 @@ class TestFig4:
         with pytest.raises(DomainError, match="service transform diverges"):
             run_fig4(SweepSpec(figure="fig4", theta_grid=(0.002, 1.0)))
         assert drawn == []
+
+
+class TestGridCap:
+    @pytest.mark.parametrize("figure", ["fig3", "stin_psn"])
+    @pytest.mark.parametrize("k_count, snr_count", [(101, 10), (1, 1001), (1001, 1)])
+    def test_refused_before_the_error_table(self, monkeypatch, figure, k_count,
+                                            snr_count):
+        def reached(spec):
+            raise AssertionError("the error table was built")
+
+        monkeypatch.setattr(experiments, "_coupled_error_table", reached)
+        spec = SweepSpec(figure=figure, k_grid=tuple(range(k_count)),
+                         snr_points_db=tuple(float(s) for s in range(snr_count)))
+        with pytest.raises(NumericError, match=f"cap of {experiments.MAX_GRID_POINTS}"):
+            run_sweep(spec)
+
+    def test_grid_at_the_cap_is_run(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(spec):
+            raise Reached
+
+        monkeypatch.setattr(experiments, "_coupled_error_table", reached)
+        spec = SweepSpec(figure="fig3", k_grid=tuple(range(100)),
+                         snr_points_db=tuple(float(s) for s in range(10)))
+        assert len(spec.k_grid) * len(spec.snr_points_db) == experiments.MAX_GRID_POINTS
+        with pytest.raises(Reached):
+            run_sweep(spec)
 
 
 class TestFig5:

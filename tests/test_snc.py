@@ -644,6 +644,28 @@ class TestBoundProperties:
         best = min(_log_delay_kernel(t, d_th, arrival, bits, eps) for t in grid.tolist())
         assert rep.kernel_value <= (1.0 + 1e-12) * math.exp(best)
 
+    # its peak-AoI twin: the search over (0, theta_ub) against 2001 interior
+    # points, where a point whose lag ratio rounds to >= 1 has no bound
+    @settings(max_examples=150, deadline=None)
+    @given(update_arrivals, update_services, st.floats(0.0, 20_000.0),
+           st.none() | st.integers(1, 256))
+    def test_paoi_theta_beats_fine_grid(self, am, sm, a_th, u):
+        if sm.mean_service >= am.mean_gap:
+            return
+        try:
+            rep = optimize_paoi_bound(a_th, sm.n, u, am, sm)
+        except NumericError:
+            assert _near_critical(sm.mean_service, am.mean_gap)
+            return
+        grid = np.linspace(0.0, rep.params["theta_interval"][1], 2003)[1:-1]
+        bounds = []
+        for theta in grid.tolist():
+            try:
+                bounds.append(paoi_bound(theta, a_th, sm.n, u, am, sm).raw_bound)
+            except StabilityError:
+                pass
+        assert rep.raw_bound <= (1.0 + 1e-12) * min(bounds)
+
     @settings(max_examples=100, deadline=None)
     @given(bit_arrivals, bit_codings, st.floats(0.0, 0.5), st.floats(0.0, 0.5),
            st.floats(0.0, 20.0))
