@@ -19,7 +19,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable
 
 from .errors import DomainError, NumericError, StabilityError
-from .optimize import golden_section_min, grid_then_golden
+from .optimize import golden_section_min
 
 if TYPE_CHECKING:  # the bounds read these models' fields only
     from .aoi import ArrivalModel, ServiceModel
@@ -103,10 +103,11 @@ def _stable_edge(log_ratio: Callable[[float], float], t_max: float,
 
     log_ratio is convex and 0 at theta = 0, so the set is an interval. t_max
     caps it: a transform pole or a point known to be unstable. With no cap
-    (inf; fixed service with deterministic gaps may never reach 0) the
-    search expands from ``scale`` by at most 64 doublings and takes the last
-    point as cap. A cap with a stable inner neighbour is the edge; else 200
-    halvings of (0, cap) find it, and NumericError means none is stable.
+    (inf; the set may have no edge, as a D/D/1 queue's, whose peak-AoI search
+    takes its bracket from the bound instead) the search expands from
+    ``scale`` by at most 64 doublings and takes the last point as cap. A cap
+    with a stable inner neighbour is the edge; else 200 halvings of (0, cap)
+    find it, and NumericError means none is stable.
     """
     if math.isinf(t_max):
         t_max = scale
@@ -219,8 +220,6 @@ def optimize_paoi_bound(
 ) -> QoSReport:
     """Tightest peak-AoI bound over the transform-finite theta interval."""
     _, t_ub = paoi_theta_interval(am, sm)
-    lo = t_ub * 1e-6
-    hi = t_ub * (1.0 - 1e-6)
 
     def log_raw(theta: float) -> float:
         try:
@@ -228,7 +227,20 @@ def optimize_paoi_bound(
         except StabilityError:  # the lag ratio rounds to >= 1 near the critical load
             return math.inf
 
-    theta_star, _ = grid_then_golden(log_raw, lo, hi, tol=_THETA_TOL * t_ub)
+    if am.kind == "deterministic" and sm.epsilon == 0.0:
+        # D/D/1: every theta is stable, so the convex log bound sets the
+        # bracket; it ends one doubling past the last decrease
+        t_ub = 1.0 / am.mean_gap
+        prev = log_raw(t_ub)
+        for _ in range(64):
+            t_ub *= 2.0
+            cur = log_raw(t_ub)
+            if cur >= prev:
+                break
+            prev = cur
+    theta_star, _ = golden_section_min(
+        log_raw, t_ub * 1e-9, t_ub * (1.0 - 1e-9), tol=_THETA_TOL * t_ub
+    )
     report = paoi_bound(theta_star, a_th, n, u, am, sm)
     return replace(report, params={**report.params, "theta_interval": (0.0, t_ub)})
 

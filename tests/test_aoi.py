@@ -19,6 +19,7 @@ from stinqos.aoi import (
 )
 from stinqos.csvio import write_csv
 from stinqos.errors import DomainError, NumericError
+from oracles import mg1_mean_peak_aoi
 from trace_helper import column_blocks, whole_trace, whole_updates
 
 BLOCK = channel._BLOCK_ROWS
@@ -432,6 +433,24 @@ class TestSojournAndPeak:
         tr = simulated_trace(ArrivalModel.poisson(0.01), ServiceModel.arq(16, 0.4),
                              500, rng)
         assert np.all(tr["peak_aoi"] >= tr["service"] - 1e-12)
+
+
+class TestMG1Mean:
+    @pytest.mark.parametrize("rate, n, eps", [
+        (1 / 256, 64, 0.004705), (1 / 4096, 64, 0.1), (1 / 300, 64, 0.3),
+        (1 / 100, 64, 0.2),
+    ])
+    def test_trace_mean_against_exact_mean(self, rate, n, eps):
+        # Poisson arrivals and ARQ service make an M/G/1 FCFS queue, whose
+        # mean peak AoI is Pollaczek-Khinchine's; successive peaks are
+        # correlated, so the standard error is that of 50 batch means
+        am, sm = ArrivalModel.poisson(rate), ServiceModel.arq(n, eps)
+        peaks = np.concatenate([block[-1] for block in trace_blocks(
+            update_blocks(am, sm, 200_000, np.random.default_rng(1)))])
+        means = peaks.reshape(50, -1).mean(axis=1)
+        se = means.std(ddof=1) / math.sqrt(len(means))
+        z = (means.mean() - mg1_mean_peak_aoi(rate, n, [(1.0, eps)])) / se
+        assert abs(z) <= 4.5
 
 
 class TestSimulateTrace:

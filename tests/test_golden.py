@@ -125,7 +125,7 @@ GOLDEN = {
     ),
     "paoi_bound": (
         {"command": "paoi-bound", "seed": 1},
-        "4b7fdf0f502a1cacc98b6448cf3a7f80dff999c6d257e249596a571e69f0bea2",
+        "d15c544b293f4948ef7ecd8dc9f137658ede6d9b80501acb9c6ffa5b0c56f403",
     ),
     # a fixed theta inside the stable interval (0, 1/256), steady state
     "paoi_bound_poisson_arq_theta": (

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from stinqos import snc
 from stinqos.aoi import (
     ArrivalModel,
     ServiceModel,
@@ -280,6 +281,17 @@ class TestDeterministicCorner:
         assert below.bound_value == 1.0  # true violation probability is 1
         assert above.bound_value <= 1e-12  # true violation probability is 0
 
+    @pytest.mark.parametrize("n, a_th, u", [(33, 346.3, 207), (64, 1000.0, None)])
+    def test_search_finds_interior_minimum(self, n, a_th, u):
+        # every theta is stable here, so the search takes its bracket from
+        # the bound; it must reach the minimum of a log-spaced grid
+        am, sm = ArrivalModel.deterministic(256.0), ServiceModel.arq(n, 0.0)
+        rep = optimize_paoi_bound(a_th, n, u, am, sm)
+        grid = np.logspace(-8.0, 2.0, 2001)
+        best = min(paoi_bound(t, a_th, n, u, am, sm).raw_bound for t in grid.tolist())
+        assert math.isfinite(rep.kernel_value)
+        assert rep.raw_bound <= (1.0 + 1e-9) * best
+
     def test_kernel_overflow_keeps_bound_finite(self):
         am, sm = ArrivalModel.deterministic(100.0), ServiceModel.arq(20, 0.0)
         rep = paoi_bound(30.0, 1_000_000.0, 20, None, am, sm)
@@ -337,6 +349,24 @@ class TestOptimizePaoiBound:
             se = math.sqrt(max(emp * (1 - emp), 0.0) / 100_000)
             rep = optimize_paoi_bound(a_th, n, None, am, sm)
             assert rep.bound_value >= emp - 3 * se
+
+
+class TestPaoiSearchCost:
+    def test_kernel_calls(self, monkeypatch):
+        # golden section alone takes 47 evaluations of the kernel over the
+        # stable interval at its 1e-9 tolerance, and the report one more; a
+        # guard grid would add 96
+        calls = []
+        kernel = snc.log_paoi_kernel
+
+        def counting(theta, u, am, sm):
+            calls.append(theta)
+            return kernel(theta, u, am, sm)
+
+        monkeypatch.setattr(snc, "log_paoi_kernel", counting)
+        optimize_paoi_bound(150_000.0, 64, None, ArrivalModel.poisson(1 / 300),
+                            ServiceModel.arq(64, 0.1))
+        assert len(calls) <= 60
 
 
 CODING = CodingSpec(blocklength=64, code_size=256)  # 8 bits per block
