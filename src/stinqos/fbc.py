@@ -274,50 +274,40 @@ def error_exponent_samples(
     """sup over rho of E0(rho) - rho * rate for a discrete SINR law.
 
     Returns (theta, rho_star). E0 is concave in rho, so golden-section search
-    on [0, 1] locates the supremum; the edge rho = 1, where the search stops
-    short by up to its tolerance, is compared exactly. theta is clamped at 0
-    (rho = 0 is always feasible).
+    on [0, 1] locates the supremum. The search keeps its ends: the edge
+    rho = 1 is exact, and where no rho > 0 gains, rho = 0 gives theta = 0.
     """
     def neg_objective(rho: float) -> float:
         return -(gallager_e0_samples(rho, gammas, n, weights) - rho * rate)
 
     rho_star, neg_best = golden_section_min(neg_objective, 0.0, 1.0, tol=_RHO_TOL)
-    neg_edge = neg_objective(1.0)
-    if neg_edge < neg_best:
-        rho_star, neg_best = 1.0, neg_edge
-    theta = -neg_best
-    if theta <= 0.0:
-        return 0.0, 0.0
-    return theta, rho_star
+    return -neg_best, rho_star
 
 
 def error_exponent(s: Scenario, spec: CodingSpec, em: ErrorModel) -> tuple[float, float]:
     """Error-rate QoS exponent sup_rho {E0(rho) - rho R*} for the scenario,
-    as (theta, rho_star)."""
+    as (theta, rho_star). Quadrature searches each rule of average_error's
+    panel ladder until E0 at rho_star on the next rule is within
+    quad_tolerance of theta, and refuses as average_error does after the last."""
     if em.method == "monte_carlo":
         if em.sample_budget > _MAX_EXPONENT_DRAWS:
             raise NumericError(f"{em.sample_budget} Monte Carlo draws exceed the cap "
                                f"of {_MAX_EXPONENT_DRAWS} on an exponent")
-        gam, wts = sinr_samples(s, em.sample_budget), None
-    else:
-        rules = _sinr_rules(s, (96, 192))
-        gam, wts = next(rules)
-    theta, rho_star = error_exponent_samples(gam, spec.rate, spec.blocklength, wts)
-    if em.method == "quadrature":
-        gam2, wts2 = next(rules)
-        refined = (
-            gallager_e0_samples(rho_star, gam2, spec.blocklength, wts2)
-            - rho_star * spec.rate
-            if rho_star > 0
-            else 0.0
-        )
-        drift = abs(max(refined, 0.0) - theta)
-        if drift > max(em.quad_tolerance, 1e-8):
-            raise NumericError(
-                "error exponent value not stable under quadrature refinement",
-                achieved=drift,
-            )
-    return theta, rho_star
+        return error_exponent_samples(sinr_samples(s, em.sample_budget), spec.rate,
+                                      spec.blocklength)
+    rules = _sinr_rules(s, _QUAD_PANELS)
+    gam, wts = next(rules)
+    for gam2, wts2 in rules:
+        theta, rho_star = error_exponent_samples(gam, spec.rate, spec.blocklength, wts)
+        achieved = abs(gallager_e0_samples(rho_star, gam2, spec.blocklength, wts2)
+                       - rho_star * spec.rate - theta)
+        if achieved <= em.quad_tolerance:
+            return theta, rho_star
+        gam, wts = gam2, wts2
+    raise NumericError(
+        f"SINR quadrature did not reach tolerance {em.quad_tolerance:g}",
+        achieved=achieved,
+    )
 
 
 def error_exponent_closed_form(s: Scenario, spec: CodingSpec) -> float:

@@ -103,11 +103,11 @@ def _stable_edge(log_ratio: Callable[[float], float], t_max: float,
 
     log_ratio is convex and 0 at theta = 0, so the set is an interval. t_max
     caps it: a transform pole or a point known to be unstable. With no cap
-    (inf; the set may have no edge, as a D/D/1 queue's, whose peak-AoI search
-    takes its bracket from the bound instead) the search expands from
-    ``scale`` by at most 64 doublings and takes the last point as cap. A cap
-    with a stable inner neighbour is the edge; else 200 halvings of (0, cap)
-    find it, and NumericError means none is stable.
+    (inf) the search doubles from ``scale`` to the first unstable point and
+    takes it as cap; after 64 doublings the set has no edge, as a D/D/1
+    queue's, and the edge is inf. A cap with a stable inner neighbour is the
+    edge; else 200 halvings of (0, cap) find it, and NumericError means none
+    is stable.
     """
     if math.isinf(t_max):
         t_max = scale
@@ -115,6 +115,8 @@ def _stable_edge(log_ratio: Callable[[float], float], t_max: float,
             if log_ratio(t_max) >= 0.0:
                 break
             t_max *= 2.0
+        else:
+            return math.inf
     probe = t_max * (1.0 - 1e-9)
     if log_ratio(probe) < 0.0:
         return t_max
@@ -129,6 +131,24 @@ def _stable_edge(log_ratio: Callable[[float], float], t_max: float,
         raise NumericError("no stable theta in double precision: load within "
                            "rounding of the service rate")
     return lo
+
+
+def _theta_search(objective: Callable[[float], float], edge: float,
+                  scale: float) -> tuple[float, float, float]:
+    """Minimize a convex objective over the stable set (0, edge); returns
+    (theta, value, bracket end). With no edge (inf) the bracket ends one
+    doubling past the objective's last decrease from ``scale``, at most 64."""
+    if math.isinf(edge):
+        edge, prev = scale, objective(scale)
+        for _ in range(64):
+            edge *= 2.0
+            cur = objective(edge)
+            if cur >= prev:
+                break
+            prev = cur
+    theta, value = golden_section_min(objective, edge * 1e-9, edge * (1.0 - 1e-9),
+                                      tol=_THETA_TOL * edge)
+    return theta, value, edge
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +184,8 @@ def paoi_theta_interval(am: ArrivalModel, sm: ServiceModel) -> tuple[float, floa
     """Open interval (0, theta_ub) on which the steady-state kernel is finite.
 
     The cap is the smallest of the gap-transform pole, the service-transform
-    pole, and the point where the lag-sum ratio returns to 1.
+    pole, and the point where the lag-sum ratio returns to 1; a D/D/1 queue
+    has none of them, and its interval is (0, inf).
     """
     if sm.mean_service >= am.mean_gap:
         raise StabilityError(
@@ -227,20 +248,7 @@ def optimize_paoi_bound(
         except StabilityError:  # the lag ratio rounds to >= 1 near the critical load
             return math.inf
 
-    if am.kind == "deterministic" and sm.epsilon == 0.0:
-        # D/D/1: every theta is stable, so the convex log bound sets the
-        # bracket; it ends one doubling past the last decrease
-        t_ub = 1.0 / am.mean_gap
-        prev = log_raw(t_ub)
-        for _ in range(64):
-            t_ub *= 2.0
-            cur = log_raw(t_ub)
-            if cur >= prev:
-                break
-            prev = cur
-    theta_star, _ = golden_section_min(
-        log_raw, t_ub * 1e-9, t_ub * (1.0 - 1e-9), tol=_THETA_TOL * t_ub
-    )
+    theta_star, _, t_ub = _theta_search(log_raw, t_ub, 1.0 / am.mean_gap)
     report = paoi_bound(theta_star, a_th, n, u, am, sm)
     return replace(report, params={**report.params, "theta_interval": (0.0, t_ub)})
 
@@ -340,22 +348,21 @@ def delay_bound(d_th: float, arrival: BitArrival, spec: CodingSpec, eps: float) 
     t_max = -math.log(eps) / mean if eps > 0.0 and mean > 0.0 else math.inf
     theta_hi = _stable_edge(lambda theta: _log_delay_terms(theta, arrival, bits, eps)[2],
                             t_max, 1.0 / bits)
-    # Rounding sets the edge when the convex log product is not resolved on
-    # the stable set: at its midpoint it must lie below the rounding of its
-    # two terms, 16 ulps of their sizes.
-    log_ma, log_ms, log_p = _log_delay_terms(0.5 * theta_hi, arrival, bits, eps)
-    if not log_p < -16.0 * sys.float_info.epsilon * (abs(log_ma) + abs(log_ms)):
-        raise NumericError("no resolved stable theta in double precision: load "
-                           "within rounding of the service rate")
+    # Rounding sets a finite edge when the convex log product is not resolved
+    # on the stable set: at its midpoint it must lie below the rounding of
+    # its two terms, 16 ulps of their sizes.
+    if math.isfinite(theta_hi):
+        log_ma, log_ms, log_p = _log_delay_terms(0.5 * theta_hi, arrival, bits, eps)
+        if not log_p < -16.0 * sys.float_info.epsilon * (abs(log_ma) + abs(log_ms)):
+            raise NumericError("no resolved stable theta in double precision: load "
+                               "within rounding of the service rate")
 
     def log_kernel(theta: float) -> float:
         _, log_ms, log_p = _log_delay_terms(theta, arrival, bits, eps)
         return d_th * log_ms + _log_geometric_sum(log_p)
 
-    # convex, and +inf at both ends of (0, theta_hi)
-    theta_star, log_k = golden_section_min(
-        log_kernel, theta_hi * 1e-9, theta_hi * (1.0 - 1e-9), tol=_THETA_TOL * theta_hi
-    )
+    # convex, and +inf at both ends of a finite (0, theta_hi)
+    theta_star, log_k, theta_hi = _theta_search(log_kernel, theta_hi, 1.0 / bits)
     raw = _safe_exp(log_k)
     return QoSReport(
         kind="delay",

@@ -251,6 +251,16 @@ class TestDispatch:
         assert "category=numeric SINR quadrature did not reach tolerance 1e-300" \
             in capsys.readouterr().err
 
+    def test_unreached_exponent_tolerance_numeric_exit_code(self, tmp_path, capsys):
+        # the exponent climbs the same panel ladder and refuses the same way
+        out = tmp_path / "x.csv"
+        cfg = {"command": "exponent", "seed": 7, "output": str(out),
+               "scenario": {"k": 7}, "error_model": {"quad_tolerance": 1e-300}}
+        assert main([write_config(tmp_path, cfg)]) == 4
+        assert not out.exists()
+        assert "category=numeric SINR quadrature did not reach tolerance 1e-300" \
+            in capsys.readouterr().err
+
     def test_sweep_seed_conflict_config_exit_code(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
         cfg = {"command": "sweep", "seed": 11, "output": str(out),

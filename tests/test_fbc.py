@@ -489,12 +489,26 @@ class TestErrorExponent:
             bound = math.exp(-n * theta)
             assert eps <= bound <= 10.0 * eps
 
+    def test_quadrature_refusal_reports_last_difference(self):
+        # the twin of average_error's: the exponent climbs the same panel
+        # ladder, and refuses after a search on 216 panels checked against E0
+        # on 324. E0 is resolved on 96 panels, so the rules differ by
+        # rounding only; here by 4 to 6 ulps of theta at each step
+        s, spec = default_scenario(k=7, seed=7), CodingSpec(64, 2 ** 32)
+        with pytest.raises(NumericError,
+                           match="did not reach tolerance 1e-300") as refused:
+            error_exponent(s, spec, ErrorModel(quad_tolerance=1e-300))
+        (g216, w216), (g324, w324) = fbc._sinr_rules(s, (216, 324))
+        theta, rho = error_exponent_samples(g216, spec.rate, 64, w216)
+        last = abs(gallager_e0_samples(rho, g324, 64, w324) - rho * spec.rate - theta)
+        assert refused.value.achieved == last > 1e-300
+
 
 class TestExponentSearchCost:
     def test_fig5_e0_calls_per_blocklength(self, monkeypatch):
         # golden section alone takes 32 evaluations of E0 over [0, 1] at its
-        # 1e-6 tolerance, one more at rho = 1 and one for the 192-panel drift
-        # check; a guard grid would add 64
+        # 1e-6 tolerance and two at its ends, and the check on the 144-panel
+        # rule one more; a guard grid would add 64
         calls = []
         e0 = fbc.gallager_e0_samples
 

@@ -299,6 +299,50 @@ class TestDeterministicCorner:
         assert rep.raw_bound == 0.0 and rep.bound_value == 0.0
 
 
+def _objective_bracket(objective, scale):
+    """The bracket of a search over an edgeless stable set: doublings from
+    ``scale`` while the objective decreases, at most 64, ending one past."""
+    edge, prev = scale, objective(scale)
+    for _ in range(64):
+        edge *= 2.0
+        cur = objective(edge)
+        if cur >= prev:
+            break
+        prev = cur
+    return edge
+
+
+class TestEdgelessStableSets:
+    """Every theta is stable, so the searches take their brackets from the
+    objective and report them as the searched interval."""
+
+    def test_dd1_interval_has_no_edge(self):
+        am, sm = ArrivalModel.deterministic(256.0), ServiceModel.arq(64, 0.0)
+        assert paoi_theta_interval(am, sm) == (0.0, math.inf)
+
+    @pytest.mark.parametrize("alpha, eps", [(4.0, 0.0), (0.0, 0.1)],
+                             ids=["error-free", "no-arrivals"])
+    def test_delay_bracket_from_objective(self, alpha, eps):
+        arrival = BitArrival.constant_rate(alpha)
+        rep = delay_bound(2.0, arrival, CODING, eps)
+        want = _objective_bracket(
+            lambda t: _log_delay_kernel(t, 2.0, arrival, BITS, eps), 1.0 / BITS)
+        assert math.isfinite(rep.params["theta_hi"])
+        assert rep.params["theta_hi"] == want
+        assert 0.0 < rep.theta < want
+
+    def test_dd1_decreasing_objective_ends_at_bracket_end(self):
+        # bound_queries' D/D/1 job at u = 64: a_th / n exceeds the gap plus
+        # the service, so the log bound falls through all 64 doublings
+        gap, a_th = 300.0, 150_000.0
+        am, sm = ArrivalModel.deterministic(gap), ServiceModel.arq(64, 0.0)
+        rep = optimize_paoi_bound(a_th, 64, 64, am, sm)
+        t_ub = rep.params["theta_interval"][1]
+        assert t_ub == 2.0 ** 64 / gap
+        assert rep.theta == t_ub * (1.0 - 1e-9)
+        assert rep.bound_value == 0.0 and math.isinf(rep.kernel_value)
+
+
 class TestOptimizePaoiBound:
     def test_argmin_beats_feasibility_grid(self):
         a_th = 150_000.0
@@ -354,8 +398,8 @@ class TestOptimizePaoiBound:
 class TestPaoiSearchCost:
     def test_kernel_calls(self, monkeypatch):
         # golden section alone takes 47 evaluations of the kernel over the
-        # stable interval at its 1e-9 tolerance, and the report one more; a
-        # guard grid would add 96
+        # stable interval at its 1e-9 tolerance and two at its ends, and the
+        # report one more; a guard grid would add 96
         calls = []
         kernel = snc.log_paoi_kernel
 
