@@ -92,20 +92,13 @@ class ServiceModel:
         return self.n / (1.0 - self.epsilon)
 
     def sample_services(self, n_updates: int, rng: np.random.Generator) -> np.ndarray:
-        """Service times of one rng.random(n_updates) draw of uniforms.
+        """Service times of one rng.random(n_updates) draw of uniforms, by
+        the inverse CDF.
 
         Uniforms are drawn even where every service is fixed, so the stream
         position after a draw does not depend on the model.
         """
-        return self.services_from_uniforms(rng.random(n_updates))
-
-    def services_from_uniforms(self, u: np.ndarray) -> np.ndarray:
-        """Service times from uniform(0,1) draws via the inverse CDF.
-
-        Shared uniforms let paired variants (different epsilon) produce
-        elementwise-ordered services, which the system comparisons rely on.
-        """
-        return float(self.n) * geometric_attempts(u, self.epsilon)
+        return float(self.n) * geometric_attempts(rng.random(n_updates), self.epsilon)
 
 
 def geometric_attempts(u, epsilon: float) -> np.ndarray:
@@ -144,22 +137,11 @@ def departure_row(arrivals: np.ndarray, services: np.ndarray, prev: float):
     server idle, and every other departure keeps the A + S of the same add.
 
     A start is read through memoryviews, and a stretch that goes on past it
-    is walked by zip over memoryview slices, in Python floats. A start costs
-    several times what one row of a list loop over the whole block costs,
-    so where at least a quarter of the updates are starts, that list loop
-    fills the array instead; its conditional is max(prev, a) without a call.
-    Every path gives each element the same max-then-add, so the departures
-    are the same bits either way.
+    is walked by zip over memoryview slices, in Python floats.
     """
     dep = arrivals + services
-    waits = arrivals[1:] <= dep[:-1]
-    first = len(dep) > 0 and not arrivals[0] > prev
-    if 4 * (np.count_nonzero(waits) + first) >= len(dep):
-        dep[:] = [prev := (a if a > prev else prev) + s
-                  for a, s in zip(arrivals.tolist(), services.tolist())]
-        return dep, prev
-    starts = (np.flatnonzero(waits) + 1).tolist()
-    if first:
+    starts = (np.flatnonzero(arrivals[1:] <= dep[:-1]) + 1).tolist()
+    if len(dep) and not arrivals[0] > prev:
         starts.insert(0, 0)
     a, s, d = memoryview(arrivals), memoryview(services), memoryview(dep)
     n, end = len(d), 0
@@ -177,7 +159,7 @@ def departure_row(arrivals: np.ndarray, services: np.ndarray, prev: float):
                 d[u] = p
                 u += 1
         end = u
-    return dep, d[-1]
+    return dep, d[-1] if n else prev
 
 
 def departure_times_maxplus(arrivals: np.ndarray, services: np.ndarray) -> np.ndarray:

@@ -113,7 +113,9 @@ def write_csv(path, fieldnames, blocks, comments=()) -> None:
     """
     blocks = iter(blocks)
     columns = next(blocks, None)
-    tmp = f"{path}.{os.getpid()}.tmp"
+    # a random name, which no killed run can have left, opened exclusively
+    # so that no planted link is followed
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     fh = open(tmp, "x", encoding="utf-8", newline="")
     try:
         with fh:

@@ -946,6 +946,16 @@ class TestAtomicWrite:
         assert "category=io" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
 
+    def test_temp_file_of_killed_run_left_alone(self, tmp_path):
+        # a run killed mid-write, under the PID this run has, left its temp
+        planted = tmp_path / f"t.csv.{os.getpid()}.tmp"
+        planted.write_bytes(b"killed run\n")
+        cfg = dict(AOI_SIM_DET, output=str(tmp_path / "t.csv"))
+        assert main([write_config(tmp_path, cfg)]) == 0
+        assert ",".join(TRACE_FIELDS) in (tmp_path / "t.csv").read_text().splitlines()
+        assert planted.read_bytes() == b"killed run\n"
+        assert list(tmp_path.glob("*.tmp")) == [planted]
+
     def test_file_mode_follows_umask(self, tmp_path):
         cfg = dict(AOI_SIM_DET, output=str(tmp_path / "t.csv"))
         config = write_config(tmp_path, cfg)

@@ -103,9 +103,9 @@ def block_start_shares(arrivals, services, departures, block=aoi._TRACE_ROWS):
     """The share of each block's updates that start a wait, as
     aoi.departure_row counts them: the first update where it arrives no
     later than the departure before the block, any other where it arrives
-    no later than the one before it would depart unqueued. The routine runs
-    one loop over a block where the share is at least a quarter, and walks
-    the waiting stretches otherwise."""
+    no later than the one before it would depart unqueued. A block where the
+    share is a quarter or more is start-heavy, and the short-gap sweep below
+    checks such blocks against the whole trace as well as the others."""
     starts = np.concatenate(([False], arrivals[1:] <= arrivals[:-1] + services[:-1]))
     edges = np.arange(block, len(arrivals), block)
     starts[edges] = arrivals[edges] <= departures[edges - 1]
@@ -115,7 +115,8 @@ def block_start_shares(arrivals, services, departures, block=aoi._TRACE_ROWS):
 class TestBatchedSweep:
     @pytest.mark.parametrize("slot_scaling, gap_cu", [
         pytest.param(True, None, id="True"), pytest.param(False, None, id="False"),
-        # gaps short enough that some rows' blocks reach a quarter of starts
+        # gaps short enough that some rows' blocks are start-heavy, with a
+        # quarter or more of starts, so those go through the check too
         pytest.param(True, 300.0, id="short-gap")])
     def test_means_equal_one_trace_per_row(self, slot_scaling, gap_cu):
         # one whole trace per row, the oracle of the sweep's block-by-block
@@ -146,7 +147,7 @@ class TestBatchedSweep:
                                                       aoi._TRACE_ROWS)
                         shares += block_start_shares(arrivals, trace["service"],
                                                      trace["departure"])
-        if gap_cu is not None:  # both sides of the quarter-of-starts rule
+        if gap_cu is not None:  # start-heavy blocks and others both checked
             assert min(shares) < 0.25 <= max(shares)
 
     def test_error_table_equals_whole_draws(self):

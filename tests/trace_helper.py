@@ -14,7 +14,7 @@ def whole_updates(am, sm, n, rng):
     """Arrival and service columns of one whole draw of every gap, then one
     of every service uniform: the oracle of aoi.update_blocks."""
     gaps = am.sample_gaps(n, rng)
-    return np.cumsum(gaps), sm.services_from_uniforms(rng.random(n))
+    return np.cumsum(gaps), sm.sample_services(n, rng)
 
 
 def column_blocks(arrivals, services, rows=aoi._TRACE_ROWS):
