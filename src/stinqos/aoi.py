@@ -127,7 +127,7 @@ def departure_row(arrivals: np.ndarray, services: np.ndarray, prev: float):
     """FCFS departures D[u] = max(D[u-1], A[u]) + S[u] of one block of
     updates after the departure ``prev`` (-inf before the first update), as
     a new array, and the block's last departure (``prev`` if it is empty).
-    The 1-D float64 columns, which _check_block has passed, are not written.
+    The 1-D float64 columns, which _block_step has passed, are not written.
 
     Where no update waits, D[u] = A[u] + S[u], which is computed for the
     whole block at once. An update waits where D[u-1] >= A[u]; a tie takes
@@ -183,22 +183,6 @@ def departure_times_maxplus(arrivals: np.ndarray, services: np.ndarray) -> np.nd
     return dep
 
 
-def _check_block(arrivals: np.ndarray, rows: np.ndarray, prev: float) -> None:
-    """Input checks of the queue over one block: an arrival column, checked
-    against the arrival ``prev`` before the block, and a (rows, N) service
-    matrix."""
-    if arrivals.ndim != 1 or rows.shape[1:] != arrivals.shape:
-        raise ValueError("arrivals and services must have equal length")
-    # negated comparisons, so that a NaN fails them as well; an infinite
-    # arrival, refused here, makes a NaN gap without a warning
-    with np.errstate(invalid="ignore"):
-        if arrivals.size and not (arrivals[0] >= prev and np.all(np.diff(arrivals) >= 0)
-                                  and arrivals[-1] < math.inf):
-            raise DomainError("arrival times must be finite, nonnegative and nondecreasing")
-    if rows.size and not (rows.min() >= 0 and rows.max() < math.inf):
-        raise DomainError("service times must be finite and nonnegative")
-
-
 def update_blocks(am: ArrivalModel, sm: ServiceModel, n_updates: int,
                   rng: np.random.Generator):
     """Arrival and service times of n_updates updates drawn from the models,
@@ -238,29 +222,51 @@ def _arrival_blocks(am: ArrivalModel, n_updates: int, rng: np.random.Generator, 
 TRACE_FIELDS = ["u", "arrival", "service", "departure", "sojourn", "peak_aoi"]
 
 
+def _block_gaps(arrivals: np.ndarray, prev: float) -> np.ndarray:
+    """Gaps of a block of arrivals from the arrival ``prev`` before it, once
+    the arrivals are checked: one column, finite, nonnegative and
+    nondecreasing from ``prev``."""
+    if arrivals.ndim != 1:
+        raise ValueError("arrivals must be one column")
+    # negated, so a NaN fails too; an infinite arrival makes a NaN gap
+    with np.errstate(invalid="ignore"):
+        gaps = np.diff(arrivals, prepend=prev)
+        if arrivals.size and not (np.all(gaps >= 0) and arrivals[-1] < math.inf):
+            raise DomainError("arrival times must be finite, nonnegative and nondecreasing")
+    return gaps
+
+
+def _block_step(arrivals, gaps, services: np.ndarray, prev: float):
+    """Departures, sojourns (departure minus arrival) and peak AoI (gap plus
+    sojourn) of a block of updates after the departure ``prev``, and its last
+    departure, once the services are checked against _block_gaps' arrivals."""
+    if services.shape != arrivals.shape:
+        raise ValueError("arrivals and services must have equal length")
+    if services.size and not (services.min() >= 0 and services.max() < math.inf):
+        raise DomainError("service times must be finite and nonnegative")
+    dep, last = departure_row(arrivals, services, prev)
+    soj = dep - arrivals
+    return dep, soj, gaps + soj, last
+
+
 def trace_blocks(updates):
     """Yield the trace columns of FCFS updates in TRACE_FIELDS order, one
     block for each (arrivals, services) block of ``updates``, times in
     channel uses.
 
-    The sojourn is departure minus arrival, and the peak AoI is the gap from
-    the previous arrival (the virtual update 0 arrives at time 0) plus the
-    sojourn. The previous departure, the previous arrival and the row number
+    Each block is one _block_step, where the virtual update 0 arrives at
+    time 0. The previous departure, the previous arrival and the row number
     are carried across block edges, so every block equals the same rows of
     a whole-column pass bit for bit while only one block exists. Each
     block's input checks run before its rows, against the carried arrival.
     """
     dep_prev, arr_prev, start = -math.inf, 0.0, 0
     for arr, serv in updates:
-        arr = np.asarray(arr, dtype=float)
-        serv = np.asarray(serv, dtype=float)
-        _check_block(arr, serv[np.newaxis], arr_prev)
-        dep, dep_prev = departure_row(arr, serv, dep_prev)
+        arr, serv = np.asarray(arr, dtype=float), np.asarray(serv, dtype=float)
+        dep, soj, peak, dep_prev = _block_step(arr, _block_gaps(arr, arr_prev),
+                                               serv, dep_prev)
         if not arr.size:
             continue
-        soj = dep - arr
-        peak = np.diff(arr, prepend=arr_prev)
-        peak += soj
         arr_prev = arr[-1]
         yield [range(start + 1, start + len(arr) + 1), arr, serv, dep, soj, peak]
         start += len(arr)

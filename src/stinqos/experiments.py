@@ -14,12 +14,11 @@ Random streams derive from the sweep seed and fixed stream labels. Every
 figure runs in the calling process and computes its shared inputs once per
 sweep: fig3 and stin_psn draw their error gains and each replication's
 updates one block at a time, so their memory does not grow with
-error_draws or n_updates, and run the trace's departure recursion,
-aoi.departure_row, on each service row of a block of updates in one buffer
-of 2 * len(k_grid) * len(snr_points_db) x 2^12 float64 values; fig4
-computes its models and the simulated violation frequency once and loops
-over theta; fig5 builds its scenario and error model once and loops over
-the blocklength grid.
+error_draws or n_updates, and run the trace's block step on each service
+row of a block in turn, so it does not grow with the grid points either;
+fig4 computes its models and the simulated violation frequency once and
+loops over theta; fig5 builds its scenario and error model once and loops
+over the blocklength grid.
 """
 from __future__ import annotations
 
@@ -31,7 +30,6 @@ from ._startup import np
 from .aoi import (
     ArrivalModel,
     ServiceModel,
-    departure_row,
     geometric_attempts,
     trace_blocks,
     trace_violation_frequency,
@@ -63,9 +61,9 @@ MAX_ERROR_DRAWS = 10 ** 8
 MAX_REPLICATIONS = 10 ** 4
 
 # (K, SNR) grid points, len(k_grid) * len(snr_points_db), a fig3 or
-# stin_psn sweep may hold: about 45 times the default 22. _sweep_means'
-# buffer holds two service rows of 2^12 float64 values per point, 62.5 MiB
-# at the cap, and the error table's time grows with the points too.
+# stin_psn sweep may hold: about 45 times the default 22. Memory does not
+# grow with the points, so the cap bounds time: the error table and the
+# block steps of every replication grow with them.
 MAX_GRID_POINTS = 1000
 
 
@@ -138,8 +136,8 @@ class SweepSpec:
 
 
 # ---------------------------------------------------------------------------
-# fig3 and stin_psn: coupled decoding errors and one block buffer per
-# replication over the (K, SNR) grid
+# fig3 and stin_psn: coupled decoding errors and one block step per
+# service row over the (K, SNR) grid
 # ---------------------------------------------------------------------------
 
 _SYSTEMS = ("stin", "psn")  # axis 1 of _sweep_means: hybrid, satellite-only
@@ -201,18 +199,17 @@ def _sweep_means(spec: SweepSpec, eps_sat: np.ndarray, eps_ter: np.ndarray) -> n
     _SYSTEMS. A replication draws its arrival times and its two per-update
     uniform streams, which drive the ARQ attempts everywhere and the relay
     decision, one block of 2^12 updates at a time in the stream order of
-    one whole draw of each. A block fills a (2 * points, block) buffer with
-    the hybrid and satellite-only service rows of every grid point, checks
-    it once against the arrivals, and replaces each row with its
-    aoi.departure_row departures, carrying each row's departure and the
-    last arrival across block edges; one buffer serves the whole sweep. The
-    peak AoI of each row equals the peak_aoi column of trace_blocks on that
-    row, bit for bit, as both run the same routine, and its mean is the sum
-    of its per-block sums in block order over n_updates, which for one block
-    is np.mean of the row.
+    one whole draw of each. A block's gaps are checked and taken once,
+    and each hybrid and satellite-only service row of every grid point runs
+    the trace's aoi._block_step on them, carrying each row's departure and
+    the last arrival across block edges. The peak AoI of each row equals
+    the peak_aoi column of trace_blocks on that row, bit for bit, as both
+    run the same step, and its mean is the sum of its per-block sums in
+    block order over n_updates, which for one block is np.mean of the
+    row.
     """
     points = list(np.ndindex(eps_sat.shape))
-    for ki, si in points:  # refuse before allocating
+    for ki, si in points:  # refuse before any draw
         relay = spec.k_grid[ki] >= 1 and spec.relay_prob > 0
         for link, eps in (("satellite", eps_sat[ki, si]),
                           ("relay", eps_ter[ki, si] if relay else 0.0)):
@@ -224,14 +221,13 @@ def _sweep_means(spec: SweepSpec, eps_sat: np.ndarray, eps_ter: np.ndarray) -> n
                 )
     n = spec.n_updates
     arrival = ArrivalModel.poisson(1.0 / spec.arrival_mean_gap_cu)
-    buf = np.empty((2 * len(points), min(n, aoi._TRACE_ROWS)))
-    sums = np.zeros((len(buf), spec.replications))
+    sums = np.zeros((2 * len(points), spec.replications))
     for rep in range(spec.replications):
         rng = channel._stream_rng(spec.seed, channel._STREAM_SWEEP_TRACE, rep)
-        dep_prev, arr_prev = [-math.inf] * len(buf), 0.0
+        dep_prev, arr_prev = [-math.inf] * len(sums), 0.0
         for arrivals, u_att, v_route in aoi._arrival_blocks(arrival, n, rng,
                                                             _uniforms, _uniforms):
-            rows = buf[:, :len(arrivals)]
+            gaps = aoi._block_gaps(arrivals, arr_prev)
             for p, (ki, si) in enumerate(points):
                 k = spec.k_grid[ki]
                 slot_cu = float(spec.blocklength * (max(k, 1) if spec.slot_scaling else 1))
@@ -241,14 +237,10 @@ def _sweep_means(spec: SweepSpec, eps_sat: np.ndarray, eps_ter: np.ndarray) -> n
                     np.where(use_relay, geometric_attempts(u_att, eps_ter[ki, si]), att_psn)
                     if use_relay.any() else att_psn
                 )
-                np.multiply(slot_cu, att_stin, out=rows[2 * p])
-                np.multiply(slot_cu, att_psn, out=rows[2 * p + 1])
-            aoi._check_block(arrivals, rows, arr_prev)
-            for r, row in enumerate(rows):
-                row[:], dep_prev[r] = departure_row(arrivals, row, dep_prev[r])
-            rows -= arrivals  # sojourns
-            rows += np.diff(arrivals, prepend=arr_prev)  # peak AoI: gap plus sojourn
-            sums[:, rep] += rows.sum(axis=1)
+                for r, att in enumerate((att_stin, att_psn), 2 * p):
+                    *_, peak, dep_prev[r] = aoi._block_step(arrivals, gaps, slot_cu * att,
+                                                            dep_prev[r])
+                    sums[r, rep] += peak.sum()
             arr_prev = arrivals[-1]
     return (sums / n).reshape(len(points), 2, spec.replications)
 

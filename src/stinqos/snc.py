@@ -106,8 +106,9 @@ def _stable_edge(log_ratio: Callable[[float], float], t_max: float,
     (inf) the search doubles from ``scale`` to the first unstable point and
     takes it as cap; after 64 doublings the set has no edge, as a D/D/1
     queue's, and the edge is inf. A cap with a stable inner neighbour is the
-    edge; else 200 halvings of (0, cap) find it, and NumericError means none
-    is stable.
+    edge; else 200 halvings of (0, cap) find it. Where none of them is
+    stable, rounds of 200 more go on down to the least normal float, and
+    NumericError means none is stable.
     """
     if math.isinf(t_max):
         t_max = scale
@@ -121,12 +122,13 @@ def _stable_edge(log_ratio: Callable[[float], float], t_max: float,
     if log_ratio(probe) < 0.0:
         return t_max
     lo, hi = 0.0, probe
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if log_ratio(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+    while lo == 0.0 and hi >= sys.float_info.min:
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if log_ratio(mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
     if lo == 0.0:
         raise NumericError("no stable theta in double precision: load within "
                            "rounding of the service rate")

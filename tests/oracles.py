@@ -1,12 +1,13 @@
 """Independent reference implementations of the library's paths.
 
 The mpmath oracles form their quantity from the defining formula at a
-working precision far above float64 and return it as a float. The float64
-references are the whole-array channel sampler, the tabulated CDF of the
-channel gain and the slotted bit-queue simulation, which the tests compare
-the library's draws, density and delay bound against, and two exact queue
-laws: the M/G/1 mean peak AoI of the sweeps and the stationary delay tail
-of the bit queue.
+working precision far above float64 and return it as a float; the M/G/1
+sojourn and peak-AoI tails, Laplace inversions, stay mpmath numbers, as a
+tail can fall below the float range. The float64 references are the
+whole-array channel sampler, the tabulated CDF of the channel gain and the
+slotted bit-queue simulation, which the tests compare the library's draws,
+density and delay bound against, and two exact queue laws: the M/G/1 mean
+peak AoI of the sweeps and the stationary delay tail of the bit queue.
 """
 import math
 
@@ -261,3 +262,72 @@ def delay_violation_exact(alpha_bits: int, bits_per_block: int, eps: float,
     work = g * np.arange(len(pi)) + alpha_bits
     short = bits_per_block * np.arange(n + 1)[None, :] < work[:, None]
     return float(np.sum(pi * (short @ pmf)))
+
+
+def _mg1_arq_transforms(rate: float, slot: float, eps: float):
+    """Laplace transforms, in mpmath at the working precision, of the
+    service S = slot * K, K geometric on {1, 2, ...} with failure
+    probability eps, S*(s) = (1 - eps) e^{-s slot} / (1 - eps e^{-s slot}),
+    and of the stationary sojourn T = W + S of an FCFS M/G/1 queue with
+    Poisson arrivals at ``rate``, T*(s) = W*(s) S*(s), where W*(s) =
+    (1 - rho) s / (s - rate (1 - S*(s))) is the Pollaczek-Khinchine
+    waiting time (Kleinrock, Queueing Systems, vol. 1, 1975, ch. 5).
+
+    Each tail below is e^{-rate y} times the inverse of its transform
+    shifted by -rate, so Talbot's absolute error, about 10^-dps, is relative
+    to the gap's tail e^{-rate y}. That needs the sojourn tail to decay
+    faster than the gap's, E[e^{rate S}] < 2; it also makes the load < 1.
+    """
+    z = math.exp(rate * slot)  # E[e^{rate S}] = (1 - eps) z / (1 - eps z)
+    if not (eps * z < 1.0 and (1.0 - eps) * z < 2.0 * (1.0 - eps * z)):
+        raise DomainError("E[e^{rate S}] >= 2: the sojourn tail decays no faster "
+                          "than the gap's")
+    lam, n, e = mpmath.mpf(rate), mpmath.mpf(slot), mpmath.mpf(eps)
+    rho = lam * n / (1 - e)
+
+    def service(s):
+        z = mpmath.exp(-s * n)
+        return (1 - e) * z / (1 - e * z)
+
+    def sojourn(s):
+        b = service(s)
+        return (1 - rho) * s / (s - lam * (1 - b)) * b
+
+    return service, sojourn
+
+
+def _shifted_tail(rate: float, transform, y: float):
+    """The tail whose Laplace transform is (1 - transform(s)) / s, at y, as
+    e^{-rate y} times the Talbot inverse of the transform shifted by -rate;
+    an mpmath number, which keeps a tail below the float range."""
+    lam = mpmath.mpf(rate)
+    g = mpmath.invertlaplace(lambda s: (1 - transform(s - lam)) / (s - lam), y,
+                             method="talbot")
+    return g * mpmath.exp(-lam * y)
+
+
+def mg1_sojourn_tail(rate: float, slot: float, eps: float, y: float, dps: int = 30):
+    """P(T > y) of the stationary sojourn of _mg1_arq_transforms' queue."""
+    with mpmath.workdps(dps):
+        return _shifted_tail(rate, _mg1_arq_transforms(rate, slot, eps)[1], y)
+
+
+def paoi_violation_exact(rate: float, slot: float, eps: float, a_th: float,
+                         dps: int = 30):
+    """Stationary P(peak AoI > a_th) of _mg1_arq_transforms' queue.
+
+    An update's peak AoI is its gap G ~ Exp(rate) plus its sojourn, that is
+    max(G, T) + S, with T the sojourn of the update before it; the three are
+    independent. So P(peak > a) = Σ_k P(K = k) [1 - (1 - e^{-rate y}) F_T(y)]
+    with y = a - k slot, a term with y <= 0 counting as 1. Its transform is
+    inverted whole: max(G, T) has P(max <= y) = (1 - e^{-rate y}) F_T(y), so
+    E[e^{-s max}] = T*(s) - s T*(s + rate) / (s + rate), times S*(s) for
+    the peak."""
+    with mpmath.workdps(dps):
+        service, sojourn = _mg1_arq_transforms(rate, slot, eps)
+        lam = mpmath.mpf(rate)
+
+        def peak(s):
+            return service(s) * (sojourn(s) - s * sojourn(s + lam) / (s + lam))
+
+        return _shifted_tail(rate, peak, a_th)

@@ -8,10 +8,12 @@ import json
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
-from stinqos.aoi import departure_times_maxplus, trace_blocks, trace_violation_frequency
+from stinqos.aoi import (departure_times_maxplus, trace_blocks, trace_violation_frequency,
+                         update_blocks)
 from stinqos import fbc
 from stinqos.channel import ShadowedRicianParams, shadowed_rician_pdf
 from stinqos.cli import main
@@ -43,6 +45,8 @@ from oracles import (
     block_delays,
     delay_backlog_law,
     delay_violation_exact,
+    mg1_sojourn_tail,
+    paoi_violation_exact,
     queue_growth_ratio,
     simulate_delay_violation,
     srician_cdf_grid,
@@ -158,6 +162,54 @@ def test_criterion_4_paoi_bound_dominance():
     _announce(4, f"optimized bound dominates simulation on the 20x20 grid, "
                  f"decreases strictly in theta, slope = -theta*/n within 1% "
                  f"({elapsed:.1f} s)")
+
+
+def test_criterion_4_paoi_bound_against_exact_tail():
+    # criterion 4's models and stream against the queue's exact stationary
+    # peak-AoI tail, which criterion 4's 10^5-update simulation sees as 0
+    # from 3,000 cu on
+    spec = SweepSpec(figure="fig4")
+    am, sm, eps = fig4_models(spec)
+    n, rate = spec.blocklength, am.rate
+    a_grid = [1_000.0, 2_000.0, 3_000.0, 10_000.0, 30_000.0, 100_000.0, 120_000.0,
+              200_000.0, 300_000.0]
+    exact = [paoi_violation_exact(rate, sm.n, eps, a) for a in a_grid]
+    bound = [optimize_paoi_bound(a, n, None, am, sm) for a in a_grid]
+    for a, e, rep in zip(a_grid, exact, bound):
+        assert e > 0
+        assert rep.bound_value >= e, f"bound below the exact tail at a_th={a}"
+    # the whole inverted transform against its sum over attempt counts K = k,
+    # where y = a - k n > 0, and P(K >= k) where y <= 0
+    for a, e in zip(a_grid[:2], exact):
+        ks = range(1, math.ceil(a / sm.n))
+        by_k = sum((1 - eps) * eps ** (k - 1) * (1 - (1 - math.exp(-rate * (a - k * sm.n)))
+                   * (1 - mg1_sojourn_tail(rate, sm.n, eps, a - k * sm.n))) for k in ks)
+        assert abs(by_k + eps ** len(ks) - e) <= 1e-9 * e
+
+    # the simulated sojourn and peak-AoI tails against the exact ones
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(11, 0)))
+    n_updates, batches = 1_000_000, 20
+    sojourn, peak = (np.concatenate(col) for col in zip(*(
+        block[-2:] for block in trace_blocks(update_blocks(am, sm, n_updates, rng)))))
+    y_grid = [100.0, 150.0, 200.0, 300.0]
+    checks = [(sojourn, y_grid, [mg1_sojourn_tail(rate, sm.n, eps, y) for y in y_grid]),
+              (peak, a_grid, exact)]
+    checked = 0
+    for column, grid, tail in checks:
+        for a, e in zip(grid, tail):
+            hits = column > a
+            if np.count_nonzero(hits) < 100:
+                continue
+            # violations cluster, so the standard error is of batch means
+            se = np.std(hits.reshape(batches, -1).mean(axis=1), ddof=1) / math.sqrt(batches)
+            assert abs(np.mean(hits) - float(e)) <= 3.0 * se, f"simulation off at {a} cu"
+            checked += 1
+    assert checked >= 6
+    tightness = ", ".join(f"{float(mpmath.log10(rep.raw_bound / e)):.1f}"
+                          for rep, e in zip(bound, exact))
+    _announce(4, f"peak-AoI bound above the exact stationary tail at a_th = "
+                 f"1,000..300,000 cu (log10 raw bound/exact: {tightness}), simulated "
+                 f"sojourn and peak AoI within 3 batch-means SE at {checked} thresholds")
 
 
 def test_criterion_5_delay_bound_dominance():

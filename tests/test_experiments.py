@@ -159,14 +159,25 @@ class TestBatchedSweep:
             assert np.array_equal(g, w)
 
     def test_sweep_memory_does_not_grow_with_updates(self):
-        # one (2 * points, 2^12) buffer and one block of draws at any
-        # n_updates; whole columns would add 3.2 MB at 2^16 updates
+        # one block of draws and one block step at any n_updates; whole
+        # columns would add 3.2 MB at 2^16 updates
         spec = small_fig3_spec(replications=1, k_grid=(0, 2), snr_points_db=(15.0,),
                                error_draws=1000)
         eps = _coupled_error_table(spec)
         peaks = [traced_peak(_sweep_means, replace(spec, n_updates=n), *eps)
                  for n in (1 << 12, 1 << 12, 1 << 16)]  # the first fills caches
         assert peaks[2] - peaks[1] < 0.5e6, peaks
+
+    def test_sweep_memory_does_not_grow_with_grid(self):
+        # one block step at a time at any number of grid points; a block of
+        # two service rows per point would add 6.4 MB from 2 to 100 points
+        spec = small_fig3_spec(replications=1, n_updates=1 << 12, snr_points_db=(15.0,),
+                               error_draws=1000)
+        peaks = []
+        for k_grid in ((0, 1), (0, 1), tuple(range(100))):  # the first fills caches
+            grid = replace(spec, k_grid=k_grid)
+            peaks.append(traced_peak(_sweep_means, grid, *_coupled_error_table(grid)))
+        assert peaks[2] - peaks[1] < 1e6, peaks
 
     def test_error_table_memory_per_draw(self):
         # one block of each gain at any error_draws: whole satellite and

@@ -563,6 +563,22 @@ class TestDelayBound:
         with pytest.raises(StabilityError):
             delay_bound(3.0, BitArrival.constant_rate(8.0), CODING, 0.1)
 
+    @pytest.mark.parametrize("rate, batch", [(1e-100, 1e100), (1e-300, 1e300)])
+    def test_stable_set_below_200_halvings(self, rate, batch):
+        # load about 0.03, yet the batch transform outgrows the service's
+        # past theta about 5 / batch, far below 2^-200 of the cap -ln(eps)
+        rep = delay_bound(5.0, BitArrival.poisson_batch(rate, batch),
+                          CodingSpec(64, 2 ** 32), 0.0047)
+        assert 0.0 <= rep.bound_value <= 1.0
+        assert 0.0 < rep.theta < rep.params["theta_hi"] < 10.0 / batch
+
+    def test_no_stable_theta_down_to_least_normal_float(self):
+        # the mean is 1 ulp below the service rate: every halving down to
+        # the least normal float rounds the log product to >= 0
+        arrival = BitArrival.poisson_batch(0.21224877435445327, 10.391279248773312)
+        with pytest.raises(NumericError, match="^no stable theta in double precision"):
+            delay_bound(1.0, arrival, CodingSpec(64, 16), 0.44861592886825)
+
     def test_poisson_batch_arrival_transform(self):
         arrival = BitArrival.poisson_batch(0.5, 4.0)
         assert arrival.log_mellin(0.0) == 0.0
