@@ -10,13 +10,15 @@ slices of at most _CHUNK_ROWS rows, into a temp file next to the target,
 which is moved into place only once every row is written: a failing run
 leaves no partial CSV and an earlier file at the target untouched.
 
-Floats are written as their shortest round-trip repr, which is most of the
-cost of a trace. A float slice calls repr once per distinct bit pattern, and
-maps the strings back to its rows, where at most half its values are
-distinct: the service and sojourn columns of a trace, and its peak-AoI
-column under deterministic arrivals. A strictly increasing slice, such as a
-time column, calls repr on each cell at once; any other slice is told by
-one sort of its bit patterns, about 1 % of the cost of its repr calls.
+A column is written by one of three rules: a range of row numbers by repr,
+a float64 array of native byte order by _float_cells, any other column value
+by value through format_value. Floats take their shortest round-trip repr,
+most of the cost of a trace. A float slice calls repr once per distinct bit
+pattern, and maps the strings back to its rows, where at most half its
+values are distinct: the service and sojourn columns of a trace, and its
+peak-AoI column under deterministic arrivals. A strictly increasing slice,
+such as a time column, calls repr on each cell at once; any other slice is
+told by one sort of its bit patterns, about 1 % of the cost of its repr calls.
 """
 from __future__ import annotations
 
@@ -34,15 +36,16 @@ def build_identifier() -> str:
 
 def format_value(v) -> str:
     """Canonical scalar formatting; floats use shortest round-trip repr, and
-    booleans and None their JSON spelling, so a header value reads back."""
+    booleans and None their JSON spelling, so a header value reads back. A
+    numpy scalar is taken as its Python value first."""
+    if hasattr(v, "item"):
+        v = v.item()
     if v is None:
         return "null"
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return repr(float(v))  # builtin repr also for numpy scalars
-    if hasattr(v, "item") and not isinstance(v, str):
-        return format_value(v.item())
+        return repr(float(v))
     return str(v)
 
 
@@ -54,40 +57,34 @@ def _quote(cell: str) -> str:
 
 
 def _cells(col):
-    """CSV cells of one column; ranges and numeric arrays, known by their
-    dtype, skip the per-cell dispatch. Integers, Python ints by then, go
-    through repr: str's text, without the call through the str type."""
+    """CSV cells of one column by the three rules. The float64 test reads
+    the column's own dtype, never the lazy np, so list columns load no
+    numpy; and only native byte order passes, as _float_cells reads bytes."""
     if isinstance(col, range):
         return map(repr, col)
-    kind = col.dtype.kind if hasattr(col, "dtype") else None
-    if kind == "f" and col.dtype.itemsize <= 8:
+    if hasattr(col, "dtype") and col.dtype.char == "d" and col.dtype.isnative:
         return _float_cells(col)
-    if kind == "f":  # longdouble, which float64 keys would round
-        return map(repr, col.tolist())
-    if kind in ("i", "u"):
-        return map(repr, col.tolist())
     return [_quote(format_value(v)) for v in col]
 
 
 def _float_cells(col):
-    """repr of each float of a float16, 32 or 64 column, called once per
+    """repr of each float of a native-order float64 column, called once per
     distinct value where at most half the values are distinct.
 
-    Values are told apart by their float64 bit patterns, so -0.0 and 0.0,
-    and NaNs of each sign and payload, keep their own strings, as repr on
-    each cell gives them.
+    Values are told apart by their bit patterns, on the column's own int64
+    view, so -0.0 and 0.0, and NaNs of each sign and payload, keep their own
+    strings, as repr on each cell gives them.
     """
-    values = col.astype(np.float64)
-    if np.all(values[1:] > values[:-1]):  # increasing: every value distinct
+    if np.all(col[1:] > col[:-1]):  # increasing: every value distinct
         return map(repr, col.tolist())
-    keys = values.view(np.int64)
-    keys.sort()
+    bits = col.view(np.int64)
+    keys = np.sort(bits)
     new = keys[1:] != keys[:-1]
     if 2 * (np.count_nonzero(new) + 1) > len(keys):
         return map(repr, col.tolist())
     distinct = keys[np.concatenate(([True], new))]
     strings = list(map(repr, distinct.view(np.float64).tolist()))
-    rows = distinct.searchsorted(col.astype(np.float64).view(np.int64))
+    rows = distinct.searchsorted(bits)
     return map(strings.__getitem__, rows.tolist())
 
 

@@ -103,14 +103,9 @@ class SweepSpec:
             raise ConfigError(
                 f"unknown figure {self.figure!r}; expected one of {tuple(_RUNNERS)}"
             )
-        if self.replications < 1:
-            raise ConfigError("replications must be >= 1")
-        if self.n_updates < 1:
-            raise ConfigError("n_updates must be >= 1")
-        if self.error_draws < 1:
-            raise ConfigError("error_draws must be >= 1")
-        if self.fig4_n_updates < 1:
-            raise ConfigError("fig4_n_updates must be >= 1")
+        for key in ("replications", "n_updates", "error_draws", "fig4_n_updates"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1")
         for key in ("arrival_mean_gap_cu", "fig4_mean_gap_cu"):
             if not getattr(self, key) > 0:
                 raise ConfigError(f"{key} must be > 0, got {getattr(self, key)}")
@@ -206,11 +201,13 @@ def _sweep_means(spec: SweepSpec, eps_sat: np.ndarray, eps_ter: np.ndarray) -> n
     the peak_aoi column of trace_blocks on that row, bit for bit, as both
     run the same step, and its mean is the sum of its per-block sums in
     block order over n_updates, which for one block is np.mean of the
-    row.
+    row. A hybrid row that can never relay, at K = 0 or relay_prob 0, is
+    its point's satellite-only row: it runs no step and takes that row's
+    sums.
     """
     points = list(np.ndindex(eps_sat.shape))
-    for ki, si in points:  # refuse before any draw
-        relay = spec.k_grid[ki] >= 1 and spec.relay_prob > 0
+    relays = np.array([spec.k_grid[ki] >= 1 and spec.relay_prob > 0 for ki, _ in points])
+    for (ki, si), relay in zip(points, relays):  # refuse before any draw
         for link, eps in (("satellite", eps_sat[ki, si]),
                           ("relay", eps_ter[ki, si] if relay else 0.0)):
             if not eps < 1.0:
@@ -232,17 +229,18 @@ def _sweep_means(spec: SweepSpec, eps_sat: np.ndarray, eps_ter: np.ndarray) -> n
                 k = spec.k_grid[ki]
                 slot_cu = float(spec.blocklength * (max(k, 1) if spec.slot_scaling else 1))
                 att_psn = geometric_attempts(u_att, eps_sat[ki, si])
-                use_relay = (v_route < spec.relay_prob) & (k >= 1)
-                att_stin = (
-                    np.where(use_relay, geometric_attempts(u_att, eps_ter[ki, si]), att_psn)
-                    if use_relay.any() else att_psn
-                )
-                for r, att in enumerate((att_stin, att_psn), 2 * p):
+                rows = [(2 * p + 1, att_psn)]
+                if relays[p]:
+                    att_ter = geometric_attempts(u_att, eps_ter[ki, si])
+                    rows.append((2 * p, np.where(v_route < spec.relay_prob, att_ter, att_psn)))
+                for r, att in rows:
                     *_, peak, dep_prev[r] = aoi._block_step(arrivals, gaps, slot_cu * att,
                                                             dep_prev[r])
                     sums[r, rep] += peak.sum()
             arr_prev = arrivals[-1]
-    return (sums / n).reshape(len(points), 2, spec.replications)
+    sums = sums.reshape(len(points), 2, spec.replications)
+    sums[~relays, 0] = sums[~relays, 1]
+    return sums / n
 
 
 def _sweep_points(spec: SweepSpec):

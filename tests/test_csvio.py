@@ -238,6 +238,15 @@ def test_float_list_with_empty_cell_takes_per_cell_path(tmp_path):
     assert text.split("\n")[2] == ",2"
 
 
+def test_longdouble_cells_are_str_of_each_value(tmp_path):
+    # a numpy scalar that item() leaves as it is, written once as its str
+    # (not its repr, and with no recursion); a column of them value by value
+    values = np.array([0.1, -2.5, 1e-300], dtype=np.longdouble)
+    assert format_value(values[0]) == str(values[0])
+    got = written(tmp_path, ["x"], [[values]])
+    assert got == "x\n" + "".join(str(v) + "\n" for v in values)
+
+
 def test_header_only_when_no_rows(tmp_path):
     fields = ["x", "a,b"]
     text = written(tmp_path, fields, [[[], np.zeros(0)]])

@@ -179,6 +179,21 @@ class TestBatchedSweep:
             peaks.append(traced_peak(_sweep_means, grid, *_coupled_error_table(grid)))
         assert peaks[2] - peaks[1] < 1e6, peaks
 
+    @pytest.mark.parametrize("relay_prob, steps", [(0.3, 10), (0.0, 6)])
+    def test_hybrid_row_that_never_relays_runs_no_step(self, monkeypatch, relay_prob, steps):
+        # k_grid (0, 1, 3) at two SNRs: each point's satellite-only row runs
+        # one block step per block, and its hybrid row one only where it can
+        # relay (K >= 1 and relay_prob > 0); 12 per block would run both rows
+        # of every point
+        spec = small_fig3_spec(replications=1, n_updates=2 * aoi._TRACE_ROWS,
+                               k_grid=(0, 1, 3), relay_prob=relay_prob, error_draws=1000)
+        tables = _coupled_error_table(spec)
+        step, calls = aoi._block_step, []
+        monkeypatch.setattr(aoi, "_block_step", lambda *args: calls.append(1) or step(*args))
+        means = _sweep_means(spec, *tables)
+        assert len(calls) == 2 * steps
+        assert np.array_equal(means[:2, 0], means[:2, 1])  # K = 0
+
     def test_error_table_memory_per_draw(self):
         # one block of each gain at any error_draws: whole satellite and
         # relay gains would add 16 B per draw, 1.6 MB from 2^15 to 2^17 draws

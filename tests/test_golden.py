@@ -16,9 +16,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import stinqos
+from stinqos import csvio
 from stinqos.cli import main
 from replay import header_config, replayed_lines, run_csv
 
@@ -163,14 +165,28 @@ def data_rows_sha256(path) -> str:
     return hashlib.sha256("".join(rows).encode("utf-8")).hexdigest()
 
 
+def is_written_kind(col) -> bool:
+    """Whether a column is of a kind the commands write: a range, a float64
+    array of native byte order, or a list."""
+    if isinstance(col, np.ndarray):
+        return col.dtype == np.float64 and col.dtype.isnative
+    return isinstance(col, (range, list))
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_data_rows_match_golden_hash(name, tmp_path):
+def test_data_rows_match_golden_hash(name, tmp_path, monkeypatch):
+    # every column reaching the writer is one of the three kinds it keeps a
+    # rule for; another kind would be written per value, but is seen here
     config, expected = GOLDEN[name]
     out = tmp_path / "out.csv"
     path = tmp_path / "run.json"
     path.write_text(json.dumps(dict(config, output=str(out))), encoding="utf-8")
+    cells, columns = csvio._cells, []
+    monkeypatch.setattr(csvio, "_cells", lambda col: columns.append(col) or cells(col))
     assert main([str(path)]) == 0
     assert data_rows_sha256(out) == expected
+    assert columns and all(map(is_written_kind, columns)), {
+        str(getattr(c, "dtype", type(c))) for c in columns if not is_written_kind(c)}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
