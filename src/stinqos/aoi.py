@@ -102,7 +102,8 @@ class ServiceModel:
 
 
 def geometric_attempts(u, epsilon: float) -> np.ndarray:
-    """Number of ARQ attempts: smallest k >= 1 with u > epsilon^k.
+    """Number of ARQ attempts: smallest k >= 1 with u > epsilon^k, in a new
+    array (coupled callers share u across error rates, so it is not written).
 
     Nondecreasing in epsilon for fixed u, so coupled comparisons across
     error rates are elementwise monotone.
@@ -114,13 +115,7 @@ def geometric_attempts(u, epsilon: float) -> np.ndarray:
         raise DomainError(
             f"epsilon must be < 1 for ARQ to ever succeed, got {epsilon}"
         )
-    # floor(log(u) / log(epsilon)) + 1, in place in one new array; u is
-    # never written, since coupled callers share it across error rates
-    att = np.log(u, out=np.empty_like(u))
-    att /= math.log(epsilon)
-    np.floor(att, out=att)
-    att += 1.0
-    return att
+    return np.floor(np.log(u) / math.log(epsilon)) + 1.0
 
 
 def departure_row(arrivals: np.ndarray, services: np.ndarray, prev: float):

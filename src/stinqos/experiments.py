@@ -248,7 +248,7 @@ def _sweep_points(spec: SweepSpec):
     mean, half): the mean peak AoI over r replications and 1.96 standard
     errors of that mean (1.96 s / sqrt(r), 0 for r = 1), each a pair ordered
     as _SYSTEMS. The half-width is a normal one: at the default r = 3 the
-    interval covers the mean about 80 % of the time, not 95 %."""
+    interval covers the mean about 78 % of the time, not 95 %."""
     # refuse before any work
     if spec.replications > MAX_REPLICATIONS:
         raise NumericError(f"{spec.replications} replications exceed the cap of "

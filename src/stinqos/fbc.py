@@ -222,8 +222,7 @@ def average_error(s: Scenario, spec: CodingSpec, em: ErrorModel) -> ErrorResult:
             if seen:
                 m2 += ((block_sum / size - total / seen) ** 2
                        * (seen * size / (seen + size)))
-            errs -= block_sum / size
-            m2 += np.sum(np.square(errs, out=errs))
+            m2 += np.sum(np.square(errs - block_sum / size))
             total += block_sum
             seen += size
             del gam, errs  # before the next block is drawn

@@ -82,8 +82,12 @@ def _log_lag_terms(theta: float, am: ArrivalModel,
     return log_ms, log_ms + _log_mellin_gap(-theta, am)
 
 
+# the largest x whose exp is a finite float; exp and expm1 overflow past it
+_LOG_MAX = math.log(sys.float_info.max)
+
+
 def _safe_exp(x: float) -> float:
-    return math.inf if x > 709.0 else math.exp(x)
+    return math.inf if x > _LOG_MAX else math.exp(x)
 
 
 def _log_geometric_sum(log_r: float, terms: float = math.inf) -> float:
@@ -106,9 +110,9 @@ def _stable_edge(log_ratio: Callable[[float], float], t_max: float,
     (inf) the search doubles from ``scale`` to the first unstable point and
     takes it as cap; after 64 doublings the set has no edge, as a D/D/1
     queue's, and the edge is inf. A cap with a stable inner neighbour is the
-    edge; else 200 halvings of (0, cap) find it. Where none of them is
-    stable, rounds of 200 more go on down to the least normal float, and
-    NumericError means none is stable.
+    edge; else one bisection of (0, cap) runs until no float lies between
+    its ends and returns the last stable float. NumericError means nothing
+    is stable down to the least normal float.
     """
     if math.isinf(t_max):
         t_max = scale
@@ -122,13 +126,12 @@ def _stable_edge(log_ratio: Callable[[float], float], t_max: float,
     if log_ratio(probe) < 0.0:
         return t_max
     lo, hi = 0.0, probe
-    while lo == 0.0 and hi >= sys.float_info.min:
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if log_ratio(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
+    while math.nextafter(lo, hi) < hi and hi >= sys.float_info.min:
+        mid = 0.5 * (lo + hi)
+        if log_ratio(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
     if lo == 0.0:
         raise NumericError("no stable theta in double precision: load within "
                            "rounding of the service rate")
@@ -290,11 +293,11 @@ class BitArrival:
         return self.alpha_bits if self.kind == "constant_rate" else self.rate * self.batch_bits
 
     def log_mellin(self, theta: float) -> float:
-        """log M_A(1+theta) = log E[e^{theta A}]; inf past the double range."""
+        """log M_A(1+theta) = log E[e^{theta A}]; inf where expm1 overflows."""
         if self.kind == "constant_rate":
             return theta * self.alpha_bits
         x = theta * self.batch_bits
-        return math.inf if x > 709.0 else self.rate * math.expm1(x)
+        return math.inf if x > _LOG_MAX else self.rate * math.expm1(x)
 
 
 def _log_mellin_served(theta: float, bits: float, eps: float) -> float:

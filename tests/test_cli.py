@@ -198,6 +198,18 @@ class TestDispatch:
         fields = rows[1].split(",")
         assert fields[0] == "aoi" and 0.0 < float(fields[4]) <= 1.0
 
+    def test_paoi_kernel_up_to_the_largest_float(self, tmp_path):
+        # the log kernel is about 709.5, below log(float max) = 709.78: the
+        # kernel is written as a float, and the bound still rounds to 0
+        cfg = {"command": "paoi-bound", "seed": 1, "output": str(tmp_path / "b.csv"),
+               "params": {"a_th_cu": 40_000.0, "u": 64, "theta": 4.927083333333333,
+                          "arrival": {"kind": "deterministic", "period": 80.0},
+                          "service": {"kind": "fixed", "n": 64}}}
+        assert main([write_config(tmp_path, cfg)]) == 0
+        rows = [l for l in (tmp_path / "b.csv").read_text().strip().split("\n")
+                if not l.startswith("#")]
+        assert rows[1] == "aoi,4.927083333333333,40000.0,1.3549863193146328e+308,0.0,true,1"
+
     # ARQ(64, 0.2) takes 80 cu on average. Within about 1e-5 of that mean
     # gap the lag ratio rounds to 1 on part of the stable interval; the
     # search skips those theta instead of refusing a stable queue.

@@ -1,5 +1,6 @@
 """Network-calculus transform, kernel, and bound tests."""
 import math
+import sys
 import zlib
 from dataclasses import replace
 
@@ -413,6 +414,95 @@ class TestPaoiSearchCost:
         assert len(calls) <= 60
 
 
+def _count_ratio_evaluations(monkeypatch) -> list:
+    """Patch snc._stable_edge to record each theta its log ratio is
+    evaluated at, and return the list it fills."""
+    calls = []
+    edge = snc._stable_edge
+
+    def counting(log_ratio, t_max, scale):
+        def counted(theta):
+            calls.append(theta)
+            return log_ratio(theta)
+        return edge(counted, t_max, scale)
+
+    monkeypatch.setattr(snc, "_stable_edge", counting)
+    return calls
+
+
+DELAY_CODING = CodingSpec(64, 2 ** 32)  # the delay-bound command's default
+
+
+class TestStableEdgeCost:
+    # the bisection stops where no float lies between its ends, about 53
+    # halvings past its first stable point, plus the probe at the cap
+    @pytest.mark.parametrize("search", [
+        lambda: delay_bound(5.0, BitArrival.constant_rate(28.0), DELAY_CODING, 0.0047),
+        lambda: delay_bound(6.0, BitArrival.poisson_batch(0.6, 24.0), DELAY_CODING,
+                            0.0047),
+        lambda: optimize_paoi_bound(150_000.0, 64, None,
+                                    ArrivalModel.deterministic(300.0),
+                                    ServiceModel.arq(64, 0.1)),
+    ], ids=["delay-constant", "delay-poisson-batch", "paoi-deterministic-arq"])
+    def test_ratio_evaluations(self, monkeypatch, search):
+        calls = _count_ratio_evaluations(monkeypatch)
+        search()
+        assert 0 < len(calls) <= 60
+
+
+def _last_stable(log_ratio, edge: float) -> bool:
+    """Whether ``edge`` is the largest float at which log_ratio < 0."""
+    return log_ratio(edge) < 0.0 <= log_ratio(math.nextafter(edge, math.inf))
+
+
+class TestStableEdge:
+    def test_edge_is_last_stable_float(self):
+        # the edge lies about 180 halvings below the cap, and the bisection
+        # goes on to the float just below the root e
+        e = 0.7 * 2.0 ** -180
+
+        def log_ratio(t):
+            return t * (t - e)
+
+        edge = snc._stable_edge(log_ratio, 1.0, 1.0)
+        assert edge == math.nextafter(e, 0.0)
+        assert _last_stable(log_ratio, edge)
+
+    # bound_queries' searched model pairs whose edge the bisection finds:
+    # ARQ service after deterministic gaps (a Poisson gap's pole caps the
+    # set first, and a D/D/1 set has no edge), and both delay arrivals at
+    # the scenario presets' average errors for K = 0..3
+    @pytest.mark.parametrize("gap, eps", [(200.0, 0.05), (300.0, 0.1), (400.0, 0.2)])
+    def test_paoi_deterministic_arq(self, gap, eps):
+        am, sm = ArrivalModel.deterministic(gap), ServiceModel.arq(64, eps)
+        edge = paoi_theta_interval(am, sm)[1]
+        assert edge < math.log(1.0 / eps) / 64
+        assert _last_stable(lambda t: snc._log_lag_terms(t, am, sm)[1], edge)
+
+    @pytest.mark.parametrize("arrival", [
+        BitArrival.constant_rate(16.0), BitArrival.constant_rate(24.0),
+        BitArrival.poisson_batch(0.5, 20.0), BitArrival.poisson_batch(0.8, 28.0),
+    ], ids=["constant-16", "constant-24", "batch-0.5x20", "batch-0.8x28"])
+    @pytest.mark.parametrize("eps", [0.0035, 0.0046, 0.0057, 0.0104])
+    def test_delay(self, arrival, eps):
+        bits = DELAY_CODING.bits_per_block
+        edge = delay_bound(5.0, arrival, DELAY_CODING, eps).params["theta_hi"]
+        assert _last_stable(
+            lambda t: snc._log_delay_terms(t, arrival, bits, eps)[2], edge)
+
+
+class TestFloatLimit:
+    def test_safe_exp_up_to_the_largest_float(self):
+        x = math.log(sys.float_info.max)
+        assert math.isfinite(snc._safe_exp(x))
+        assert snc._safe_exp(math.nextafter(x, math.inf)) == math.inf
+
+    def test_batch_transform_finite_while_expm1_is(self):
+        # 709.5 is below log(float max), 709.78, where expm1 overflows
+        arrival = BitArrival.poisson_batch(1e-300, 1.0)
+        assert arrival.log_mellin(709.5) == 1e-300 * math.expm1(709.5)
+
+
 CODING = CodingSpec(blocklength=64, code_size=256)  # 8 bits per block
 BITS = CODING.bits_per_block
 
@@ -566,15 +656,17 @@ class TestDelayBound:
     @pytest.mark.parametrize("rate, batch", [(1e-100, 1e100), (1e-300, 1e300)])
     def test_stable_set_below_200_halvings(self, rate, batch):
         # load about 0.03, yet the batch transform outgrows the service's
-        # past theta about 5 / batch, far below 2^-200 of the cap -ln(eps)
+        # past theta about 5 / batch, far below 2^-200 of the cap -ln(eps):
+        # the bisection halves past 200 times before its first stable point
         rep = delay_bound(5.0, BitArrival.poisson_batch(rate, batch),
                           CodingSpec(64, 2 ** 32), 0.0047)
         assert 0.0 <= rep.bound_value <= 1.0
         assert 0.0 < rep.theta < rep.params["theta_hi"] < 10.0 / batch
 
     def test_no_stable_theta_down_to_least_normal_float(self):
-        # the mean is 1 ulp below the service rate: every halving down to
-        # the least normal float rounds the log product to >= 0
+        # the mean is 1 ulp below the service rate: the bisection halves
+        # down to the least normal float, and at every point the log
+        # product rounds to >= 0
         arrival = BitArrival.poisson_batch(0.21224877435445327, 10.391279248773312)
         with pytest.raises(NumericError, match="^no stable theta in double precision"):
             delay_bound(1.0, arrival, CodingSpec(64, 16), 0.44861592886825)
